@@ -47,6 +47,10 @@ class ZeroTau(Gl3Error):
     """Transfer-matrix eigenvalue vanished where a nonzero value is required."""
 
 
+class NonFiniteResult(Gl3Error):
+    """A matrix element or norm overflowed to a non-finite value."""
+
+
 class ConfigError(Gl3Error):
     """Run configuration failed validation."""
 

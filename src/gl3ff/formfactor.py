@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegeneracyWarning, PoleError, SectorMismatch
+from .errors import (DegeneracyWarning, NonFiniteResult, PoleError,
+                     SectorMismatch)
 from .kernel import (delta, delta_prime, exclude, f_prod, g_prod, h, h_prod,
                      inv_f_prod, inv_g_prod, inv_h_prod, pole_tol, t)
 from .model import (BetheState, ModelFunctions, RootConfig, dtau_du,
@@ -52,6 +53,17 @@ def det_lu(m: np.ndarray) -> complex:
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     return complex(np.linalg.det(m))
+
+
+def _element(pref: complex, m: np.ndarray, what: str) -> complex:
+    """``pref * det(m)`` for a public element function; an overflow in the
+    matrix or in the product raises instead of returning ``inf``/``nan``."""
+    if m.size and not np.all(np.isfinite(m)):
+        raise NonFiniteResult(f"{what}: determinant matrix has non-finite entries")
+    value = pref * det_lu(m)
+    if not np.isfinite(value):
+        raise NonFiniteResult(f"{what} is not finite: {value}")
+    return value
 
 
 def lu_condition(m: np.ndarray) -> float:
@@ -292,7 +304,7 @@ def ff_offdiag(kind: tuple, left: BetheState, right: BetheState,
         asm = assemble(left, right, z)
     pref = prefactor_H(asm.u_left, asm.v_left, asm.u_right, asm.v_right,
                        asm.cols, asm.model.c)
-    return pref * det_lu(n_matrix(asm))
+    return _element(pref, n_matrix(asm), f"T{kind}")
 
 
 def _same_state_matrix(asm: FFAssembly, s: int) -> np.ndarray:
@@ -337,9 +349,9 @@ def ff_diag(s: int, left: BetheState, right: BetheState, z: complex) -> complex:
     pref = prefactor_H(asm.u_left, asm.v_left, asm.u_right, asm.v_right,
                        asm.cols, asm.model.c)
     if same:
-        return sign * pref * det_lu(_same_state_matrix(asm, s))
+        return _element(sign * pref, _same_state_matrix(asm, s), f"T({s}, {s})")
     mat = np.vstack([n_matrix(asm), y_row_diag(asm, s, same_state=False)])
-    return sign * pref * det_lu(mat)
+    return _element(sign * pref, mat, f"T({s}, {s})")
 
 
 def ff_13(left: BetheState, right: BetheState, z: complex) -> complex:
@@ -351,7 +363,7 @@ def ff_13(left: BetheState, right: BetheState, z: complex) -> complex:
     sign = -1.0 if len(left.v) % 2 else 1.0
     pref = prefactor_H(asm.u_left, asm.v_left, asm.u_right, asm.v_right,
                        asm.cols, asm.model.c)
-    return sign * pref * det_lu(mat)
+    return _element(sign * pref, mat, "T(1, 3)")
 
 
 def ff_31(left: BetheState, right: BetheState, z: complex) -> complex:
@@ -387,7 +399,7 @@ def norm_squared(state: BetheState) -> complex:
     cols = state.u + state.v
     pref = prefactor_H(state.u, state.v, state.u, state.v, cols,
                        state.model.c)
-    return pref * det_lu(gaudin_matrix(state.roots, state.model))
+    return _element(pref, gaudin_matrix(state.roots, state.model), "norm")
 
 
 def omega_vector(u_left: Sequence[complex], v_left: Sequence[complex],

@@ -93,6 +93,25 @@ def test_ff_table_vacuum_diagonals(tmp_path):
     assert by_kind[(2, 1)]["error"].startswith("SectorMismatch")
 
 
+def test_ff_nonfinite_element_is_row_error(tmp_path):
+    # r1(z) = f(z, 0)^80 overflows next to the homogeneous inhomogeneity
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "model": {"L": 80, "c": [1.0, 0.0], "xi": "homogeneous"},
+        "sector": {"a": 0, "b": 0},
+        "task": {"kinds": [[1, 1], [2, 2]], "z_points": [[1e-4, 0.0]]},
+    })
+    roots = tmp_path / "vac.json"
+    assert run(["solve", "--config", cfg, "--out", roots]) == 0
+    table = tmp_path / "table.csv"
+    assert run(["ff", "--config", cfg, "--left", roots, "--right", roots,
+                "--out", table]) == 0
+    rows = {(int(r["kind_i"]), int(r["kind_j"])): r
+            for r in csv.DictReader(table.open())}
+    assert rows[(1, 1)]["error"].startswith("NonFiniteResult")
+    assert rows[(1, 1)]["f_re"] == ""
+    assert float(rows[(2, 2)]["f_re"]) == 1.0 and rows[(2, 2)]["error"] == ""
+
+
 def test_ff_deterministic_reruns(tmp_path):
     cfg = write_cfg(tmp_path, "cfg.json", {
         "model": {"L": 3, "xi": "seeded", "c": [1.0, 0.0]},

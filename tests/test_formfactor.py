@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import gl3ff.formfactor as ff
-from gl3ff.errors import DegeneracyWarning, PoleError, SectorMismatch
+from gl3ff.errors import (DegeneracyWarning, NonFiniteResult, PoleError,
+                          SectorMismatch)
 from gl3ff.kernel import delta, delta_prime, h_prod, inv_f_prod, t
 from gl3ff.model import (Twist, dtau_dkappa, dtau_dkappa_onshell,
                          mirror_model, tau, xxx_chain)
@@ -27,6 +28,36 @@ def test_det_lu_rejects_bad_input():
         ff.det_lu(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         ff.det_lu(np.array([[np.inf, 0], [0, 1]], dtype=complex))
+
+
+def test_overflow_raises_nonfinite_result():
+    # a + b = 32 generic roots on a long chain: the raw products overflow
+    # and every element used to come back as nan + nanj
+    rng = np.random.default_rng(48)
+
+    def pts(n):
+        return tuple(complex(p) for p in 3 * np.sqrt(rng.uniform(0, 1, n))
+                     * np.exp(2j * np.pi * rng.uniform(0, 1, n)))
+
+    model = xxx_chain(80, pts(80), 1.0)
+    right = make_state(model, pts(16), pts(16))
+    z = 0.4 + 0.3j
+    # one kind per determinant route: ff_offdiag, ff_diag, ff_13, ff_31
+    for kind in ((1, 2), (2, 2), (1, 3), (3, 1)):
+        a, b = ff.sector_shift(kind, right.a, right.b)
+        left = make_state(model, pts(a), pts(b))
+        with pytest.raises(NonFiniteResult):
+            ff.form_factor(kind, left, right, z)
+    with pytest.raises(NonFiniteResult):
+        ff.ff_diag(2, right, right, z)  # same-state branch
+    with pytest.raises(NonFiniteResult):
+        ff.norm_squared(right)
+    # an overflowing matrix entry is typed too, not det_lu's ValueError
+    chain = xxx_chain(80, (0.0,) * 80, 1.0)
+    vac = vacuum_state(chain)
+    with pytest.raises(NonFiniteResult):
+        ff.form_factor((1, 1), vac, vac, 1e-4)
+    assert ff.form_factor((2, 2), vac, vac, 1e-4) == 1.0
 
 
 def test_sector_shift_table():

@@ -191,3 +191,93 @@ def test_zero_denominator_detected(state_lib, rng):
     with pytest.raises(ZeroDenominator):
         # annihilation entry on the vacuum is exactly zero
         orc.invariant_ratio((2, 1), 0.9 + 0.6j, 0.4 - 0.3j, st, vac, spec, rng)
+
+
+def _kron_monodromy(w, spec):
+    """T(w) on aux (x) site 1 (x) ... (x) site L, as R_{0L} ... R_{01}:
+    each R_{0k} is the 9 x 9 R-matrix on (aux, site k) embedded by explicit
+    Kronecker products of single-space units; site L is applied last."""
+    eye3 = np.eye(3)
+    units = [[np.outer(eye3[a], eye3[b]) for b in range(3)] for a in range(3)]
+    full = np.eye(3 * spec.dim, dtype=complex)
+    for k, xi_k in enumerate(spec.xi):
+        r = orc.r_matrix(w, xi_k, spec.c).reshape(3, 3, 3, 3)  # (a, s, b, t)
+        rk = np.zeros_like(full)
+        for a in range(3):
+            for s in range(3):
+                for b in range(3):
+                    for t in range(3):
+                        op = units[a][b]
+                        for site in range(spec.L):
+                            op = np.kron(op, units[s][t] if site == k else eye3)
+                        rk += r[a, s, b, t] * op
+        full = rk @ full
+    return full.reshape(3, spec.dim, 3, spec.dim).transpose(0, 2, 1, 3)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_monodromy_matches_kronecker_reference(L):
+    rng = np.random.default_rng(100 + L)
+    xi = tuple(complex(*rng.uniform(-0.4, 0.4, 2)) for _ in range(L))
+    spec = orc.SpinChainSpec(L=L, xi=xi, c=0.7 + 0.4j)
+    w = 0.61 - 0.47j
+    ref = _kron_monodromy(w, spec)
+    got = orc.monodromy(w, spec)
+    assert got.shape == (3, 3, spec.dim, spec.dim)
+    for i in range(3):
+        for j in range(3):
+            assert np.max(np.abs(got[i, j] - ref[i, j])) < 1e-13 * np.max(np.abs(ref))
+
+
+def _chain4():
+    xi = (0.21 + 0.05j, -0.13 + 0.17j, 0.04 - 0.22j, -0.18 - 0.09j)
+    return orc.SpinChainSpec(L=4, xi=xi, c=0.9 + 0.3j)
+
+
+def test_sector_transfer_matrix_is_restricted_block():
+    spec = _chain4()
+    tw = Twist(0.8 + 0.2j, 1.0, 1.3 - 0.1j)
+    w = 0.57 + 0.38j
+    full = orc.transfer_matrix(w, spec, tw)
+    for n1 in range(spec.L + 1):
+        for n2 in range(spec.L + 1 - n1):
+            idx = orc.weight_sector_indices(spec.L, (n1, n2, spec.L - n1 - n2))
+            sec = orc.transfer_matrix(w, spec, tw, idx)
+            # the columns are computed independently, so the block is exact
+            assert np.array_equal(sec, full[np.ix_(idx, idx)])
+
+
+def test_apply_monodromy_matvec_matches_dense():
+    spec = _chain4()
+    rng = np.random.default_rng(11)
+    vl = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+    vr = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+    z = -0.42 + 0.73j
+    assert orc.apply_monodromy(z, spec, vr).shape == (3, 3, spec.dim)
+    for i in range(1, 4):
+        for j in range(1, 4):
+            expect = complex(vl @ orc.monodromy_entry(i, j, z, spec) @ vr)
+            got = orc._entry_value(i, j, z, vl, vr, spec)
+            assert abs(got - expect) <= 1e-12 * np.linalg.norm(vl) * np.linalg.norm(vr)
+    with pytest.raises(ValueError):
+        orc.apply_monodromy(z, spec, vr[:-1])
+
+
+def test_pole_guard_on_every_entry_point(state_lib, rng):
+    spec = state_lib[3]["spec"]
+    a, b = state_lib[3]["m10"][0], state_lib[3]["m10"][1]
+    vec = np.ones(spec.dim, dtype=complex)
+    idx = orc.state_sector(spec, 1, 0)
+    for xi_k in spec.xi:
+        calls = [
+            lambda: orc.apply_monodromy(xi_k, spec, vec),
+            lambda: orc.monodromy(xi_k, spec),
+            lambda: orc.monodromy_entry(1, 2, xi_k, spec),
+            lambda: orc.transfer_matrix(xi_k, spec),
+            lambda: orc.transfer_matrix(xi_k, spec, Twist.identity(), idx),
+            lambda: orc._entry_value(2, 2, xi_k, vec, vec, spec),
+            lambda: orc.invariant_ratio((1, 1), xi_k, 0.9 + 0.6j, a, b, spec, rng),
+        ]
+        for call in calls:
+            with pytest.raises(PoleError):
+                call()
