@@ -40,6 +40,12 @@ class ModelFunctions:
     description: str = ""
     inhomogeneities: Optional[tuple] = None  # seeding/pole hints, may be None
 
+    def __post_init__(self):
+        # a tuple keeps the model hashable (the solver memoizes per model)
+        if self.inhomogeneities is not None:
+            object.__setattr__(self, "inhomogeneities",
+                               tuple(self.inhomogeneities))
+
 
 @dataclass(frozen=True)
 class Twist:
@@ -213,10 +219,7 @@ def dtau_dkappa_onshell(s: int, w: complex, roots: RootConfig,
     value = dtau_dkappa(s, w, roots, model)
     if a + b == 0:
         return value
-    m = gaudin_matrix(roots, model)
-    jac = np.empty_like(m)
-    jac[:, :a] = m[:, :a] / (-model.c)
-    jac[:, a:] = m[:, a:] / model.c
+    jac = gaudin_jacobian(roots, model)
     dtarget = np.array([(s == 2) - (s == 1)] * a
                        + [(s == 2) - (s == 3)] * b, dtype=complex)
     motion = np.linalg.solve(jac, dtarget)
@@ -348,6 +351,17 @@ def gaudin_matrix(roots: RootConfig, model: ModelFunctions) -> np.ndarray:
             m[j, a + k] = t(v[k], u[j], c)
             m[a + k, j] = t(v[k], u[j], c)
     return m
+
+
+def gaudin_jacobian(roots: RootConfig, model: ModelFunctions) -> np.ndarray:
+    """Jacobian of the logarithmic Bethe system in the roots, u then v:
+    the Gaudin matrix with columns :a divided by -c and a: by +c."""
+    m = gaudin_matrix(roots, model)
+    a = roots.a
+    jac = np.empty_like(m)
+    jac[:, :a] = m[:, :a] / (-model.c)
+    jac[:, a:] = m[:, a:] / model.c
+    return jac
 
 
 def xxx_chain(L: int, xi: Sequence[complex], c: complex) -> ModelFunctions:

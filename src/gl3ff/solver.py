@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -14,9 +15,12 @@ from .errors import (CollisionError, Gl3Error, JacobianSingular, NoConvergence,
                      PathCollision, PoleError, ZeroArgError)
 from .kernel import f, pole_tol
 from .model import (BetheState, ModelFunctions, RootConfig, Twist,
-                    gaudin_matrix, phi_log)
+                    gaudin_jacobian, phi_log)
 
 TWO_PI = 2.0 * math.pi
+
+# step factors of the Newton line search, tried from the full step down
+_HALVINGS = 0.5 ** np.arange(31)
 
 
 @dataclass
@@ -83,12 +87,7 @@ def _residual(x: np.ndarray, a: int, b: int, model: ModelFunctions,
 
 
 def _jacobian(x: np.ndarray, a: int, model: ModelFunctions) -> np.ndarray:
-    cfg = RootConfig(u=tuple(x[:a]), v=tuple(x[a:]))
-    m = gaudin_matrix(cfg, model)
-    jac = np.empty_like(m)
-    jac[:, :a] = m[:, :a] / (-model.c)
-    jac[:, a:] = m[:, a:] / model.c
-    return jac
+    return gaudin_jacobian(RootConfig(u=tuple(x[:a]), v=tuple(x[a:])), model)
 
 
 def _newton(model: ModelFunctions, a: int, b: int, twist: Twist,
@@ -120,10 +119,11 @@ def _newton(model: ModelFunctions, a: int, b: int, twist: Twist,
         except np.linalg.LinAlgError as exc:
             raise JacobianSingular(str(exc)) from exc
         improved = False
-        for halving in range(31):
-            x_try = x - step * (0.5 ** halving)
-            if np.max(np.abs(x_try - centroid)) > 3.0 * r_max:
-                continue
+        # every halving at once against the escape disk; a non-finite trial
+        # passes this filter and is rejected by the residual below
+        trials = x - step * _HALVINGS[:, None]
+        far = np.max(np.abs(trials - centroid), axis=1) > 3.0 * r_max
+        for x_try in trials[~far]:
             try:
                 _check_collisions(x_try, a, model.c)
                 res_try, used_try = _residual(x_try, a, b, model, offsets, pinned)
@@ -278,18 +278,29 @@ def _sorted_roots(values: Sequence[complex]) -> np.ndarray:
 
 def _same_multiset(xs: Sequence[complex], ys: Sequence[complex],
                    tol: float) -> bool:
+    """Greedy nearest-partner matching: each x takes the closest y not yet
+    taken, and the multisets differ as soon as that pair is tol apart."""
     if len(xs) != len(ys):
         return False
-    if not xs:
-        return True
-    diff = _sorted_roots(xs) - _sorted_roots(ys)
-    return float(np.max(np.abs(diff))) < tol
+    dist = np.abs(np.subtract.outer(np.asarray(xs, dtype=complex),
+                                    np.asarray(ys, dtype=complex)))
+    for row in dist:
+        j = int(np.argmin(row))
+        if not row[j] < tol:
+            return False
+        dist[:, j] = np.inf
+    return True
 
 
 def states_equal(s1: RootConfig, s2: RootConfig, tol: float = 1e-6) -> bool:
     """Unordered-multiset comparison of two root configurations."""
     return (_same_multiset(s1.u, s2.u, tol)
             and _same_multiset(s1.v, s2.v, tol))
+
+
+# model -> {(a, b, twist, n_seeds, tol, rng_seed): ((roots, modes, residual),
+# ...)}; the entries hold no reference to their model, so they die with it
+_SOLVED = weakref.WeakKeyDictionary()
 
 
 def distinct_states(model: ModelFunctions, a: int, b: int,
@@ -300,9 +311,25 @@ def distinct_states(model: ModelFunctions, a: int, b: int,
     Converged states are deduplicated as unordered root multisets; no claim
     of completeness is made.  An empty list means no seed converged, which is
     the honest outcome for sectors without finite-root solutions.
+
+    Results are memoized while the model object lives: a repeated call with
+    the same model and arguments solves nothing and returns a new list.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
+    per_model = _SOLVED.setdefault(model, {})
+    key = (a, b, twist, n_seeds, tol, rng_seed)
+    if key not in per_model:
+        per_model[key] = _solve_sector(model, a, b, twist, n_seeds, tol,
+                                       rng_seed)
+    return [BetheState(roots, twist, modes, err, model)
+            for roots, modes, err in per_model[key]]
+
+
+def _solve_sector(model: ModelFunctions, a: int, b: int, twist: Twist,
+                  n_seeds: int, tol: float, rng_seed: int) -> tuple:
+    """Newton from every seed of the pool; the distinct converged states as
+    sorted (roots, mode numbers, residual) triples."""
     rng = np.random.default_rng(rng_seed)
     magnons: tuple = ()
     if a >= 2:
@@ -319,13 +346,13 @@ def distinct_states(model: ModelFunctions, a: int, b: int,
         except Gl3Error:
             continue
         cfg = RootConfig(tuple(x[:a]), tuple(x[a:]))
-        if any(states_equal(cfg, st.roots) for st in found):
+        if any(states_equal(cfg, seen) for seen, _, _ in found):
             continue
-        found.append(BetheState(cfg, twist, modes, err, model))
-    found.sort(key=lambda st: tuple(
+        found.append((cfg, modes, err))
+    found.sort(key=lambda item: tuple(
         (round(z.real, 8), round(z.imag, 8)) for z in
-        tuple(_sorted_roots(st.u)) + tuple(_sorted_roots(st.v))))
-    return found
+        tuple(_sorted_roots(item[0].u)) + tuple(_sorted_roots(item[0].v))))
+    return tuple(found)
 
 
 def continue_in_twist(state: BetheState, target: Twist, steps: int = 8,

@@ -1,8 +1,16 @@
+import dataclasses
+import gc
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
+import gl3ff.cli as cli
+import gl3ff.solver as solver
 from gl3ff.errors import NoConvergence
 from gl3ff.model import RootConfig, Twist, bethe_defect, tau, xxx_chain
+from gl3ff.oracle import SpinChainSpec
 from gl3ff.solver import (SolveRequest, continue_in_twist, distinct_states,
                           solve_bethe, states_equal)
 
@@ -125,3 +133,141 @@ def test_no_convergence_reported():
     model = xxx_chain(2, (0.0, 0.0), 1.0)
     with pytest.raises(NoConvergence):
         solve_bethe(SolveRequest(model=model, a=1, b=1, max_iter=20))
+
+
+def test_states_equal_across_rounding_boundary():
+    # real parts on both sides of a 9-digit rounding boundary, 2e-13 apart
+    x = 0.1234567885
+    s1 = RootConfig((x - 1e-13 + 1j, x + 3e-11 - 1j), ())
+    s2 = RootConfig((x + 1e-13 + 1j, x + 3e-11 - 1j), ())
+    assert states_equal(s1, s2)
+    assert states_equal(s1, s2, 1e-9)
+    assert not states_equal(s1, s2, 1e-13)
+
+
+def test_states_equal_matches_permuted_large_sector():
+    rng = np.random.default_rng(3)
+    u = rng.normal(size=32) + 1j * rng.normal(size=32)
+    perm = rng.permutation(32)
+    assert states_equal(RootConfig(tuple(u), ()),
+                        RootConfig(tuple(u[perm] + 1e-9), ()))
+    moved = u[perm].copy()
+    moved[5] += 1e-3
+    assert not states_equal(RootConfig(tuple(u), ()),
+                            RootConfig(tuple(moved), ()))
+
+
+def _chain3(seed=7):
+    xi = cli.seeded_inhomogeneities(3, seed)
+    return SpinChainSpec(L=3, xi=xi, c=1.0)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name and rebind every gl3ff module-level name that refers
+    to the original, the way the benchmark tracer does."""
+    original = getattr(module, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "gl3ff" or mod_name.startswith("gl3ff."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_distinct_states_memoized_per_model(monkeypatch):
+    spec = _chain3()
+    model = spec.model()
+    newton = _count_calls(monkeypatch, solver, "_newton")
+    first = distinct_states(model, 2, 1, n_seeds=48)
+    solved = newton[0]
+    assert solved > 0 and first
+    second = distinct_states(model, 2, 1, n_seeds=48)
+    assert newton[0] == solved
+    assert second is not first
+    assert [st.roots for st in second] == [st.roots for st in first]
+    assert [st.mode_numbers for st in second] == [st.mode_numbers
+                                                  for st in first]
+    assert all(st.model is model for st in second)
+    # other arguments are another entry
+    distinct_states(model, 2, 1, n_seeds=40)
+    assert newton[0] > solved
+    # a fresh model built from the same spec solves again
+    solved = newton[0]
+    again = distinct_states(spec.model(), 2, 1, n_seeds=48)
+    assert newton[0] > solved
+    assert [st.roots for st in again] == [st.roots for st in first]
+
+
+def test_distinct_states_accepts_list_inhomogeneities():
+    model = _chain3().model()
+    listed = dataclasses.replace(model,
+                                 inhomogeneities=list(model.inhomogeneities))
+    assert [st.roots for st in distinct_states(listed, 1, 0, n_seeds=24)] == \
+        [st.roots for st in distinct_states(model, 1, 0, n_seeds=24)]
+
+
+def test_distinct_states_returns_fresh_list():
+    model = _chain3().model()
+    first = distinct_states(model, 1, 0, n_seeds=24)
+    n = len(first)
+    first.clear()
+    assert len(distinct_states(model, 1, 0, n_seeds=24)) == n > 0
+
+
+def test_distinct_states_memo_dies_with_model():
+    gc.collect()
+    entries = len(solver._SOLVED)
+    model = _chain3().model()
+    states = distinct_states(model, 2, 1, n_seeds=48)
+    assert model in solver._SOLVED
+    assert len(solver._SOLVED) == entries + 1
+    ref = weakref.ref(model)
+    del model, states
+    gc.collect()
+    assert ref() is None
+    assert len(solver._SOLVED) == entries
+
+
+def test_no_memo_reuse_across_report_builds(monkeypatch):
+    newton = _count_calls(monkeypatch, solver, "_newton")
+    cli.build_identities_report(7)
+    first = newton[0]
+    cli.build_identities_report(7)
+    assert newton[0] == 2 * first > 0
+
+
+def test_line_search_never_evaluates_outside_escape_disk(monkeypatch):
+    # the (1,0) seed pool of this chain runs Newton out to the disk's edge
+    model = _chain3().model()
+    centroid = sum(model.inhomogeneities) / len(model.inhomogeneities)
+    limit = 3.0 * (3.0 * solver._seed_scale(model))
+    reach = []
+    residual = solver._residual
+
+    def checked(x, *args):
+        reach.append(float(np.max(np.abs(x - centroid))))
+        return residual(x, *args)
+
+    monkeypatch.setattr(solver, "_residual", checked)
+    assert distinct_states(model, 1, 0, n_seeds=24)
+    assert max(reach) <= limit
+    assert max(reach) > 0.99 * limit
+
+
+def test_tracer_visible_solver_hot_path(monkeypatch):
+    # the benchmark tracer counts one Gaudin matrix per Newton step and one
+    # phi_log per residual, through the module-level names
+    import gl3ff.model as model_mod
+    gaudin = _count_calls(monkeypatch, model_mod, "gaudin_matrix")
+    phi = _count_calls(monkeypatch, model_mod, "phi_log")
+    steps = _count_calls(monkeypatch, solver, "_jacobian")
+    residuals = _count_calls(monkeypatch, solver, "_residual")
+    assert distinct_states(_chain3().model(), 2, 1, n_seeds=48)
+    assert gaudin[0] == steps[0] > 0
+    assert phi[0] == residuals[0] > 0
