@@ -477,61 +477,37 @@ def appendix_identities(u_left: Sequence[complex], u_right: Sequence[complex],
     return out
 
 
-def gl2_ff_12(u_left: Sequence[complex], u_right: Sequence[complex],
-              z: complex, model: ModelFunctions) -> complex:
-    """Reference creation-entry value for states without v-roots, built from
-    the rank-1 eigenvalue derivative (independent of the t/h closed form)."""
+def gl2_ff(kind: tuple, u_left: Sequence[complex], u_right: Sequence[complex],
+           z: complex, model: ModelFunctions) -> complex:
+    """Reference value of the entry ``kind`` in (1,2), (2,1), (1,1), (2,2)
+    for states without v-roots, built from the rank-1 eigenvalue derivative
+    (independent of the t/h closed form).  The annihilation entry is the
+    creation formula with the two u-sets exchanged; the diagonal entries
+    between distinct states add one closing row."""
     u_left, u_right = tuple(u_left), tuple(u_right)
-    if len(u_left) != len(u_right) + 1:
-        raise SectorMismatch("left set must have one more root")
-    c = model.c
-    cols = u_right + (z,)
-    roots = RootConfig(u=u_left, v=())
-    mat = np.empty((len(u_left), len(cols)), dtype=complex)
-    for j in range(len(u_left)):
-        for k, x in enumerate(cols):
-            mat[j, k] = c * inv_g_prod(x, u_left, c) * dtau_du(x, roots, model, j)
-    return delta_prime(u_left, c) * delta(cols, c) * det_lu(mat)
-
-
-def gl2_ff_21(u_left: Sequence[complex], u_right: Sequence[complex],
-              z: complex, model: ModelFunctions) -> complex:
-    """Reference annihilation-entry value: the creation formula with the two
-    u-sets exchanged."""
-    u_left, u_right = tuple(u_left), tuple(u_right)
-    if len(u_right) != len(u_left) + 1:
-        raise SectorMismatch("right set must have one more root")
-    c = model.c
-    cols = u_left + (z,)
-    roots = RootConfig(u=u_right, v=())
-    mat = np.empty((len(u_right), len(cols)), dtype=complex)
-    for j in range(len(u_right)):
-        for k, x in enumerate(cols):
-            mat[j, k] = c * inv_g_prod(x, u_right, c) * dtau_du(x, roots, model, j)
-    return delta_prime(u_right, c) * delta(cols, c) * det_lu(mat)
-
-
-def gl2_ff_diag(s: int, u_left: Sequence[complex], u_right: Sequence[complex],
-                z: complex, model: ModelFunctions) -> complex:
-    """Reference diagonal-entry value (s = 1 or 2) for distinct states
-    without v-roots: eigenvalue-derivative rows plus one closing row."""
-    if s not in (1, 2):
-        raise ValueError("reference diagonal entries exist for s = 1, 2")
-    u_left, u_right = tuple(u_left), tuple(u_right)
-    if len(u_left) != len(u_right):
-        raise SectorMismatch("equal sectors required")
+    if kind == (1, 2):
+        if len(u_left) != len(u_right) + 1:
+            raise SectorMismatch("left set must have one more root")
+    elif kind == (2, 1):
+        if len(u_right) != len(u_left) + 1:
+            raise SectorMismatch("right set must have one more root")
+        u_left, u_right = u_right, u_left
+    elif kind in ((1, 1), (2, 2)):
+        if len(u_left) != len(u_right):
+            raise SectorMismatch("equal sectors required")
+    else:
+        raise ValueError(f"no rank-1 reference entry of kind {kind}")
     c = model.c
     a = len(u_left)
     cols = u_right + (z,)
     roots = RootConfig(u=u_left, v=())
-    mat = np.empty((a + 1, a + 1), dtype=complex)
+    mat = np.empty((len(cols), len(cols)), dtype=complex)
     for j in range(a):
         for k, x in enumerate(cols):
             mat[j, k] = c * inv_g_prod(x, u_left, c) * dtau_du(x, roots, model, j)
-    for k, x in enumerate(cols):
-        if s == 1:
-            sign = -1.0 if a % 2 else 1.0
-            mat[a, k] = sign * model.r1(x) * h_prod(u_right, x, c)
-        else:
-            mat[a, k] = h_prod(x, u_right, c)
+    if kind == (1, 1):
+        sign = -1.0 if a % 2 else 1.0
+        mat[a] = [sign * model.r1(x) * h_prod(u_right, x, c) for x in cols]
+    elif kind == (2, 2):
+        mat[a] = [h_prod(x, u_right, c) for x in cols]
     return delta_prime(u_left, c) * delta(cols, c) * det_lu(mat)

@@ -138,28 +138,20 @@ def _guard_probe(w: complex, roots: RootConfig, c: complex) -> bool:
 
 def tau(w: complex, roots: RootConfig, model: ModelFunctions,
         allow_root_limit: bool = False) -> complex:
-    """Transfer-matrix eigenvalue
+    """Transfer-matrix eigenvalue at the identity twist (see ``tau_twisted``)."""
+    return tau_twisted(w, roots, Twist.identity(), model, allow_root_limit)
 
-        tau(w) = r1(w) f(u, w) + f(w, u) f(v, w) + r3(w) f(w, v)
+
+def tau_twisted(w: complex, roots: RootConfig, twist: Twist,
+                model: ModelFunctions, allow_root_limit: bool = False) -> complex:
+    """Eigenvalue of the transfer matrix twisted by (k1, k2, k3)
+
+        tau(w) = k1 r1(w) f(u, w) + k2 f(w, u) f(v, w) + k3 r3(w) f(w, v)
 
     with the shorthand product convention over the root sets.  At a root the
     value is a pole unless the state is on shell; ``allow_root_limit``
     replaces the direct evaluation by a symmetric two-point limit there.
     """
-    if _guard_probe(w, roots, model.c):
-        if not allow_root_limit:
-            raise PoleError(f"tau probe point {w} collides with a root")
-        eps = 1e-5 * max(1.0, abs(model.c))
-        return 0.5 * (tau(w + eps, roots, model) + tau(w - eps, roots, model))
-    u, v, c = roots.u, roots.v, model.c
-    return (model.r1(w) * f_prod(u, w, c)
-            + f_prod(w, u, c) * f_prod(v, w, c)
-            + model.r3(w) * f_prod(w, v, c))
-
-
-def tau_twisted(w: complex, roots: RootConfig, twist: Twist,
-                model: ModelFunctions, allow_root_limit: bool = False) -> complex:
-    """Eigenvalue of the twisted transfer matrix (k1, k2, k3 weights)."""
     if _guard_probe(w, roots, model.c):
         if not allow_root_limit:
             raise PoleError(f"tau probe point {w} collides with a root")

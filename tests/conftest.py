@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import gl3ff.cli as cli
+from gl3ff.checks import prepare_states, seeded_inhomogeneities
 from gl3ff.model import BetheState, RootConfig, Twist, xxx_chain
 from gl3ff.oracle import SpinChainSpec
 
@@ -11,19 +11,19 @@ RNG_SEED = 7
 @pytest.fixture(scope="session")
 def state_lib():
     """Solved desk-scale chains L=2..5 shared across test modules."""
-    return cli.prepare_states(RNG_SEED)
+    return prepare_states(RNG_SEED)
 
 
 @pytest.fixture(scope="session")
 def chain2():
-    xi = cli.seeded_inhomogeneities(2, RNG_SEED)
+    xi = seeded_inhomogeneities(2, RNG_SEED)
     spec = SpinChainSpec(L=2, xi=xi, c=1.0)
     return spec, spec.model()
 
 
 @pytest.fixture(scope="session")
 def chain3():
-    xi = cli.seeded_inhomogeneities(3, RNG_SEED)
+    xi = seeded_inhomogeneities(3, RNG_SEED)
     spec = SpinChainSpec(L=3, xi=xi, c=1.0)
     return spec, spec.model()
 

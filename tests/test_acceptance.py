@@ -1,4 +1,9 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: the nine criteria, run through the check registry that
+``gl3ff verify`` and ``gl3ff identities`` build their reports from.
+
+Each test runs its criterion's checks against the session state library
+with a fresh rng, prints one ACCEPTANCE line per record and asserts that
+every record passes at the tolerance its check states.
 
 Criteria marked by sector (1,1) run with a generic diagonal twist: chains
 with trivial third vacuum ratio have no finite untwisted roots there (the
@@ -10,299 +15,95 @@ import time
 
 import numpy as np
 
-import gl3ff.cli as cli
-import gl3ff.formfactor as ff
-import gl3ff.oracle as orc
-from gl3ff.errors import Gl3Error
-from gl3ff.model import (RootConfig, Twist, dtau_dkappa_onshell, gaudin_matrix,
-                         mirror_model, phi_log, tau_twisted)
-from gl3ff.solver import continue_in_twist, distinct_states
-from conftest import RNG_SEED, make_state
+from gl3ff import checks
+from conftest import RNG_SEED
+
+CRITERIA = {
+    1: (checks.check_structural,),
+    2: (checks.check_onshell_pipeline,),
+    3: (checks.check_offdiagonal, checks.check_orthogonality),
+    4: (checks.check_products,),
+    5: (checks.check_diagonal,),
+    6: (checks.check_morphisms, checks.check_permutation,
+        checks.check_gl2_reduction),
+    7: (checks.check_appendix, checks.check_sfunction_and_forms),
+    8: (checks.check_gaudin,),
+    9: (checks.check_twist_machinery,),
+}
 
 
-def report(num, label, worst, tol, elapsed=None):
-    ok = worst <= tol
+def assert_records(num, report, elapsed=None):
     timing = f", {elapsed:.2f}s" if elapsed is not None else ""
-    print(f"\nACCEPTANCE {num} {label}: {'PASS' if ok else 'FAIL'} "
-          f"(worst {worst:.3e}, tol {tol:.1e}{timing})")
-    assert ok, f"criterion {num} failed: {worst:.3e} > {tol:.1e}"
+    for rec in report.records:
+        detail = (f"residual {rec['residual']:.3e}, tol {rec['tolerance']:.1e}"
+                  if "residual" in rec else rec["error"])
+        print(f"\nACCEPTANCE {num} {rec['name']}: "
+              f"{'PASS' if rec['pass'] else 'FAIL'} ({detail}{timing})")
+    failed = [rec["name"] for rec in report.records if not rec["pass"]]
+    assert report.records and not failed, f"criterion {num} failed: {failed}"
 
 
-def test_criterion_1_structural_residuals():
+def run_criterion(num, lib):
+    """Run criterion ``num`` on a fresh rng; returns (report, seconds)."""
+    report = checks.Report(f"criterion {num}", RNG_SEED)
+    rng = np.random.default_rng(RNG_SEED)
     t0 = time.perf_counter()
-    rep = cli.Report("c1", RNG_SEED)
-    cli._check_structural(rep, np.random.default_rng(RNG_SEED))
+    for check in CRITERIA[num]:
+        check(report, lib, rng)
     elapsed = time.perf_counter() - t0
-    by_name = {r["name"]: r for r in rep.records}
-    worst_scaled = max(
-        by_name["yang_baxter_27x27"]["residual"] / 1e-12,
-        by_name["rtt_exchange_L2"]["residual"] / 1e-10,
-        by_name["vacuum_eigenvalue_pattern"]["residual"] / 1e-12,
-    )
-    report(1, "structural residuals (YB/RTT/vacuum)", worst_scaled, 1.0,
-           elapsed)
+    assert_records(num, report, elapsed)
+    return report, elapsed
+
+
+def test_criteria_cover_the_registry():
+    listed = [check for group in CRITERIA.values() for check in group]
+    assert sorted(c.__name__ for c in listed) == sorted(
+        c.__name__ for c in checks.VERIFY + checks.IDENTITIES)
+
+
+def test_criterion_1_structural_residuals(state_lib):
+    _, elapsed = run_criterion(1, state_lib)
     assert elapsed < 1.0, f"criterion 1 runtime {elapsed:.2f}s >= 1s"
 
 
-def test_criterion_2_onshell_pipeline():
-    t0 = time.perf_counter()
-    tw = Twist(0.9 + 0.1j, 1.0, 1.2 - 0.2j)
-    worst_res, worst_tau = 0.0, 0.0
-    rng = np.random.default_rng(RNG_SEED)
-    cases = [(2, 1, 0, Twist.identity()), (3, 1, 0, Twist.identity()),
-             (2, 1, 1, tw), (3, 1, 1, tw), (3, 2, 1, Twist.identity())]
-    for (L, a, b, twist) in cases:
-        xi = cli.seeded_inhomogeneities(L, RNG_SEED)
-        spec = orc.SpinChainSpec(L=L, xi=xi, c=1.0)
-        model = spec.model()
-        states = distinct_states(model, a, b, twist=twist, n_seeds=48,
-                                 rng_seed=RNG_SEED)
-        assert states, f"no states in sector ({a},{b}) at L={L}"
-        st = states[0]
-        worst_res = max(worst_res, st.residual)
-        idx = orc.state_sector(spec, a, b)
-        for w in cli._probe_points(rng, 5, cli._avoid_set(model, st), model.c):
-            eigs = np.linalg.eigvals(
-                orc.transfer_matrix(w, spec, twist)[np.ix_(idx, idx)])
-            tv = tau_twisted(w, st.roots, twist, model)
-            worst_tau = max(worst_tau,
-                            float(np.min(np.abs(eigs - tv))) / max(1.0, abs(tv)))
-    elapsed = time.perf_counter() - t0
-    report(2, "on-shell pipeline: solver residual", worst_res, 1e-12)
-    report(2, "on-shell pipeline: tau vs oracle eigenvalue", worst_tau, 1e-8,
-           elapsed)
+def test_criterion_2_onshell_pipeline(state_lib):
+    _, elapsed = run_criterion(2, state_lib)
     assert elapsed < 10.0, f"criterion 2 runtime {elapsed:.2f}s >= 10s"
 
 
-def test_criterion_3_offdiagonal_ratios(state_lib, rng):
-    worst = 0.0
-    for (tag, kind, L, left, right) in cli._ratio_cases(state_lib):
-        if kind not in ((1, 2), (2, 1), (2, 3), (3, 2)):
-            continue
-        spec, model = state_lib[L]["spec"], state_lib[L]["model"]
-        pts = cli._probe_points(rng, 10, cli._avoid_set(model, left, right),
-                                model.c)
-        for (z1, z2) in zip(pts[:5], pts[5:]):
-            det_r = (ff.form_factor(kind, left, right, z1)
-                     / ff.form_factor(kind, left, right, z2))
-            orc_r = orc.invariant_ratio(kind, z1, z2, left, right, spec, rng)
-            worst = max(worst, abs(det_r - orc_r) / abs(orc_r))
-    report(3, "off-diagonal oracle ratios (1,2)/(2,1)/(2,3)/(3,2)", worst, 1e-8)
+def test_criterion_3_offdiagonal_ratios(state_lib):
+    run_criterion(3, state_lib)
 
 
-def test_criterion_4_products(state_lib, rng):
-    l4, l5 = state_lib[4], state_lib[5]
-    c = 1.0
-    b10 = cli._pick_disjoint(l4["m10"], [l4["m20"][0]], c)
-    c21 = cli._pick_disjoint(l4["m21"], [l4["m20"][0]], c)
-    c31 = cli._pick_disjoint(l5["m31"], [l5["m20"][0]], c)
-    cases = [((1, 2), 4, l4["m20"][0], b10),
-             ((2, 3), 4, c21, l4["m20"][0]),
-             ((1, 3), 5, c31, l5["m20"][0])]
-    worst = 0.0
-    for (kind, L, left, right) in cases:
-        spec, model = state_lib[L]["spec"], state_lib[L]["model"]
-        i, j = kind
-        z1, z2 = cli._probe_points(rng, 2, cli._avoid_set(model, left, right),
-                                   model.c)
-        det_p = (ff.form_factor(kind, left, right, z1)
-                 * ff.form_factor((j, i), right, left, z2)
-                 / (ff.norm_squared(left) * ff.norm_squared(right)))
-        orc_p = orc.invariant_product(kind, z1, z2, left, right, spec, rng)
-        worst = max(worst, abs(det_p - orc_p) / abs(orc_p))
-    report(4, "normalized products (1,2)/(2,3)/(1,3)", worst, 1e-8)
+def test_criterion_4_products(state_lib):
+    run_criterion(4, state_lib)
 
 
-def test_criterion_5_diagonal(state_lib, rng):
-    # distinct states: b = 0 pair at L=3 and b = 1 pair at L=5
-    worst_sum, worst_cof = 0.0, 0.0
-    for (L, s_values) in ((3, (1, 2)), (5, (1, 2, 3))):
-        pair = (state_lib[3]["m10"] if L == 3 else state_lib[5]["m31"])[:2]
-        left, right = pair
-        model = state_lib[L]["model"]
-        z = cli._probe_points(rng, 1, cli._avoid_set(model, left, right),
-                              model.c)[0]
-        vals = [ff.ff_diag(s, left, right, z) for s in (1, 2, 3)]
-        worst_sum = max(worst_sum, abs(sum(vals)) / max(abs(v) for v in vals))
-        asm = ff.assemble(left, right, z)
-        omega = ff.omega_vector(left.u, left.v, right.u, right.v, model.c)
-        s_z = ff.s_function(z, omega, asm)
-        nrows = asm.n_rows
-        for s in s_values:
-            mat = np.vstack([ff.n_matrix(asm), ff.y_row_diag(asm, s, False)])
-            minor = np.delete(np.delete(mat, nrows - 1, axis=0), nrows, axis=1)
-            rhs = s_z / omega[nrows - 1] * (-ff.det_lu(minor))
-            worst_cof = max(worst_cof,
-                            abs(ff.det_lu(mat) - rhs) / abs(ff.det_lu(mat)))
-    report(5, "diagonal distinct: transfer-matrix sum rule", worst_sum, 1e-10)
-    report(5, "diagonal distinct: cofactor reduction", worst_cof, 1e-10)
-    # same state
-    st = state_lib[3]["m21"][0]
-    spec, model = state_lib[3]["spec"], state_lib[3]["model"]
-    z = cli._probe_points(rng, 1, cli._avoid_set(model, st), model.c)[0]
-    ns = ff.norm_squared(st)
-    worst_tw = max(abs(ff.ff_diag(s, st, st, z) / ns
-                       - dtau_dkappa_onshell(s, z, st.roots, model))
-                   / abs(dtau_dkappa_onshell(s, z, st.roots, model))
-                   for s in (1, 2, 3))
-    report(5, "diagonal same-state: twist derivative of eigenvalue", worst_tw,
-           1e-10)
-    vl = orc.eigenvector_for_state(st, "left", spec, rng)
-    vr = orc.eigenvector_for_state(st, "right", spec, rng)
-    worst_or = 0.0
-    for s in (1, 2, 3):
-        expect = complex(vl @ orc.monodromy_entry(s, s, z, spec) @ vr)
-        expect /= complex(vl @ vr)
-        got = ff.ff_diag(s, st, st, z) / ns
-        worst_or = max(worst_or, abs(got - expect) / abs(expect))
-    report(5, "diagonal same-state: oracle expectation", worst_or, 1e-8)
+def test_criterion_5_diagonal(state_lib):
+    run_criterion(5, state_lib)
 
 
-def test_criterion_6_morphisms_and_reductions(state_lib, rng):
-    worst_psi, worst_phi = 0.0, 0.0
-    for (tag, kind, L, left, right) in cli._ratio_cases(state_lib):
-        model = state_lib[L]["model"]
-        i, j = kind
-        z = cli._probe_points(rng, 1, cli._avoid_set(model, left, right),
-                              model.c)[0]
-        v1 = ff.form_factor(kind, left, right, z)
-        v2 = ff.form_factor((j, i), right, left, z)
-        worst_psi = max(worst_psi, abs(v1 - v2) / abs(v1))
-        mm = mirror_model(model)
-
-        def mirrored(st):
-            return make_state(mm, tuple(-x for x in st.v),
-                              tuple(-x for x in st.u))
-
-        v3 = ff.form_factor((4 - j, 4 - i), mirrored(left), mirrored(right), -z)
-        worst_phi = max(worst_phi, abs(v1 - v3) / abs(v1))
-    report(6, "transposition map consistency", worst_psi, 1e-10)
-    report(6, "reflection map consistency", worst_phi, 1e-10)
-
-    model = state_lib[4]["model"]
-    c20 = state_lib[4]["m20"][0]
-    b10 = cli._pick_disjoint(state_lib[4]["m10"], [c20], model.c)
-    z = cli._probe_points(rng, 1, cli._avoid_set(model, c20, b10), model.c)[0]
-    worst_gl2 = 0.0
-    v = ff.ff_offdiag((1, 2), c20, b10, z)
-    worst_gl2 = max(worst_gl2, abs(ff.gl2_ff_12(c20.u, b10.u, z, model) - v)
-                    / abs(v))
-    v = ff.ff_offdiag((2, 1), b10, c20, z)
-    worst_gl2 = max(worst_gl2, abs(ff.gl2_ff_21(b10.u, c20.u, z, model) - v)
-                    / abs(v))
-    s_a, s_b = state_lib[3]["m10"][:2]
-    model3 = state_lib[3]["model"]
-    z3 = cli._probe_points(rng, 1, cli._avoid_set(model3, s_a, s_b),
-                           model3.c)[0]
-    for s in (1, 2):
-        v = ff.ff_diag(s, s_a, s_b, z3)
-        worst_gl2 = max(worst_gl2,
-                        abs(ff.gl2_ff_diag(s, s_a.u, s_b.u, z3, model3) - v)
-                        / abs(v))
-    report(6, "rank-1 reduction at b=0", worst_gl2, 1e-12)
-
-    left, right = state_lib[5]["m31"][:2]
-    z = cli._probe_points(rng, 1, cli._avoid_set(left.model, left, right),
-                          1.0)[0]
-    worst_perm = 0.0
-    for kind in ((1, 1), (2, 2), (3, 3)):
-        ref = ff.form_factor(kind, left, right, z)
-        pl = make_state(left.model, (left.u[2], left.u[0], left.u[1]), left.v)
-        pr = make_state(right.model, (right.u[1], right.u[2], right.u[0]),
-                        right.v)
-        worst_perm = max(worst_perm,
-                         abs(ff.form_factor(kind, pl, pr, z) - ref) / abs(ref))
-    report(6, "permutation invariance", worst_perm, 1e-10)
+def test_criterion_6_morphisms_and_reductions(state_lib):
+    run_criterion(6, state_lib)
+    # the (3,3) entry, which the identities report leaves out
+    a, b = state_lib[5]["m31"][:2]
+    report = checks.Report("criterion 6, entry (3,3)", RNG_SEED)
+    report.add("permutation_invariance_33",
+               checks.shuffle_residual(((3, 3),), a, b, 0.83 - 0.57j), 1e-10)
+    assert_records(6, report)
 
 
-def test_criterion_7_identities(state_lib, rng):
-    worst = 0.0
-    draws = np.random.default_rng(RNG_SEED + 1)
-    done = 0
-    while done < 50:
-        a = int(draws.integers(1, 4))
-        b = int(draws.integers(1, 4))
-        mk = lambda n: tuple(complex(*draws.uniform(-1.8, 1.8, 2))
-                             for _ in range(n))
-        try:
-            res = ff.appendix_identities(mk(a), mk(a), mk(b), mk(b),
-                                         complex(*draws.uniform(-1.8, 1.8, 2)),
-                                         1.0)
-        except Gl3Error:
-            continue
-        done += 1
-        worst = max(worst, max(v[2] for v in res.values()))
-    report(7, "summation identities over 50 draws", worst, 1e-12)
-
-    left, right = state_lib[5]["m31"][:2]
-    model = left.model
-    z = cli._probe_points(rng, 1, cli._avoid_set(model, left, right),
-                          model.c)[0]
-    asm = ff.assemble(left, right, z)
-    omega = ff.omega_vector(left.u, left.v, right.u, right.v, model.c)
-    worst_s = max(abs(ff.s_function(pt, omega, asm))
-                  for pt in right.u + left.v)
-    report(7, "omega-weighted row sums vanish at column roots", worst_s, 1e-10)
-
-    probes = list(right.u) + [z] + cli._probe_points(rng, 3,
-                                                     cli._avoid_set(model, left,
-                                                                    right),
-                                                     model.c)
-    worst_n = 0.0
-    for r in range(asm.n_rows):
-        for x in probes:
-            if r >= len(asm.u_left) and any(abs(x - ub) < 1e-6
-                                            for ub in right.u):
-                continue
-            e1 = ff.n_entry(asm, r, x)
-            e2 = ff.n_entry_tau_form(asm, r, x)
-            worst_n = max(worst_n, abs(e1 - e2) / max(abs(e1), 1e-30))
-    report(7, "matrix entries: explicit vs eigenvalue-derivative form",
-           worst_n, 1e-10)
+def test_criterion_7_identities(state_lib):
+    run_criterion(7, state_lib)
 
 
 def test_criterion_8_gaudin(state_lib):
-    worst_sym, worst_fd = 0.0, 0.0
-    for st in (state_lib[3]["m21"][0], state_lib[5]["m31"][0]):
-        model = st.model
-        m = gaudin_matrix(st.roots, model)
-        worst_sym = max(worst_sym,
-                        float(np.max(np.abs(m - m.T)) / np.max(np.abs(m))))
-        a, b = st.a, st.b
-        eps = 1e-7
-        x0 = st.roots.as_array()
-        fd = np.zeros_like(m)
-        for k in range(a + b):
-            xp, xm = x0.copy(), x0.copy()
-            xp[k] += eps
-            xm[k] -= eps
-            fp = phi_log(RootConfig(tuple(xp[:a]), tuple(xp[a:])), model)
-            fm = phi_log(RootConfig(tuple(xm[:a]), tuple(xm[a:])), model)
-            fd[:, k] = (fp - fm) / (2 * eps)
-        scaled = np.hstack([-model.c * fd[:, :a], model.c * fd[:, a:]])
-        worst_fd = max(worst_fd,
-                       float(np.max(np.abs(scaled - m)) / np.max(np.abs(m))))
-    report(8, "Gaudin matrix symmetry", worst_sym, 1e-14)
-    report(8, "Gaudin matrix vs log-system finite differences", worst_fd, 1e-6)
+    run_criterion(8, state_lib)
+    # beside the L=3 (2,1) state of the report, the L=5 (3,1) state
+    report = checks.Report("criterion 8, L=5", RNG_SEED)
+    checks.gaudin_records(report, state_lib[5]["m31"][0])
+    assert_records(8, report)
 
 
-def test_criterion_9_twist_machinery(state_lib, rng):
-    spec, model = state_lib[2]["spec"], state_lib[2]["model"]
-    tw = Twist(0.9 + 0.1j, 1.0, 1.2 - 0.2j)
-    states = distinct_states(model, 1, 1, twist=tw, n_seeds=48,
-                             rng_seed=RNG_SEED)
-    st = states[0]
-    idx = orc.state_sector(spec, 1, 1)
-    worst = 0.0
-    for w in cli._probe_points(rng, 5, cli._avoid_set(model, st), model.c):
-        eigs = np.linalg.eigvals(orc.transfer_matrix(w, spec, tw)[np.ix_(idx, idx)])
-        tv = tau_twisted(w, st.roots, tw, model)
-        worst = max(worst, float(np.min(np.abs(eigs - tv))) / max(1.0, abs(tv)))
-    report(9, "twisted eigenvalue in oracle spectrum", worst, 1e-8)
-    base = state_lib[3]["m21"][0]
-    target = Twist(1.2 - 0.1j, 1.0, 0.8 + 0.15j)
-    there = continue_in_twist(base, target, steps=6)
-    back = continue_in_twist(there, Twist.identity(), steps=6)
-    resid = float(np.max(np.abs(back.roots.as_array()
-                                - base.roots.as_array())))
-    report(9, "twist continuation round trip", resid, 1e-8)
+def test_criterion_9_twist_machinery(state_lib):
+    run_criterion(9, state_lib)

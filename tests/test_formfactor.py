@@ -212,9 +212,9 @@ def test_offdiag_against_rank1_reference(state_lib):
               key=lambda s: min(abs(s.u[0] - r) for r in c20.u))
     z = 0.8 - 0.7j
     v12 = ff.ff_offdiag((1, 2), c20, b10, z)
-    assert abs(ff.gl2_ff_12(c20.u, b10.u, z, model) - v12) <= 1e-12 * abs(v12)
+    assert abs(ff.gl2_ff((1, 2), c20.u, b10.u, z, model) - v12) <= 1e-12 * abs(v12)
     v21 = ff.ff_offdiag((2, 1), b10, c20, z)
-    assert abs(ff.gl2_ff_21(b10.u, c20.u, z, model) - v21) <= 1e-12 * abs(v21)
+    assert abs(ff.gl2_ff((2, 1), b10.u, c20.u, z, model) - v21) <= 1e-12 * abs(v21)
 
 
 def test_gl2_diag_reduction(state_lib):
@@ -223,7 +223,7 @@ def test_gl2_diag_reduction(state_lib):
     z = 0.8 - 0.7j
     for s in (1, 2):
         v = ff.ff_diag(s, s_a, s_b, z)
-        ref = ff.gl2_ff_diag(s, s_a.u, s_b.u, z, model)
+        ref = ff.gl2_ff((s, s), s_a.u, s_b.u, z, model)
         assert abs(ref - v) <= 1e-12 * abs(v)
 
 
