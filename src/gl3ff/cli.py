@@ -29,15 +29,16 @@ from .checks import (DEFAULT_SEED, DEFAULT_XI_RADIUS, Report,
                      seeded_inhomogeneities, state_to_json, vacuum)
 from .errors import (ConfigError, Gl3Error, NoConvergence, NonFiniteResult,
                      PoleError, SectorMismatch, ZeroTau)
-from .kernel import pole_tol
+from .kernel import collision
 from .model import (BetheState, ModelFunctions, RootConfig, Twist,
-                    bethe_defect, gaudin_matrix, tau, xxx_chain)
-from .solver import SolveRequest, distinct_states, solve_bethe, states_equal
+                    bethe_defect, tau, xxx_chain)
+from .solver import SolveRequest, distinct_states, solve_bethe
 from . import formfactor as ff
 from . import oracle as orc
 # unused here, but bound for the benchmark, which looks them up in this module
 from .checks import prepare_states  # noqa: F401
 from .model import phi_log, tau_twisted  # noqa: F401
+from .solver import states_equal  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -215,33 +216,26 @@ def cmd_ff(args) -> int:
     tol = args.tol if args.tol is not None else float(task.get("tol", 1e-12))
     left = _load_state_file(args.left, model, tol, args.left_index)
     right = _load_state_file(args.right, model, tol, args.right_index)
-    kinds = task.get("kinds")
-    if kinds is None:
-        raise ConfigError("task.kinds is required for the ff command")
-    kinds = [tuple(int(x) for x in k) for k in kinds]
-    z_grid = task.get("z_points")
-    if z_grid is None:
-        raise ConfigError("task.z_points is required for the ff command")
-    z_grid = _as_complex_list(z_grid, "task.z_points")
+    try:
+        kinds = [(int(i), int(j)) for i, j in task.get("kinds")]
+    except (TypeError, ValueError):
+        kinds = None
+    if not kinds or any(k not in ff.KINDS for k in kinds):
+        raise ConfigError("task.kinds must be a non-empty list of entries "
+                          f"[i, j] with i, j in 1, 2, 3, got {task.get('kinds')!r}")
+    z_grid = _as_complex_list(task.get("z_points"), "task.z_points")
+    if not z_grid:
+        raise ConfigError("task.z_points must not be empty")
     rows = []
     for kind in kinds:
         for z in z_grid:
             row = {"kind_i": kind[0], "kind_j": kind[1],
                    "z_re": z.real, "z_im": z.imag}
             try:
-                value = ff.form_factor(kind, left, right, z)
-                same = (kind[0] == kind[1]
-                        and states_equal(left.roots, right.roots, 1e-9))
-                if same:
-                    cond = ff.lu_condition(gaudin_matrix(left.roots, model))
-                else:
-                    asm = (ff.assemble(right, left, z)
-                           if kind in ((2, 3), (2, 1))
-                           else ff.assemble(left, right, z))
-                    cond = ff.lu_condition(ff.n_matrix(asm))
+                value, mat, same = ff.determinant_element(kind, left, right, z)
                 row.update({"f_re": value.real, "f_im": value.imag,
                             "branch": "same" if same else "different",
-                            "lu_cond": cond, "error": ""})
+                            "lu_cond": ff.lu_condition(mat), "error": ""})
             except (SectorMismatch, PoleError, NonFiniteResult) as exc:
                 row.update({"f_re": "", "f_im": "", "branch": "",
                             "lu_cond": "", "error": f"{type(exc).__name__}: {exc}"})
@@ -302,11 +296,10 @@ def cmd_local_op(args) -> int:
         raise ConfigError("alpha and beta must be in {1, 2, 3}")
     if m_site < 1:
         raise ConfigError("site index must be >= 1")
-    guard = pole_tol(model.c)
-    for p in list(model.inhomogeneities or ()) + list(left.u + left.v
-                                                      + right.u + right.v):
-        if abs(z - p) <= guard:
-            raise PoleError(f"evaluation point {z} collides with {p}")
+    points = (model.inhomogeneities or ()) + left.u + left.v + right.u + right.v
+    hit = collision(z, points, model.c)
+    if hit is not None:
+        raise PoleError(f"evaluation point {z} collides with {points[hit[1]]}")
     tau_left = tau(z, left.roots, model)
     tau_right = tau(z, right.roots, model)
     if abs(tau_right) <= 1e-12 or abs(tau_left) <= 1e-12:

@@ -19,6 +19,7 @@ and the (1,3)/(3,1) pair append one extra row to the same matrix.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,8 +28,8 @@ import numpy as np
 
 from .errors import (DegeneracyWarning, NonFiniteResult, PoleError,
                      SectorMismatch)
-from .kernel import (delta, delta_prime, exclude, f_prod, g_prod, h, h_prod,
-                     inv_f_prod, inv_g_prod, inv_h_prod, pole_tol, t)
+from .kernel import (collision, delta, delta_prime, exclude, f_prod, g_prod,
+                     h_prod, inv_f_prod, inv_g_prod, inv_h_prod, pole_tol, t)
 from .model import (BetheState, ModelFunctions, RootConfig, dtau_du,
                     dtau_dv, gaudin_matrix, tau)
 from .solver import states_equal
@@ -106,25 +107,23 @@ def assemble(left: BetheState, right: BetheState, z: complex,
         raise ValueError("left and right states use different couplings")
     asm = FFAssembly(u_left=left.u, v_left=left.v, u_right=right.u,
                      v_right=right.v, z=complex(z), model=model)
+    c = model.c
     cols = asm.cols
-    tol = pole_tol(model.c)
-    for j in range(len(cols)):
-        for k in range(j + 1, len(cols)):
-            if abs(cols[j] - cols[k]) <= tol:
-                raise PoleError(
-                    f"column labels {j} and {k} collide ({cols[j]} ~ {cols[k]})")
+    hit = collision(cols, cols, c, keep=operator.lt)
+    if hit is not None:
+        j, k = hit
+        raise PoleError(
+            f"column labels {j} and {k} collide ({cols[j]} ~ {cols[k]})")
     if not same_state:
-        for lbl in asm.u_left + asm.v_right:
-            for x in cols:
-                if abs(lbl - x) <= tol:
-                    raise PoleError(
-                        f"row label {lbl} collides with column point {x}; "
-                        "shared roots between the two states are outside the "
-                        "generic-position formulas")
-    for vl in asm.v_left:
-        for ur in asm.u_right:
-            if abs(h(vl, ur, model.c)) <= tol:
-                raise PoleError("prefactor denominator h(v_left, u_right) ~ 0")
+        rows = asm.u_left + asm.v_right
+        hit = collision(rows, cols, c)
+        if hit is not None:
+            raise PoleError(
+                f"row label {rows[hit[0]]} collides with column point "
+                f"{cols[hit[1]]}; shared roots between the two states are "
+                "outside the generic-position formulas")
+    if collision(asm.v_left, asm.u_right, c, -c) is not None:
+        raise PoleError("prefactor denominator h(v_left, u_right) ~ 0")
     return asm
 
 
@@ -148,38 +147,51 @@ def prefactor_H(u_left: Sequence[complex], v_left: Sequence[complex],
             * delta(cols, c))
 
 
-def n_entry(asm: FFAssembly, row: int, x: complex) -> complex:
-    """Matrix entry for row index ``row`` at column point ``x``.
+def _v_factors(asm: FFAssembly, x: complex) -> tuple:
+    """Row-independent factors of the v-rows at column point ``x``: the
+    parity sign, r3(x), h(x, v_right), 1/f(x, u_right), h(v_right, x) and
+    1/h(v_left, x)."""
+    m = asm.model
+    c = m.c
+    sign = -1.0 if (len(asm.v_right) - 1) % 2 else 1.0
+    return (sign, m.r3(x), h_prod(x, asm.v_right, c),
+            inv_f_prod(x, asm.u_right, c), h_prod(asm.v_right, x, c),
+            inv_h_prod(asm.v_left, x, c))
 
-    Rows 0..len(u_left)-1 are u-type, the rest v-type.  The closed form uses
-    only t/h ratios, so it stays finite at columns equal to right u-roots or
-    left v-roots (where the respective r-term is killed by an inverse-f zero).
+
+def n_column(asm: FFAssembly, x: complex) -> list:
+    """Matrix entries of every row at column point ``x``.
+
+    Rows 0..len(u_left)-1 are u-type, the rest v-type.  Each entry is a row
+    factor t(u_j, x) or t(x, v_j) times products that depend on ``x`` alone,
+    which are built once per column.  The closed form uses only t/h ratios,
+    so it stays finite at columns equal to right u-roots or left v-roots
+    (where the respective r-term is killed by an inverse-f zero).
     """
     m = asm.model
     c = m.c
-    n_u = len(asm.u_left)
+    out = []
+    if asm.u_left:
+        sign = -1.0 if (len(asm.u_left) - 1) % 2 else 1.0
+        r1 = m.r1(x)
+        h_ux = h_prod(asm.u_left, x, c)
+        if_vx = inv_f_prod(asm.v_left, x, c)
+        ih_xu = inv_h_prod(x, asm.u_right, c)
+        h_xu = h_prod(x, asm.u_left, c)
+        out += [sign * t(uj, x, c) * r1 * h_ux * if_vx * ih_xu
+                + t(x, uj, c) * h_xu * ih_xu for uj in asm.u_left]
+    if asm.v_right:
+        sign, r3, h_xv, if_xu, h_vx, ih_vx = _v_factors(asm, x)
+        out += [sign * t(x, vj, c) * r3 * h_xv * if_xu * ih_vx
+                + t(vj, x, c) * h_vx * ih_vx for vj in asm.v_right]
+    return out
+
+
+def n_entry(asm: FFAssembly, row: int, x: complex) -> complex:
+    """Matrix entry for row index ``row`` at column point ``x``."""
     if row < 0 or row >= asm.n_rows:
         raise IndexError(f"row {row} out of range")
-    if row < n_u:
-        uj = asm.u_left[row]
-        sign = -1.0 if (n_u - 1) % 2 else 1.0
-        term1 = (sign * t(uj, x, c) * m.r1(x)
-                 * h_prod(asm.u_left, x, c)
-                 * inv_f_prod(asm.v_left, x, c)
-                 * inv_h_prod(x, asm.u_right, c))
-        term2 = (t(x, uj, c) * h_prod(x, asm.u_left, c)
-                 * inv_h_prod(x, asm.u_right, c))
-        return term1 + term2
-    vj = asm.v_right[row - n_u]
-    n_v = len(asm.v_right)
-    sign = -1.0 if (n_v - 1) % 2 else 1.0
-    term1 = (sign * t(x, vj, c) * m.r3(x)
-             * h_prod(x, asm.v_right, c)
-             * inv_f_prod(x, asm.u_right, c)
-             * inv_h_prod(asm.v_left, x, c))
-    term2 = (t(vj, x, c) * h_prod(asm.v_right, x, c)
-             * inv_h_prod(asm.v_left, x, c))
-    return term1 + term2
+    return n_column(asm, x)[row]
 
 
 def n_entry_tau_form(asm: FFAssembly, row: int, x: complex) -> complex:
@@ -211,9 +223,8 @@ def n_entry_tau_form(asm: FFAssembly, row: int, x: complex) -> complex:
 def n_matrix(asm: FFAssembly) -> np.ndarray:
     cols = asm.cols
     out = np.empty((asm.n_rows, len(cols)), dtype=complex)
-    for r in range(asm.n_rows):
-        for k, x in enumerate(cols):
-            out[r, k] = n_entry(asm, r, x)
+    for k, x in enumerate(cols):
+        out[:, k] = n_column(asm, x)
     return out
 
 
@@ -260,18 +271,13 @@ def y_row_diag(asm: FFAssembly, s: int, same_state: bool) -> np.ndarray:
 
 
 def y_row_13(asm: FFAssembly) -> np.ndarray:
-    """Closing row for the (1,3) entry over the full column set."""
-    m = asm.model
-    c = m.c
-    b_left = len(asm.v_left)
-    sign = -1.0 if b_left % 2 else 1.0
+    """Closing row for the (1,3) entry over the full column set: the v-row
+    entry without its row factors.  Its sign (-1)^b_left equals the v-row
+    sign, b_left being one more than the number of v-rows."""
     out = np.empty(len(asm.cols), dtype=complex)
     for k, x in enumerate(asm.cols):
-        term1 = (sign * m.r3(x) * h_prod(x, asm.v_right, c)
-                 * inv_f_prod(x, asm.u_right, c)
-                 * inv_h_prod(asm.v_left, x, c))
-        term2 = h_prod(asm.v_right, x, c) * inv_h_prod(asm.v_left, x, c)
-        out[k] = term1 + term2
+        sign, r3, h_xv, if_xu, h_vx, ih_vx = _v_factors(asm, x)
+        out[k] = sign * r3 * h_xv * if_xu * ih_vx + h_vx * ih_vx
     return out
 
 
@@ -289,22 +295,6 @@ def _check_sector(kind: tuple, left: BetheState, right: BetheState) -> None:
     if (left.a, left.b) != (ap, bp):
         raise SectorMismatch(
             f"entry {kind}: left sector ({left.a}, {left.b}) != required ({ap}, {bp})")
-
-
-def ff_offdiag(kind: tuple, left: BetheState, right: BetheState,
-               z: complex) -> complex:
-    """Matrix element of T(i,j) with |i-j| = 1 between two on-shell states."""
-    if kind not in ((1, 2), (3, 2), (2, 3), (2, 1)):
-        raise ValueError(f"not a first-off-diagonal entry: {kind}")
-    _require_untwisted(left, right)
-    _check_sector(kind, left, right)
-    if kind in ((2, 3), (2, 1)):
-        asm = assemble(right, left, z)
-    else:
-        asm = assemble(left, right, z)
-    pref = prefactor_H(asm.u_left, asm.v_left, asm.u_right, asm.v_right,
-                       asm.cols, asm.model.c)
-    return _element(pref, n_matrix(asm), f"T{kind}")
 
 
 def _same_state_matrix(asm: FFAssembly, s: int) -> np.ndarray:
@@ -330,64 +320,79 @@ def _same_state_matrix(asm: FFAssembly, s: int) -> np.ndarray:
     return mat
 
 
+def determinant_element(kind: tuple, left: BetheState, right: BetheState,
+                        z: complex) -> tuple:
+    """``(value, matrix, same_state)`` for the entry T(i,j) between two
+    on-shell states: ``value = prefactor * det(matrix)`` and ``same_state``
+    tells whether a diagonal entry took the regularised same-state branch.
+    The (2,3), (2,1) and (3,1) entries are evaluated with the two states
+    exchanged.
+    """
+    kind = (int(kind[0]), int(kind[1]))
+    if kind not in KINDS:
+        raise ValueError(f"unknown entry {kind}")
+    _require_untwisted(left, right)
+    _check_sector(kind, left, right)
+    i, j = kind
+    same = False
+    if i == j:
+        same = states_equal(left.roots, right.roots, SAME_STATE_TOL)
+        if not same and states_equal(left.roots, right.roots,
+                                     NEAR_DEGENERATE_TOL):
+            warnings.warn(
+                "root multisets nearly coincide; both evaluation branches of "
+                "the diagonal form factor are ill-conditioned here",
+                DegeneracyWarning, stacklevel=3)
+    elif kind in ((2, 3), (2, 1), (3, 1)):
+        left, right = right, left
+    asm = assemble(left, right, z, same_state=same)
+    pref = prefactor_H(asm.u_left, asm.v_left, asm.u_right, asm.v_right,
+                       asm.cols, asm.model.c)
+    if i == j:
+        pref = (-1.0 if right.b % 2 else 1.0) * pref
+        mat = (_same_state_matrix(asm, i) if same else np.vstack(
+            [n_matrix(asm), y_row_diag(asm, i, same_state=False)]))
+    elif kind in ((1, 3), (3, 1)):
+        pref = (-1.0 if left.b % 2 else 1.0) * pref
+        mat = np.vstack([n_matrix(asm), y_row_13(asm)])
+    else:
+        mat = n_matrix(asm)
+    return _element(pref, mat, f"T{kind}"), mat, same
+
+
+def form_factor(kind: tuple, left: BetheState, right: BetheState,
+                z: complex) -> complex:
+    """Matrix element of any of the nine entries T(i,j) between two on-shell
+    states (see :func:`determinant_element`)."""
+    return determinant_element(kind, left, right, z)[0]
+
+
+def ff_offdiag(kind: tuple, left: BetheState, right: BetheState,
+               z: complex) -> complex:
+    """Matrix element of T(i,j) with |i-j| = 1 between two on-shell states."""
+    if kind not in ((1, 2), (3, 2), (2, 3), (2, 1)):
+        raise ValueError(f"not a first-off-diagonal entry: {kind}")
+    return form_factor(kind, left, right, z)
+
+
 def ff_diag(s: int, left: BetheState, right: BetheState, z: complex) -> complex:
     """Matrix element of the diagonal entry T(s,s) between two on-shell
     states of equal sector; dispatches between the generic determinant and
     its regularised same-state limit."""
     if s not in (1, 2, 3):
         raise ValueError(f"s must be 1, 2 or 3, got {s}")
-    _require_untwisted(left, right)
-    _check_sector((s, s), left, right)
-    same = states_equal(left.roots, right.roots, SAME_STATE_TOL)
-    if not same and states_equal(left.roots, right.roots, NEAR_DEGENERATE_TOL):
-        warnings.warn(
-            "root multisets nearly coincide; both evaluation branches of the "
-            "diagonal form factor are ill-conditioned here",
-            DegeneracyWarning, stacklevel=2)
-    asm = assemble(left, right, z, same_state=same)
-    sign = -1.0 if right.b % 2 else 1.0
-    pref = prefactor_H(asm.u_left, asm.v_left, asm.u_right, asm.v_right,
-                       asm.cols, asm.model.c)
-    if same:
-        return _element(sign * pref, _same_state_matrix(asm, s), f"T({s}, {s})")
-    mat = np.vstack([n_matrix(asm), y_row_diag(asm, s, same_state=False)])
-    return _element(sign * pref, mat, f"T({s}, {s})")
+    return form_factor((s, s), left, right, z)
 
 
 def ff_13(left: BetheState, right: BetheState, z: complex) -> complex:
     """Matrix element of T(1,3); left sector must be (a+1, b+1)."""
-    _require_untwisted(left, right)
-    _check_sector((1, 3), left, right)
-    asm = assemble(left, right, z)
-    mat = np.vstack([n_matrix(asm), y_row_13(asm)])
-    sign = -1.0 if len(left.v) % 2 else 1.0
-    pref = prefactor_H(asm.u_left, asm.v_left, asm.u_right, asm.v_right,
-                       asm.cols, asm.model.c)
-    return _element(sign * pref, mat, "T(1, 3)")
+    return form_factor((1, 3), left, right, z)
 
 
 def ff_31(left: BetheState, right: BetheState, z: complex) -> complex:
     """Matrix element of T(3,1), evaluated through the transposition map:
     same determinant as T(1,3) with the two states exchanged."""
-    _require_untwisted(left, right)
-    _check_sector((3, 1), left, right)
-    return ff_13(right, left, z)
-
-
-def form_factor(kind: tuple, left: BetheState, right: BetheState,
-                z: complex) -> complex:
-    """Dispatch any of the nine entries T(i,j) to its determinant route."""
-    kind = (int(kind[0]), int(kind[1]))
-    if kind not in KINDS:
-        raise ValueError(f"unknown entry {kind}")
-    i, j = kind
-    if i == j:
-        return ff_diag(i, left, right, z)
-    if kind == (1, 3):
-        return ff_13(left, right, z)
-    if kind == (3, 1):
-        return ff_31(left, right, z)
-    return ff_offdiag(kind, left, right, z)
+    return form_factor((3, 1), left, right, z)
 
 
 def norm_squared(state: BetheState) -> complex:
@@ -424,7 +429,7 @@ def s_function(x: complex, omega: np.ndarray, asm: FFAssembly) -> complex:
     """Omega-weighted sum of the matrix rows evaluated at column point x."""
     if len(omega) != asm.n_rows:
         raise ValueError("omega length must match the number of rows")
-    return sum(omega[r] * n_entry(asm, r, x) for r in range(asm.n_rows))
+    return sum(w * e for w, e in zip(omega, n_column(asm, x)))
 
 
 def s_function_reference(x: complex, left: BetheState, right: BetheState) -> complex:

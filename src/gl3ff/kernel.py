@@ -15,7 +15,8 @@ row/column conventions downstream depend on it.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Union
+import operator
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import PoleError
 
@@ -63,6 +64,32 @@ def t(x: complex, y: complex, c: complex) -> complex:
     return c * c / (d * (d + c))
 
 
+def inv_f(x: complex, y: complex, c: complex) -> complex:
+    """1/f(x, y) = (x - y) / (x - y + c).
+
+    Finite (zero) where f itself has a pole, so it is the safe way to divide
+    by an f-product whose arguments may coincide.  Raises only at the genuine
+    pole x - y = -c.
+    """
+    d = x - y
+    if abs(d + c) <= pole_tol(c):
+        raise PoleError(f"1/f pole: x={x} collides with y={y} - c")
+    return d / (d + c)
+
+
+def inv_h(x: complex, y: complex, c: complex) -> complex:
+    """1/h(x, y) = c / (x - y + c); raises where h vanishes."""
+    den = x - y + c
+    if abs(den) <= pole_tol(c):
+        raise PoleError(f"1/h pole: x={x} collides with y={y} - c")
+    return c / den
+
+
+def inv_g(x: complex, y: complex, c: complex) -> complex:
+    """1/g(x, y) = (x - y) / c; entire, vanishes at coincidences."""
+    return (x - y) / c
+
+
 def _as_tuple(v: SetOrScalar) -> tuple:
     if isinstance(v, (list, tuple)):
         return tuple(v)
@@ -70,22 +97,21 @@ def _as_tuple(v: SetOrScalar) -> tuple:
 
 
 def prod_fn(fn: Callable[[complex, complex, complex], complex],
-            lhs: SetOrScalar, rhs: SetOrScalar, c: complex) -> complex:
-    """Product of ``fn`` over all pairs from lhs x rhs; empty set gives 1.
+            lhs: SetOrScalar, rhs: SetOrScalar, c: complex,
+            keep: Optional[Callable[[int, int], bool]] = None) -> complex:
+    """Product of ``fn(x_i, y_j, c)`` over the pairs of lhs x rhs, taken in
+    order (i outer, j inner); the empty product is 1.
 
-    When both sides are the *same* sequence object, diagonal pairs are
-    skipped, which realises the self-exclusion convention for products of a
-    set against itself.
+    ``keep(i, j)``, when given, selects the index pairs that enter the
+    product: ``operator.lt`` gives the ordered products over a set against
+    itself, ``operator.ne`` the self-excluding one.
     """
-    same = lhs is rhs and isinstance(lhs, (list, tuple))
-    xs = _as_tuple(lhs)
     ys = _as_tuple(rhs)
     out = 1.0 + 0.0j
-    for i, x in enumerate(xs):
+    for i, x in enumerate(_as_tuple(lhs)):
         for j, y in enumerate(ys):
-            if same and i == j:
-                continue
-            out *= fn(x, y, c)
+            if keep is None or keep(i, j):
+                out *= fn(x, y, c)
     return out
 
 
@@ -106,65 +132,25 @@ def t_prod(lhs: SetOrScalar, rhs: SetOrScalar, c: complex) -> complex:
 
 
 def inv_f_prod(lhs: SetOrScalar, rhs: SetOrScalar, c: complex) -> complex:
-    """Product of 1/f(x, y) = (x - y) / (x - y + c) over all pairs.
-
-    Finite (zero) where f itself has a pole, so it is the safe way to divide
-    by an f-product whose arguments may coincide.  Raises only at the genuine
-    pole x - y = -c.
-    """
-    tol = pole_tol(c)
-    out = 1.0 + 0.0j
-    for x in _as_tuple(lhs):
-        for y in _as_tuple(rhs):
-            d = x - y
-            if abs(d + c) <= tol:
-                raise PoleError(f"1/f pole: x={x} collides with y={y} - c")
-            out *= d / (d + c)
-    return out
+    return prod_fn(inv_f, lhs, rhs, c)
 
 
 def inv_h_prod(lhs: SetOrScalar, rhs: SetOrScalar, c: complex) -> complex:
-    """Product of 1/h(x, y) = c / (x - y + c); raises where h vanishes."""
-    tol = pole_tol(c)
-    out = 1.0 + 0.0j
-    for x in _as_tuple(lhs):
-        for y in _as_tuple(rhs):
-            den = x - y + c
-            if abs(den) <= tol:
-                raise PoleError(f"1/h pole: x={x} collides with y={y} - c")
-            out *= c / den
-    return out
+    return prod_fn(inv_h, lhs, rhs, c)
 
 
 def inv_g_prod(lhs: SetOrScalar, rhs: SetOrScalar, c: complex) -> complex:
-    """Product of 1/g(x, y) = (x - y) / c; entire, vanishes at coincidences."""
-    out = 1.0 + 0.0j
-    for x in _as_tuple(lhs):
-        for y in _as_tuple(rhs):
-            out *= (x - y) / c
-    return out
+    return prod_fn(inv_g, lhs, rhs, c)
 
 
 def delta_prime(xs: Sequence[complex], c: complex) -> complex:
     """Ordered antisymmetric product over index pairs j < k of g(x_j, x_k)."""
-    xs = _as_tuple(xs)
-    out = 1.0 + 0.0j
-    n = len(xs)
-    for j in range(n):
-        for k in range(j + 1, n):
-            out *= g(xs[j], xs[k], c)
-    return out
+    return prod_fn(g, xs, xs, c, operator.lt)
 
 
 def delta(xs: Sequence[complex], c: complex) -> complex:
     """Ordered antisymmetric product over index pairs j > k of g(x_j, x_k)."""
-    xs = _as_tuple(xs)
-    out = 1.0 + 0.0j
-    n = len(xs)
-    for j in range(n):
-        for k in range(j):
-            out *= g(xs[j], xs[k], c)
-    return out
+    return prod_fn(g, xs, xs, c, operator.gt)
 
 
 def exclude(xs: Sequence[complex], i: int) -> tuple:
@@ -173,12 +159,31 @@ def exclude(xs: Sequence[complex], i: int) -> tuple:
     return xs[:i] + xs[i + 1:]
 
 
+def collision(lhs: SetOrScalar, rhs: SetOrScalar, c: complex,
+              shift: complex = 0.0,
+              keep: Optional[Callable[[int, int], bool]] = None
+              ) -> Optional[tuple]:
+    """First index pair ``(i, j)``, in the order of :func:`prod_fn`, with
+    ``|x_i - y_j - shift| <= pole_tol(c)``, or None.
+
+    This is the one pairwise guard of the package: ``shift`` 0 finds
+    coinciding points, ``shift`` -c the zeros of ``h`` and the poles of
+    ``1/h`` and ``1/f``.  Callers raise their own error from the pair.
+    """
+    tol = pole_tol(c)
+    ys = _as_tuple(rhs)
+    for i, x in enumerate(_as_tuple(lhs)):
+        for j, y in enumerate(ys):
+            if (keep is None or keep(i, j)) and abs(x - y - shift) <= tol:
+                return i, j
+    return None
+
+
 def check_distinct(xs: Sequence[complex], c: complex, label: str = "set") -> None:
     """Raise PoleError naming the first pair closer than the collision tolerance."""
     xs = _as_tuple(xs)
-    tol = pole_tol(c)
-    for j in range(len(xs)):
-        for k in range(j + 1, len(xs)):
-            if abs(xs[j] - xs[k]) <= tol:
-                raise PoleError(
-                    f"{label}: entries {j} and {k} collide ({xs[j]} ~ {xs[k]})")
+    hit = collision(xs, xs, c, keep=operator.lt)
+    if hit is not None:
+        j, k = hit
+        raise PoleError(
+            f"{label}: entries {j} and {k} collide ({xs[j]} ~ {xs[k]})")

@@ -18,7 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import PoleError, ZeroArgError
-from .kernel import (check_distinct, exclude, f, f_prod, pole_tol, t)
+from .kernel import (check_distinct, collision, exclude, f, f_prod, pole_tol,
+                     t)
 
 TWO_PI = 2.0 * math.pi
 
@@ -122,18 +123,7 @@ class BetheState:
 
 def assert_regular(roots: RootConfig, c: complex) -> None:
     """Check the intra/inter-set distinctness every formula relies on."""
-    check_distinct(roots.u, c, "u-roots")
-    check_distinct(roots.v, c, "v-roots")
-    tol = pole_tol(c)
-    for ui in roots.u:
-        for vj in roots.v:
-            if abs(ui - vj) <= tol:
-                raise PoleError(f"u-root {ui} collides with v-root {vj}")
-
-
-def _guard_probe(w: complex, roots: RootConfig, c: complex) -> bool:
-    tol = pole_tol(c)
-    return any(abs(w - r) <= tol for r in roots.u + roots.v)
+    check_distinct(roots.u + roots.v, c, "roots (u then v)")
 
 
 def tau(w: complex, roots: RootConfig, model: ModelFunctions,
@@ -152,7 +142,7 @@ def tau_twisted(w: complex, roots: RootConfig, twist: Twist,
     value is a pole unless the state is on shell; ``allow_root_limit``
     replaces the direct evaluation by a symmetric two-point limit there.
     """
-    if _guard_probe(w, roots, model.c):
+    if collision(w, roots.u + roots.v, model.c) is not None:
         if not allow_root_limit:
             raise PoleError(f"tau probe point {w} collides with a root")
         eps = 1e-5 * max(1.0, abs(model.c))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DegenerateEigenvalue, NoConvergence, PoleError,
                      ZeroDenominator)
-from .kernel import g, pole_tol
+from .kernel import collision, g
 from .model import (BetheState, ModelFunctions, Twist, tau_twisted, xxx_chain)
 
 MAX_SITES = 6
@@ -85,8 +85,7 @@ def apply_monodromy(w: complex, spec: SpinChainSpec,
     pseudovacuum (all sites in colour 1) then carries the eigenvalue pattern
     (prod_k f(w, xi_k), 1, 1) on the diagonal entries.
     """
-    tol = pole_tol(spec.c)
-    if any(abs(w - x) <= tol for x in spec.xi):
+    if collision(w, spec.xi, spec.c) is not None:
         raise PoleError(f"probe point {w} collides with an inhomogeneity")
     vecs = np.asarray(vecs, dtype=complex)
     if vecs.ndim not in (1, 2) or vecs.shape[0] != spec.dim:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import (CollisionError, Gl3Error, JacobianSingular, NoConvergence,
                      PathCollision, PoleError, ZeroArgError)
-from .kernel import f, pole_tol
+from .kernel import collision, f
 from .model import (BetheState, ModelFunctions, RootConfig, Twist,
                     gaudin_jacobian, phi_log)
 
@@ -53,24 +54,17 @@ def _twist_offsets(a: int, b: int, twist: Twist) -> np.ndarray:
 
 
 def _check_collisions(x: np.ndarray, a: int, c: complex) -> None:
-    """Reject coincidences that break the log system or its Jacobian."""
-    tol = pole_tol(c)
-    u, v = x[:a], x[a:]
-    for s, name in ((u, "u"), (v, "v")):
-        for j in range(len(s)):
-            for k in range(j + 1, len(s)):
-                d = s[j] - s[k]
-                if abs(d) <= tol:
-                    raise CollisionError(f"{name}_{j} = {name}_{k}")
-                if min(abs(d - c), abs(d + c)) <= tol:
-                    raise CollisionError(f"{name}_{j} = {name}_{k} +- c")
-    for uj in u:
-        for vk in v:
-            d = vk - uj
-            if abs(d) <= tol:
-                raise CollisionError("u-root collides with v-root")
-            if abs(d + c) <= tol:
-                raise CollisionError("v-root collides with u-root - c")
+    """Reject coincidences that break the log system or its Jacobian: two
+    equal roots, u_j - u_k = +-c, v_j - v_k = +-c and v = u - c."""
+    xs = x.tolist()
+    # an ordered pair at +c is the other order's pair at -c; v = u + c (a
+    # v-root first, then a u-root) is allowed
+    for shift, keep in ((0.0, operator.lt),
+                        (c, lambda i, j: i != j and (i < a or j >= a))):
+        hit = collision(xs, xs, c, shift, keep)
+        if hit is not None:
+            i, j = (f"u_{k}" if k < a else f"v_{k - a}" for k in hit)
+            raise CollisionError(f"{i} - {j} = {shift}")
 
 
 def _residual(x: np.ndarray, a: int, b: int, model: ModelFunctions,

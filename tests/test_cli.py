@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+import gl3ff.checks as checks
 import gl3ff.cli as cli
+import gl3ff.formfactor as ff
 from gl3ff.model import tau, xxx_chain
 
 
@@ -112,6 +114,61 @@ def test_ff_nonfinite_element_is_row_error(tmp_path):
     assert float(rows[(2, 2)]["f_re"]) == 1.0 and rows[(2, 2)]["error"] == ""
 
 
+def test_ff_lu_cond_of_determinant_matrix(tmp_path, state_lib):
+    # L=5 chain of the session library: seeded xi at rng seed 7, c = 1
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "model": {"L": 5, "xi": "seeded", "c": [1.0, 0.0]},
+        "task": {"kinds": [[1, 1], [3, 1]], "z_points": [[0.9, 0.8]]},
+        "rng_seed": 7,
+    })
+    lib = state_lib[5]
+    files = {}
+    for name, states in (("m31", lib["m31"]), ("m20", lib["m20"])):
+        files[name] = write_cfg(tmp_path, f"{name}.json", {
+            "states": [checks.state_to_json(st) for st in states]})
+    right = lib["m31"][1]
+    z = 0.9 + 0.8j
+
+    def table(left_file, left_index):
+        out = tmp_path / "table.json"
+        assert run(["ff", "--config", cfg, "--left", files[left_file],
+                    "--left-index", left_index, "--right", files["m31"],
+                    "--right-index", 1, "--format", "json", "--out", out]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        return {(r["kind_i"], r["kind_j"]): r for r in rows}
+
+    rows = table("m31", 0)
+    asm = ff.assemble(lib["m31"][0], right, z)
+    square = np.vstack([ff.n_matrix(asm), ff.y_row_diag(asm, 1, False)])
+    assert rows[(1, 1)]["branch"] == "different"
+    assert rows[(1, 1)]["lu_cond"] == ff.lu_condition(square)
+    rows = table("m31", 1)
+    assert rows[(1, 1)]["branch"] == "same"
+    same = ff._same_state_matrix(ff.assemble(right, right, z, True), 1)
+    assert rows[(1, 1)]["lu_cond"] == ff.lu_condition(same)
+    rows = table("m20", 0)
+    asm = ff.assemble(right, lib["m20"][0], z)  # T(3,1) through T(1,3)
+    square = np.vstack([ff.n_matrix(asm), ff.y_row_13(asm)])
+    assert rows[(3, 1)]["lu_cond"] == ff.lu_condition(square)
+
+
+@pytest.mark.parametrize("task", [
+    {"kinds": [[4, 4]], "z_points": [[0.6, 0.4]]},
+    {"kinds": [[1, 2, 3]], "z_points": [[0.6, 0.4]]},
+    {"kinds": [], "z_points": [[0.6, 0.4]]},
+    {"kinds": [[2, 2]], "z_points": []},
+])
+def test_ff_bad_task_exits_3(tmp_path, task):
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "model": {"L": 2, "xi": [[0.05, 0.0], [-0.03, 0.0]]},
+        "sector": {"a": 0, "b": 0},
+        "task": task,
+    })
+    roots = tmp_path / "vac.json"
+    assert run(["solve", "--config", cfg, "--out", roots]) == 0
+    assert run(["ff", "--config", cfg, "--left", roots, "--right", roots]) == 3
+
+
 def test_ff_deterministic_reruns(tmp_path):
     cfg = write_cfg(tmp_path, "cfg.json", {
         "model": {"L": 3, "xi": "seeded", "c": [1.0, 0.0]},
@@ -129,7 +186,18 @@ def test_ff_deterministic_reruns(tmp_path):
     assert t1.read_bytes() == t2.read_bytes()
 
 
-def test_verify_default_config_passes(tmp_path):
+@pytest.fixture()
+def lib_seed7(monkeypatch, state_lib):
+    """Report builds at seed 7 take the session's state library instead of
+    solving the same states again."""
+    def prepared(rng_seed):
+        assert rng_seed == 7
+        return state_lib
+
+    monkeypatch.setattr(checks, "prepare_states", prepared)
+
+
+def test_verify_default_config_passes(tmp_path, lib_seed7):
     out = tmp_path / "verify.json"
     assert run(["verify", "--seed", 7, "--out", out]) == 0
     blob = json.loads(out.read_text())
@@ -152,7 +220,7 @@ def test_identities_report_and_determinism(tmp_path):
             "rank1_reduction"} <= names
 
 
-def test_identities_tightened_tolerance_fails(tmp_path):
+def test_identities_tightened_tolerance_fails(tmp_path, lib_seed7):
     out = tmp_path / "strict.json"
     assert run(["identities", "--seed", 7, "--out", out, "--tol", "1e-18"]) == 1
     blob = json.loads(out.read_text())

@@ -109,6 +109,23 @@ def test_n_entry_term_structure(state_lib):
     assert abs(ff.n_entry(asm, 0, x) - term2) <= 1e-12 * abs(term2)
 
 
+def test_n_matrix_builds_column_products_once(monkeypatch, state_lib):
+    # the h-products of a column depend on the column point alone: two for
+    # the u-rows and two for the v-rows, whatever the number of rows
+    left, right = state_lib[5]["m31"][0], state_lib[5]["m31"][1]
+    asm = ff.assemble(left, right, 0.9 + 0.8j)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return h_prod(*args)
+
+    monkeypatch.setattr(ff, "h_prod", counted)
+    ff.n_matrix(asm)
+    assert asm.n_rows == 4
+    assert calls[0] == 4 * len(asm.cols)
+
+
 def test_n_entry_matches_tau_form(state_lib):
     model = state_lib[5]["model"]
     left, right = state_lib[5]["m31"][0], state_lib[5]["m31"][1]
@@ -317,10 +334,16 @@ def test_assemble_validation(state_lib):
     a = make_state(model, (0.5,), ())
     b = make_state(model, (0.5 + 1e-13,), ())
     with pytest.raises(PoleError):
-        ff.assemble(a, b, 0.9)  # column collision between u-right and z? no: u vs u
+        ff.assemble(a, b, 0.9)  # left u-root (a row) meets right u-root (a column)
     c_ = make_state(model, (0.4,), ())
     with pytest.raises(PoleError):
         ff.assemble(c_, a, 0.5)  # z collides with right root
+    # h(v_left, u_right) = 0 in the prefactor's denominator: v_left = u_right - c
+    chain = xxx_chain(2, (0.05, -0.03), 0.6 + 0.5j)
+    right = make_state(chain, (0.7 + 0.1j,), ())
+    left = make_state(chain, (0.2 - 0.3j, -0.5j), (0.7 + 0.1j - chain.c,))
+    with pytest.raises(PoleError, match="prefactor denominator"):
+        ff.assemble(left, right, 0.9)
 
 
 # ---------------------------------------------------------------------------

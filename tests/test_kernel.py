@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -55,7 +57,8 @@ def test_algebraic_identities():
 def test_empty_products_are_one():
     assert K.f_prod(0.5j, (), 1.0) == 1.0
     u = (0.3 + 0.1j,)
-    assert K.prod_fn(K.g, u, u, 1.0) == 1.0  # self-exclusion on a singleton
+    # self-exclusion on a singleton
+    assert K.prod_fn(K.g, u, u, 1.0, operator.ne) == 1.0
 
 
 def test_pair_product_value():
@@ -93,6 +96,38 @@ def test_inverse_products_match_reciprocals():
     assert abs(K.inv_f_prod(xs, ys, c) * K.f_prod(xs, ys, c) - 1) < 1e-12
     assert abs(K.inv_h_prod(xs, ys, c) * K.h_prod(xs, ys, c) - 1) < 1e-12
     assert abs(K.inv_g_prod(xs, ys, c) * K.g_prod(xs, ys, c) - 1) < 1e-12
+
+
+def test_inverse_products_raise_at_minus_c():
+    for c in (1.0, 0.8 + 0.6j):
+        x = 0.3 - 0.2j
+        for prod in (K.inv_f_prod, K.inv_h_prod):
+            with pytest.raises(PoleError):
+                prod((0.9, x), (x + c,), c)  # x - y = -c
+
+
+def test_delta_matches_scalar_double_loops():
+    rng = np.random.default_rng(4)
+    xs = tuple(complex(*rng.uniform(-2, 2, 2)) for _ in range(4))
+    c = 0.7 - 0.4j
+    later = earlier = 1.0 + 0.0j
+    for j in range(4):
+        for k in range(4):
+            if j < k:
+                later *= K.g(xs[j], xs[k], c)
+            if j > k:
+                earlier *= K.g(xs[j], xs[k], c)
+    assert K.delta_prime(xs, c) == later
+    assert K.delta(xs, c) == earlier
+
+
+def test_collision_first_pair():
+    c = 0.5 + 0.5j
+    xs = (0.1, 0.2 + 1e-12, 0.3)
+    assert K.collision(xs, (0.3, 0.2), c) == (1, 1)
+    assert K.collision(xs, xs, c, keep=operator.lt) is None
+    assert K.collision(xs, (0.3 + c,), c, -c) == (2, 0)
+    assert K.collision(0.4, xs, c) is None
 
 
 def test_inv_f_prod_finite_at_coincidence():

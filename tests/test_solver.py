@@ -8,7 +8,7 @@ import pytest
 
 import gl3ff.cli as cli
 import gl3ff.solver as solver
-from gl3ff.errors import NoConvergence
+from gl3ff.errors import CollisionError, NoConvergence
 from gl3ff.model import RootConfig, Twist, bethe_defect, tau, xxx_chain
 from gl3ff.oracle import SpinChainSpec
 from gl3ff.solver import (SolveRequest, continue_in_twist, distinct_states,
@@ -160,6 +160,21 @@ def test_states_equal_matches_permuted_large_sector():
 def _chain3(seed=7):
     xi = cli.seeded_inhomogeneities(3, seed)
     return SpinChainSpec(L=3, xi=xi, c=1.0)
+
+
+@pytest.mark.parametrize("c", [1.0, 0.6 + 0.5j])
+def test_newton_collision_guard(c):
+    u0, v0 = 0.3 - 0.1j, -0.4 + 0.2j
+    solver._check_collisions(np.array([u0, u0 + 0.5, v0]), 2, c)
+    solver._check_collisions(np.array([u0, u0 + c]), 1, c)  # v = u + c is fine
+    bad = [(np.array([u0, u0 + c, v0]), 2),   # u_0 - u_1 = -c
+           (np.array([u0 + c, u0, v0]), 2),   # u_0 - u_1 = +c
+           (np.array([u0, v0, v0 - c]), 1),   # v_0 - v_1 = +c
+           (np.array([u0, u0]), 1),           # u = v
+           (np.array([u0, u0 - c]), 1)]       # v = u - c
+    for x, a in bad:
+        with pytest.raises(CollisionError):
+            solver._check_collisions(x, a, c)
 
 
 def _count_calls(monkeypatch, module, name):
