@@ -32,36 +32,73 @@ def pole_tol(c: complex) -> float:
     return COLLISION_SCALE * max(1.0, abs(c))
 
 
-def g(x: complex, y: complex, c: complex) -> complex:
-    """g(x, y) = c / (x - y)."""
+# Each rational term has a private form that takes the tolerance pole_tol(c)
+# as an argument, so that a loop over many terms at one c computes it once;
+# the public form computes it per call.  h and 1/g are entire and ignore it.
+
+def _g(x: complex, y: complex, c: complex, tol: float) -> complex:
     d = x - y
-    if abs(d) <= pole_tol(c):
+    if abs(d) <= tol:
         raise PoleError(f"g(x, y) pole: x={x} collides with y={y}")
     return c / d
 
 
-def f(x: complex, y: complex, c: complex) -> complex:
-    """f(x, y) = (x - y + c) / (x - y)."""
+def _f(x: complex, y: complex, c: complex, tol: float) -> complex:
     d = x - y
-    if abs(d) <= pole_tol(c):
+    if abs(d) <= tol:
         raise PoleError(f"f(x, y) pole: x={x} collides with y={y}")
     return (d + c) / d
 
 
-def h(x: complex, y: complex, c: complex) -> complex:
-    """h(x, y) = (x - y + c) / c.  Entire; vanishes at x - y = -c."""
+def _h(x: complex, y: complex, c: complex, tol: float) -> complex:
     return (x - y + c) / c
 
 
-def t(x: complex, y: complex, c: complex) -> complex:
-    """t(x, y) = c**2 / ((x - y) * (x - y + c))."""
+def _t(x: complex, y: complex, c: complex, tol: float) -> complex:
     d = x - y
-    tol = pole_tol(c)
     if abs(d) <= tol:
         raise PoleError(f"t(x, y) pole: x={x} collides with y={y}")
     if abs(d + c) <= tol:
         raise PoleError(f"t(x, y) pole: x={x} collides with y={y} - c")
     return c * c / (d * (d + c))
+
+
+def _inv_f(x: complex, y: complex, c: complex, tol: float) -> complex:
+    d = x - y
+    if abs(d + c) <= tol:
+        raise PoleError(f"1/f pole: x={x} collides with y={y} - c")
+    return d / (d + c)
+
+
+def _inv_h(x: complex, y: complex, c: complex, tol: float) -> complex:
+    den = x - y + c
+    if abs(den) <= tol:
+        raise PoleError(f"1/h pole: x={x} collides with y={y} - c")
+    return c / den
+
+
+def _inv_g(x: complex, y: complex, c: complex, tol: float) -> complex:
+    return (x - y) / c
+
+
+def g(x: complex, y: complex, c: complex) -> complex:
+    """g(x, y) = c / (x - y)."""
+    return _g(x, y, c, pole_tol(c))
+
+
+def f(x: complex, y: complex, c: complex) -> complex:
+    """f(x, y) = (x - y + c) / (x - y)."""
+    return _f(x, y, c, pole_tol(c))
+
+
+def h(x: complex, y: complex, c: complex) -> complex:
+    """h(x, y) = (x - y + c) / c.  Entire; vanishes at x - y = -c."""
+    return _h(x, y, c, 0.0)
+
+
+def t(x: complex, y: complex, c: complex) -> complex:
+    """t(x, y) = c**2 / ((x - y) * (x - y + c))."""
+    return _t(x, y, c, pole_tol(c))
 
 
 def inv_f(x: complex, y: complex, c: complex) -> complex:
@@ -71,29 +108,36 @@ def inv_f(x: complex, y: complex, c: complex) -> complex:
     by an f-product whose arguments may coincide.  Raises only at the genuine
     pole x - y = -c.
     """
-    d = x - y
-    if abs(d + c) <= pole_tol(c):
-        raise PoleError(f"1/f pole: x={x} collides with y={y} - c")
-    return d / (d + c)
+    return _inv_f(x, y, c, pole_tol(c))
 
 
 def inv_h(x: complex, y: complex, c: complex) -> complex:
     """1/h(x, y) = c / (x - y + c); raises where h vanishes."""
-    den = x - y + c
-    if abs(den) <= pole_tol(c):
-        raise PoleError(f"1/h pole: x={x} collides with y={y} - c")
-    return c / den
+    return _inv_h(x, y, c, pole_tol(c))
 
 
 def inv_g(x: complex, y: complex, c: complex) -> complex:
     """1/g(x, y) = (x - y) / c; entire, vanishes at coincidences."""
-    return (x - y) / c
+    return _inv_g(x, y, c, 0.0)
 
 
 def _as_tuple(v: SetOrScalar) -> tuple:
     if isinstance(v, (list, tuple)):
         return tuple(v)
     return (v,)
+
+
+def _prod(term: Callable[[complex, complex, complex, float], complex],
+          lhs: SetOrScalar, rhs: SetOrScalar, c: complex, tol: float,
+          keep: Optional[Callable[[int, int], bool]] = None) -> complex:
+    """:func:`prod_fn` over a private term form at tolerance ``tol``."""
+    ys = _as_tuple(rhs)
+    out = 1.0 + 0.0j
+    for i, x in enumerate(_as_tuple(lhs)):
+        for j, y in enumerate(ys):
+            if keep is None or keep(i, j):
+                out *= term(x, y, c, tol)
+    return out
 
 
 def prod_fn(fn: Callable[[complex, complex, complex], complex],
@@ -106,51 +150,46 @@ def prod_fn(fn: Callable[[complex, complex, complex], complex],
     product: ``operator.lt`` gives the ordered products over a set against
     itself, ``operator.ne`` the self-excluding one.
     """
-    ys = _as_tuple(rhs)
-    out = 1.0 + 0.0j
-    for i, x in enumerate(_as_tuple(lhs)):
-        for j, y in enumerate(ys):
-            if keep is None or keep(i, j):
-                out *= fn(x, y, c)
-    return out
+    # fn applies its own tolerance
+    return _prod(lambda x, y, c, tol: fn(x, y, c), lhs, rhs, c, 0.0, keep)
 
 
 def g_prod(lhs: SetOrScalar, rhs: SetOrScalar, c: complex) -> complex:
-    return prod_fn(g, lhs, rhs, c)
+    return _prod(_g, lhs, rhs, c, pole_tol(c))
 
 
 def f_prod(lhs: SetOrScalar, rhs: SetOrScalar, c: complex) -> complex:
-    return prod_fn(f, lhs, rhs, c)
+    return _prod(_f, lhs, rhs, c, pole_tol(c))
 
 
 def h_prod(lhs: SetOrScalar, rhs: SetOrScalar, c: complex) -> complex:
-    return prod_fn(h, lhs, rhs, c)
+    return _prod(_h, lhs, rhs, c, 0.0)
 
 
 def t_prod(lhs: SetOrScalar, rhs: SetOrScalar, c: complex) -> complex:
-    return prod_fn(t, lhs, rhs, c)
+    return _prod(_t, lhs, rhs, c, pole_tol(c))
 
 
 def inv_f_prod(lhs: SetOrScalar, rhs: SetOrScalar, c: complex) -> complex:
-    return prod_fn(inv_f, lhs, rhs, c)
+    return _prod(_inv_f, lhs, rhs, c, pole_tol(c))
 
 
 def inv_h_prod(lhs: SetOrScalar, rhs: SetOrScalar, c: complex) -> complex:
-    return prod_fn(inv_h, lhs, rhs, c)
+    return _prod(_inv_h, lhs, rhs, c, pole_tol(c))
 
 
 def inv_g_prod(lhs: SetOrScalar, rhs: SetOrScalar, c: complex) -> complex:
-    return prod_fn(inv_g, lhs, rhs, c)
+    return _prod(_inv_g, lhs, rhs, c, 0.0)
 
 
 def delta_prime(xs: Sequence[complex], c: complex) -> complex:
     """Ordered antisymmetric product over index pairs j < k of g(x_j, x_k)."""
-    return prod_fn(g, xs, xs, c, operator.lt)
+    return _prod(_g, xs, xs, c, pole_tol(c), operator.lt)
 
 
 def delta(xs: Sequence[complex], c: complex) -> complex:
     """Ordered antisymmetric product over index pairs j > k of g(x_j, x_k)."""
-    return prod_fn(g, xs, xs, c, operator.gt)
+    return _prod(_g, xs, xs, c, pole_tol(c), operator.gt)
 
 
 def exclude(xs: Sequence[complex], i: int) -> tuple:

@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import PoleError, ZeroArgError
-from .kernel import (check_distinct, collision, exclude, f, f_prod, pole_tol,
-                     t)
+from .kernel import (_f, _t, check_distinct, collision, exclude,
+                     f_prod, pole_tol, t)
 
 TWO_PI = 2.0 * math.pi
 
@@ -237,8 +237,8 @@ def bethe_defect(roots: RootConfig, twist: Twist,
     return out
 
 
-def _log_checked(value: complex, c: complex, what: str) -> complex:
-    if abs(value) <= pole_tol(c):
+def _log_checked(value: complex, tol: float, what: str) -> complex:
+    if abs(value) <= tol:
         raise ZeroArgError(f"log argument ~ 0 in {what}: {value}")
     return cmath.log(value)
 
@@ -255,26 +255,27 @@ def phi_log(roots: RootConfig, model: ModelFunctions) -> np.ndarray:
     """
     assert_regular(roots, model.c)
     u, v, c = roots.u, roots.v, model.c
+    tol = pole_tol(c)
     out = np.empty(roots.a + roots.b, dtype=complex)
     for j in range(roots.a):
-        acc = _log_checked(model.r1(u[j]), c, "r1(u_j)")
+        acc = _log_checked(model.r1(u[j]), tol, "r1(u_j)")
         for k in range(roots.a):
             if k == j:
                 continue
-            acc -= _log_checked(f(u[j], u[k], c), c, "f(u_j, u_k)")
-            acc += _log_checked(f(u[k], u[j], c), c, "f(u_k, u_j)")
+            acc -= _log_checked(_f(u[j], u[k], c, tol), tol, "f(u_j, u_k)")
+            acc += _log_checked(_f(u[k], u[j], c, tol), tol, "f(u_k, u_j)")
         for m in range(roots.b):
-            acc -= _log_checked(f(v[m], u[j], c), c, "f(v_m, u_j)")
+            acc -= _log_checked(_f(v[m], u[j], c, tol), tol, "f(v_m, u_j)")
         out[j] = acc
     for j in range(roots.b):
-        acc = _log_checked(model.r3(v[j]), c, "r3(v_j)")
+        acc = _log_checked(model.r3(v[j]), tol, "r3(v_j)")
         for m in range(roots.b):
             if m == j:
                 continue
-            acc -= _log_checked(f(v[m], v[j], c), c, "f(v_m, v_j)")
-            acc += _log_checked(f(v[j], v[m], c), c, "f(v_j, v_m)")
+            acc -= _log_checked(_f(v[m], v[j], c, tol), tol, "f(v_m, v_j)")
+            acc += _log_checked(_f(v[j], v[m], c, tol), tol, "f(v_j, v_m)")
         for k in range(roots.a):
-            acc -= _log_checked(f(v[j], u[k], c), c, "f(v_j, u_k)")
+            acc -= _log_checked(_f(v[j], u[k], c, tol), tol, "f(v_j, u_k)")
         out[roots.a + j] = acc
     return out
 
@@ -312,7 +313,7 @@ def gaudin_matrix(roots: RootConfig, model: ModelFunctions) -> np.ndarray:
             if l != k:
                 diag -= pair_term(u[k], u[l])
         for mm in range(b):
-            diag += t(v[mm], u[k], c)
+            diag += _t(v[mm], u[k], c, tol)
         m[k, k] = diag
         for j in range(a):
             if j != k:
@@ -323,15 +324,15 @@ def gaudin_matrix(roots: RootConfig, model: ModelFunctions) -> np.ndarray:
             if mm != k:
                 diag -= pair_term(v[k], v[mm])
         for l in range(a):
-            diag += t(v[k], u[l], c)
+            diag += _t(v[k], u[l], c, tol)
         m[a + k, a + k] = diag
         for j in range(b):
             if j != k:
                 m[a + j, a + k] = pair_term(v[j], v[k])
     for j in range(a):
         for k in range(b):
-            m[j, a + k] = t(v[k], u[j], c)
-            m[a + k, j] = t(v[k], u[j], c)
+            m[j, a + k] = _t(v[k], u[j], c, tol)
+            m[a + k, j] = _t(v[k], u[j], c, tol)
     return m
 
 
@@ -357,12 +358,12 @@ def xxx_chain(L: int, xi: Sequence[complex], c: complex) -> ModelFunctions:
     if len(xi) != L:
         raise ValueError(f"need {L} inhomogeneities, got {len(xi)}")
     c = complex(c)
+    tol = pole_tol(c)
 
     def r1(w: complex) -> complex:
         return f_prod(w, xi, c)
 
     def dlog_r1(w: complex) -> complex:
-        tol = pole_tol(c)
         acc = 0.0 + 0.0j
         for x in xi:
             d = w - x

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -197,6 +199,34 @@ def lib_seed7(monkeypatch, state_lib):
     monkeypatch.setattr(checks, "prepare_states", prepared)
 
 
+# sha256 of json.dumps(report.to_json(), sort_keys=True) for the seed-7
+# reports.  The digests pin the Python and numpy of PINNED_BUILD: another
+# build may round a residual differently, so there the comparison is skipped.
+# They may change only in a change whose CHANGES.md entry says why the report
+# bytes moved.
+PINNED_BUILD = ((3, 11), (2, 4))
+REPORT_SHA256 = {
+    "verification":
+        "88f839ae51a984dd691b16986e9f0b8d379e10f2032ec1b37ecd084a3acb23d5",
+    "identities":
+        "6ed4f9568cd899f576bfc239ae4a75affd8839788b4a435b2e93882a8723187e",
+}
+
+
+def assert_report_bytes_pinned(out):
+    """The --out file holds report.to_json(); a JSON round trip restores the
+    pinned text exactly.  Call it last: off the pinned build it skips."""
+    build = (sys.version_info[:2],
+             tuple(int(p) for p in np.__version__.split(".")[:2]))
+    if build != PINNED_BUILD:
+        pytest.skip(f"report digests pin Python/numpy {PINNED_BUILD}, "
+                    f"this build is {build}")
+    blob = json.loads(out.read_text())
+    text = json.dumps(blob, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        REPORT_SHA256[blob["title"]]
+
+
 def test_verify_default_config_passes(tmp_path, lib_seed7):
     out = tmp_path / "verify.json"
     assert run(["verify", "--seed", 7, "--out", out]) == 0
@@ -205,6 +235,7 @@ def test_verify_default_config_passes(tmp_path, lib_seed7):
     assert blob["n_checks"] >= 30
     for rec in blob["records"]:
         assert "inputs_digest" in rec
+    assert_report_bytes_pinned(out)
 
 
 def test_identities_report_and_determinism(tmp_path):
@@ -218,6 +249,7 @@ def test_identities_report_and_determinism(tmp_path):
     assert {"appendix_sum_identities_50_draws", "transposition_consistency",
             "reflection_consistency", "permutation_invariance",
             "rank1_reduction"} <= names
+    assert_report_bytes_pinned(r1)
 
 
 def test_identities_tightened_tolerance_fails(tmp_path, lib_seed7):

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import gl3ff.cli as cli
+import gl3ff.kernel as kernel
 import gl3ff.solver as solver
 from gl3ff.errors import CollisionError, NoConvergence
-from gl3ff.model import RootConfig, Twist, bethe_defect, tau, xxx_chain
+from gl3ff.model import (RootConfig, Twist, bethe_defect, gaudin_matrix,
+                         phi_log, tau, xxx_chain)
 from gl3ff.oracle import SpinChainSpec
 from gl3ff.solver import (SolveRequest, continue_in_twist, distinct_states,
                           solve_bethe, states_equal)
@@ -286,3 +288,59 @@ def test_tracer_visible_solver_hot_path(monkeypatch):
     assert distinct_states(_chain3().model(), 2, 1, n_seeds=48)
     assert gaudin[0] == steps[0] > 0
     assert phi[0] == residuals[0] > 0
+
+
+def _pool_seed(model, a, b, n_random, rng_seed, index):
+    rng = np.random.default_rng(rng_seed)
+    return solver._seed_pool(model, a, b, n_random, rng)[index]
+
+
+def test_newton_stops_creeping_at_escape_disk(monkeypatch):
+    # this seed runs out to the escape disk and creeps along it with the
+    # residual near 0.085 for a dozen steps before no halving helps
+    model = _chain3().model()
+    x0 = _pool_seed(model, 1, 0, 24, 0, 30)
+    steps = _count_calls(monkeypatch, solver, "_jacobian")
+    with pytest.raises(NoConvergence, match="creeping at escape disk"):
+        solver._newton(model, 1, 0, Twist(), x0, 1e-12, 60)
+    assert steps[0] <= 10
+
+
+def test_newton_returns_from_creep_zone(monkeypatch):
+    # a seed of the verify suite's twisted L=3 (1,1) pool: three iterates lie
+    # beyond the creep radius, each step cutting the residual by 3 % or more,
+    # and the run comes back to converge
+    model = _chain3().model()
+    twist = Twist(0.9 + 0.1j, 1.0, 1.2 - 0.2j)
+    x0 = _pool_seed(model, 1, 1, 48, 7, 50)
+    centroid = sum(model.inhomogeneities) / len(model.inhomogeneities)
+    r_max = 3.0 * solver._seed_scale(model)
+    reach = []
+    jacobian = solver._jacobian
+
+    def recorded(x, *args):
+        reach.append(float(np.max(np.abs(x - centroid))) / r_max)
+        return jacobian(x, *args)
+
+    monkeypatch.setattr(solver, "_jacobian", recorded)
+    x, modes, err = solver._newton(model, 1, 1, twist, x0, 1e-12, 60)
+    assert sum(r > solver._CREEP_RADIUS for r in reach) == 3
+    expect = [4.799331359210748 + 4.979255055986534j,
+              7.299331359210748 + 7.479255055986535j]
+    assert np.max(np.abs(x - expect)) < 1e-12
+    assert modes == (0, 0) and err <= 1e-12
+
+
+def test_pole_tol_per_call_not_per_term(monkeypatch):
+    # phi_log and gaudin_matrix compute the tolerance twice per call, once in
+    # the regularity guard and once for all of their terms, however many
+    # roots there are; phi_log adds one per r1(u_j) product of the chain
+    model = _chain3().model()
+    small = RootConfig((0.31 + 0.2j,), ())
+    large = RootConfig((0.31 + 0.2j, -0.4 + 0.1j), (0.05 - 0.3j, 0.6 + 0.5j))
+    calls = _count_calls(monkeypatch, kernel, "pole_tol")
+    for roots in (small, large):
+        for fn, expect in ((phi_log, 2 + roots.a), (gaudin_matrix, 2)):
+            before = calls[0]
+            fn(roots, model)
+            assert calls[0] - before == expect
