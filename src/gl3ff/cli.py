@@ -156,8 +156,8 @@ def cmd_solve(args) -> int:
         b = int(sector["b"])
     except (KeyError, TypeError, ValueError):
         raise ConfigError("sector.a and sector.b must be integers")
-    if b > a:
-        raise ConfigError(f"sector (a={a}, b={b}) violates b <= a")
+    if not 0 <= b <= a:
+        raise ConfigError(f"sector (a={a}, b={b}) violates 0 <= b <= a")
     twist = twist_from_config(sector.get("twist"))
     tol = args.tol if args.tol is not None else float(
         cfg.get("task", {}).get("tol", 1e-12))

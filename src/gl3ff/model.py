@@ -31,6 +31,12 @@ class ModelFunctions:
     dlog_r1/dlog_r3 are the analytic logarithmic derivatives of r1/r3.  They
     are required exactly (not by numerical differentiation) because the
     diagonal of the Gaudin matrix is tolerance-critical.
+
+    ``sites`` is the length L of a fundamental gl(3) chain, which bounds how
+    many Bethe states each sector can hold (the solver stops seeding a sector
+    once it has found that many).  Only :func:`xxx_chain` sets it; mirror and
+    generalized models leave it None, since a dual or generic representation
+    counts its states differently.
     """
 
     c: complex
@@ -40,6 +46,7 @@ class ModelFunctions:
     dlog_r3: Callable[[complex], complex]
     description: str = ""
     inhomogeneities: Optional[tuple] = None  # seeding/pole hints, may be None
+    sites: Optional[int] = None
 
     def __post_init__(self):
         # a tuple keeps the model hashable (the solver memoizes per model)
@@ -380,6 +387,7 @@ def xxx_chain(L: int, xi: Sequence[complex], c: complex) -> ModelFunctions:
         dlog_r3=lambda w: 0.0 + 0.0j,
         description=f"xxx chain L={L}",
         inhomogeneities=xi,
+        sites=L,
     )
 
 

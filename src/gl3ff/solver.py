@@ -46,14 +46,51 @@ class SolveRequest:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.a + self.b < 1:
-            raise ValueError("need at least one root to solve for")
+        _check_sector(self.a, self.b)
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
         if self.mode_numbers is not None:
             self.mode_numbers = tuple(int(n) for n in self.mode_numbers)
             if len(self.mode_numbers) != self.a + self.b:
                 raise ValueError("mode_numbers must have length a + b")
+
+
+def _check_sector(a: int, b: int) -> None:
+    if a < 0 or b < 0:
+        raise ValueError(f"root counts must be non-negative, got ({a}, {b})")
+    if a + b < 1:
+        raise ValueError("need at least one root to solve for")
+
+
+def _sector_size(model: ModelFunctions, a: int, b: int,
+                 twist: Twist) -> Optional[int]:
+    """Most Bethe states with finite, distinct roots that sector (a, b) of an
+    L-site fundamental chain can hold, or None when the model is no such
+    chain (``model.sites`` is None).
+
+    By the completeness results of Mukhin, Tarasov and Varchenko, at the
+    identity twist these are at most the gl(3) highest-weight vectors of
+    weight (L-a, a-b, b): the standard Young tableaux of that shape, counted
+    by the hook-length formula (0 when the shape is no partition).  At any
+    other twist they are at most the dimension of the weight space, the
+    multinomial L! / ((L-a)! (a-b)! b!) (0 when a part is negative).
+    """
+    L = model.sites
+    if L is None:
+        return None
+    parts = (L - a, a - b, b)
+    if min(parts) < 0:
+        return 0
+    if not twist.is_identity():
+        return math.factorial(L) // math.prod(map(math.factorial, parts))
+    if not parts[0] >= parts[1] >= parts[2]:
+        return 0
+    hooks = 1
+    for i, row in enumerate(parts):
+        for j in range(row):
+            # arm + leg + 1 of cell (i, j)
+            hooks *= row - j + sum(below > j for below in parts[i + 1:])
+    return math.factorial(L) // hooks
 
 
 def _twist_offsets(a: int, b: int, twist: Twist) -> np.ndarray:
@@ -338,11 +375,15 @@ def distinct_states(model: ModelFunctions, a: int, b: int,
 
     Converged states are deduplicated as unordered root multisets; no claim
     of completeness is made.  An empty list means no seed converged, which is
-    the honest outcome for sectors without finite-root solutions.
+    the honest outcome for sectors without finite-root solutions.  On a chain
+    (``model.sites`` set) the seed pool stops once it has found as many
+    states as the sector can hold, and a sector that can hold none returns
+    an empty list without a Newton run (see ``_sector_size``).
 
     Results are memoized while the model object lives: a repeated call with
     the same model and arguments solves nothing and returns a new list.
     """
+    _check_sector(a, b)
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     per_model = _SOLVED.setdefault(model, {})
@@ -356,8 +397,12 @@ def distinct_states(model: ModelFunctions, a: int, b: int,
 
 def _solve_sector(model: ModelFunctions, a: int, b: int, twist: Twist,
                   n_seeds: int, tol: float, rng_seed: int) -> tuple:
-    """Newton from every seed of the pool; the distinct converged states as
-    sorted (roots, mode numbers, residual) triples."""
+    """Newton from each seed of the pool until the sector holds as many
+    states as it can; the distinct converged states as sorted (roots, mode
+    numbers, residual) triples."""
+    size = _sector_size(model, a, b, twist)
+    if size == 0:
+        return ()
     magnons: tuple = ()
     if a >= 2:
         # single-excitation roots feed the composite seed patterns that
@@ -374,6 +419,8 @@ def _solve_sector(model: ModelFunctions, a: int, b: int, twist: Twist,
             cfg = RootConfig(tuple(x[:a]), tuple(x[a:]))
             if not any(states_equal(cfg, seen) for seen, _, _ in found):
                 found.append((cfg, modes, err))
+                if len(found) == size:
+                    break   # no later seed can add a state
     except NoConvergence:
         pass    # no seed converged: the sector holds no state
     found.sort(key=lambda item: tuple(

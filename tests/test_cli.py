@@ -59,6 +59,14 @@ def test_solve_invalid_sector_exits_3(tmp_path):
     assert run(["solve", "--config", cfg]) == 3
 
 
+def test_solve_negative_sector_exits_3(tmp_path):
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "model": {"L": 2, "xi": "homogeneous"},
+        "sector": {"a": -1, "b": -1},
+    })
+    assert run(["solve", "--config", cfg]) == 3
+
+
 def test_solve_unsolvable_sector_exits_2(tmp_path):
     # untwisted (1,1) has no finite roots
     cfg = write_cfg(tmp_path, "cfg.json", {

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import gc
+import itertools
 import sys
 import weakref
 
@@ -11,7 +13,7 @@ import gl3ff.kernel as kernel
 import gl3ff.solver as solver
 from gl3ff.errors import CollisionError, NoConvergence
 from gl3ff.model import (RootConfig, Twist, bethe_defect, gaudin_matrix,
-                         phi_log, tau, xxx_chain)
+                         mirror_model, phi_log, tau, xxx_chain)
 from gl3ff.oracle import SpinChainSpec
 from gl3ff.solver import (SolveRequest, continue_in_twist, distinct_states,
                           solve_bethe, states_equal)
@@ -58,10 +60,17 @@ def test_solved_tau_is_oracle_eigenvalue(state_lib):
         assert np.min(np.abs(eigs - tv)) <= 1e-8 * abs(tv)
 
 
-def test_no_untwisted_states_with_single_pair():
-    # f(v, u) = 1 has no finite solution, so the (1,1) sector is empty
+def test_no_untwisted_states_with_single_pair(monkeypatch):
+    # f(v, u) = 1 has no finite solution, so the (1,1) sector is empty: the
+    # chain knows it without a Newton run (no highest-weight vector at L=2),
+    # and its copy without a site count seeds the whole pool to find none
+    newton = _count_calls(monkeypatch, solver, "_newton")
     model = xxx_chain(2, (0.05 + 0.02j, -0.04 - 0.01j), 1.0)
     assert distinct_states(model, 1, 1, n_seeds=24) == []
+    assert newton[0] == 0
+    assert distinct_states(dataclasses.replace(model, sites=None), 1, 1,
+                           n_seeds=24) == []
+    assert newton[0] > 0
 
 
 def test_twisted_pair_sector_solvable():
@@ -106,6 +115,17 @@ def test_solve_request_validation():
         SolveRequest(model=model, a=1, b=0, tol=-1.0)
     with pytest.raises(ValueError):
         SolveRequest(model=model, a=2, b=0, mode_numbers=(0,))
+
+
+@pytest.mark.parametrize("a, b, match", [
+    (0, 0, "at least one root"), (-1, 0, "non-negative"),
+    (0, -1, "non-negative"), (-1, 2, "non-negative")])
+def test_sector_validation(a, b, match):
+    model = xxx_chain(2, (0.0, 0.0), 1.0)
+    with pytest.raises(ValueError, match=match):
+        distinct_states(model, a, b)
+    with pytest.raises(ValueError, match=match):
+        SolveRequest(model=model, a=a, b=b)
 
 
 def test_continue_in_twist_identity_is_noop(state_lib):
@@ -159,9 +179,9 @@ def test_states_equal_matches_permuted_large_sector():
                             RootConfig(tuple(moved), ()))
 
 
-def _chain3(seed=7):
-    xi = cli.seeded_inhomogeneities(3, seed)
-    return SpinChainSpec(L=3, xi=xi, c=1.0)
+def _chain(L=3, seed=7):
+    xi = cli.seeded_inhomogeneities(L, seed)
+    return SpinChainSpec(L=L, xi=xi, c=1.0)
 
 
 @pytest.mark.parametrize("c", [1.0, 0.6 + 0.5j])
@@ -198,7 +218,7 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_distinct_states_memoized_per_model(monkeypatch):
-    spec = _chain3()
+    spec = _chain()
     model = spec.model()
     newton = _count_calls(monkeypatch, solver, "_newton")
     first = distinct_states(model, 2, 1, n_seeds=48)
@@ -222,7 +242,7 @@ def test_distinct_states_memoized_per_model(monkeypatch):
 
 
 def test_distinct_states_accepts_list_inhomogeneities():
-    model = _chain3().model()
+    model = _chain().model()
     listed = dataclasses.replace(model,
                                  inhomogeneities=list(model.inhomogeneities))
     assert [st.roots for st in distinct_states(listed, 1, 0, n_seeds=24)] == \
@@ -230,7 +250,7 @@ def test_distinct_states_accepts_list_inhomogeneities():
 
 
 def test_distinct_states_returns_fresh_list():
-    model = _chain3().model()
+    model = _chain().model()
     first = distinct_states(model, 1, 0, n_seeds=24)
     n = len(first)
     first.clear()
@@ -240,7 +260,7 @@ def test_distinct_states_returns_fresh_list():
 def test_distinct_states_memo_dies_with_model():
     gc.collect()
     entries = len(solver._SOLVED)
-    model = _chain3().model()
+    model = _chain().model()
     states = distinct_states(model, 2, 1, n_seeds=48)
     assert model in solver._SOLVED
     assert len(solver._SOLVED) == entries + 1
@@ -260,8 +280,10 @@ def test_no_memo_reuse_across_report_builds(monkeypatch):
 
 
 def test_line_search_never_evaluates_outside_escape_disk(monkeypatch):
-    # the (1,0) seed pool of this chain runs Newton out to the disk's edge
-    model = _chain3().model()
+    # the (1,0) seed pool of this chain runs Newton out to the disk's edge;
+    # without a site count the pool is drawn to its end, not stopped once
+    # the sector is complete
+    model = dataclasses.replace(_chain().model(), sites=None)
     centroid = sum(model.inhomogeneities) / len(model.inhomogeneities)
     limit = 3.0 * (3.0 * solver._seed_scale(model))
     reach = []
@@ -279,13 +301,14 @@ def test_line_search_never_evaluates_outside_escape_disk(monkeypatch):
 
 def test_tracer_visible_solver_hot_path(monkeypatch):
     # the benchmark tracer counts one Gaudin matrix per Newton step and one
-    # phi_log per residual, through the module-level names
+    # phi_log per residual, through the module-level names; L=4 (2,0) stays
+    # incomplete, so its whole pool runs
     import gl3ff.model as model_mod
     gaudin = _count_calls(monkeypatch, model_mod, "gaudin_matrix")
     phi = _count_calls(monkeypatch, model_mod, "phi_log")
     steps = _count_calls(monkeypatch, solver, "_jacobian")
     residuals = _count_calls(monkeypatch, solver, "_residual")
-    assert distinct_states(_chain3().model(), 2, 1, n_seeds=48)
+    assert distinct_states(_chain(4).model(), 2, 0, n_seeds=48)
     assert gaudin[0] == steps[0] > 0
     assert phi[0] == residuals[0] > 0
 
@@ -298,7 +321,7 @@ def _pool_seed(model, a, b, n_random, rng_seed, index):
 def test_newton_stops_creeping_at_escape_disk(monkeypatch):
     # this seed runs out to the escape disk and creeps along it with the
     # residual near 0.085 for a dozen steps before no halving helps
-    model = _chain3().model()
+    model = _chain().model()
     x0 = _pool_seed(model, 1, 0, 24, 0, 30)
     steps = _count_calls(monkeypatch, solver, "_jacobian")
     with pytest.raises(NoConvergence, match="creeping at escape disk"):
@@ -310,7 +333,7 @@ def test_newton_returns_from_creep_zone(monkeypatch):
     # a seed of the verify suite's twisted L=3 (1,1) pool: three iterates lie
     # beyond the creep radius, each step cutting the residual by 3 % or more,
     # and the run comes back to converge
-    model = _chain3().model()
+    model = _chain().model()
     twist = Twist(0.9 + 0.1j, 1.0, 1.2 - 0.2j)
     x0 = _pool_seed(model, 1, 1, 48, 7, 50)
     centroid = sum(model.inhomogeneities) / len(model.inhomogeneities)
@@ -335,7 +358,7 @@ def test_pole_tol_per_call_not_per_term(monkeypatch):
     # phi_log and gaudin_matrix compute the tolerance twice per call, once in
     # the regularity guard and once for all of their terms, however many
     # roots there are; phi_log adds one per r1(u_j) product of the chain
-    model = _chain3().model()
+    model = _chain().model()
     small = RootConfig((0.31 + 0.2j,), ())
     large = RootConfig((0.31 + 0.2j, -0.4 + 0.1j), (0.05 - 0.3j, 0.6 + 0.5j))
     calls = _count_calls(monkeypatch, kernel, "pole_tol")
@@ -344,3 +367,73 @@ def test_pole_tol_per_call_not_per_term(monkeypatch):
             before = calls[0]
             fn(roots, model)
             assert calls[0] - before == expect
+
+
+def _content_counts(L, ballot):
+    """Words over {1, 2, 3} of length L counted by content (#1, #2, #3);
+    with ``ballot`` only those where every prefix has #1 >= #2 >= #3."""
+    counts = collections.Counter()
+    for word in itertools.product(range(3), repeat=L):
+        n = [0, 0, 0]
+        for letter in word:
+            n[letter] += 1
+            if ballot and not n[0] >= n[1] >= n[2]:
+                break
+        else:
+            counts[tuple(n)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_sector_size_counts_words(L):
+    # ballot words of a content are the standard Young tableaux of that shape
+    model = xxx_chain(L, tuple(0.1 * k for k in range(L)), 1.0)
+    twist = Twist(1.2 - 0.1j, 1.0, 0.8 + 0.15j)
+    ballot, words = _content_counts(L, True), _content_counts(L, False)
+    for a in range(-1, L + 2):
+        for b in range(-1, L + 2):
+            content = (L - a, a - b, b)
+            assert solver._sector_size(model, a, b, Twist()) == ballot[content]
+            assert solver._sector_size(model, a, b, twist) == words[content]
+    assert model.sites == L
+    assert mirror_model(model).sites is None
+    assert solver._sector_size(mirror_model(model), 1, 0, Twist()) is None
+
+
+# the sectors prepare_states solves, as (L, a, b, n_seeds)
+_LIBRARY_SECTORS = ([(L, 1, 0, 24) for L in (2, 3, 4, 5)]
+                    + [(L, 2, 1, 48) for L in (3, 4, 5)]
+                    + [(L, 2, 0, 48) for L in (4, 5)] + [(5, 3, 1, 48)])
+
+
+def test_complete_sector_stops_its_seed_pool(monkeypatch):
+    # a chain finds the same states as its copy without a site count, and
+    # runs fewer seeds wherever it finds as many as the sector can hold
+    newton = _count_calls(monkeypatch, solver, "_newton")
+    complete = 0
+    for L, a, b, n_seeds in _LIBRARY_SECTORS:
+        chain = _chain(L).model()
+        runs = []
+        for model in (chain, dataclasses.replace(chain, sites=None)):
+            before = newton[0]
+            states = distinct_states(model, a, b, n_seeds=n_seeds,
+                                     rng_seed=7)
+            runs.append(([(st.roots, st.mode_numbers, st.residual)
+                          for st in states], newton[0] - before))
+        (stopped, n_stopped), (full, n_full) = runs
+        assert stopped == full
+        assert n_stopped <= n_full
+        if len(stopped) == solver._sector_size(chain, a, b, Twist()):
+            complete += 1
+            assert n_stopped < n_full
+    assert complete > 0
+
+
+def test_library_sectors_within_size(state_lib):
+    for L in (2, 3, 4, 5):
+        entry = state_lib[L]
+        for key in ("m10", "m21", "m20", "m31"):
+            if key in entry:
+                a, b = int(key[1]), int(key[2])
+                size = solver._sector_size(entry["model"], a, b, Twist())
+                assert len(entry[key]) <= size
