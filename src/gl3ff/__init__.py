@@ -11,9 +11,9 @@ from .model import (BetheState, ModelFunctions, RootConfig, Twist,
 from .solver import (SolveRequest, continue_in_twist, distinct_states,
                      solve_bethe, states_equal)
 from .formfactor import (FFAssembly, KINDS, appendix_identities, assemble,
-                         det_lu, ff_13, ff_31, ff_diag, ff_offdiag,
-                         form_factor, norm_squared, omega_vector, prefactor_H,
-                         s_function, s_function_reference, sector_shift)
+                         det_lu, ff_diag, form_factor, norm_squared,
+                         omega_vector, prefactor_H, s_function,
+                         s_function_reference, sector_shift)
 from .oracle import (SpinChainSpec, apply_monodromy, eigenvector_for_state,
                      invariant_product, invariant_ratio, monodromy_entry,
                      r_matrix, transfer_matrix, weight_sector_indices)

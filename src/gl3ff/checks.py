@@ -10,7 +10,7 @@ acceptance tests run the same functions.
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import hashlib
 import json
 from typing import Sequence
@@ -96,30 +96,26 @@ class Report:
         }
 
 
-def _errors_recorded_as(name: str):
-    """A ``Gl3Error`` escaping the decorated check becomes one error record
-    ``name``; the records added before it stay."""
-    def wrap(check):
-        @functools.wraps(check)
-        def run(report: Report, lib: dict, rng: np.random.Generator) -> None:
-            try:
-                check(report, lib, rng)
-            except Gl3Error as exc:
-                report.add_error(name, exc)
-        return run
-    return wrap
+@contextlib.contextmanager
+def _errors_recorded_as(report: Report, name: str):
+    """A ``Gl3Error`` raised in the block ends it and becomes one error
+    record ``name``; the records added before it stay."""
+    try:
+        yield
+    except Gl3Error as exc:
+        report.add_error(name, exc)
 
 
 # ---------------------------------------------------------------------------
 # probe-point helpers
 
 def _probe_points(rng: np.random.Generator, n: int, avoid: Sequence[complex],
-                  c: complex, radius: float = 1.6) -> list:
+                  c: complex) -> list:
     pts = []
     guard = 0
     while len(pts) < n and guard < 500:
         guard += 1
-        w = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
+        w = complex(rng.uniform(-1.6, 1.6), rng.uniform(-1.6, 1.6))
         clear = all(min(abs(w - p), abs(w - p + c), abs(w - p - c)) > 0.15
                     for p in avoid)
         if clear:
@@ -144,9 +140,9 @@ def vacuum(model: ModelFunctions) -> BetheState:
     return BetheState(RootConfig((), ()), Twist.identity(), (), 0.0, model)
 
 
-def _pick_disjoint(states, others, min_dist=0.05):
+def _pick_disjoint(states, others):
     """The state whose roots stay farthest from every root of ``others``;
-    None when even that one comes closer than ``min_dist``."""
+    None when even that one comes closer than 0.05."""
     best, best_d = None, -1.0
     for st in states:
         pts = st.u + st.v
@@ -154,7 +150,7 @@ def _pick_disjoint(states, others, min_dist=0.05):
                  for o in others for y in o.u + o.v), default=1.0)
         if d > best_d:
             best, best_d = st, d
-    return best if best_d >= min_dist else None
+    return best if best_d >= 0.05 else None
 
 
 def _partner(entry: dict, key: str) -> BetheState:
@@ -164,7 +160,7 @@ def _partner(entry: dict, key: str) -> BetheState:
     return entry[key]
 
 
-def prepare_states(rng_seed: int, tol: float = 1e-12) -> dict:
+def prepare_states(rng_seed: int) -> dict:
     """Solve the desk-scale state library used by the verification suite.
 
     Beside the solved sectors ("m10", "m21", ...), the L=4 entry holds the
@@ -178,17 +174,14 @@ def prepare_states(rng_seed: int, tol: float = 1e-12) -> dict:
         spec = orc.SpinChainSpec(L=L, xi=xi, c=1.0)
         model = spec.model()
         entry = {"spec": spec, "model": model, "vac": vacuum(model)}
-        entry["m10"] = distinct_states(model, 1, 0, n_seeds=24, tol=tol,
+        entry["m10"] = distinct_states(model, 1, 0, n_seeds=24,
                                        rng_seed=rng_seed)
         if L >= 3:
-            entry["m21"] = distinct_states(model, 2, 1, n_seeds=48, tol=tol,
-                                           rng_seed=rng_seed)
+            entry["m21"] = distinct_states(model, 2, 1, rng_seed=rng_seed)
         if L >= 4:
-            entry["m20"] = distinct_states(model, 2, 0, n_seeds=48, tol=tol,
-                                           rng_seed=rng_seed)
+            entry["m20"] = distinct_states(model, 2, 0, rng_seed=rng_seed)
         if L == 5:
-            entry["m31"] = distinct_states(model, 3, 1, n_seeds=48, tol=tol,
-                                           rng_seed=rng_seed)
+            entry["m31"] = distinct_states(model, 3, 1, rng_seed=rng_seed)
         lib[L] = entry
     l4, l5 = lib[4], lib[5]
     l4["b10"] = _pick_disjoint(l4["m10"], l4["m20"][:1])
@@ -272,14 +265,14 @@ def check_structural(report: Report, lib: dict,
     w = 0.37 - 0.21j
     resid = 0.0
     lam = [model.r1(w), 1.0, 1.0]
+    blocks = orc.monodromy(w, spec)
     for i in range(3):
-        col = orc.monodromy_entry(i + 1, i + 1, w, spec) @ vac
+        col = blocks[i, i] @ vac
         resid = max(resid, float(np.max(np.abs(col - lam[i] * vac))) / abs(lam[i]))
-    for i in range(1, 4):
-        for j in range(1, 4):
-            if i > j:
-                col = orc.monodromy_entry(i, j, w, spec) @ vac
-                resid = max(resid, float(np.max(np.abs(col))))
+    for i in range(3):
+        for j in range(i):
+            col = blocks[i, j] @ vac
+            resid = max(resid, float(np.max(np.abs(col))))
     report.add("vacuum_eigenvalue_pattern", resid, 1e-12, inputs=pair(w))
 
 
@@ -308,8 +301,8 @@ def check_onshell_pipeline(report: Report, lib: dict,
     for (L, a, b, twist) in cases:
         spec, model = lib[L]["spec"], lib[L]["model"]
         name = f"solve_L{L}_a{a}b{b}" + ("_twisted" if not twist.is_identity() else "")
-        try:
-            states = distinct_states(model, a, b, twist=twist, n_seeds=48,
+        with _errors_recorded_as(report, name):
+            states = distinct_states(model, a, b, twist=twist,
                                      rng_seed=report.rng_seed)
             if not states:
                 raise NoConvergence(f"no states found in sector ({a},{b})")
@@ -318,8 +311,6 @@ def check_onshell_pipeline(report: Report, lib: dict,
                        inputs=state_to_json(st))
             report.add(name + "_tau_eigenvalue", _twisted_tau_residual(st, spec, rng),
                        1e-8, inputs=state_to_json(st))
-        except Gl3Error as exc:
-            report.add_error(name, exc)
 
 
 def check_offdiagonal(report: Report, lib: dict,
@@ -327,7 +318,7 @@ def check_offdiagonal(report: Report, lib: dict,
     for (tag, kind, L, left, right) in _ratio_cases(lib):
         spec, model = lib[L]["spec"], lib[L]["model"]
         name = f"invariant_ratio_{tag}"
-        try:
+        with _errors_recorded_as(report, name):
             avoid = _avoid_set(model, left, right)
             pts = _probe_points(rng, 10, avoid, model.c)
             worst = 0.0
@@ -338,8 +329,6 @@ def check_offdiagonal(report: Report, lib: dict,
                 worst = max(worst, abs(det_r - orc_r) / abs(orc_r))
             report.add(name, worst, 1e-8,
                        inputs=[state_to_json(left), state_to_json(right)])
-        except Gl3Error as exc:
-            report.add_error(name, exc)
 
 
 def check_products(report: Report, lib: dict, rng: np.random.Generator) -> None:
@@ -349,7 +338,7 @@ def check_products(report: Report, lib: dict, rng: np.random.Generator) -> None:
         spec, model = lib[L]["spec"], lib[L]["model"]
         name = f"invariant_product_{tag}"
         i, j = kind
-        try:
+        with _errors_recorded_as(report, name):
             avoid = _avoid_set(model, left, right)
             z1, z2 = _probe_points(rng, 2, avoid, model.c)
             det_p = (ff.form_factor(kind, left, right, z1)
@@ -359,8 +348,6 @@ def check_products(report: Report, lib: dict, rng: np.random.Generator) -> None:
             resid = abs(det_p - orc_p) / abs(orc_p)
             report.add(name, resid, 1e-8,
                        inputs=[state_to_json(left), state_to_json(right)])
-        except Gl3Error as exc:
-            report.add_error(name, exc)
 
 
 def _diag_identity_block(report: Report, tag: str, left: BetheState,
@@ -390,27 +377,22 @@ def _diag_identity_block(report: Report, tag: str, left: BetheState,
 def check_diagonal(report: Report, lib: dict, rng: np.random.Generator) -> None:
     l3, l5 = lib[3], lib[5]
     model3 = l3["model"]
-    try:
+    with _errors_recorded_as(report, "diag_distinct_L3"):
         a, b = l3["m10"][0], l3["m10"][1]
         z = _probe_points(rng, 1, _avoid_set(model3, a, b), model3.c)[0]
         # third colour decouples at b=0: that entry is zero between distinct
         # states, so the cofactor check uses s = 1, 2 there
         _diag_identity_block(report, "L3_b0", a, b, model3, z, (1, 2))
-    except Gl3Error as exc:
-        report.add_error("diag_distinct_L3", exc)
-    try:
-        if len(l5.get("m31", ())) >= 2:
-            a, b = l5["m31"][0], l5["m31"][1]
-            model5 = l5["model"]
-            z = _probe_points(rng, 1, _avoid_set(model5, a, b), model5.c)[0]
-            _diag_identity_block(report, "L5_b1", a, b, model5, z, (1, 2, 3))
-        else:
+    with _errors_recorded_as(report, "diag_distinct_L5"):
+        if len(l5.get("m31", ())) < 2:
             raise NoConvergence("need two (3,1) states for the b=1 pair")
-    except Gl3Error as exc:
-        report.add_error("diag_distinct_L5", exc)
+        a, b = l5["m31"][0], l5["m31"][1]
+        model5 = l5["model"]
+        z = _probe_points(rng, 1, _avoid_set(model5, a, b), model5.c)[0]
+        _diag_identity_block(report, "L5_b1", a, b, model5, z, (1, 2, 3))
     # same state: normalized diagonal elements = twist derivative of the
     # eigenvalue (root motion included), and the oracle face of it
-    try:
+    with _errors_recorded_as(report, "diag_same_state"):
         st = l3["m21"][0]
         spec, model = l3["spec"], l3["model"]
         z = _probe_points(rng, 1, _avoid_set(model, st), model.c)[0]
@@ -432,41 +414,39 @@ def check_diagonal(report: Report, lib: dict, rng: np.random.Generator) -> None:
             worst = max(worst, abs(lhs - expect) / abs(expect))
         report.add("diag_same_state_oracle", worst, 1e-8,
                    inputs=[state_to_json(st), pair(z)])
-    except Gl3Error as exc:
-        report.add_error("diag_same_state", exc)
 
 
-@_errors_recorded_as("s_function_suite")
 def check_sfunction_and_forms(report: Report, lib: dict,
                               rng: np.random.Generator) -> None:
-    l5 = lib[5]
-    model = l5["model"]
-    a, b = l5["m31"][0], l5["m31"][1]
-    z = _probe_points(rng, 1, _avoid_set(model, a, b), model.c)[0]
-    asm = ff.assemble(a, b, z)
-    omega = ff.omega_vector(a.u, a.v, b.u, b.v, model.c)
-    worst = max(abs(ff.s_function(pt, omega, asm)) for pt in b.u + a.v)
-    report.add("s_function_vanishing", worst, 1e-10,
-               inputs=[state_to_json(a), state_to_json(b)])
-    pts = _probe_points(rng, 20, _avoid_set(model, a, b), model.c)
-    worst = 0.0
-    for x in pts:
-        lhs = ff.s_function(x, omega, asm)
-        rhs = ff.s_function_reference(x, a, b)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-    report.add("s_function_closed_form", worst, 1e-10, inputs=pair(pts[0]))
-    # explicit entries against the eigenvalue-derivative form; left
-    # v-columns excluded (structurally 0 * inf in the derivative form)
-    probes = list(b.u) + [z] + pts[:3]
-    worst = 0.0
-    for r in range(asm.n_rows):
+    with _errors_recorded_as(report, "s_function_suite"):
+        l5 = lib[5]
+        model = l5["model"]
+        a, b = l5["m31"][0], l5["m31"][1]
+        z = _probe_points(rng, 1, _avoid_set(model, a, b), model.c)[0]
+        asm = ff.assemble(a, b, z)
+        omega = ff.omega_vector(a.u, a.v, b.u, b.v, model.c)
+        worst = max(abs(ff.s_function(pt, omega, asm)) for pt in b.u + a.v)
+        report.add("s_function_vanishing", worst, 1e-10,
+                   inputs=[state_to_json(a), state_to_json(b)])
+        pts = _probe_points(rng, 20, _avoid_set(model, a, b), model.c)
+        worst = 0.0
+        for x in pts:
+            lhs = ff.s_function(x, omega, asm)
+            rhs = ff.s_function_reference(x, a, b)
+            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+        report.add("s_function_closed_form", worst, 1e-10, inputs=pair(pts[0]))
+        # explicit entries against the eigenvalue-derivative form; left
+        # v-columns excluded (structurally 0 * inf in the derivative form)
+        probes = list(b.u) + [z] + pts[:3]
+        worst = 0.0
         for x in probes:
-            if r >= len(asm.u_left) and any(abs(x - ub) < 1e-6 for ub in b.u):
-                continue
-            e1 = ff.n_entry(asm, r, x)
-            e2 = ff.n_entry_tau_form(asm, r, x)
-            worst = max(worst, abs(e1 - e2) / max(abs(e1), 1e-30))
-    report.add("n_matrix_two_forms", worst, 1e-10, inputs=pair(z))
+            at_right_u = any(abs(x - ub) < 1e-6 for ub in b.u)
+            for r, e1 in enumerate(ff.n_column(asm, x)):
+                if r >= len(asm.u_left) and at_right_u:
+                    continue
+                e2 = ff.n_entry_tau_form(asm, r, x)
+                worst = max(worst, abs(e1 - e2) / max(abs(e1), 1e-30))
+        report.add("n_matrix_two_forms", worst, 1e-10, inputs=pair(z))
 
 
 def gaudin_records(report: Report, st: BetheState) -> None:
@@ -504,46 +484,42 @@ def check_twist_machinery(report: Report, lib: dict,
     spec, model = lib[2]["spec"], lib[2]["model"]
     tw = Twist(0.9 + 0.1j, 1.0, 1.2 - 0.2j)
     name = "twisted_tau_eigenvalue"
-    try:
-        states = distinct_states(model, 1, 1, twist=tw, n_seeds=48,
+    with _errors_recorded_as(report, name):
+        states = distinct_states(model, 1, 1, twist=tw,
                                  rng_seed=report.rng_seed)
         if not states:
             raise NoConvergence("no twisted (1,1) state found")
         st = states[0]
         report.add(name, _twisted_tau_residual(st, spec, rng), 1e-8,
                    inputs=state_to_json(st))
-    except Gl3Error as exc:
-        report.add_error(name, exc)
     name = "twist_continuation_roundtrip"
-    try:
+    with _errors_recorded_as(report, name):
         st = lib[3]["m10"][0]
         target = Twist(1.15 - 0.05j, 1.0, 0.85 + 0.1j)
         there = continue_in_twist(st, target, steps=6)
         back = continue_in_twist(there, Twist.identity(), steps=6)
         resid = float(np.max(np.abs(back.roots.as_array() - st.roots.as_array())))
         report.add(name, resid, 1e-8, inputs=state_to_json(st))
-    except Gl3Error as exc:
-        report.add_error(name, exc)
 
 
-@_errors_recorded_as("eigenstate_orthogonality")
 def check_orthogonality(report: Report, lib: dict,
                         rng: np.random.Generator) -> None:
-    spec = lib[3]["spec"]
-    a, b = lib[3]["m10"][0], lib[3]["m10"][1]
-    vl = orc.eigenvector_for_state(a, "left", spec, rng)
-    vr = orc.eigenvector_for_state(b, "right", spec, rng)
-    report.add("eigenstate_orthogonality", abs(complex(vl @ vr)), 1e-9,
-               inputs=[state_to_json(a), state_to_json(b)])
+    with _errors_recorded_as(report, "eigenstate_orthogonality"):
+        spec = lib[3]["spec"]
+        a, b = lib[3]["m10"][0], lib[3]["m10"][1]
+        vl = orc.eigenvector_for_state(a, "left", spec, rng)
+        vr = orc.eigenvector_for_state(b, "right", spec, rng)
+        report.add("eigenstate_orthogonality", abs(complex(vl @ vr)), 1e-9,
+                   inputs=[state_to_json(a), state_to_json(b)])
 
 
 # ---------------------------------------------------------------------------
 # identities suite
 
-def _random_sets(rng: np.random.Generator, sizes, span=1.8):
+def _random_sets(rng: np.random.Generator, sizes):
     out = []
     for n in sizes:
-        out.append(tuple(complex(rng.uniform(-span, span), rng.uniform(-span, span))
+        out.append(tuple(complex(rng.uniform(-1.8, 1.8), rng.uniform(-1.8, 1.8))
                          for _ in range(n)))
     return out
 
@@ -570,39 +546,39 @@ def _mirrored(st: BetheState, mm: ModelFunctions) -> BetheState:
     return BetheState(roots, Twist.identity(), st.mode_numbers, st.residual, mm)
 
 
-@_errors_recorded_as("morphisms")
 def check_morphisms(report: Report, lib: dict, rng: np.random.Generator) -> None:
-    cases = _ratio_cases(lib)
-    worst_psi = 0.0
-    for (tag, kind, L, left, right) in cases:
-        model = lib[L]["model"]
-        i, j = kind
-        z = _probe_points(rng, 1, _avoid_set(model, left, right), model.c)[0]
-        v1 = ff.form_factor(kind, left, right, z)
-        v2 = ff.form_factor((j, i), right, left, z)
-        worst_psi = max(worst_psi, abs(v1 - v2) / max(abs(v1), 1e-30))
-    report.add("transposition_consistency", worst_psi, 1e-10)
+    with _errors_recorded_as(report, "morphisms"):
+        cases = _ratio_cases(lib)
+        worst_psi = 0.0
+        for (tag, kind, L, left, right) in cases:
+            model = lib[L]["model"]
+            i, j = kind
+            z = _probe_points(rng, 1, _avoid_set(model, left, right), model.c)[0]
+            v1 = ff.form_factor(kind, left, right, z)
+            v2 = ff.form_factor((j, i), right, left, z)
+            worst_psi = max(worst_psi, abs(v1 - v2) / max(abs(v1), 1e-30))
+        report.add("transposition_consistency", worst_psi, 1e-10)
 
-    worst_phi = 0.0
-    for (tag, kind, L, left, right) in cases:
-        model = lib[L]["model"]
-        mm = mirror_model(model)
-        i, j = kind
-        z = _probe_points(rng, 1, _avoid_set(model, left, right), model.c)[0]
-        lhs = ff.form_factor(kind, left, right, z)
-        rhs = ff.form_factor((4 - j, 4 - i), _mirrored(left, mm),
-                             _mirrored(right, mm), -z)
-        worst_phi = max(worst_phi, abs(lhs - rhs) / max(abs(lhs), 1e-30))
-    # diagonal entries under the reflection map
-    st = lib[3]["m21"][0]
-    model = lib[3]["model"]
-    st_m = _mirrored(st, mirror_model(model))
-    z = _probe_points(rng, 1, _avoid_set(model, st), model.c)[0]
-    for s in (1, 2, 3):
-        lhs = ff.ff_diag(s, st, st, z)
-        rhs = ff.ff_diag(4 - s, st_m, st_m, -z)
-        worst_phi = max(worst_phi, abs(lhs - rhs) / abs(lhs))
-    report.add("reflection_consistency", worst_phi, 1e-10)
+        worst_phi = 0.0
+        for (tag, kind, L, left, right) in cases:
+            model = lib[L]["model"]
+            mm = mirror_model(model)
+            i, j = kind
+            z = _probe_points(rng, 1, _avoid_set(model, left, right), model.c)[0]
+            lhs = ff.form_factor(kind, left, right, z)
+            rhs = ff.form_factor((4 - j, 4 - i), _mirrored(left, mm),
+                                 _mirrored(right, mm), -z)
+            worst_phi = max(worst_phi, abs(lhs - rhs) / max(abs(lhs), 1e-30))
+        # diagonal entries under the reflection map
+        st = lib[3]["m21"][0]
+        model = lib[3]["model"]
+        st_m = _mirrored(st, mirror_model(model))
+        z = _probe_points(rng, 1, _avoid_set(model, st), model.c)[0]
+        for s in (1, 2, 3):
+            lhs = ff.ff_diag(s, st, st, z)
+            rhs = ff.ff_diag(4 - s, st_m, st_m, -z)
+            worst_phi = max(worst_phi, abs(lhs - rhs) / abs(lhs))
+        report.add("reflection_consistency", worst_phi, 1e-10)
 
 
 def _shuffled(st: BetheState, perm_u, perm_v) -> BetheState:
@@ -625,42 +601,43 @@ def shuffle_residual(kinds, a: BetheState, b: BetheState, z: complex) -> float:
     return worst
 
 
-@_errors_recorded_as("permutation_invariance")
 def check_permutation(report: Report, lib: dict, rng: np.random.Generator) -> None:
-    l5 = lib[5]
-    a, b = l5["m31"][0], l5["m31"][1]
-    model = l5["model"]
-    z = _probe_points(rng, 1, _avoid_set(model, a, b), model.c)[0]
-    worst = shuffle_residual(((2, 2), (1, 1)), a, b, z)
-    c31 = _partner(l5, "c31")
-    ref13 = ff.ff_13(c31, l5["m20"][0], z)
-    cp = _shuffled(c31, (2, 0, 1), (0,))
-    bp = _shuffled(l5["m20"][0], (1, 0), ())
-    worst = max(worst, abs(ff.ff_13(cp, bp, z) - ref13) / abs(ref13))
-    report.add("permutation_invariance", worst, 1e-10)
+    with _errors_recorded_as(report, "permutation_invariance"):
+        l5 = lib[5]
+        a, b = l5["m31"][0], l5["m31"][1]
+        model = l5["model"]
+        z = _probe_points(rng, 1, _avoid_set(model, a, b), model.c)[0]
+        worst = shuffle_residual(((2, 2), (1, 1)), a, b, z)
+        c31 = _partner(l5, "c31")
+        ref13 = ff.form_factor((1, 3), c31, l5["m20"][0], z)
+        cp = _shuffled(c31, (2, 0, 1), (0,))
+        bp = _shuffled(l5["m20"][0], (1, 0), ())
+        got = ff.form_factor((1, 3), cp, bp, z)
+        worst = max(worst, abs(got - ref13) / abs(ref13))
+        report.add("permutation_invariance", worst, 1e-10)
 
 
-@_errors_recorded_as("rank1_reduction")
 def check_gl2_reduction(report: Report, lib: dict,
                         rng: np.random.Generator) -> None:
-    l4 = lib[4]
-    model = l4["model"]
-    c20 = l4["m20"][0]
-    b10 = _partner(l4, "b10")
-    z = _probe_points(rng, 1, _avoid_set(model, c20, b10), model.c)[0]
-    worst = 0.0
-    v = ff.ff_offdiag((1, 2), c20, b10, z)
-    worst = max(worst, abs(ff.gl2_ff((1, 2), c20.u, b10.u, z, model) - v) / abs(v))
-    v = ff.ff_offdiag((2, 1), b10, c20, z)
-    worst = max(worst, abs(ff.gl2_ff((2, 1), b10.u, c20.u, z, model) - v) / abs(v))
-    s_a, s_b = lib[3]["m10"][0], lib[3]["m10"][1]
-    model3 = lib[3]["model"]
-    z3 = _probe_points(rng, 1, _avoid_set(model3, s_a, s_b), model3.c)[0]
-    for s in (1, 2):
-        v = ff.ff_diag(s, s_a, s_b, z3)
-        worst = max(worst,
-                    abs(ff.gl2_ff((s, s), s_a.u, s_b.u, z3, model3) - v) / abs(v))
-    report.add("rank1_reduction", worst, 1e-12)
+    with _errors_recorded_as(report, "rank1_reduction"):
+        l4 = lib[4]
+        model = l4["model"]
+        c20 = l4["m20"][0]
+        b10 = _partner(l4, "b10")
+        z = _probe_points(rng, 1, _avoid_set(model, c20, b10), model.c)[0]
+        worst = 0.0
+        for kind, left, right in (((1, 2), c20, b10), ((2, 1), b10, c20)):
+            v = ff.form_factor(kind, left, right, z)
+            ref = ff.gl2_ff(kind, left.u, right.u, z, model)
+            worst = max(worst, abs(ref - v) / abs(v))
+        s_a, s_b = lib[3]["m10"][0], lib[3]["m10"][1]
+        model3 = lib[3]["model"]
+        z3 = _probe_points(rng, 1, _avoid_set(model3, s_a, s_b), model3.c)[0]
+        for s in (1, 2):
+            v = ff.ff_diag(s, s_a, s_b, z3)
+            ref = ff.gl2_ff((s, s), s_a.u, s_b.u, z3, model3)
+            worst = max(worst, abs(ref - v) / abs(v))
+        report.add("rank1_reduction", worst, 1e-12)
 
 
 # ---------------------------------------------------------------------------

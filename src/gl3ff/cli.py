@@ -16,6 +16,7 @@ Exit codes: 0 pass, 1 check failure, 2 numerical failure, 3 config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -24,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .checks import (DEFAULT_SEED, DEFAULT_XI_RADIUS, Report,
+from .checks import (DEFAULT_SEED, DEFAULT_XI_RADIUS,
                      build_identities_report, build_verify_report, pair,
                      seeded_inhomogeneities, state_to_json, vacuum)
 from .errors import (ConfigError, Gl3Error, NoConvergence, NonFiniteResult,
@@ -34,7 +35,6 @@ from .model import (BetheState, ModelFunctions, RootConfig, Twist,
                     bethe_defect, tau, xxx_chain)
 from .solver import SolveRequest, distinct_states, solve_bethe
 from . import formfactor as ff
-from . import oracle as orc
 # unused here, but bound for the benchmark, which looks them up in this module
 from .checks import prepare_states  # noqa: F401
 from .model import phi_log, tau_twisted  # noqa: F401
@@ -43,6 +43,16 @@ from .solver import states_equal  # noqa: F401
 
 # ---------------------------------------------------------------------------
 # config handling
+
+@contextlib.contextmanager
+def _config_values(what: str):
+    """A ``ValueError`` or ``TypeError`` that a constructor raises on config
+    values in the block becomes a ``ConfigError`` about ``what``."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
 
 def _as_complex(node, what: str) -> complex:
     if isinstance(node, (int, float)):
@@ -59,8 +69,7 @@ def _as_complex_list(node, what: str) -> tuple:
     return tuple(_as_complex(x, what) for x in node)
 
 
-def model_from_config(cfg: dict, rng_seed: int) -> tuple:
-    """Returns (ModelFunctions, SpinChainSpec-or-None)."""
+def model_from_config(cfg: dict, rng_seed: int) -> ModelFunctions:
     node = cfg.get("model")
     if not isinstance(node, dict):
         raise ConfigError("config needs a 'model' object")
@@ -72,20 +81,17 @@ def model_from_config(cfg: dict, rng_seed: int) -> tuple:
         raise ConfigError(f"model.L must be an integer, got {node['L']!r}")
     c = _as_complex(node.get("c", 1.0), "model.c")
     xi_node = node.get("xi", "seeded")
-    if xi_node == "homogeneous":
-        xi = (0j,) * L
-    elif xi_node == "seeded":
-        xi = seeded_inhomogeneities(L, rng_seed,
-                                    float(node.get("xi_radius", DEFAULT_XI_RADIUS)))
-    else:
-        xi = _as_complex_list(xi_node, "model.xi")
-        if len(xi) != L:
-            raise ConfigError(f"model.xi must have L={L} entries, got {len(xi)}")
-    model = xxx_chain(L, xi, c)
-    spec = None
-    if 1 <= L <= orc.MAX_SITES:
-        spec = orc.SpinChainSpec(L=L, xi=xi, c=c)
-    return model, spec
+    with _config_values("model"):
+        if xi_node == "homogeneous":
+            xi = (0j,) * L
+        elif xi_node == "seeded":
+            xi = seeded_inhomogeneities(
+                L, rng_seed, float(node.get("xi_radius", DEFAULT_XI_RADIUS)))
+        else:
+            xi = _as_complex_list(xi_node, "model.xi")
+            if len(xi) != L:
+                raise ConfigError(f"model.xi must have L={L} entries, got {len(xi)}")
+        return xxx_chain(L, xi, c)
 
 
 def twist_from_config(node) -> Twist:
@@ -94,7 +100,8 @@ def twist_from_config(node) -> Twist:
     if not (isinstance(node, list) and len(node) == 3):
         raise ConfigError("sector.twist must be a list of three complex pairs")
     k1, k2, k3 = (_as_complex(x, "sector.twist") for x in node)
-    return Twist(k1, k2, k3)
+    with _config_values("sector.twist"):
+        return Twist(k1, k2, k3)
 
 
 def roots_from_node(node, what: str) -> RootConfig:
@@ -125,7 +132,9 @@ def state_from_json(node: dict, model: ModelFunctions, tol: float) -> BetheState
     if residual > tol:
         raise ConfigError(
             f"roots are not on shell for this model (defect {residual:.3e})")
-    modes = tuple(int(n) for n in node.get("mode_numbers", [0] * (roots.a + roots.b)))
+    with _config_values("state.mode_numbers"):
+        modes = tuple(int(n) for n in node.get("mode_numbers",
+                                               [0] * (roots.a + roots.b)))
     return BetheState(roots, twist, modes, residual, model)
 
 
@@ -142,12 +151,17 @@ def _write_output(payload, path: Optional[str], fmt: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the parsed arguments, the config and the rng seed
 
-def cmd_solve(args) -> int:
-    cfg = load_config(args.config)
-    rng_seed = args.seed if args.seed is not None else cfg.get("rng_seed", DEFAULT_SEED)
-    model, _ = model_from_config(cfg, rng_seed)
+def _task_tol(args, cfg: dict) -> float:
+    if args.tol is not None:
+        return args.tol
+    with _config_values("task.tol"):
+        return float(cfg.get("task", {}).get("tol", 1e-12))
+
+
+def cmd_solve(args, cfg: dict, rng_seed: int) -> int:
+    model = model_from_config(cfg, rng_seed)
     sector = cfg.get("sector")
     if not isinstance(sector, dict):
         raise ConfigError("config needs a 'sector' object")
@@ -159,26 +173,25 @@ def cmd_solve(args) -> int:
     if not 0 <= b <= a:
         raise ConfigError(f"sector (a={a}, b={b}) violates 0 <= b <= a")
     twist = twist_from_config(sector.get("twist"))
-    tol = args.tol if args.tol is not None else float(
-        cfg.get("task", {}).get("tol", 1e-12))
-    if a == b == 0:
-        states = [vacuum(model)]
-    elif sector.get("seed_roots") is not None:
-        seed = roots_from_node(sector["seed_roots"], "sector.seed_roots")
-        mode_numbers = sector.get("mode_numbers")
-        states = [solve_bethe(SolveRequest(
-            model=model, a=a, b=b, twist=twist, seed_roots=seed,
-            mode_numbers=mode_numbers, tol=tol, rng_seed=rng_seed))]
-    elif sector.get("mode_numbers") is not None:
-        states = [solve_bethe(SolveRequest(
-            model=model, a=a, b=b, twist=twist,
-            mode_numbers=sector["mode_numbers"], tol=tol, rng_seed=rng_seed))]
-    else:
-        states = distinct_states(model, a, b, twist=twist,
-                                 n_seeds=int(sector.get("n_seeds", 48)),
-                                 tol=tol, rng_seed=rng_seed)
-        if not states:
-            raise NoConvergence(f"no states found in sector ({a}, {b})")
+    tol = _task_tol(args, cfg)
+    seed = sector.get("seed_roots")
+    mode_numbers = sector.get("mode_numbers")
+    # the solver checks its arguments before it solves
+    with _config_values("sector"):
+        if a == b == 0:
+            states = [vacuum(model)]
+        elif seed is not None or mode_numbers is not None:
+            if seed is not None:
+                seed = roots_from_node(seed, "sector.seed_roots")
+            states = [solve_bethe(SolveRequest(
+                model=model, a=a, b=b, twist=twist, seed_roots=seed,
+                mode_numbers=mode_numbers, tol=tol, rng_seed=rng_seed))]
+        else:
+            states = distinct_states(model, a, b, twist=twist,
+                                     n_seeds=int(sector.get("n_seeds", 48)),
+                                     tol=tol, rng_seed=rng_seed)
+    if not states:
+        raise NoConvergence(f"no states found in sector ({a}, {b})")
     payload = {
         "model": {
             "L": len(model.inhomogeneities or ()),
@@ -208,14 +221,16 @@ def _load_state_file(path: str, model: ModelFunctions, tol: float,
     return state_from_json(states[index], model, max(1e-8, 100 * tol))
 
 
-def cmd_ff(args) -> int:
-    cfg = load_config(args.config)
-    rng_seed = args.seed if args.seed is not None else cfg.get("rng_seed", DEFAULT_SEED)
-    model, _ = model_from_config(cfg, rng_seed)
+def _state_pair(args, model: ModelFunctions, tol: float) -> tuple:
+    """The (left, right) states that ``--left``/``--right`` name."""
+    return (_load_state_file(args.left, model, tol, args.left_index),
+            _load_state_file(args.right, model, tol, args.right_index))
+
+
+def cmd_ff(args, cfg: dict, rng_seed: int) -> int:
+    model = model_from_config(cfg, rng_seed)
     task = cfg.get("task", {})
-    tol = args.tol if args.tol is not None else float(task.get("tol", 1e-12))
-    left = _load_state_file(args.left, model, tol, args.left_index)
-    right = _load_state_file(args.right, model, tol, args.right_index)
+    left, right = _state_pair(args, model, _task_tol(args, cfg))
     try:
         kinds = [(int(i), int(j)) for i, j in task.get("kinds")]
     except (TypeError, ValueError):
@@ -252,8 +267,9 @@ def cmd_ff(args) -> int:
     return 0
 
 
-def _finish_report(report: Report, args) -> int:
-    payload = report.to_json()
+def cmd_report(args, cfg: dict, rng_seed: int) -> int:
+    """Write the report that ``args.build`` makes; exit 1 if a record fails."""
+    payload = args.build(rng_seed).to_json()
     if args.tol is not None:
         # uniform tolerance override: re-evaluate pass flags
         for rec in payload["records"]:
@@ -270,25 +286,10 @@ def _finish_report(report: Report, args) -> int:
     return 0 if payload["n_failures"] == 0 else 1
 
 
-def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    rng_seed = args.seed if args.seed is not None else cfg.get("rng_seed", DEFAULT_SEED)
-    return _finish_report(build_verify_report(rng_seed), args)
-
-
-def cmd_identities(args) -> int:
-    cfg = load_config(args.config)
-    rng_seed = args.seed if args.seed is not None else cfg.get("rng_seed", DEFAULT_SEED)
-    return _finish_report(build_identities_report(rng_seed), args)
-
-
-def cmd_local_op(args) -> int:
-    cfg = load_config(args.config)
-    rng_seed = args.seed if args.seed is not None else cfg.get("rng_seed", DEFAULT_SEED)
-    model, _ = model_from_config(cfg, rng_seed)
+def cmd_local_op(args, cfg: dict, rng_seed: int) -> int:
+    model = model_from_config(cfg, rng_seed)
     tol = args.tol if args.tol is not None else 1e-12
-    left = _load_state_file(args.left, model, tol, args.left_index)
-    right = _load_state_file(args.right, model, tol, args.right_index)
+    left, right = _state_pair(args, model, tol)
     z = _as_complex([args.z_re, args.z_im], "z-eval")
     m_site = args.site
     alpha, beta = args.alpha, args.beta
@@ -333,53 +334,51 @@ def build_parser() -> argparse.ArgumentParser:
                     "chains, validated against explicit Hilbert-space arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help_text, func, **defaults):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="rng seed override")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p = sub.add_parser("solve", help="find on-shell root configurations")
-    common(p)
-    p.set_defaults(func=cmd_solve)
+    def state_files(p):
+        p.add_argument("--left", required=True, help="left-state roots file")
+        p.add_argument("--right", required=True, help="right-state roots file")
+        p.add_argument("--left-index", type=int, default=0)
+        p.add_argument("--right-index", type=int, default=0)
 
-    p = sub.add_parser("ff", help="tabulate matrix elements over a z-grid")
-    common(p)
-    p.add_argument("--left", required=True, help="left-state roots file")
-    p.add_argument("--right", required=True, help="right-state roots file")
-    p.add_argument("--left-index", type=int, default=0)
-    p.add_argument("--right-index", type=int, default=0)
-    p.set_defaults(func=cmd_ff)
+    command("solve", "find on-shell root configurations", cmd_solve)
 
-    p = sub.add_parser("verify", help="run the oracle verification suite")
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    p = command("ff", "tabulate matrix elements over a z-grid", cmd_ff)
+    p.add_argument("--format", choices=("json", "csv"), default=None,
+                   help="table format (default: config output.format, else csv)")
+    state_files(p)
 
-    p = sub.add_parser("identities", help="run the algebraic identity suite")
-    common(p)
-    p.set_defaults(func=cmd_identities)
+    command("verify", "run the oracle verification suite", cmd_report,
+            build=build_verify_report)
+    command("identities", "run the algebraic identity suite", cmd_report,
+            build=build_identities_report)
 
-    p = sub.add_parser("local-op", help="evaluate the local-operator ratio formula")
-    common(p)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--left-index", type=int, default=0)
-    p.add_argument("--right-index", type=int, default=0)
+    p = command("local-op", "evaluate the local-operator ratio formula",
+                cmd_local_op)
+    state_files(p)
     p.add_argument("--site", type=int, required=True)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--z-re", type=float, required=True)
     p.add_argument("--z-im", type=float, default=0.0)
-    p.set_defaults(func=cmd_local_op)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = load_config(args.config)
+        rng_seed = (args.seed if args.seed is not None
+                    else cfg.get("rng_seed", DEFAULT_SEED))
+        return args.func(args, cfg, rng_seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

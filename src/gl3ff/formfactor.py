@@ -187,16 +187,10 @@ def n_column(asm: FFAssembly, x: complex) -> list:
     return out
 
 
-def n_entry(asm: FFAssembly, row: int, x: complex) -> complex:
-    """Matrix entry for row index ``row`` at column point ``x``."""
-    if row < 0 or row >= asm.n_rows:
-        raise IndexError(f"row {row} out of range")
-    return n_column(asm, x)[row]
-
-
 def n_entry_tau_form(asm: FFAssembly, row: int, x: complex) -> complex:
-    """Cross-check form of the same entry built from the analytic derivative
-    of the eigenvalue tau instead of the explicit t/h expression.
+    """Cross-check form of the entry ``n_column(asm, x)[row]``, built from the
+    analytic derivative of the eigenvalue tau instead of the explicit t/h
+    expression.
 
     The only algebraic preparation is the pairing g/f = 1/h on the right
     u-set, needed for the expression to stay finite at those columns; at
@@ -367,40 +361,18 @@ def form_factor(kind: tuple, left: BetheState, right: BetheState,
     return determinant_element(kind, left, right, z)[0]
 
 
-def ff_offdiag(kind: tuple, left: BetheState, right: BetheState,
-               z: complex) -> complex:
-    """Matrix element of T(i,j) with |i-j| = 1 between two on-shell states."""
-    if kind not in ((1, 2), (3, 2), (2, 3), (2, 1)):
-        raise ValueError(f"not a first-off-diagonal entry: {kind}")
-    return form_factor(kind, left, right, z)
-
-
 def ff_diag(s: int, left: BetheState, right: BetheState, z: complex) -> complex:
     """Matrix element of the diagonal entry T(s,s) between two on-shell
     states of equal sector; dispatches between the generic determinant and
     its regularised same-state limit."""
-    if s not in (1, 2, 3):
-        raise ValueError(f"s must be 1, 2 or 3, got {s}")
     return form_factor((s, s), left, right, z)
-
-
-def ff_13(left: BetheState, right: BetheState, z: complex) -> complex:
-    """Matrix element of T(1,3); left sector must be (a+1, b+1)."""
-    return form_factor((1, 3), left, right, z)
-
-
-def ff_31(left: BetheState, right: BetheState, z: complex) -> complex:
-    """Matrix element of T(3,1), evaluated through the transposition map:
-    same determinant as T(1,3) with the two states exchanged."""
-    return form_factor((3, 1), left, right, z)
 
 
 def norm_squared(state: BetheState) -> complex:
     """Bilinear square of the norm of an untwisted on-shell state:
     prefactor (over the merged root sets, no probe column) times the Gaudin
     determinant."""
-    if not state.twist.is_identity():
-        raise ValueError("norm formula applies to untwisted states")
+    _require_untwisted(state)
     cols = state.u + state.v
     pref = prefactor_H(state.u, state.v, state.u, state.v, cols,
                        state.model.c)

@@ -74,8 +74,8 @@ class Twist:
     def as_tuple(self) -> tuple:
         return (self.k1, self.k2, self.k3)
 
-    def is_identity(self, tol: float = 1e-14) -> bool:
-        return max(abs(self.k1 - 1), abs(self.k2 - 1), abs(self.k3 - 1)) <= tol
+    def is_identity(self) -> bool:
+        return max(abs(self.k1 - 1), abs(self.k2 - 1), abs(self.k3 - 1)) <= 1e-14
 
 
 @dataclass(frozen=True)
@@ -365,6 +365,8 @@ def xxx_chain(L: int, xi: Sequence[complex], c: complex) -> ModelFunctions:
     if len(xi) != L:
         raise ValueError(f"need {L} inhomogeneities, got {len(xi)}")
     c = complex(c)
+    if c == 0:
+        raise ValueError("coupling c must be nonzero")
     tol = pole_tol(c)
 
     def r1(w: complex) -> complex:

@@ -121,13 +121,13 @@ def transfer_matrix(w: complex, spec: SpinChainSpec,
     the block on those indices is returned, computed from the monodromy
     applied to their basis vectors alone; the transfer matrix preserves
     every weight sector, so the block equals the restricted full matrix.
+    Without it the sector is the whole basis.
     """
     if sector is None:
-        blocks = monodromy(w, spec)
-    else:
-        cols = np.zeros((spec.dim, len(sector)), dtype=complex)
-        cols[sector, np.arange(len(sector))] = 1.0
-        blocks = apply_monodromy(w, spec, cols)[:, :, sector]
+        sector = np.arange(spec.dim)
+    cols = np.zeros((spec.dim, len(sector)), dtype=complex)
+    cols[sector, np.arange(len(sector))] = 1.0
+    blocks = apply_monodromy(w, spec, cols)[:, :, sector]
     kappas = twist.as_tuple()
     return sum(kappas[i] * blocks[i, i] for i in range(3))
 
@@ -172,7 +172,7 @@ def _probe_point(rng: np.random.Generator, spec: SpinChainSpec,
 
 
 def eigenvector_for_state(state: BetheState, side: str, spec: SpinChainSpec,
-                          rng: Optional[np.random.Generator] = None) -> np.ndarray:
+                          rng: np.random.Generator) -> np.ndarray:
     """Unit-length sector eigenvector matching the state's eigenvalue.
 
     Inverse iteration with the known eigenvalue as shift, validated at three
@@ -184,8 +184,6 @@ def eigenvector_for_state(state: BetheState, side: str, spec: SpinChainSpec,
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if rng is None:
-        rng = np.random.default_rng(0)
     idx = state_sector(spec, state.a, state.b)
     model = state.model
     avoid = list(spec.xi) + list(state.u) + list(state.v)
@@ -241,14 +239,11 @@ def _entry_value(i: int, j: int, z: complex, vl: np.ndarray, vr: np.ndarray,
 
 def invariant_ratio(kind: tuple, z1: complex, z2: complex,
                     left_state: BetheState, right_state: BetheState,
-                    spec: SpinChainSpec,
-                    rng: Optional[np.random.Generator] = None,
+                    spec: SpinChainSpec, rng: np.random.Generator,
                     kind2: Optional[tuple] = None) -> complex:
     """Ratio of two matrix elements of the same (or an equally sector-shifting)
     entry between the same pair of eigenvectors; invariant under rescaling of
     either eigenvector."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     if kind2 is None:
         kind2 = kind
     vl = eigenvector_for_state(left_state, "left", spec, rng)
@@ -263,13 +258,10 @@ def invariant_ratio(kind: tuple, z1: complex, z2: complex,
 
 def invariant_product(kind: tuple, z1: complex, z2: complex,
                       left_state: BetheState, right_state: BetheState,
-                      spec: SpinChainSpec,
-                      rng: Optional[np.random.Generator] = None) -> complex:
+                      spec: SpinChainSpec, rng: np.random.Generator) -> complex:
     """Product <C|T(i,j)(z1)|B> <B|T(j,i)(z2)|C> / (<B|B> <C|C>) with bilinear
     left eigenvectors; invariant under independent rescaling of all four
     vectors."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     i, j = kind
     vl_c = eigenvector_for_state(left_state, "left", spec, rng)
     vr_c = eigenvector_for_state(left_state, "right", spec, rng)

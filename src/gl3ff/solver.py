@@ -32,6 +32,9 @@ _CREEP_RADIUS = 2.9     # in units of r_max
 _CREEP_RATIO = 0.999    # err_new > _CREEP_RATIO * err counts as no progress
 _CREEP_STEPS = 2
 
+# most composite seeds one sector's pool takes (see _composite_seeds)
+_COMPOSITE_CAP = 120
+
 
 @dataclass
 class SolveRequest:
@@ -46,20 +49,20 @@ class SolveRequest:
     rng_seed: int = 0
 
     def __post_init__(self):
-        _check_sector(self.a, self.b)
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        _check_request(self.a, self.b, self.tol)
         if self.mode_numbers is not None:
             self.mode_numbers = tuple(int(n) for n in self.mode_numbers)
             if len(self.mode_numbers) != self.a + self.b:
                 raise ValueError("mode_numbers must have length a + b")
 
 
-def _check_sector(a: int, b: int) -> None:
+def _check_request(a: int, b: int, tol: float) -> None:
     if a < 0 or b < 0:
         raise ValueError(f"root counts must be non-negative, got ({a}, {b})")
     if a + b < 1:
         raise ValueError("need at least one root to solve for")
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
 
 
 def _sector_size(model: ModelFunctions, a: int, b: int,
@@ -142,9 +145,7 @@ def _newton(model: ModelFunctions, a: int, b: int, twist: Twist,
     """
     offsets = _twist_offsets(a, b, twist)
     pinned = None if modes is None else np.asarray(modes, dtype=int)
-    centroid = 0.0 + 0.0j
-    if model.inhomogeneities:
-        centroid = sum(model.inhomogeneities) / len(model.inhomogeneities)
+    centroid = _centroid(model)
     r_max = 3.0 * _seed_scale(model)
     x = np.asarray(x0, dtype=complex).copy()
     _check_collisions(x, a, model.c)
@@ -192,6 +193,13 @@ def _newton(model: ModelFunctions, a: int, b: int, twist: Twist,
     raise NoConvergence(f"residual {err:.3e} after {max_iter} iterations")
 
 
+def _centroid(model: ModelFunctions) -> complex:
+    """Centre of the seeding and escape disks: the mean inhomogeneity."""
+    if not model.inhomogeneities:
+        return 0.0 + 0.0j
+    return sum(model.inhomogeneities) / len(model.inhomogeneities)
+
+
 def _seed_scale(model: ModelFunctions) -> float:
     xi_max = 0.0
     if model.inhomogeneities:
@@ -212,10 +220,11 @@ def _binding_seed(u1: complex, u2: complex, c: complex):
 
 
 def _composite_seeds(model: ModelFunctions, a: int, b: int,
-                     magnon_roots: Sequence[complex], cap: int = 120) -> list:
-    """Seeds built on single-excitation roots: u-tuples drawn from the pool,
-    v-roots at pair-binding positions.  Captures the composite states that
-    chains with trivial third vacuum ratio carry in higher sectors."""
+                     magnon_roots: Sequence[complex]) -> list:
+    """At most _COMPOSITE_CAP seeds built on single-excitation roots:
+    u-tuples drawn from the pool, v-roots at pair-binding positions.
+    Captures the composite states that chains with trivial third vacuum
+    ratio carry in higher sectors."""
     from itertools import combinations, permutations
     c = model.c
     seeds: list = []
@@ -238,9 +247,9 @@ def _composite_seeds(model: ModelFunctions, a: int, b: int,
                     v.append(cand)
             if len(v) == b:
                 seeds.append(np.array(u + v, dtype=complex))
-        if len(seeds) >= cap:
+        if len(seeds) >= _COMPOSITE_CAP:
             break
-    return seeds[:cap]
+    return seeds[:_COMPOSITE_CAP]
 
 
 def _polynomial_magnon_seeds(model: ModelFunctions) -> list:
@@ -267,9 +276,7 @@ def _seed_pool(model: ModelFunctions, a: int, b: int, n_random: int,
     single-excitation seeds for chains, and (when a pool of single-excitation
     roots is supplied) composite patterns."""
     c = model.c
-    centroid = 0.0 + 0.0j
-    if model.inhomogeneities:
-        centroid = sum(model.inhomogeneities) / len(model.inhomogeneities)
+    centroid = _centroid(model)
     seeds = []
     if a == 1 and b == 0:
         seeds.extend(_polynomial_magnon_seeds(model))
@@ -383,7 +390,7 @@ def distinct_states(model: ModelFunctions, a: int, b: int,
     Results are memoized while the model object lives: a repeated call with
     the same model and arguments solves nothing and returns a new list.
     """
-    _check_sector(a, b)
+    _check_request(a, b, tol)
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     per_model = _SOLVED.setdefault(model, {})
@@ -429,9 +436,10 @@ def _solve_sector(model: ModelFunctions, a: int, b: int, twist: Twist,
     return tuple(found)
 
 
-def continue_in_twist(state: BetheState, target: Twist, steps: int = 8,
-                      tol: float = 1e-12) -> BetheState:
-    """Follow a state along a straight twist segment with Newton polish.
+def continue_in_twist(state: BetheState, target: Twist,
+                      steps: int) -> BetheState:
+    """Follow a state along a straight twist segment in ``steps`` equal
+    steps, each polished by Newton to residual 1e-12.
 
     Mode numbers are preserved by continuity (small steps keep the branch);
     root coincidences at intermediate twists raise PathCollision.
@@ -451,7 +459,7 @@ def continue_in_twist(state: BetheState, target: Twist, steps: int = 8,
                    k2=src.k2 + lam * (target.k2 - src.k2),
                    k3=src.k3 + lam * (target.k3 - src.k3))
         try:
-            x, modes, err = _newton(model, a, b, tw, x, tol, 60)
+            x, modes, err = _newton(model, a, b, tw, x, 1e-12, 60)
         except CollisionError as exc:
             raise PathCollision(f"collision at twist step {step}/{steps}: {exc}")
     return BetheState(RootConfig(tuple(x[:a]), tuple(x[a:])), target, modes,

@@ -67,6 +67,28 @@ def test_solve_negative_sector_exits_3(tmp_path):
     assert run(["solve", "--config", cfg]) == 3
 
 
+@pytest.mark.parametrize("model, sector, task", [
+    ({"L": 0}, {}, {}),
+    ({}, {"twist": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]}, {}),
+    ({}, {"n_seeds": "x"}, {}),
+    ({}, {"n_seeds": 0}, {}),
+    ({"xi": "seeded", "xi_radius": "big"}, {}, {}),
+    ({}, {"mode_numbers": [0, 1]}, {}),
+    ({}, {}, {"tol": -1}),
+    ({"c": 0}, {}, {}),
+], ids=["L0", "zero_twist", "n_seeds_x", "n_seeds_0", "xi_radius_big",
+        "mode_numbers_length", "negative_tol", "c0"])
+def test_solve_malformed_config_exits_3(tmp_path, model, sector, task):
+    # values that the library's constructors and argument checks reject are
+    # config errors, not tracebacks, "no states" or a spurious solution
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "model": {"L": 2, "xi": "homogeneous", **model},
+        "sector": {"a": 1, "b": 0, **sector},
+        "task": task,
+    })
+    assert run(["solve", "--config", cfg]) == 3
+
+
 def test_solve_unsolvable_sector_exits_2(tmp_path):
     # untwisted (1,1) has no finite roots
     cfg = write_cfg(tmp_path, "cfg.json", {
@@ -177,6 +199,14 @@ def test_ff_bad_task_exits_3(tmp_path, task):
     roots = tmp_path / "vac.json"
     assert run(["solve", "--config", cfg, "--out", roots]) == 0
     assert run(["ff", "--config", cfg, "--left", roots, "--right", roots]) == 3
+
+
+def test_format_is_a_flag_of_ff_only(capsys):
+    # only ff writes a table; the other commands write JSON and take no --format
+    for command in ("solve", "verify", "identities"):
+        with pytest.raises(SystemExit):
+            run([command, "--format", "csv"])
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 def test_ff_deterministic_reruns(tmp_path):

@@ -42,7 +42,8 @@ def test_overflow_raises_nonfinite_result():
     model = xxx_chain(80, pts(80), 1.0)
     right = make_state(model, pts(16), pts(16))
     z = 0.4 + 0.3j
-    # one kind per determinant route: ff_offdiag, ff_diag, ff_13, ff_31
+    # one kind per determinant route: first off-diagonal, diagonal, (1,3)
+    # and (3,1)
     for kind in ((1, 2), (2, 2), (1, 3), (3, 1)):
         a, b = ff.sector_shift(kind, right.a, right.b)
         left = make_state(model, pts(a), pts(b))
@@ -101,12 +102,12 @@ def test_n_entry_term_structure(state_lib):
     vj = right.v[0]
     term2 = (t(vj, x, c) * h_prod(right.v, x, c)
              / h_prod(left.v, x, c))
-    assert abs(ff.n_entry(asm, row, x) - term2) <= 1e-12 * abs(term2)
+    assert abs(ff.n_column(asm, x)[row] - term2) <= 1e-12 * abs(term2)
     # at a column equal to a left v-root the r1 part of a u-row is killed
     x = left.v[0]
     uj = left.u[0]
     term2 = (t(x, uj, c) * h_prod(x, left.u, c) / h_prod(x, right.u, c))
-    assert abs(ff.n_entry(asm, 0, x) - term2) <= 1e-12 * abs(term2)
+    assert abs(ff.n_column(asm, x)[0] - term2) <= 1e-12 * abs(term2)
 
 
 def test_n_matrix_builds_column_products_once(monkeypatch, state_lib):
@@ -136,7 +137,7 @@ def test_n_entry_matches_tau_form(state_lib):
         for x in probes:
             if r >= len(asm.u_left) and any(abs(x - ub) < 1e-9 for ub in right.u):
                 continue  # derivative form is 0 * inf at those points
-            e1 = ff.n_entry(asm, r, x)
+            e1 = ff.n_column(asm, x)[r]
             e2 = ff.n_entry_tau_form(asm, r, x)
             assert abs(e1 - e2) <= 1e-10 * max(abs(e1), 1e-30)
 
@@ -228,9 +229,9 @@ def test_offdiag_against_rank1_reference(state_lib):
     b10 = max(state_lib[4]["m10"],
               key=lambda s: min(abs(s.u[0] - r) for r in c20.u))
     z = 0.8 - 0.7j
-    v12 = ff.ff_offdiag((1, 2), c20, b10, z)
+    v12 = ff.form_factor((1, 2), c20, b10, z)
     assert abs(ff.gl2_ff((1, 2), c20.u, b10.u, z, model) - v12) <= 1e-12 * abs(v12)
-    v21 = ff.ff_offdiag((2, 1), b10, c20, z)
+    v21 = ff.form_factor((2, 1), b10, c20, z)
     assert abs(ff.gl2_ff((2, 1), b10.u, c20.u, z, model) - v21) <= 1e-12 * abs(v21)
 
 
@@ -249,13 +250,13 @@ def test_transposition_pairs(state_lib):
     c21 = state_lib[4]["m21"][0]
     b20 = state_lib[4]["m20"][0]
     z = 0.66 + 0.59j
-    v1 = ff.ff_offdiag((2, 3), c21, b20, z)
-    v2 = ff.ff_offdiag((3, 2), b20, c21, z)
+    v1 = ff.form_factor((2, 3), c21, b20, z)
+    v2 = ff.form_factor((3, 2), b20, c21, z)
     assert abs(v1 - v2) <= 1e-12 * abs(v1)
     vac = vacuum_state(model)
     b10 = state_lib[4]["m10"][0]
-    v1 = ff.ff_offdiag((1, 2), b10, vac, z)
-    v2 = ff.ff_offdiag((2, 1), vac, b10, z)
+    v1 = ff.form_factor((1, 2), b10, vac, z)
+    v2 = ff.form_factor((2, 1), vac, b10, z)
     assert abs(v1 - v2) <= 1e-12 * abs(v1)
 
 
@@ -269,8 +270,8 @@ def test_reflection_map(state_lib):
         return make_state(mm, tuple(-x for x in st.v), tuple(-x for x in st.u))
 
     z = 0.66 + 0.59j
-    lhs = ff.ff_offdiag((2, 3), c21, b20, z)
-    rhs = ff.ff_offdiag((1, 2), mirrored(c21), mirrored(b20), -z)
+    lhs = ff.form_factor((2, 3), c21, b20, z)
+    rhs = ff.form_factor((1, 2), mirrored(c21), mirrored(b20), -z)
     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
 
@@ -278,13 +279,11 @@ def test_offdiag_sector_checks(state_lib):
     b10 = state_lib[3]["m10"][0]
     vac = vacuum_state(state_lib[3]["model"])
     with pytest.raises(SectorMismatch):
-        ff.ff_offdiag((1, 2), vac, b10, 0.5)  # wrong direction
-    with pytest.raises(ValueError):
-        ff.ff_offdiag((1, 3), b10, vac, 0.5)  # not first-off-diagonal
+        ff.form_factor((1, 2), vac, b10, 0.5)  # wrong direction
     twisted = make_state(state_lib[3]["model"], b10.u, (),
                          twist=Twist(1.1, 1.0, 1.0))
     with pytest.raises(ValueError):
-        ff.ff_offdiag((2, 1), vac, twisted, 0.5)
+        ff.form_factor((2, 1), vac, twisted, 0.5)
 
 
 def test_ff13_shape_and_sector(state_lib):
@@ -294,13 +293,13 @@ def test_ff13_shape_and_sector(state_lib):
     asm = ff.assemble(c31, b20, z)
     mat = np.vstack([ff.n_matrix(asm), ff.y_row_13(asm)])
     assert mat.shape == (4, 4)  # a + b + 2 with right sector (2, 0)
-    val = ff.ff_13(c31, b20, z)
+    val = ff.form_factor((1, 3), c31, b20, z)
     assert np.isfinite(val.real) and np.isfinite(val.imag) and val != 0
     # transposition identity is exact by construction
-    assert ff.ff_31(b20, c31, z) == ff.ff_13(c31, b20, z)
+    assert ff.form_factor((3, 1), b20, c31, z) == val
     vac = vacuum_state(model)
     with pytest.raises(SectorMismatch):
-        ff.ff_31(vac, vac, z)  # a' = -1 is not a sector
+        ff.form_factor((3, 1), vac, vac, z)  # a' = -1 is not a sector
 
 
 def test_ff13_vacuum_right_shape():

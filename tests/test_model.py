@@ -25,6 +25,12 @@ def test_xxx_chain_pole_guard():
         m.dlog_r1(-0.2)
 
 
+def test_xxx_chain_rejects_zero_coupling():
+    # every rational kernel term divides by c or vanishes with it
+    with pytest.raises(ValueError, match="nonzero"):
+        xxx_chain(2, (0.1, -0.2), 0.0)
+
+
 def test_r1_matches_oracle_vacuum(chain2):
     spec, model = chain2
     w = 0.7 - 0.45j

@@ -117,6 +117,15 @@ def test_solve_request_validation():
         SolveRequest(model=model, a=2, b=0, mode_numbers=(0,))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_distinct_states_rejects_nonpositive_tol(tol):
+    # as SolveRequest does: no residual is ever <= a non-positive tolerance,
+    # so such a call would run every seed to find nothing
+    model = xxx_chain(2, (0.0, 0.0), 1.0)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        distinct_states(model, 1, 0, tol=tol)
+
+
 @pytest.mark.parametrize("a, b, match", [
     (0, 0, "at least one root"), (-1, 0, "non-negative"),
     (0, -1, "non-negative"), (-1, 2, "non-negative")])
