@@ -153,11 +153,19 @@ def _write_output(payload, path: Optional[str], fmt: str) -> None:
 # ---------------------------------------------------------------------------
 # commands: each takes the parsed arguments, the config and the rng seed
 
+def _section(cfg: dict, key: str) -> dict:
+    """The optional ``key`` object of the config, empty when absent."""
+    node = cfg.get(key, {})
+    if not isinstance(node, dict):
+        raise ConfigError(f"config '{key}' must be an object")
+    return node
+
+
 def _task_tol(args, cfg: dict) -> float:
     if args.tol is not None:
         return args.tol
     with _config_values("task.tol"):
-        return float(cfg.get("task", {}).get("tol", 1e-12))
+        return float(_section(cfg, "task").get("tol", 1e-12))
 
 
 def cmd_solve(args, cfg: dict, rng_seed: int) -> int:
@@ -213,7 +221,7 @@ def _load_state_file(path: str, model: ModelFunctions, tol: float,
             blob = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read roots file {path}: {exc}")
-    states = blob.get("states")
+    states = blob.get("states") if isinstance(blob, dict) else None
     if not isinstance(states, list) or not states:
         raise ConfigError(f"roots file {path} has no states")
     if not 0 <= index < len(states):
@@ -229,7 +237,7 @@ def _state_pair(args, model: ModelFunctions, tol: float) -> tuple:
 
 def cmd_ff(args, cfg: dict, rng_seed: int) -> int:
     model = model_from_config(cfg, rng_seed)
-    task = cfg.get("task", {})
+    task = _section(cfg, "task")
     left, right = _state_pair(args, model, _task_tol(args, cfg))
     try:
         kinds = [(int(i), int(j)) for i, j in task.get("kinds")]
@@ -255,7 +263,7 @@ def cmd_ff(args, cfg: dict, rng_seed: int) -> int:
                 row.update({"f_re": "", "f_im": "", "branch": "",
                             "lu_cond": "", "error": f"{type(exc).__name__}: {exc}"})
             rows.append(row)
-    fmt = args.format or cfg.get("output", {}).get("format", "csv")
+    fmt = args.format or _section(cfg, "output").get("format", "csv")
     if fmt == "json":
         _write_output({"rows": rows}, args.out, "json")
     else:

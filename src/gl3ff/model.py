@@ -346,12 +346,9 @@ def gaudin_matrix(roots: RootConfig, model: ModelFunctions) -> np.ndarray:
 def gaudin_jacobian(roots: RootConfig, model: ModelFunctions) -> np.ndarray:
     """Jacobian of the logarithmic Bethe system in the roots, u then v:
     the Gaudin matrix with columns :a divided by -c and a: by +c."""
-    m = gaudin_matrix(roots, model)
-    a = roots.a
-    jac = np.empty_like(m)
-    jac[:, :a] = m[:, :a] / (-model.c)
-    jac[:, a:] = m[:, a:] / model.c
-    return jac
+    c = model.c
+    return gaudin_matrix(roots, model) / np.array([-c] * roots.a
+                                                  + [c] * roots.b)
 
 
 def xxx_chain(L: int, xi: Sequence[complex], c: complex) -> ModelFunctions:

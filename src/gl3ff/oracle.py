@@ -105,13 +105,6 @@ def monodromy(w: complex, spec: SpinChainSpec) -> np.ndarray:
     return apply_monodromy(w, spec, np.eye(spec.dim, dtype=complex))
 
 
-def monodromy_entry(i: int, j: int, w: complex, spec: SpinChainSpec) -> np.ndarray:
-    """The (i, j) auxiliary-space block (1-based colour indices)."""
-    if not (1 <= i <= 3 and 1 <= j <= 3):
-        raise ValueError("colour indices must be in {1, 2, 3}")
-    return monodromy(w, spec)[i - 1, j - 1]
-
-
 def transfer_matrix(w: complex, spec: SpinChainSpec,
                     twist: Twist = Twist.identity(),
                     sector: Optional[np.ndarray] = None) -> np.ndarray:

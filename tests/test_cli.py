@@ -201,6 +201,23 @@ def test_ff_bad_task_exits_3(tmp_path, task):
     assert run(["ff", "--config", cfg, "--left", roots, "--right", roots]) == 3
 
 
+def test_ff_malformed_inputs_exit_3(tmp_path):
+    # a roots file or a task whose JSON is no object is a config error
+    model = {"L": 2, "xi": [[0.05, 0.0], [-0.03, 0.0]]}
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "model": model, "sector": {"a": 0, "b": 0},
+        "task": {"kinds": [[2, 2]], "z_points": [[0.6, 0.4]]},
+    })
+    roots = tmp_path / "vac.json"
+    assert run(["solve", "--config", cfg, "--out", roots]) == 0
+    assert run(["ff", "--config", cfg, "--left", roots, "--right", roots]) == 0
+    listed = write_cfg(tmp_path, "list.json", [])
+    assert run(["ff", "--config", cfg, "--left", listed, "--right", roots]) == 3
+    bad_task = write_cfg(tmp_path, "bad.json", {"model": model, "task": [1]})
+    assert run(["ff", "--config", bad_task, "--left", roots,
+                "--right", roots]) == 3
+
+
 def test_format_is_a_flag_of_ff_only(capsys):
     # only ff writes a table; the other commands write JSON and take no --format
     for command in ("solve", "verify", "identities"):

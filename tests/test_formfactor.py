@@ -363,7 +363,7 @@ def test_norm_squared_oracle_ratio(state_lib, rng):
     vl = orc.eigenvector_for_state(st, "left", spec, rng)
     vr = orc.eigenvector_for_state(st, "right", spec, rng)
     for s in (1, 2, 3):
-        oracle = complex(vl @ orc.monodromy_entry(s, s, z, spec) @ vr)
+        oracle = complex(vl @ orc.monodromy(z, spec)[s - 1, s - 1] @ vr)
         oracle /= complex(vl @ vr)
         det_side = ff.ff_diag(s, st, st, z) / ff.norm_squared(st)
         assert abs(det_side - oracle) <= 1e-8 * abs(oracle)

@@ -47,13 +47,14 @@ def test_vacuum_action(chain2):
     vac = np.zeros(spec.dim, dtype=complex)
     vac[0] = 1.0
     lam = [model.r1(w), 1.0, 1.0]
+    mono = orc.monodromy(w, spec)
     for i in range(3):
-        col = orc.monodromy_entry(i + 1, i + 1, w, spec) @ vac
+        col = mono[i, i] @ vac
         assert np.max(np.abs(col - lam[i] * vac)) < 1e-12 * abs(lam[i])
     for i in range(1, 4):
         for j in range(1, 4):
             if i > j:
-                assert np.max(np.abs(orc.monodromy_entry(i, j, w, spec) @ vac)) < 1e-14
+                assert np.max(np.abs(mono[i - 1, j - 1] @ vac)) < 1e-14
 
 
 def test_rtt_exchange(chain2):
@@ -82,11 +83,12 @@ def test_weight_shift_structure(chain3):
     occ = np.array([[int(np.base_repr(idx, 3).zfill(spec.L)[k]) for k in range(spec.L)]
                     for idx in range(spec.dim)])
     counts = np.stack([(occ == s).sum(axis=1) for s in range(3)], axis=1)
+    mono = orc.monodromy(w, spec)
     for i in range(1, 4):
         for j in range(1, 4):
             if i == j:
                 continue
-            block = orc.monodromy_entry(i, j, w, spec)
+            block = mono[i - 1, j - 1]
             rows, cols = np.nonzero(np.abs(block) > 1e-12)
             for r, c_ in zip(rows, cols):
                 src = counts[c_].copy()
@@ -179,7 +181,7 @@ def test_invariant_product_same_state_reduces(state_lib, rng):
     got = orc.invariant_product((2, 2), z, z, st, st, spec, rng)
     vl = orc.eigenvector_for_state(st, "left", spec, rng)
     vr = orc.eigenvector_for_state(st, "right", spec, rng)
-    expect = (complex(vl @ orc.monodromy_entry(2, 2, z, spec) @ vr)
+    expect = (complex(vl @ orc.monodromy(z, spec)[1, 1] @ vr)
               / complex(vl @ vr)) ** 2
     assert abs(got - expect) <= 1e-10 * abs(expect)
 
@@ -254,9 +256,10 @@ def test_apply_monodromy_matvec_matches_dense():
     vr = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
     z = -0.42 + 0.73j
     assert orc.apply_monodromy(z, spec, vr).shape == (3, 3, spec.dim)
+    mono = orc.monodromy(z, spec)
     for i in range(1, 4):
         for j in range(1, 4):
-            expect = complex(vl @ orc.monodromy_entry(i, j, z, spec) @ vr)
+            expect = complex(vl @ mono[i - 1, j - 1] @ vr)
             got = orc._entry_value(i, j, z, vl, vr, spec)
             assert abs(got - expect) <= 1e-12 * np.linalg.norm(vl) * np.linalg.norm(vr)
     with pytest.raises(ValueError):
@@ -272,7 +275,6 @@ def test_pole_guard_on_every_entry_point(state_lib, rng):
         calls = [
             lambda: orc.apply_monodromy(xi_k, spec, vec),
             lambda: orc.monodromy(xi_k, spec),
-            lambda: orc.monodromy_entry(1, 2, xi_k, spec),
             lambda: orc.transfer_matrix(xi_k, spec),
             lambda: orc.transfer_matrix(xi_k, spec, Twist.identity(), idx),
             lambda: orc._entry_value(2, 2, xi_k, vec, vec, spec),

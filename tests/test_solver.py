@@ -333,14 +333,29 @@ def test_newton_stops_creeping_at_escape_disk(monkeypatch):
     model = _chain().model()
     x0 = _pool_seed(model, 1, 0, 24, 0, 30)
     steps = _count_calls(monkeypatch, solver, "_jacobian")
-    with pytest.raises(NoConvergence, match="creeping at escape disk"):
+    with pytest.raises(NoConvergence, match="Newton creeping"):
         solver._newton(model, 1, 0, Twist(), x0, 1e-12, 60)
     assert steps[0] <= 10
 
 
+def test_newton_stops_creeping_inside_escape_disk(monkeypatch):
+    # a seed of the library's L=5 (3,1) pool: two u-roots merge well inside
+    # the disk and the residual sits at 1.1e-6, which the iteration cap
+    # alone would let run for 60 steps
+    model = _chain(5).model()
+    magnons = [st.u[0] for st in distinct_states(model, 1, 0, n_seeds=24,
+                                                 rng_seed=8)]
+    rng = np.random.default_rng(7)
+    x0 = solver._seed_pool(model, 3, 1, 48, rng, magnons)[0]
+    steps = _count_calls(monkeypatch, solver, "_jacobian")
+    with pytest.raises(NoConvergence, match="Newton creeping"):
+        solver._newton(model, 3, 1, Twist(), x0, 1e-12, 60)
+    assert steps[0] <= 20
+
+
 def test_newton_returns_from_creep_zone(monkeypatch):
     # a seed of the verify suite's twisted L=3 (1,1) pool: three iterates lie
-    # beyond the creep radius, each step cutting the residual by 3 % or more,
+    # beyond 2.9 r_max, each step cutting the residual by 3 % or more,
     # and the run comes back to converge
     model = _chain().model()
     twist = Twist(0.9 + 0.1j, 1.0, 1.2 - 0.2j)
@@ -356,7 +371,7 @@ def test_newton_returns_from_creep_zone(monkeypatch):
 
     monkeypatch.setattr(solver, "_jacobian", recorded)
     x, modes, err = solver._newton(model, 1, 1, twist, x0, 1e-12, 60)
-    assert sum(r > solver._CREEP_RADIUS for r in reach) == 3
+    assert sum(r > 2.9 for r in reach) == 3
     expect = [4.799331359210748 + 4.979255055986534j,
               7.299331359210748 + 7.479255055986535j]
     assert np.max(np.abs(x - expect)) < 1e-12
