@@ -321,11 +321,13 @@ def check_offdiagonal(report: Report, lib: dict,
         with _errors_recorded_as(report, name):
             avoid = _avoid_set(model, left, right)
             pts = _probe_points(rng, 10, avoid, model.c)
+            vl = orc.eigenvector_for_state(left, "left", spec, rng)
+            vr = orc.eigenvector_for_state(right, "right", spec, rng)
             worst = 0.0
             for (z1, z2) in zip(pts[:5], pts[5:]):
                 det_r = (ff.form_factor(kind, left, right, z1)
                          / ff.form_factor(kind, left, right, z2))
-                orc_r = orc.invariant_ratio(kind, z1, z2, left, right, spec, rng)
+                orc_r = orc.element_ratio(kind, z1, z2, vl, vr, spec)
                 worst = max(worst, abs(det_r - orc_r) / abs(orc_r))
             report.add(name, worst, 1e-8,
                        inputs=[state_to_json(left), state_to_json(right)])

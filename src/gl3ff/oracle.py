@@ -7,7 +7,10 @@ O(9 L 3^L) per vector.  On top of it sit the dense entries (for structural
 checks), the (twisted) transfer matrix restricted to one weight sector
 (built from that sector's basis vectors alone), eigenvector extraction by
 inverse iteration at a known eigenvalue, and normalization-invariant
-comparators that need one matrix-vector product per matrix element."""
+comparators that need one matrix-vector product per matrix element.
+``element_ratio`` takes two eigenvectors the caller has extracted, so a
+caller comparing many probe pairs extracts them once; ``invariant_ratio``
+and ``invariant_product`` extract their own."""
 
 from __future__ import annotations
 
@@ -230,23 +233,26 @@ def _entry_value(i: int, j: int, z: complex, vl: np.ndarray, vr: np.ndarray,
     return complex(vl @ apply_monodromy(z, spec, vr)[i - 1, j - 1])
 
 
-def invariant_ratio(kind: tuple, z1: complex, z2: complex,
-                    left_state: BetheState, right_state: BetheState,
-                    spec: SpinChainSpec, rng: np.random.Generator,
-                    kind2: Optional[tuple] = None) -> complex:
-    """Ratio of two matrix elements of the same (or an equally sector-shifting)
-    entry between the same pair of eigenvectors; invariant under rescaling of
-    either eigenvector."""
-    if kind2 is None:
-        kind2 = kind
-    vl = eigenvector_for_state(left_state, "left", spec, rng)
-    vr = eigenvector_for_state(right_state, "right", spec, rng)
+def element_ratio(kind: tuple, z1: complex, z2: complex, vl: np.ndarray,
+                  vr: np.ndarray, spec: SpinChainSpec) -> complex:
+    """``<vl|T(i,j)(z1)|vr> / <vl|T(i,j)(z2)|vr>`` for already extracted
+    eigenvectors; invariant under rescaling of either vector."""
     num = _entry_value(kind[0], kind[1], z1, vl, vr, spec)
-    den = _entry_value(kind2[0], kind2[1], z2, vl, vr, spec)
+    den = _entry_value(kind[0], kind[1], z2, vl, vr, spec)
     floor = 1e-12 * max(1.0, abs(num))
     if abs(den) <= floor:
         raise ZeroDenominator(f"denominator element {den} too small")
     return num / den
+
+
+def invariant_ratio(kind: tuple, z1: complex, z2: complex,
+                    left_state: BetheState, right_state: BetheState,
+                    spec: SpinChainSpec, rng: np.random.Generator) -> complex:
+    """``element_ratio`` between the two states' eigenvectors, extracted
+    here."""
+    vl = eigenvector_for_state(left_state, "left", spec, rng)
+    vr = eigenvector_for_state(right_state, "right", spec, rng)
+    return element_ratio(kind, z1, z2, vl, vr, spec)
 
 
 def invariant_product(kind: tuple, z1: complex, z2: complex,

@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 
+import gl3ff.oracle as orc
 from gl3ff import checks
 from conftest import RNG_SEED
 
@@ -73,6 +74,24 @@ def test_criterion_2_onshell_pipeline(state_lib):
 
 def test_criterion_3_offdiagonal_ratios(state_lib):
     run_criterion(3, state_lib)
+
+
+def test_offdiagonal_extracts_each_eigenvector_once(state_lib, monkeypatch):
+    # one left and one right vector per ratio case, shared by its z-pairs
+    extracted = []
+    extract = orc.eigenvector_for_state
+
+    def counted(state, side, spec, rng):
+        extracted.append(side)
+        return extract(state, side, spec, rng)
+
+    monkeypatch.setattr(orc, "eigenvector_for_state", counted)
+    report = checks.Report("criterion 3, extractions", RNG_SEED)
+    checks.check_offdiagonal(report, state_lib,
+                             np.random.default_rng(RNG_SEED))
+    n_cases = len(checks._ratio_cases(state_lib))
+    assert n_cases >= 2
+    assert extracted == ["left", "right"] * n_cases
 
 
 def test_criterion_4_products(state_lib):

@@ -262,7 +262,7 @@ def lib_seed7(monkeypatch, state_lib):
 PINNED_BUILD = ((3, 11), (2, 4))
 REPORT_SHA256 = {
     "verification":
-        "88f839ae51a984dd691b16986e9f0b8d379e10f2032ec1b37ecd084a3acb23d5",
+        "4fa290839b8b9fc35e349daeb9fc920218116b10e6edde73f6c8cdbb68b195b3",
     "identities":
         "6ed4f9568cd899f576bfc239ae4a75affd8839788b4a435b2e93882a8723187e",
 }
@@ -291,6 +291,13 @@ def test_verify_default_config_passes(tmp_path, lib_seed7):
     for rec in blob["records"]:
         assert "inputs_digest" in rec
     assert_report_bytes_pinned(out)
+
+
+def test_verify_reruns_are_byte_identical(tmp_path):
+    r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    assert run(["verify", "--seed", 7, "--out", r1]) == 0
+    assert run(["verify", "--seed", 7, "--out", r2]) == 0
+    assert r1.read_bytes() == r2.read_bytes()
 
 
 def test_identities_report_and_determinism(tmp_path):

@@ -169,9 +169,23 @@ def test_invariant_ratio_trivial_and_diag(state_lib, rng):
     z = 0.9 + 0.6j
     assert abs(orc.invariant_ratio((1, 1), z, z, a, b, spec, rng) - 1.0) < 1e-12
     # mixed diagonal kinds share the sector shift
-    val = orc.invariant_ratio((1, 1), z, 0.4 - 0.3j, a, b, spec, rng,
-                              kind2=(2, 2))
+    vl = orc.eigenvector_for_state(a, "left", spec, rng)
+    vr = orc.eigenvector_for_state(b, "right", spec, rng)
+    val = (complex(vl @ orc.apply_monodromy(z, spec, vr)[0, 0])
+           / complex(vl @ orc.apply_monodromy(0.4 - 0.3j, spec, vr)[1, 1]))
     assert np.isfinite(val.real) and val != 0
+
+
+def test_invariant_ratio_is_element_ratio_of_its_vectors(state_lib):
+    spec = state_lib[3]["spec"]
+    a, b = state_lib[3]["m10"][0], state_lib[3]["m10"][1]
+    z1, z2 = 0.9 + 0.6j, 0.4 - 0.3j
+    rng = np.random.default_rng(11)
+    vl = orc.eigenvector_for_state(a, "left", spec, rng)
+    vr = orc.eigenvector_for_state(b, "right", spec, rng)
+    got = orc.invariant_ratio((1, 1), z1, z2, a, b, spec,
+                              np.random.default_rng(11))
+    assert got == orc.element_ratio((1, 1), z1, z2, vl, vr, spec)
 
 
 def test_invariant_product_same_state_reduces(state_lib, rng):
@@ -193,6 +207,15 @@ def test_zero_denominator_detected(state_lib, rng):
     with pytest.raises(ZeroDenominator):
         # annihilation entry on the vacuum is exactly zero
         orc.invariant_ratio((2, 1), 0.9 + 0.6j, 0.4 - 0.3j, st, vac, spec, rng)
+
+
+def test_element_ratio_zero_denominator_from_vectors(state_lib, rng):
+    spec, model = state_lib[2]["spec"], state_lib[2]["model"]
+    st = state_lib[2]["m10"][0]
+    vl = orc.eigenvector_for_state(st, "left", spec, rng)
+    vr = orc.eigenvector_for_state(vacuum_state(model), "right", spec, rng)
+    with pytest.raises(ZeroDenominator):
+        orc.element_ratio((2, 1), 0.9 + 0.6j, 0.4 - 0.3j, vl, vr, spec)
 
 
 def _kron_monodromy(w, spec):
