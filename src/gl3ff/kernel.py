@@ -63,6 +63,10 @@ def _t(x: complex, y: complex, c: complex, tol: float) -> complex:
     return c * c / (d * (d + c))
 
 
+# The reciprocals 1/f = (x - y)/(x - y + c), 1/h = c/(x - y + c) and
+# 1/g = (x - y)/c.  1/f is finite (zero) where f has a pole, so it is the
+# safe way to divide by an f-product whose arguments may coincide; 1/f and
+# 1/h raise only at x - y = -c, and 1/g is entire.
 def _inv_f(x: complex, y: complex, c: complex, tol: float) -> complex:
     d = x - y
     if abs(d + c) <= tol:
@@ -99,26 +103,6 @@ def h(x: complex, y: complex, c: complex) -> complex:
 def t(x: complex, y: complex, c: complex) -> complex:
     """t(x, y) = c**2 / ((x - y) * (x - y + c))."""
     return _t(x, y, c, pole_tol(c))
-
-
-def inv_f(x: complex, y: complex, c: complex) -> complex:
-    """1/f(x, y) = (x - y) / (x - y + c).
-
-    Finite (zero) where f itself has a pole, so it is the safe way to divide
-    by an f-product whose arguments may coincide.  Raises only at the genuine
-    pole x - y = -c.
-    """
-    return _inv_f(x, y, c, pole_tol(c))
-
-
-def inv_h(x: complex, y: complex, c: complex) -> complex:
-    """1/h(x, y) = c / (x - y + c); raises where h vanishes."""
-    return _inv_h(x, y, c, pole_tol(c))
-
-
-def inv_g(x: complex, y: complex, c: complex) -> complex:
-    """1/g(x, y) = (x - y) / c; entire, vanishes at coincidences."""
-    return _inv_g(x, y, c, 0.0)
 
 
 def _as_tuple(v: SetOrScalar) -> tuple:

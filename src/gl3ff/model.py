@@ -133,28 +133,23 @@ def assert_regular(roots: RootConfig, c: complex) -> None:
     check_distinct(roots.u + roots.v, c, "roots (u then v)")
 
 
-def tau(w: complex, roots: RootConfig, model: ModelFunctions,
-        allow_root_limit: bool = False) -> complex:
+def tau(w: complex, roots: RootConfig, model: ModelFunctions) -> complex:
     """Transfer-matrix eigenvalue at the identity twist (see ``tau_twisted``)."""
-    return tau_twisted(w, roots, Twist.identity(), model, allow_root_limit)
+    return tau_twisted(w, roots, Twist.identity(), model)
 
 
 def tau_twisted(w: complex, roots: RootConfig, twist: Twist,
-                model: ModelFunctions, allow_root_limit: bool = False) -> complex:
+                model: ModelFunctions) -> complex:
     """Eigenvalue of the transfer matrix twisted by (k1, k2, k3)
 
         tau(w) = k1 r1(w) f(u, w) + k2 f(w, u) f(v, w) + k3 r3(w) f(w, v)
 
-    with the shorthand product convention over the root sets.  At a root the
-    value is a pole unless the state is on shell; ``allow_root_limit``
-    replaces the direct evaluation by a symmetric two-point limit there.
+    with the shorthand product convention over the root sets.  At a root
+    each term has a pole, which cancels in the sum only on shell; the
+    direct evaluation raises ``PoleError`` there.
     """
     if collision(w, roots.u + roots.v, model.c) is not None:
-        if not allow_root_limit:
-            raise PoleError(f"tau probe point {w} collides with a root")
-        eps = 1e-5 * max(1.0, abs(model.c))
-        return 0.5 * (tau_twisted(w + eps, roots, twist, model)
-                      + tau_twisted(w - eps, roots, twist, model))
+        raise PoleError(f"tau probe point {w} collides with a root")
     u, v, c = roots.u, roots.v, model.c
     return (twist.k1 * model.r1(w) * f_prod(u, w, c)
             + twist.k2 * f_prod(w, u, c) * f_prod(v, w, c)

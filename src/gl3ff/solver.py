@@ -23,13 +23,27 @@ TWO_PI = 2.0 * math.pi
 # step factors of the Newton line search, tried from the full step down
 _HALVINGS = 0.5 ** np.arange(31)
 
-# A run creeps when its accepted steps barely lower the residual, wherever
-# they land: along the escape disk, or inside it where two roots merge.
-# _CREEP_STEPS such steps in a row end it.  Over the verify and identities
-# suites at seeds 0-15, no accepted step of a converged run lowers the
-# residual by a ratio above 0.99.
+# A Newton run ends in one of five ways (see _newton): converged, stalled
+# (no step halving lowers the residual), creeping, escaped or singular.
+# Escaped needs no constant: its radius is r_max, and over every run of the
+# verify and identities suites at seeds 0-39 no converged identity-twist
+# chain run goes beyond 0.11 r_max.  The constants below set the other two.
+#
+# Creeping: accepted steps barely lower the residual, wherever they land:
+# along the escape disk, or inside it on a plateau.  _CREEP_STEPS such steps
+# in a row end the run.  Over the verify and identities suites at seeds
+# 0-15, no accepted step of a converged run lowers the residual by a ratio
+# above 0.99.
 _CREEP_RATIO = 0.999    # err_new > _CREEP_RATIO * err counts as no progress
 _CREEP_STEPS = 2
+
+# Singular: near a regular root Newton converges quadratically; a step that
+# does not halve a residual already below _LINEAR_BELOW marks linear
+# convergence to a singular limit (merging roots), which is never a state.
+# Over every run of the verify and identities suites at seeds 0-39, the
+# largest such ratio of a converged run is 0.036.
+_LINEAR_BELOW = 1e-2
+_LINEAR_RATIO = 0.5     # err_new > _LINEAR_RATIO * err counts as linear
 
 # most composite seeds one sector's pool takes (see _composite_seeds)
 _COMPOSITE_CAP = 120
@@ -137,15 +151,34 @@ def _newton(model: ModelFunctions, a: int, b: int, twist: Twist,
             modes: Optional[Sequence[int]] = None) -> tuple:
     """Damped Newton on the log system.  Returns (roots, modes, residual).
 
-    Roots escaping far outside the seeding disk are rejected: the residual
-    also vanishes as roots run off to infinity (descendant towers), which is
-    not a finite-root solution.  A run whose accepted steps stop lowering
-    the residual (see ``_CREEP_STEPS``) is stopped as not converging.
+    A run ends in one of five ways:
+
+    - converged: the residual is at most ``tol`` with every root inside the
+      escape radius ``r_max`` around the centroid of the inhomogeneities;
+    - stalled: no step halving inside the disk of radius ``3 r_max`` lowers
+      the residual;
+    - creeping: ``_CREEP_STEPS`` accepted steps in a row each lower the
+      residual by less than 0.1 % (``_CREEP_RATIO``);
+    - escaped: roots converge beyond ``r_max``.  The residual also vanishes
+      as roots run off to infinity (descendant towers), which is not a
+      finite-root solution.  On a chain (``model.sites`` set) at the
+      identity twist the first accepted iterate beyond ``r_max`` ends the
+      run, because such runs never come back; twisted runs and models
+      without ``sites`` may, so they search the whole ``3 r_max`` disk;
+    - singular: below residual ``_LINEAR_BELOW`` an accepted step that does
+      not halve the residual (``_LINEAR_RATIO``) shows linear convergence
+      to a singular limit.
+
+    Every way but the first raises ``NoConvergence``, as does the iteration
+    cap.
     """
     offsets = _twist_offsets(a, b, twist)
     pinned = None if modes is None else np.asarray(modes, dtype=int)
     centroid = _centroid(model)
     r_max = 3.0 * _seed_scale(model)
+    # radius beyond which an accepted iterate ends the run as escaped
+    r_escape = (r_max if model.sites is not None and twist.is_identity()
+                else math.inf)
     x = np.asarray(x0, dtype=complex).copy()
     _check_collisions(x, a, model.c)
     res, used = _residual(x, a, b, model, offsets, pinned)
@@ -160,7 +193,6 @@ def _newton(model: ModelFunctions, a: int, b: int, twist: Twist,
             step = np.linalg.solve(_jacobian(x, a, model), res)
         except np.linalg.LinAlgError as exc:
             raise JacobianSingular(str(exc)) from exc
-        improved = False
         # every halving at once against the escape disk; a non-finite trial
         # passes this filter and is rejected by the residual below
         trials = x - step * _HALVINGS[:, None]
@@ -174,12 +206,16 @@ def _newton(model: ModelFunctions, a: int, b: int, twist: Twist,
                 continue
             err_try = float(np.max(np.abs(res_try)))
             if err_try < err:
-                creeping = creeping + 1 if err_try > _CREEP_RATIO * err else 0
-                x, res, used, err = x_try, res_try, used_try, err_try
-                improved = True
                 break
-        if not improved:
+        else:
             raise NoConvergence(f"Newton stalled at residual {err:.3e}")
+        if reach[k] > r_escape:
+            raise NoConvergence("roots escaped towards infinity")
+        if err < _LINEAR_BELOW and err_try > max(tol, _LINEAR_RATIO * err):
+            raise NoConvergence(f"Newton converging linearly, residual "
+                                f"{err_try:.3e} after {err:.3e}")
+        creeping = creeping + 1 if err_try > _CREEP_RATIO * err else 0
+        x, res, used, err = x_try, res_try, used_try, err_try
         if creeping == _CREEP_STEPS:
             raise NoConvergence(f"Newton creeping, residual {err:.3e}")
     if err <= tol and np.max(np.abs(x - centroid)) <= r_max:

@@ -11,6 +11,7 @@ import pytest
 import gl3ff.cli as cli
 import gl3ff.kernel as kernel
 import gl3ff.solver as solver
+from gl3ff.checks import prepare_states
 from gl3ff.errors import CollisionError, NoConvergence
 from gl3ff.model import (RootConfig, Twist, bethe_defect, gaudin_matrix,
                          mirror_model, phi_log, tau, xxx_chain)
@@ -329,8 +330,10 @@ def _pool_seed(model, a, b, n_random, rng_seed, index):
 
 def test_newton_stops_creeping_at_escape_disk(monkeypatch):
     # this seed runs out to the escape disk and creeps along it with the
-    # residual near 0.085 for a dozen steps before no halving helps
-    model = _chain().model()
+    # residual near 0.085 for a dozen steps before no halving helps; a
+    # model without a site count searches the whole disk, as a chain at a
+    # twist does
+    model = dataclasses.replace(_chain().model(), sites=None)
     x0 = _pool_seed(model, 1, 0, 24, 0, 30)
     steps = _count_calls(monkeypatch, solver, "_jacobian")
     with pytest.raises(NoConvergence, match="Newton creeping"):
@@ -338,19 +341,77 @@ def test_newton_stops_creeping_at_escape_disk(monkeypatch):
     assert steps[0] <= 10
 
 
+def test_newton_ends_escaping_chain_run(monkeypatch):
+    # the same seed on the chain at the identity twist: its first iterate
+    # beyond r_max ends the run, where the search of the whole disk takes
+    # ten Jacobians to creep
+    model = _chain().model()
+    x0 = _pool_seed(model, 1, 0, 24, 0, 30)
+    steps = _count_calls(monkeypatch, solver, "_jacobian")
+    with pytest.raises(NoConvergence, match="roots escaped"):
+        solver._newton(model, 1, 0, Twist(), x0, 1e-12, 60)
+    assert steps[0] <= 4
+
+
 def test_newton_stops_creeping_inside_escape_disk(monkeypatch):
+    # a fixed pattern seed of the twisted L=4 (3,0) pool: it stays within
+    # 0.27 r_max and creeps with the residual near 0.21, above the range
+    # where the linear-convergence exit applies
+    model = _chain(4).model()
+    twist = Twist(0.9 + 0.1j, 1.0, 1.2 - 0.2j)
+    x0 = _pool_seed(model, 3, 0, 0, 0, 5)
+    centroid = sum(model.inhomogeneities) / len(model.inhomogeneities)
+    r_max = 3.0 * solver._seed_scale(model)
+    reach = []
+    jacobian = solver._jacobian
+
+    def recorded(x, *args):
+        reach.append(float(np.max(np.abs(x - centroid))) / r_max)
+        return jacobian(x, *args)
+
+    monkeypatch.setattr(solver, "_jacobian", recorded)
+    with pytest.raises(NoConvergence, match="Newton creeping"):
+        solver._newton(model, 3, 0, twist, x0, 1e-12, 60)
+    assert len(reach) <= 20
+    assert max(reach) < 0.5
+
+
+def test_newton_ends_linear_convergence(monkeypatch):
     # a seed of the library's L=5 (3,1) pool: two u-roots merge well inside
-    # the disk and the residual sits at 1.1e-6, which the iteration cap
-    # alone would let run for 60 steps
+    # the disk, and each step only halves the residual below 1e-4, where a
+    # regular root would square it
     model = _chain(5).model()
     magnons = [st.u[0] for st in distinct_states(model, 1, 0, n_seeds=24,
                                                  rng_seed=8)]
     rng = np.random.default_rng(7)
     x0 = solver._seed_pool(model, 3, 1, 48, rng, magnons)[0]
     steps = _count_calls(monkeypatch, solver, "_jacobian")
-    with pytest.raises(NoConvergence, match="Newton creeping"):
+    with pytest.raises(NoConvergence, match="Newton converging linearly"):
         solver._newton(model, 3, 1, Twist(), x0, 1e-12, 60)
-    assert steps[0] <= 20
+    assert steps[0] <= 5
+
+
+def test_library_newton_exits_cut_no_state(monkeypatch):
+    # the escape and linear-convergence exits end the seed-7 library's
+    # doomed runs early; with both off (Newton sees no site count, and no
+    # residual is small enough for the linear test) it takes 1,939 Jacobians
+    # and finds the same states
+    steps = _count_calls(monkeypatch, solver, "_jacobian")
+    lib = prepare_states(7)
+    assert steps[0] <= 700
+    cut = steps[0]
+    newton = solver._newton
+    monkeypatch.setattr(solver, "_LINEAR_BELOW", 0.0)
+    monkeypatch.setattr(solver, "_newton", lambda model, *args: newton(
+        dataclasses.replace(model, sites=None), *args))
+    full = prepare_states(7)
+    assert steps[0] - cut > 2 * cut
+    for L in lib:
+        for key in ("m10", "m21", "m20", "m31"):
+            got, expect = lib[L].get(key, []), full[L].get(key, [])
+            assert len(got) == len(expect)
+            assert all(states_equal(s1.roots, s2.roots)
+                       for s1, s2 in zip(got, expect))
 
 
 def test_newton_returns_from_creep_zone(monkeypatch):
