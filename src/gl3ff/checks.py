@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import Gl3Error, NoConvergence, PoleError
 from .model import (BetheState, ModelFunctions, RootConfig, Twist,
-                    dtau_dkappa_onshell, gaudin_matrix, mirror_model,
-                    phi_log, tau_twisted)
+                    dtau_dkappa_onshell, gaudin_jacobian, gaudin_matrix,
+                    mirror_model, phi_log, tau_twisted)
 from .solver import continue_in_twist, distinct_states
 from . import formfactor as ff
 from . import oracle as orc
@@ -108,22 +108,6 @@ def _errors_recorded_as(report: Report, name: str):
 
 # ---------------------------------------------------------------------------
 # probe-point helpers
-
-def _probe_points(rng: np.random.Generator, n: int, avoid: Sequence[complex],
-                  c: complex) -> list:
-    pts = []
-    guard = 0
-    while len(pts) < n and guard < 500:
-        guard += 1
-        w = complex(rng.uniform(-1.6, 1.6), rng.uniform(-1.6, 1.6))
-        clear = all(min(abs(w - p), abs(w - p + c), abs(w - p - c)) > 0.15
-                    for p in avoid)
-        if clear:
-            pts.append(w)
-    if len(pts) < n:
-        raise NoConvergence("could not draw enough probe points")
-    return pts
-
 
 def _avoid_set(model: ModelFunctions, *states: BetheState) -> list:
     out = list(model.inhomogeneities or ())
@@ -282,7 +266,7 @@ def _twisted_tau_residual(st: BetheState, spec, rng: np.random.Generator) -> flo
     model, twist = st.model, st.twist
     idx = orc.state_sector(spec, st.a, st.b)
     worst = 0.0
-    for w in _probe_points(rng, 5, _avoid_set(model, st), model.c):
+    for w in orc.probe_points(rng, 5, _avoid_set(model, st), model.c):
         mat = orc.transfer_matrix(w, spec, twist, idx)
         tv = tau_twisted(w, st.roots, twist, model)
         worst = max(worst, float(np.min(np.abs(np.linalg.eigvals(mat) - tv))
@@ -320,7 +304,7 @@ def check_offdiagonal(report: Report, lib: dict,
         name = f"invariant_ratio_{tag}"
         with _errors_recorded_as(report, name):
             avoid = _avoid_set(model, left, right)
-            pts = _probe_points(rng, 10, avoid, model.c)
+            pts = orc.probe_points(rng, 10, avoid, model.c)
             vl = orc.eigenvector_for_state(left, "left", spec, rng)
             vr = orc.eigenvector_for_state(right, "right", spec, rng)
             worst = 0.0
@@ -342,7 +326,7 @@ def check_products(report: Report, lib: dict, rng: np.random.Generator) -> None:
         i, j = kind
         with _errors_recorded_as(report, name):
             avoid = _avoid_set(model, left, right)
-            z1, z2 = _probe_points(rng, 2, avoid, model.c)
+            z1, z2 = orc.probe_points(rng, 2, avoid, model.c)
             det_p = (ff.form_factor(kind, left, right, z1)
                      * ff.form_factor((j, i), right, left, z2)
                      / (ff.norm_squared(left) * ff.norm_squared(right)))
@@ -381,7 +365,7 @@ def check_diagonal(report: Report, lib: dict, rng: np.random.Generator) -> None:
     model3 = l3["model"]
     with _errors_recorded_as(report, "diag_distinct_L3"):
         a, b = l3["m10"][0], l3["m10"][1]
-        z = _probe_points(rng, 1, _avoid_set(model3, a, b), model3.c)[0]
+        z = orc.probe_points(rng, 1, _avoid_set(model3, a, b), model3.c)[0]
         # third colour decouples at b=0: that entry is zero between distinct
         # states, so the cofactor check uses s = 1, 2 there
         _diag_identity_block(report, "L3_b0", a, b, model3, z, (1, 2))
@@ -390,14 +374,14 @@ def check_diagonal(report: Report, lib: dict, rng: np.random.Generator) -> None:
             raise NoConvergence("need two (3,1) states for the b=1 pair")
         a, b = l5["m31"][0], l5["m31"][1]
         model5 = l5["model"]
-        z = _probe_points(rng, 1, _avoid_set(model5, a, b), model5.c)[0]
+        z = orc.probe_points(rng, 1, _avoid_set(model5, a, b), model5.c)[0]
         _diag_identity_block(report, "L5_b1", a, b, model5, z, (1, 2, 3))
     # same state: normalized diagonal elements = twist derivative of the
     # eigenvalue (root motion included), and the oracle face of it
     with _errors_recorded_as(report, "diag_same_state"):
         st = l3["m21"][0]
         spec, model = l3["spec"], l3["model"]
-        z = _probe_points(rng, 1, _avoid_set(model, st), model.c)[0]
+        z = orc.probe_points(rng, 1, _avoid_set(model, st), model.c)[0]
         ns = ff.norm_squared(st)
         worst = 0.0
         for s in (1, 2, 3):
@@ -424,13 +408,13 @@ def check_sfunction_and_forms(report: Report, lib: dict,
         l5 = lib[5]
         model = l5["model"]
         a, b = l5["m31"][0], l5["m31"][1]
-        z = _probe_points(rng, 1, _avoid_set(model, a, b), model.c)[0]
+        z = orc.probe_points(rng, 1, _avoid_set(model, a, b), model.c)[0]
         asm = ff.assemble(a, b, z)
         omega = ff.omega_vector(a.u, a.v, b.u, b.v, model.c)
         worst = max(abs(ff.s_function(pt, omega, asm)) for pt in b.u + a.v)
         report.add("s_function_vanishing", worst, 1e-10,
                    inputs=[state_to_json(a), state_to_json(b)])
-        pts = _probe_points(rng, 20, _avoid_set(model, a, b), model.c)
+        pts = orc.probe_points(rng, 20, _avoid_set(model, a, b), model.c)
         worst = 0.0
         for x in pts:
             lhs = ff.s_function(x, omega, asm)
@@ -470,10 +454,8 @@ def gaudin_records(report: Report, st: BetheState) -> None:
         fp = phi_log(RootConfig(tuple(xp[:a]), tuple(xp[a:])), model)
         fm = phi_log(RootConfig(tuple(xm[:a]), tuple(xm[a:])), model)
         jac_fd[:, k] = (fp - fm) / (2 * eps)
-    scaled = np.empty_like(jac_fd)
-    scaled[:, :a] = -model.c * jac_fd[:, :a]
-    scaled[:, a:] = model.c * jac_fd[:, a:]
-    resid = float(np.max(np.abs(scaled - m))) / float(np.max(np.abs(m)))
+    jac = gaudin_jacobian(st.roots, model)
+    resid = float(np.max(np.abs(jac_fd - jac))) / float(np.max(np.abs(jac)))
     report.add("gaudin_vs_fd_jacobian", resid, 1e-6, inputs=state_to_json(st))
 
 
@@ -555,7 +537,7 @@ def check_morphisms(report: Report, lib: dict, rng: np.random.Generator) -> None
         for (tag, kind, L, left, right) in cases:
             model = lib[L]["model"]
             i, j = kind
-            z = _probe_points(rng, 1, _avoid_set(model, left, right), model.c)[0]
+            z = orc.probe_points(rng, 1, _avoid_set(model, left, right), model.c)[0]
             v1 = ff.form_factor(kind, left, right, z)
             v2 = ff.form_factor((j, i), right, left, z)
             worst_psi = max(worst_psi, abs(v1 - v2) / max(abs(v1), 1e-30))
@@ -566,7 +548,7 @@ def check_morphisms(report: Report, lib: dict, rng: np.random.Generator) -> None
             model = lib[L]["model"]
             mm = mirror_model(model)
             i, j = kind
-            z = _probe_points(rng, 1, _avoid_set(model, left, right), model.c)[0]
+            z = orc.probe_points(rng, 1, _avoid_set(model, left, right), model.c)[0]
             lhs = ff.form_factor(kind, left, right, z)
             rhs = ff.form_factor((4 - j, 4 - i), _mirrored(left, mm),
                                  _mirrored(right, mm), -z)
@@ -575,7 +557,7 @@ def check_morphisms(report: Report, lib: dict, rng: np.random.Generator) -> None
         st = lib[3]["m21"][0]
         model = lib[3]["model"]
         st_m = _mirrored(st, mirror_model(model))
-        z = _probe_points(rng, 1, _avoid_set(model, st), model.c)[0]
+        z = orc.probe_points(rng, 1, _avoid_set(model, st), model.c)[0]
         for s in (1, 2, 3):
             lhs = ff.ff_diag(s, st, st, z)
             rhs = ff.ff_diag(4 - s, st_m, st_m, -z)
@@ -608,7 +590,7 @@ def check_permutation(report: Report, lib: dict, rng: np.random.Generator) -> No
         l5 = lib[5]
         a, b = l5["m31"][0], l5["m31"][1]
         model = l5["model"]
-        z = _probe_points(rng, 1, _avoid_set(model, a, b), model.c)[0]
+        z = orc.probe_points(rng, 1, _avoid_set(model, a, b), model.c)[0]
         worst = shuffle_residual(((2, 2), (1, 1)), a, b, z)
         c31 = _partner(l5, "c31")
         ref13 = ff.form_factor((1, 3), c31, l5["m20"][0], z)
@@ -626,7 +608,7 @@ def check_gl2_reduction(report: Report, lib: dict,
         model = l4["model"]
         c20 = l4["m20"][0]
         b10 = _partner(l4, "b10")
-        z = _probe_points(rng, 1, _avoid_set(model, c20, b10), model.c)[0]
+        z = orc.probe_points(rng, 1, _avoid_set(model, c20, b10), model.c)[0]
         worst = 0.0
         for kind, left, right in (((1, 2), c20, b10), ((2, 1), b10, c20)):
             v = ff.form_factor(kind, left, right, z)
@@ -634,7 +616,7 @@ def check_gl2_reduction(report: Report, lib: dict,
             worst = max(worst, abs(ref - v) / abs(v))
         s_a, s_b = lib[3]["m10"][0], lib[3]["m10"][1]
         model3 = lib[3]["model"]
-        z3 = _probe_points(rng, 1, _avoid_set(model3, s_a, s_b), model3.c)[0]
+        z3 = orc.probe_points(rng, 1, _avoid_set(model3, s_a, s_b), model3.c)[0]
         for s in (1, 2):
             v = ff.ff_diag(s, s_a, s_b, z3)
             ref = ff.gl2_ff((s, s), s_a.u, s_b.u, z3, model3)

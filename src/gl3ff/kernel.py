@@ -114,7 +114,13 @@ def _as_tuple(v: SetOrScalar) -> tuple:
 def _prod(term: Callable[[complex, complex, complex, float], complex],
           lhs: SetOrScalar, rhs: SetOrScalar, c: complex, tol: float,
           keep: Optional[Callable[[int, int], bool]] = None) -> complex:
-    """:func:`prod_fn` over a private term form at tolerance ``tol``."""
+    """Product of ``term(x_i, y_j, c, tol)`` over the pairs of lhs x rhs,
+    taken in order (i outer, j inner); the empty product is 1.
+
+    ``keep(i, j)``, when given, selects the index pairs that enter the
+    product: ``operator.lt`` gives the ordered products over a set against
+    itself.
+    """
     ys = _as_tuple(rhs)
     out = 1.0 + 0.0j
     for i, x in enumerate(_as_tuple(lhs)):
@@ -122,20 +128,6 @@ def _prod(term: Callable[[complex, complex, complex, float], complex],
             if keep is None or keep(i, j):
                 out *= term(x, y, c, tol)
     return out
-
-
-def prod_fn(fn: Callable[[complex, complex, complex], complex],
-            lhs: SetOrScalar, rhs: SetOrScalar, c: complex,
-            keep: Optional[Callable[[int, int], bool]] = None) -> complex:
-    """Product of ``fn(x_i, y_j, c)`` over the pairs of lhs x rhs, taken in
-    order (i outer, j inner); the empty product is 1.
-
-    ``keep(i, j)``, when given, selects the index pairs that enter the
-    product: ``operator.lt`` gives the ordered products over a set against
-    itself, ``operator.ne`` the self-excluding one.
-    """
-    # fn applies its own tolerance
-    return _prod(lambda x, y, c, tol: fn(x, y, c), lhs, rhs, c, 0.0, keep)
 
 
 def g_prod(lhs: SetOrScalar, rhs: SetOrScalar, c: complex) -> complex:
@@ -186,7 +178,7 @@ def collision(lhs: SetOrScalar, rhs: SetOrScalar, c: complex,
               shift: complex = 0.0,
               keep: Optional[Callable[[int, int], bool]] = None
               ) -> Optional[tuple]:
-    """First index pair ``(i, j)``, in the order of :func:`prod_fn`, with
+    """First index pair ``(i, j)``, in the order of :func:`_prod`, with
     ``|x_i - y_j - shift| <= pole_tol(c)``, or None.
 
     This is the one pairwise guard of the package: ``shift`` 0 finds
@@ -200,13 +192,3 @@ def collision(lhs: SetOrScalar, rhs: SetOrScalar, c: complex,
             if (keep is None or keep(i, j)) and abs(x - y - shift) <= tol:
                 return i, j
     return None
-
-
-def check_distinct(xs: Sequence[complex], c: complex, label: str = "set") -> None:
-    """Raise PoleError naming the first pair closer than the collision tolerance."""
-    xs = _as_tuple(xs)
-    hit = collision(xs, xs, c, keep=operator.lt)
-    if hit is not None:
-        j, k = hit
-        raise PoleError(
-            f"{label}: entries {j} and {k} collide ({xs[j]} ~ {xs[k]})")

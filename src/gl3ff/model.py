@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import PoleError, ZeroArgError
-from .kernel import (_f, _t, check_distinct, collision, exclude,
-                     f_prod, pole_tol, t)
+from .kernel import (_f, _t, collision, exclude, f_prod, pole_tol, t)
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,8 +129,15 @@ class BetheState:
 
 
 def assert_regular(roots: RootConfig, c: complex) -> None:
-    """Check the intra/inter-set distinctness every formula relies on."""
-    check_distinct(roots.u + roots.v, c, "roots (u then v)")
+    """Check the intra/inter-set distinctness every formula relies on:
+    raise PoleError naming the first pair of roots (u then v) closer than
+    the collision tolerance."""
+    xs = roots.u + roots.v
+    hit = collision(xs, xs, c, keep=operator.lt)
+    if hit is not None:
+        j, k = hit
+        raise PoleError(f"roots (u then v): entries {j} and {k} collide "
+                        f"({xs[j]} ~ {xs[k]})")
 
 
 def tau(w: complex, roots: RootConfig, model: ModelFunctions) -> complex:

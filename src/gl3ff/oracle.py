@@ -6,7 +6,7 @@ applies all nine entries to a stack of vectors one site at a time, at
 O(9 L 3^L) per vector.  On top of it sit the dense entries (for structural
 checks), the (twisted) transfer matrix restricted to one weight sector
 (built from that sector's basis vectors alone), eigenvector extraction by
-inverse iteration at a known eigenvalue, and normalization-invariant
+one eigendecomposition at a known eigenvalue, and normalization-invariant
 comparators that need one matrix-vector product per matrix element.
 ``element_ratio`` takes two eigenvectors the caller has extracted, so a
 caller comparing many probe pairs extracts them once; ``invariant_ratio``
@@ -158,25 +158,37 @@ def state_sector(spec: SpinChainSpec, a: int, b: int) -> np.ndarray:
     return weight_sector_indices(spec.L, (spec.L - a, a - b, b))
 
 
-def _probe_point(rng: np.random.Generator, spec: SpinChainSpec,
-                 avoid: Sequence[complex]) -> complex:
-    for _ in range(200):
-        w = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-        if all(abs(w - p) > 0.2 for p in avoid):
-            return w
-    raise NoConvergence("could not find a probe point away from poles")
+def probe_points(rng: np.random.Generator, n: int, avoid: Sequence[complex],
+                 c: complex) -> list:
+    """``n`` points drawn uniformly from the square [-1.6, 1.6]^2, each
+    farther than 0.15 from every point of ``avoid`` and from its shifts by
+    +-c; raises NoConvergence after 500 draws."""
+    pts = []
+    guard = 0
+    while len(pts) < n and guard < 500:
+        guard += 1
+        w = complex(rng.uniform(-1.6, 1.6), rng.uniform(-1.6, 1.6))
+        clear = all(min(abs(w - p), abs(w - p + c), abs(w - p - c)) > 0.15
+                    for p in avoid)
+        if clear:
+            pts.append(w)
+    if len(pts) < n:
+        raise NoConvergence("could not draw enough probe points")
+    return pts
 
 
 def eigenvector_for_state(state: BetheState, side: str, spec: SpinChainSpec,
                           rng: np.random.Generator) -> np.ndarray:
     """Unit-length sector eigenvector matching the state's eigenvalue.
 
-    Inverse iteration with the known eigenvalue as shift, validated at three
-    independent probe points (the true eigenvector is probe-independent, so
-    accidental eigenvalue collisions at the shift point are caught).  The
-    overall phase and scale are arbitrary; callers must use invariant
-    comparators.  ``side='left'`` iterates on the transposed matrix, giving
-    the bilinear dual eigenvector (no conjugation).
+    Each attempt draws four probe points.  The sector transfer matrix at the
+    first is eigendecomposed, and the eigenvector of the one eigenvalue
+    within 1e-7 of the state's is validated at the other three (the true
+    eigenvector is probe-independent, so accidental eigenvalue collisions at
+    the first point are caught).  The overall phase and scale are arbitrary;
+    callers must use invariant comparators.  ``side='left'`` decomposes the
+    transposed matrix, giving the bilinear dual eigenvector (no
+    conjugation).
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -185,32 +197,24 @@ def eigenvector_for_state(state: BetheState, side: str, spec: SpinChainSpec,
     avoid = list(spec.xi) + list(state.u) + list(state.v)
     last_error = "no attempts made"
     for _ in range(5):
-        w0 = _probe_point(rng, spec, avoid)
+        w0, *probes = probe_points(rng, 4, avoid, spec.c)
         m_sec = transfer_matrix(w0, spec, state.twist, idx)
         tau0 = tau_twisted(w0, state.roots, state.twist, model)
-        scale = np.linalg.norm(m_sec, 2)
-        eigs = np.linalg.eigvals(m_sec)
-        close = np.sum(np.abs(eigs - tau0) <= 1e-7 * max(1.0, abs(tau0)))
-        if close == 0:
+        try:
+            eigs, vecs = np.linalg.eig(m_sec.T if side == "left" else m_sec)
+        except np.linalg.LinAlgError as exc:
+            last_error = f"eigendecomposition failed: {exc}"
+            continue
+        tol = 1e-7 * max(1.0, abs(tau0))
+        close = np.flatnonzero(np.abs(eigs - tau0) <= tol)
+        if len(close) == 0:
             last_error = f"eigenvalue {tau0} not present in sector at w0={w0}"
             continue
-        if close > 1:
-            last_error = f"{close} sector eigenvalues within 1e-7 of {tau0}"
+        if len(close) > 1:
+            last_error = f"{len(close)} sector eigenvalues within 1e-7 of {tau0}"
             continue
-        a_mat = m_sec.T if side == "left" else m_sec
-        shift = tau0 + 1e-12j * scale
-        vec = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
-        vec /= np.linalg.norm(vec)
-        try:
-            for _ in range(3):
-                vec = np.linalg.solve(a_mat - shift * np.eye(len(idx)), vec)
-                vec /= np.linalg.norm(vec)
-        except np.linalg.LinAlgError as exc:
-            last_error = f"inverse iteration solve failed: {exc}"
-            continue
-        ok = True
-        for _ in range(3):
-            wt = _probe_point(rng, spec, avoid)
+        vec = vecs[:, close[0]]
+        for wt in probes:
             mt = transfer_matrix(wt, spec, state.twist, idx)
             taut = tau_twisted(wt, state.roots, state.twist, model)
             if side == "left":
@@ -218,10 +222,9 @@ def eigenvector_for_state(state: BetheState, side: str, spec: SpinChainSpec,
             else:
                 resid = np.linalg.norm(mt @ vec - taut * vec)
             if resid > 1e-8 * np.linalg.norm(mt, 2):
-                ok = False
                 last_error = f"probe residual {resid:.3e} at w={wt}"
                 break
-        if ok:
+        else:
             full = np.zeros(spec.dim, dtype=complex)
             full[idx] = vec
             return full

@@ -48,6 +48,9 @@ _LINEAR_RATIO = 0.5     # err_new > _LINEAR_RATIO * err counts as linear
 # most composite seeds one sector's pool takes (see _composite_seeds)
 _COMPOSITE_CAP = 120
 
+# Newton iterations before a run that has not ended otherwise gives up
+_MAX_ITER = 60
+
 
 @dataclass
 class SolveRequest:
@@ -57,7 +60,6 @@ class SolveRequest:
     twist: Twist = Twist.identity()
     mode_numbers: Optional[Sequence[int]] = None
     seed_roots: Optional[RootConfig] = None
-    max_iter: int = 60
     tol: float = 1e-12
     rng_seed: int = 0
 
@@ -147,7 +149,7 @@ def _jacobian(x: np.ndarray, a: int, model: ModelFunctions) -> np.ndarray:
 
 
 def _newton(model: ModelFunctions, a: int, b: int, twist: Twist,
-            x0: np.ndarray, tol: float, max_iter: int,
+            x0: np.ndarray, tol: float,
             modes: Optional[Sequence[int]] = None) -> tuple:
     """Damped Newton on the log system.  Returns (roots, modes, residual).
 
@@ -184,7 +186,7 @@ def _newton(model: ModelFunctions, a: int, b: int, twist: Twist,
     res, used = _residual(x, a, b, model, offsets, pinned)
     err = float(np.max(np.abs(res)))
     creeping = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if err <= tol:
             if np.max(np.abs(x - centroid)) > r_max:
                 raise NoConvergence("roots escaped towards infinity")
@@ -220,7 +222,7 @@ def _newton(model: ModelFunctions, a: int, b: int, twist: Twist,
             raise NoConvergence(f"Newton creeping, residual {err:.3e}")
     if err <= tol and np.max(np.abs(x - centroid)) <= r_max:
         return x, tuple(int(n) for n in used), err
-    raise NoConvergence(f"residual {err:.3e} after {max_iter} iterations")
+    raise NoConvergence(f"residual {err:.3e} after {_MAX_ITER} iterations")
 
 
 def _centroid(model: ModelFunctions) -> complex:
@@ -329,7 +331,7 @@ def _seed_pool(model: ModelFunctions, a: int, b: int, n_random: int,
 
 
 def _converged_runs(model: ModelFunctions, a: int, b: int, twist: Twist,
-                    n_random: int, rng_seed: int, tol: float, max_iter: int,
+                    n_random: int, rng_seed: int, tol: float,
                     modes: Optional[Sequence[int]] = None,
                     magnon_roots: Sequence[complex] = ()):
     """Newton from each seed of the pool in turn: yields the (roots, modes,
@@ -340,7 +342,7 @@ def _converged_runs(model: ModelFunctions, a: int, b: int, twist: Twist,
     converged = False
     for x0 in _seed_pool(model, a, b, n_random, rng, magnon_roots):
         try:
-            run = _newton(model, a, b, twist, x0, tol, max_iter, modes)
+            run = _newton(model, a, b, twist, x0, tol, modes)
         except Gl3Error as exc:
             last = exc
             continue
@@ -363,10 +365,10 @@ def solve_bethe(req: SolveRequest) -> BetheState:
         if x0.size != a + b:
             raise ValueError("seed roots do not match the requested sector")
         x, modes, err = _newton(model, a, b, req.twist, x0, req.tol,
-                                req.max_iter, req.mode_numbers)
+                                req.mode_numbers)
     else:
         x, modes, err = next(_converged_runs(
-            model, a, b, req.twist, 40, req.rng_seed, req.tol, req.max_iter,
+            model, a, b, req.twist, 40, req.rng_seed, req.tol,
             req.mode_numbers))
     return BetheState(RootConfig(tuple(x[:a]), tuple(x[a:])), req.twist,
                       modes, err, model)
@@ -451,7 +453,7 @@ def _solve_sector(model: ModelFunctions, a: int, b: int, twist: Twist,
     found: list = []
     try:
         for x, modes, err in _converged_runs(model, a, b, twist, n_seeds,
-                                             rng_seed, tol, 60,
+                                             rng_seed, tol,
                                              magnon_roots=magnons):
             cfg = RootConfig(tuple(x[:a]), tuple(x[a:]))
             if not any(states_equal(cfg, seen) for seen, _, _ in found):
@@ -489,7 +491,7 @@ def continue_in_twist(state: BetheState, target: Twist,
                    k2=src.k2 + lam * (target.k2 - src.k2),
                    k3=src.k3 + lam * (target.k3 - src.k3))
         try:
-            x, modes, err = _newton(model, a, b, tw, x, 1e-12, 60)
+            x, modes, err = _newton(model, a, b, tw, x, 1e-12)
         except CollisionError as exc:
             raise PathCollision(f"collision at twist step {step}/{steps}: {exc}")
     return BetheState(RootConfig(tuple(x[:a]), tuple(x[a:])), target, modes,

@@ -262,7 +262,7 @@ def lib_seed7(monkeypatch, state_lib):
 PINNED_BUILD = ((3, 11), (2, 4))
 REPORT_SHA256 = {
     "verification":
-        "4fa290839b8b9fc35e349daeb9fc920218116b10e6edde73f6c8cdbb68b195b3",
+        "1ba8d70fb9928de2dc0fd9a7aa6e65d6fdcdc117b95968c85a7a7f78624ca297",
     "identities":
         "6ed4f9568cd899f576bfc239ae4a75affd8839788b4a435b2e93882a8723187e",
 }

@@ -5,6 +5,7 @@ import pytest
 
 from gl3ff.errors import PoleError
 from gl3ff import kernel as K
+from gl3ff.model import RootConfig, assert_regular
 
 
 def test_g_direct_values():
@@ -56,9 +57,6 @@ def test_algebraic_identities():
 
 def test_empty_products_are_one():
     assert K.f_prod(0.5j, (), 1.0) == 1.0
-    u = (0.3 + 0.1j,)
-    # self-exclusion on a singleton
-    assert K.prod_fn(K.g, u, u, 1.0, operator.ne) == 1.0
 
 
 def test_pair_product_value():
@@ -136,6 +134,6 @@ def test_inv_f_prod_finite_at_coincidence():
 
 
 def test_check_distinct():
-    with pytest.raises(PoleError):
-        K.check_distinct((0.1, 0.1 + 1e-12), 1.0)
-    K.check_distinct((0.1, 0.2), 1.0)
+    with pytest.raises(PoleError, match="entries 0 and 1 collide"):
+        assert_regular(RootConfig((0.1,), (0.1 + 1e-12,)), 1.0)
+    assert_regular(RootConfig((0.1,), (0.2,)), 1.0)

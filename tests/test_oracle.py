@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import gl3ff.oracle as orc
-from gl3ff.errors import PoleError, ZeroDenominator
+from gl3ff.errors import DegenerateEigenvalue, PoleError, ZeroDenominator
 from gl3ff.model import Twist, tau
-from conftest import vacuum_state
+from conftest import make_state, vacuum_state
 
 
 def test_spec_validation():
@@ -153,6 +153,27 @@ def test_eigenvector_residual_and_pairing(state_lib, rng):
     assert np.linalg.norm(m @ vr - tv * vr) < 1e-10 * np.linalg.norm(m)
     assert np.linalg.norm(vl @ m - tv * vl) < 1e-10 * np.linalg.norm(m)
     assert abs(complex(vl @ vr)) > 1e-3  # non-defective pairing
+
+
+def test_eigenvector_off_shell_state_raises(state_lib, rng):
+    # one root moved by 1e-3: its eigenvalue is in no sector at any attempt
+    spec, model = state_lib[3]["spec"], state_lib[3]["model"]
+    st = state_lib[3]["m21"][0]
+    moved = make_state(model, (st.u[0] + 1e-3,) + st.u[1:], st.v)
+    with pytest.raises(DegenerateEigenvalue, match="not present in sector"):
+        orc.eigenvector_for_state(moved, "right", spec, rng)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_extraction_draws_only_its_probe_points(state_lib, side):
+    # a successful extraction takes from the rng exactly its four probe
+    # points (the decomposition point and three validation points)
+    spec = state_lib[3]["spec"]
+    st = state_lib[3]["m21"][0]
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    orc.eigenvector_for_state(st, side, spec, rng)
+    orc.probe_points(twin, 4, list(spec.xi) + list(st.u) + list(st.v), spec.c)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_orthogonality_distinct_eigenvalues(state_lib, rng):

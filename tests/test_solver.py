@@ -164,7 +164,7 @@ def test_continue_in_twist_round_trip(state_lib):
 def test_no_convergence_reported():
     model = xxx_chain(2, (0.0, 0.0), 1.0)
     with pytest.raises(NoConvergence):
-        solve_bethe(SolveRequest(model=model, a=1, b=1, max_iter=20))
+        solve_bethe(SolveRequest(model=model, a=1, b=1))
 
 
 def test_states_equal_across_rounding_boundary():
@@ -337,7 +337,7 @@ def test_newton_stops_creeping_at_escape_disk(monkeypatch):
     x0 = _pool_seed(model, 1, 0, 24, 0, 30)
     steps = _count_calls(monkeypatch, solver, "_jacobian")
     with pytest.raises(NoConvergence, match="Newton creeping"):
-        solver._newton(model, 1, 0, Twist(), x0, 1e-12, 60)
+        solver._newton(model, 1, 0, Twist(), x0, 1e-12)
     assert steps[0] <= 10
 
 
@@ -349,7 +349,7 @@ def test_newton_ends_escaping_chain_run(monkeypatch):
     x0 = _pool_seed(model, 1, 0, 24, 0, 30)
     steps = _count_calls(monkeypatch, solver, "_jacobian")
     with pytest.raises(NoConvergence, match="roots escaped"):
-        solver._newton(model, 1, 0, Twist(), x0, 1e-12, 60)
+        solver._newton(model, 1, 0, Twist(), x0, 1e-12)
     assert steps[0] <= 4
 
 
@@ -371,7 +371,7 @@ def test_newton_stops_creeping_inside_escape_disk(monkeypatch):
 
     monkeypatch.setattr(solver, "_jacobian", recorded)
     with pytest.raises(NoConvergence, match="Newton creeping"):
-        solver._newton(model, 3, 0, twist, x0, 1e-12, 60)
+        solver._newton(model, 3, 0, twist, x0, 1e-12)
     assert len(reach) <= 20
     assert max(reach) < 0.5
 
@@ -387,7 +387,7 @@ def test_newton_ends_linear_convergence(monkeypatch):
     x0 = solver._seed_pool(model, 3, 1, 48, rng, magnons)[0]
     steps = _count_calls(monkeypatch, solver, "_jacobian")
     with pytest.raises(NoConvergence, match="Newton converging linearly"):
-        solver._newton(model, 3, 1, Twist(), x0, 1e-12, 60)
+        solver._newton(model, 3, 1, Twist(), x0, 1e-12)
     assert steps[0] <= 5
 
 
@@ -431,7 +431,7 @@ def test_newton_returns_from_creep_zone(monkeypatch):
         return jacobian(x, *args)
 
     monkeypatch.setattr(solver, "_jacobian", recorded)
-    x, modes, err = solver._newton(model, 1, 1, twist, x0, 1e-12, 60)
+    x, modes, err = solver._newton(model, 1, 1, twist, x0, 1e-12)
     assert sum(r > 2.9 for r in reach) == 3
     expect = [4.799331359210748 + 4.979255055986534j,
               7.299331359210748 + 7.479255055986535j]
