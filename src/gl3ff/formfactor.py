@@ -12,9 +12,17 @@ the test-suite checks numerically):
 * determinant rows are labelled by ``u_left`` then ``v_right``.
 
 For the entries T(i,j) with |i-j| = 1 the value is ``prefactor * det``; the
-(2,3) and (2,1) cases are evaluated with the roles of the two states
+(2,3), (2,1) and (3,1) cases are evaluated with the roles of the two states
 exchanged, which realises the transposition antimorphism.  Diagonal entries
 and the (1,3)/(3,1) pair append one extra row to the same matrix.
+
+Every piece of an element (the prefactor, the matrix entries, the closing
+rows) has two builders.  Below ``GRID_MIN_COLS`` determinant columns it is
+built column by column from the scalar kernel products; from there on it is
+a product along one axis of an array of differences between the roots and
+the column points (:class:`_Grid`), with the kernel's pole guards as masks
+on the same array.  A piece whose mask finds a pole is handed to the
+per-column code, which raises the error of its first pole.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +47,15 @@ KINDS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3))
 
 SAME_STATE_TOL = 1e-9
 NEAR_DEGENERATE_TOL = 1e-5
+
+# Determinant columns from which the grid builder takes over.  In a size
+# sweep of all kinds and the norm at 3-12 columns (2 vCPUs, numpy 2.4), on an
+# L=8 chain and on a generalized model with interpolated r1, r3, the builders
+# tie at 6 columns (grid/per-column time 1.03 and 1.00) and the grid is
+# faster from 7 on (0.87 and 0.86; 0.48 and 0.53 at 12).  The L<=5 chains of
+# the suites and the `gl3ff ff` table reach at most 5 columns, so they keep
+# the per-column code.
+GRID_MIN_COLS = 7
 
 
 def sector_shift(kind: tuple, a: int, b: int) -> tuple:
@@ -94,6 +112,128 @@ class FFAssembly:
     def n_rows(self) -> int:
         return len(self.u_left) + len(self.v_right)
 
+    @cached_property
+    def _grid(self) -> "_Grid":
+        """Difference arrays of the grid builder, formed once per assembly."""
+        return _Grid(self)
+
+
+class _Grid:
+    """Differences ``d = q - x`` between every root ``q`` of ``u_left +
+    v_right + u_right + v_left`` (row blocks ``U``, ``VR``, ``UR``, ``VL``)
+    and every column point ``x``, with the kernel's pole masks ``zero``
+    (``|d| <= tol``), ``plus`` (``|d + c| <= tol``) and ``minus``
+    (``|c - d| <= tol``).
+
+    A kernel term of a column point and a root is a function of ``d``:
+    ``t(q, x) = c^2 / (d (d + c))``, ``t(x, q) = c^2 / (-d (c - d))``,
+    ``h(q, x) = (d + c) / c``, ``1/f(x, q) = -d / (c - d)`` and so on, so
+    every product over a root set is a product along the row axis of one
+    block.  Each piece returns None when a mask finds a pole in a term it
+    uses; its per-column builder then raises that pole's error.
+    """
+
+    def __init__(self, asm: FFAssembly):
+        self.model = asm.model
+        c = self.c = asm.model.c
+        nu, nr, a = len(asm.u_left), asm.n_rows, len(asm.u_right)
+        self.a = a
+        self.U, self.VR = slice(0, nu), slice(nu, nr)
+        self.UR, self.VL = slice(nr, nr + a), slice(nr + a, None)
+        self.cols = asm.cols
+        self.x = np.array(asm.cols, dtype=complex)
+        q = np.array(asm.u_left + asm.v_right + asm.u_right + asm.v_left,
+                     dtype=complex)
+        d = self.d = q[:, None] - self.x
+        tol = pole_tol(c)
+        self.zero = np.abs(d) <= tol
+        self.plus = np.abs(d + c) <= tol
+        self.minus = np.abs(c - d) <= tol
+
+    def clear(self, same_state: bool) -> bool:
+        """Whether every guard of :func:`assemble` passes: distinct column
+        labels (rows UR and VL are the columns but the last), rows apart
+        from columns, and h(v_left, u_right) != 0."""
+        n = self.VR.stop
+        return not (np.triu(self.zero[n:], 1).any()
+                    or (not same_state and self.zero[:n].any())
+                    or self.plus[self.VL, :self.a].any())
+
+    def _at_cols(self, r) -> np.ndarray:
+        return np.array([r(x) for x in self.cols], dtype=complex)
+
+    @cached_property
+    def v_factors(self) -> tuple:
+        """The column vectors of :func:`_v_factors`."""
+        c, d = self.c, self.d
+        vr, ur, vl = d[self.VR], d[self.UR], d[self.VL]
+        sign = -1.0 if (vr.shape[0] - 1) % 2 else 1.0
+        r3 = self._at_cols(self.model.r3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (sign, r3, ((c - vr) / c).prod(axis=0),
+                    (-ur / (c - ur)).prod(axis=0),
+                    ((vr + c) / c).prod(axis=0),
+                    (c / (vl + c)).prod(axis=0))
+
+    def n_matrix(self):
+        rows = slice(0, self.VR.stop)
+        if ((self.zero[rows] | self.plus[rows] | self.minus[rows]).any()
+                or self.minus[self.UR].any() or self.plus[self.VL].any()):
+            return None
+        c, d = self.c, self.d
+        u, v = d[self.U], d[self.VR]
+        out = np.empty(d[rows].shape, dtype=complex)
+        if u.size:
+            sign = -1.0 if (u.shape[0] - 1) % 2 else 1.0
+            r1 = self._at_cols(self.model.r1)
+            ur, vl = d[self.UR], d[self.VL]
+            with np.errstate(over="ignore", invalid="ignore"):
+                if_vx = (vl / (vl + c)).prod(axis=0)
+                ih_xu = (c / (c - ur)).prod(axis=0)
+                out[self.U] = (sign * (c * c / (u * (u + c))) * r1
+                               * ((u + c) / c).prod(axis=0) * if_vx * ih_xu
+                               + (c * c / (-u * (c - u)))
+                               * ((c - u) / c).prod(axis=0) * ih_xu)
+        if v.size:
+            sign, r3, h_xv, if_xu, h_vx, ih_vx = self.v_factors
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[self.VR] = (sign * (c * c / (-v * (c - v))) * r3 * h_xv
+                                * if_xu * ih_vx
+                                + (c * c / (v * (v + c))) * h_vx * ih_vx)
+        return out
+
+    def y_row_diag(self, s: int, same_state: bool):
+        """The closing row of :func:`y_row_diag` but its last component."""
+        c, d = self.c, self.d
+        cu, cv = slice(0, self.a), slice(self.a, -1)
+        out = np.empty(len(self.cols), dtype=complex)
+        out[cu] = (s == 2) - (s == 1)
+        out[cv] = (s == 2) - (s == 3)
+        if same_state or s == 2:
+            return out
+        if (self.zero[self.VR, cu].any() or self.plus[self.VL, cu].any()
+                or self.zero[self.U, cv].any()
+                or self.minus[self.UR, cv].any()):
+            return None
+        sign = 1 if s == 1 else -1
+        vr, vl = d[self.VR, cu], d[self.VL, cu]
+        u, ur = d[self.U, cv], d[self.UR, cv]
+        with np.errstate(over="ignore", invalid="ignore"):
+            bracket = (((vr + c) / vr).prod(axis=0)
+                       * (vl / (vl + c)).prod(axis=0) - 1.0)
+            out[cu] += (self.x[cu] / c) * sign * bracket
+            bracket = (((c - u) / -u).prod(axis=0)
+                       * (-ur / (c - ur)).prod(axis=0) - 1.0)
+            out[cv] += ((self.x[cv] + c) / c) * sign * bracket
+        return out
+
+    def y_row_13(self):
+        if self.minus[self.UR].any() or self.plus[self.VL].any():
+            return None
+        sign, r3, h_xv, if_xu, h_vx, ih_vx = self.v_factors
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sign * r3 * h_xv * if_xu * ih_vx + h_vx * ih_vx
+
 
 def assemble(left: BetheState, right: BetheState, z: complex,
              same_state: bool = False) -> FFAssembly:
@@ -109,6 +249,8 @@ def assemble(left: BetheState, right: BetheState, z: complex,
                      v_right=right.v, z=complex(z), model=model)
     c = model.c
     cols = asm.cols
+    if len(cols) >= GRID_MIN_COLS and asm._grid.clear(same_state):
+        return asm
     hit = collision(cols, cols, c, keep=operator.lt)
     if hit is not None:
         j, k = hit
@@ -141,10 +283,39 @@ def prefactor_H(u_left: Sequence[complex], v_left: Sequence[complex],
     u_left, v_left = tuple(u_left), tuple(v_left)
     u_right, v_right = tuple(u_right), tuple(v_right)
     cols = tuple(cols)
+    if len(cols) >= GRID_MIN_COLS:
+        pref = _grid_prefactor(u_left, v_left, u_right, v_right, cols, c)
+        if pref is not None:
+            return pref
     return (h_prod(cols, u_right, c) * h_prod(v_left, cols, c)
             * inv_h_prod(v_left, u_right, c)
             * delta_prime(u_left, c) * delta_prime(v_right, c)
             * delta(cols, c))
+
+
+def _grid_prefactor(u_left: tuple, v_left: tuple, u_right: tuple,
+                    v_right: tuple, cols: tuple, c: complex):
+    """:func:`prefactor_H` from arrays of differences: each of its six
+    partial products is one array product, and they are multiplied in the
+    order of the per-column builder, so that the same ones overflow.  None
+    when a denominator is within ``pole_tol`` of zero."""
+    ul, vl, ur, vr, xs = (np.array(p, dtype=complex)
+                          for p in (u_left, v_left, u_right, v_right, cols))
+    h_vu = np.subtract.outer(vl, ur) + c
+    # the ordered pairs j < k of u_left and v_right, j > k of cols
+    g_args = [np.subtract.outer(p, p)[~np.tri(len(p), dtype=bool)]
+              for p in (ul, vr)]
+    g_args.append(np.subtract.outer(xs, xs)[np.tri(len(xs), k=-1,
+                                                   dtype=bool)])
+    tol = pole_tol(c)
+    if any((np.abs(d) <= tol).any() for d in (h_vu, *g_args)):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_cu, h_vc, ih_vu, dp_u, dp_v, d_c = (complex(p.prod()) for p in (
+            (np.subtract.outer(xs, ur) + c) / c,
+            (np.subtract.outer(vl, xs) + c) / c,
+            c / h_vu, *(c / d for d in g_args)))
+    return h_cu * h_vc * ih_vu * dp_u * dp_v * d_c
 
 
 def _v_factors(asm: FFAssembly, x: complex) -> tuple:
@@ -216,6 +387,10 @@ def n_entry_tau_form(asm: FFAssembly, row: int, x: complex) -> complex:
 
 def n_matrix(asm: FFAssembly) -> np.ndarray:
     cols = asm.cols
+    if len(cols) >= GRID_MIN_COLS:
+        out = asm._grid.n_matrix()
+        if out is not None:
+            return out
     out = np.empty((asm.n_rows, len(cols)), dtype=complex)
     for k, x in enumerate(cols):
         out[:, k] = n_column(asm, x)
@@ -235,9 +410,31 @@ def y_row_diag(asm: FFAssembly, s: int, same_state: bool) -> np.ndarray:
     m = asm.model
     c = m.c
     d1, d2, d3 = (s == 1), (s == 2), (s == 3)
-    out = np.empty(len(asm.cols), dtype=complex)
     a = len(asm.u_right)
     b = len(asm.v_left)
+    out = (asm._grid.y_row_diag(s, same_state)
+           if len(asm.cols) >= GRID_MIN_COLS else None)
+    if out is None:
+        out = _column_y_diag(asm, s, same_state)
+    z = asm.z
+    u_ref, v_ref = asm.u_left, asm.v_left
+    denom = inv_f_prod(v_ref, z, c) * inv_f_prod(z, u_ref, c)
+    if d1:
+        out[a + b] = m.r1(z) * f_prod(u_ref, z, c) * denom
+    elif d2:
+        out[a + b] = 1.0
+    else:
+        out[a + b] = m.r3(z) * f_prod(z, v_ref, c) * denom
+    return out
+
+
+def _column_y_diag(asm: FFAssembly, s: int, same_state: bool) -> np.ndarray:
+    """The per-column builder of :func:`y_row_diag`, its last component
+    left unset."""
+    c = asm.model.c
+    d1, d2, d3 = (s == 1), (s == 2), (s == 3)
+    out = np.empty(len(asm.cols), dtype=complex)
+    a = len(asm.u_right)
     for k, ub in enumerate(asm.u_right):
         val = complex(d2 - d1)
         if not same_state and (d1 or d3):
@@ -252,15 +449,6 @@ def y_row_diag(asm: FFAssembly, s: int, same_state: bool) -> np.ndarray:
                        * inv_f_prod(vc, asm.u_right, c) - 1.0)
             val += ((vc + c) / c) * (d1 - d3) * bracket
         out[a + k] = val
-    z = asm.z
-    u_ref, v_ref = asm.u_left, asm.v_left
-    denom = inv_f_prod(v_ref, z, c) * inv_f_prod(z, u_ref, c)
-    if d1:
-        out[a + b] = m.r1(z) * f_prod(u_ref, z, c) * denom
-    elif d2:
-        out[a + b] = 1.0
-    else:
-        out[a + b] = m.r3(z) * f_prod(z, v_ref, c) * denom
     return out
 
 
@@ -268,6 +456,10 @@ def y_row_13(asm: FFAssembly) -> np.ndarray:
     """Closing row for the (1,3) entry over the full column set: the v-row
     entry without its row factors.  Its sign (-1)^b_left equals the v-row
     sign, b_left being one more than the number of v-rows."""
+    if len(asm.cols) >= GRID_MIN_COLS:
+        out = asm._grid.y_row_13()
+        if out is not None:
+            return out
     out = np.empty(len(asm.cols), dtype=complex)
     for k, x in enumerate(asm.cols):
         sign, r3, h_xv, if_xu, h_vx, ih_vx = _v_factors(asm, x)

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, as bench/run.py sets it, before numpy loads OpenBLAS.  On
+# a 2-vCPU machine the suite took 6.4-7.6 s with two BLAS threads and
+# 5.4-6.6 s with one (three alternating runs each).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

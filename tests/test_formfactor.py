@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ import gl3ff.formfactor as ff
 from gl3ff.errors import (DegeneracyWarning, NonFiniteResult, PoleError,
                           SectorMismatch)
 from gl3ff.kernel import delta, delta_prime, h_prod, inv_f_prod, t
-from gl3ff.model import (Twist, dtau_dkappa, dtau_dkappa_onshell,
-                         mirror_model, tau, xxx_chain)
+from gl3ff.model import (ModelFunctions, Twist, dtau_dkappa,
+                         dtau_dkappa_onshell, mirror_model, tau, xxx_chain)
 from conftest import make_state, vacuum_state
 
 
@@ -32,7 +34,10 @@ def test_det_lu_rejects_bad_input():
 
 def test_overflow_raises_nonfinite_result():
     # a + b = 32 generic roots on a long chain: the raw products overflow
-    # and every element used to come back as nan + nanj
+    # and every element used to come back as nan + nanj; these sizes take
+    # the grid builder, whose overflow must not leak a numpy warning either
+    warnings.simplefilter("error", RuntimeWarning)
+    assert 32 >= ff.GRID_MIN_COLS
     rng = np.random.default_rng(48)
 
     def pts(n):
@@ -51,6 +56,13 @@ def test_overflow_raises_nonfinite_result():
             ff.form_factor(kind, left, right, z)
     with pytest.raises(NonFiniteResult):
         ff.ff_diag(2, right, right, z)  # same-state branch
+    with pytest.raises(NonFiniteResult):
+        ff.norm_squared(right)
+    # at a + b = 48 the grid builder's partial products overflow inside
+    # numpy's own products
+    right = make_state(model, pts(24), pts(24))
+    with pytest.raises(NonFiniteResult):
+        ff.form_factor((1, 2), make_state(model, pts(25), pts(24)), right, z)
     with pytest.raises(NonFiniteResult):
         ff.norm_squared(right)
     # an overflowing matrix entry is typed too, not det_lu's ValueError
@@ -140,6 +152,93 @@ def test_n_entry_matches_tau_form(state_lib):
             e1 = ff.n_column(asm, x)[r]
             e2 = ff.n_entry_tau_form(asm, r, x)
             assert abs(e1 - e2) <= 1e-10 * max(abs(e1), 1e-30)
+
+
+# ---------------------------------------------------------------------------
+# the grid builder against the per-column builder
+
+# GRID_MIN_COLS values that force each builder
+PER_COLUMN, GRID = 10 ** 9, 0
+
+
+def _clear_points(rng, n, c=1.0, gap=0.05):
+    """n points in the disk of radius 2, pairwise clear of coincidence and
+    of +-c shifts."""
+    pts = []
+    while len(pts) < n:
+        w = complex(*rng.uniform(-2.0, 2.0, 2))
+        if abs(w) < 2.0 and all(min(abs(w - p), abs(w - p + c),
+                                    abs(w - p - c)) > gap for p in pts):
+            pts.append(w)
+    return pts
+
+
+def _polynomial_model(rng):
+    """Generalized model whose vacuum ratios are random cubic polynomials."""
+    p1, p3 = (np.poly1d(rng.normal(size=4) + 1j * rng.normal(size=4))
+              for _ in range(2))
+    d1, d3 = p1.deriv(), p3.deriv()
+    return ModelFunctions(c=1.0 + 0.0j, r1=lambda w: complex(p1(w)),
+                          r3=lambda w: complex(p3(w)),
+                          dlog_r1=lambda w: complex(d1(w) / p1(w)),
+                          dlog_r3=lambda w: complex(d3(w) / p3(w)),
+                          description="polynomial test model")
+
+
+def _pair(rng, model, kind, a, b):
+    """Generic left and right states for ``kind`` with the right state in
+    sector (a, b), and a probe point."""
+    la, lb = ff.sector_shift(kind, a, b)
+    pts = iter(_clear_points(rng, a + b + la + lb + 1))
+    take = lambda n: tuple(next(pts) for _ in range(n))
+    right = make_state(model, take(a), take(b))
+    left = make_state(model, take(la), take(lb))
+    return left, right, next(pts)
+
+
+def _both_builders(monkeypatch, build):
+    out = []
+    for threshold in (PER_COLUMN, GRID):
+        monkeypatch.setattr(ff, "GRID_MIN_COLS", threshold)
+        out.append(build())
+    return out
+
+
+def test_grid_builder_matches_per_column(monkeypatch):
+    rng = np.random.default_rng(13)
+    models = (xxx_chain(6, tuple(_clear_points(rng, 6)), 1.0),
+              _polynomial_model(rng))
+    seen, kinds = set(), set()
+    for model in models:
+        for n in range(2, ff.GRID_MIN_COLS + 6):
+            a, b = n - n // 2, n // 2
+            for kind in ff.KINDS:
+                la, lb = ff.sector_shift(kind, a, b)
+                if lb > la:
+                    continue  # no chain state there: the element vanishes
+                left, right, z = _pair(rng, model, kind, a, b)
+                ff_col, ff_grid = _both_builders(
+                    monkeypatch, lambda: ff.form_factor(kind, left, right, z))
+                assert abs(ff_grid - ff_col) <= 1e-10 * abs(ff_col)
+                kinds.add(kind)
+                if kind in ((2, 3), (2, 1), (3, 1)):
+                    left, right = right, left
+                asm = ff.assemble(left, right, z)
+                seen.add(len(asm.cols))
+                pref_col, pref_grid = _both_builders(
+                    monkeypatch, lambda: ff.prefactor_H(
+                        asm.u_left, asm.v_left, asm.u_right, asm.v_right,
+                        asm.cols, model.c))
+                assert abs(pref_grid - pref_col) <= 1e-13 * abs(pref_col)
+                rows_col, rows_grid = _both_builders(monkeypatch, lambda: [
+                    *ff.n_matrix(ff.assemble(left, right, z)),
+                    *(ff.y_row_diag(asm, s, False) for s in (1, 2, 3)),
+                    ff.y_row_13(ff.assemble(left, right, z))])
+                for r_col, r_grid in zip(rows_col, rows_grid):
+                    scale = np.max(np.abs(r_col))
+                    assert np.max(np.abs(r_grid - r_col)) <= 1e-13 * scale
+    assert min(seen) <= 3 and max(seen) >= ff.GRID_MIN_COLS + 6
+    assert kinds == set(ff.KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +442,44 @@ def test_assemble_validation(state_lib):
     left = make_state(chain, (0.2 - 0.3j, -0.5j), (0.7 + 0.1j - chain.c,))
     with pytest.raises(PoleError, match="prefactor denominator"):
         ff.assemble(left, right, 0.9)
+
+
+def test_grid_guards_raise_the_per_column_error(monkeypatch):
+    # above GRID_MIN_COLS each pole is found by a mask on the difference
+    # array; the error, and the first pair it names, are the per-column ones
+    rng = np.random.default_rng(21)
+    model = xxx_chain(4, tuple(_clear_points(rng, 4)), 1.0)
+    c = model.c
+    n = ff.GRID_MIN_COLS + 2
+    a, b = n - n // 2, n // 2
+    left, right, z = _pair(rng, model, (1, 2), a, b)
+    ur = right.u
+
+    def shifted(u=(), v=()):
+        """The left state with some roots replaced: {index: new root}."""
+        lu, lv = list(left.u), list(left.v)
+        for k, w in dict(u).items():
+            lu[k] = w
+        for k, w in dict(v).items():
+            lv[k] = w
+        return make_state(model, lu, lv)
+
+    cases = {
+        "row on a column": shifted(u={2: ur[3], 0: ur[1]}),
+        "h(v_left, u_right) = 0": shifted(v={1: ur[0] - c, 0: ur[2] - c}),
+        "equal column labels": shifted(v={1: ur[0], 0: ur[1]}),
+        "t pole at u_j - x = -c": shifted(u={1: ur[3] - c, 0: ur[1] - c}),
+    }
+    for what, bad_left in cases.items():
+        assert len(ff.assemble(left, right, z).cols) >= ff.GRID_MIN_COLS
+
+        def error():
+            with pytest.raises(PoleError) as info:
+                ff.form_factor((1, 2), bad_left, right, z)
+            return str(info.value)
+
+        per_column, grid = _both_builders(monkeypatch, error)
+        assert grid == per_column, what
 
 
 # ---------------------------------------------------------------------------
