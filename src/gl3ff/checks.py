@@ -2,10 +2,12 @@
 
 Every check takes ``(report, lib, rng)``.  It appends named records to the
 report, reads solved states from the library that ``prepare_states`` builds
-and draws its probe points from ``rng`` in a fixed order, so one seed fixes
-every record byte for byte.  ``VERIFY`` and ``IDENTITIES`` list the checks
-of each suite in run order; the CLI builds its reports from them and the
-acceptance tests run the same functions.
+and draws its probe points from ``rng`` in a fixed order.  Each check gets a
+generator of its own, seeded from the report seed and the check's name, so
+one seed fixes the records of each check byte for byte, whichever checks run
+before it.  ``VERIFY`` and ``IDENTITIES`` list the checks of each suite in
+run order; the CLI builds its reports from them and the acceptance tests run
+the same functions.
 """
 
 from __future__ import annotations
@@ -305,8 +307,8 @@ def check_offdiagonal(report: Report, lib: dict,
         with _errors_recorded_as(report, name):
             avoid = _avoid_set(model, left, right)
             pts = orc.probe_points(rng, 10, avoid, model.c)
-            vl = orc.eigenvector_for_state(left, "left", spec, rng)
-            vr = orc.eigenvector_for_state(right, "right", spec, rng)
+            vl = orc.eigenvector_for_state(left, "left", spec)
+            vr = orc.eigenvector_for_state(right, "right", spec)
             worst = 0.0
             for (z1, z2) in zip(pts[:5], pts[5:]):
                 det_r = (ff.form_factor(kind, left, right, z1)
@@ -330,7 +332,7 @@ def check_products(report: Report, lib: dict, rng: np.random.Generator) -> None:
             det_p = (ff.form_factor(kind, left, right, z1)
                      * ff.form_factor((j, i), right, left, z2)
                      / (ff.norm_squared(left) * ff.norm_squared(right)))
-            orc_p = orc.invariant_product(kind, z1, z2, left, right, spec, rng)
+            orc_p = orc.invariant_product(kind, z1, z2, left, right, spec)
             resid = abs(det_p - orc_p) / abs(orc_p)
             report.add(name, resid, 1e-8,
                        inputs=[state_to_json(left), state_to_json(right)])
@@ -390,8 +392,8 @@ def check_diagonal(report: Report, lib: dict, rng: np.random.Generator) -> None:
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
         report.add("diag_same_state_twist_derivative", worst, 1e-10,
                    inputs=[state_to_json(st), pair(z)])
-        vl = orc.eigenvector_for_state(st, "left", spec, rng)
-        vr = orc.eigenvector_for_state(st, "right", spec, rng)
+        vl = orc.eigenvector_for_state(st, "left", spec)
+        vr = orc.eigenvector_for_state(st, "right", spec)
         t_vr = orc.apply_monodromy(z, spec, vr)
         worst = 0.0
         for s in (1, 2, 3):
@@ -491,8 +493,8 @@ def check_orthogonality(report: Report, lib: dict,
     with _errors_recorded_as(report, "eigenstate_orthogonality"):
         spec = lib[3]["spec"]
         a, b = lib[3]["m10"][0], lib[3]["m10"][1]
-        vl = orc.eigenvector_for_state(a, "left", spec, rng)
-        vr = orc.eigenvector_for_state(b, "right", spec, rng)
+        vl = orc.eigenvector_for_state(a, "left", spec)
+        vr = orc.eigenvector_for_state(b, "right", spec)
         report.add("eigenstate_orthogonality", abs(complex(vl @ vr)), 1e-9,
                    inputs=[state_to_json(a), state_to_json(b)])
 
@@ -634,13 +636,21 @@ IDENTITIES = (check_appendix, check_morphisms, check_permutation,
               check_gl2_reduction)
 
 
+def _run_check(check, report: Report, lib: dict) -> None:
+    """Run ``check`` on a generator seeded from the report seed and the
+    check's name: the checks that run before it, or their order, leave its
+    draws unchanged."""
+    check(report, lib,
+          np.random.default_rng([report.rng_seed, *check.__name__.encode()]))
+
+
 def build_report(title: str, checks, rng_seed: int) -> Report:
-    """Run ``checks`` in order on one state library and one rng stream."""
+    """Run ``checks`` in order on one state library, each on its own rng
+    stream."""
     report = Report(title, rng_seed)
-    rng = np.random.default_rng(rng_seed)
     lib = prepare_states(rng_seed)
     for check in checks:
-        check(report, lib, rng)
+        _run_check(check, report, lib)
     return report
 
 

@@ -238,6 +238,9 @@ def _state_pair(args, model: ModelFunctions, tol: float) -> tuple:
 def cmd_ff(args, cfg: dict, rng_seed: int) -> int:
     model = model_from_config(cfg, rng_seed)
     task = _section(cfg, "task")
+    fmt = args.format or _section(cfg, "output").get("format", "csv")
+    if fmt not in ("json", "csv"):
+        raise ConfigError(f"output.format must be 'json' or 'csv', got {fmt!r}")
     left, right = _state_pair(args, model, _task_tol(args, cfg))
     try:
         kinds = [(int(i), int(j)) for i, j in task.get("kinds")]
@@ -263,7 +266,6 @@ def cmd_ff(args, cfg: dict, rng_seed: int) -> int:
                 row.update({"f_re": "", "f_im": "", "branch": "",
                             "lu_cond": "", "error": f"{type(exc).__name__}: {exc}"})
             rows.append(row)
-    fmt = args.format or _section(cfg, "output").get("format", "csv")
     if fmt == "json":
         _write_output({"rows": rows}, args.out, "json")
     else:
@@ -386,6 +388,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = load_config(args.config)
         rng_seed = (args.seed if args.seed is not None
                     else cfg.get("rng_seed", DEFAULT_SEED))
+        # numpy seeds only non-negative integers, and a JSON true is no seed
+        if type(rng_seed) is not int or rng_seed < 0:
+            raise ConfigError("rng seed (--seed or rng_seed) must be a "
+                              f"non-negative integer, got {rng_seed!r}")
         return args.func(args, cfg, rng_seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Acceptance suite: the nine criteria, run through the check registry that
 ``gl3ff verify`` and ``gl3ff identities`` build their reports from.
 
-Each test runs its criterion's checks against the session state library
-with a fresh rng, prints one ACCEPTANCE line per record and asserts that
-every record passes at the tolerance its check states.
+Each test runs its criterion's checks against the session state library,
+each check on the rng stream that the report builder gives it, prints one
+ACCEPTANCE line per record and asserts that every record passes at the
+tolerance its check states.
 
 Criteria marked by sector (1,1) run with a generic diagonal twist: chains
 with trivial third vacuum ratio have no finite untwisted roots there (the
@@ -45,12 +46,12 @@ def assert_records(num, report, elapsed=None):
 
 
 def run_criterion(num, lib):
-    """Run criterion ``num`` on a fresh rng; returns (report, seconds)."""
+    """Run criterion ``num`` as a report runs its checks; returns (report,
+    seconds)."""
     report = checks.Report(f"criterion {num}", RNG_SEED)
-    rng = np.random.default_rng(RNG_SEED)
     t0 = time.perf_counter()
     for check in CRITERIA[num]:
-        check(report, lib, rng)
+        checks._run_check(check, report, lib)
     elapsed = time.perf_counter() - t0
     assert_records(num, report, elapsed)
     return report, elapsed
@@ -81,9 +82,9 @@ def test_offdiagonal_extracts_each_eigenvector_once(state_lib, monkeypatch):
     extracted = []
     extract = orc.eigenvector_for_state
 
-    def counted(state, side, spec, rng):
+    def counted(state, side, spec):
         extracted.append(side)
-        return extract(state, side, spec, rng)
+        return extract(state, side, spec)
 
     monkeypatch.setattr(orc, "eigenvector_for_state", counted)
     report = checks.Report("criterion 3, extractions", RNG_SEED)

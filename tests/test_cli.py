@@ -89,6 +89,27 @@ def test_solve_malformed_config_exits_3(tmp_path, model, sector, task):
     assert run(["solve", "--config", cfg]) == 3
 
 
+@pytest.mark.parametrize("command, flags, rng_seed", [
+    ("verify", ["--seed", -1], 7),
+    ("identities", ["--seed", -1], 7),
+    ("solve", ["--seed", -1], 7),
+    ("solve", [], "abc"),
+    ("solve", [], True),
+    ("solve", [], 1.5),
+], ids=["verify_minus_1", "identities_minus_1", "solve_minus_1", "abc",
+        "true", "float"])
+def test_bad_rng_seed_exits_3(tmp_path, capsys, command, flags, rng_seed):
+    # numpy seeds only non-negative integers; any other seed is a config
+    # error that names it, before a command blames its own section or fails
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "model": {"L": 2, "xi": "seeded"},
+        "sector": {"a": 1, "b": 0},
+        "rng_seed": rng_seed,
+    })
+    assert run([command, "--config", cfg, *flags]) == 3
+    assert "rng seed" in capsys.readouterr().err
+
+
 def test_solve_unsolvable_sector_exits_2(tmp_path):
     # untwisted (1,1) has no finite roots
     cfg = write_cfg(tmp_path, "cfg.json", {
@@ -218,6 +239,21 @@ def test_ff_malformed_inputs_exit_3(tmp_path):
                 "--right", roots]) == 3
 
 
+def test_ff_unknown_output_format_exits_3(tmp_path):
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "model": {"L": 2, "xi": [[0.05, 0.0], [-0.03, 0.0]]},
+        "sector": {"a": 0, "b": 0},
+        "task": {"kinds": [[2, 2]], "z_points": [[0.6, 0.4]]},
+        "output": {"format": "xml"},
+    })
+    roots = tmp_path / "vac.json"
+    assert run(["solve", "--config", cfg, "--out", roots]) == 0
+    table = tmp_path / "table.xml"
+    assert run(["ff", "--config", cfg, "--left", roots, "--right", roots,
+                "--out", table]) == 3
+    assert not table.exists()
+
+
 def test_format_is_a_flag_of_ff_only(capsys):
     # only ff writes a table; the other commands write JSON and take no --format
     for command in ("solve", "verify", "identities"):
@@ -254,6 +290,21 @@ def lib_seed7(monkeypatch, state_lib):
     monkeypatch.setattr(checks, "prepare_states", prepared)
 
 
+@pytest.mark.parametrize("suite", [checks.VERIFY, checks.IDENTITIES],
+                         ids=["verify", "identities"])
+def test_check_records_do_not_depend_on_other_checks(lib_seed7, suite):
+    # each check draws from its own stream: run alone, in suite order, in
+    # reverse or with the first check dropped, it writes the same bytes
+    def records(order):
+        report = checks.build_report("order", order, 7)
+        return [json.dumps(rec, sort_keys=True) for rec in report.records]
+
+    alone = {check: records((check,)) for check in suite}
+    for order in (suite, suite[::-1], suite[1:]):
+        assert records(order) == [rec for check in order
+                                  for rec in alone[check]]
+
+
 # sha256 of json.dumps(report.to_json(), sort_keys=True) for the seed-7
 # reports.  The digests pin the Python and numpy of PINNED_BUILD: another
 # build may round a residual differently, so there the comparison is skipped.
@@ -262,9 +313,9 @@ def lib_seed7(monkeypatch, state_lib):
 PINNED_BUILD = ((3, 11), (2, 4))
 REPORT_SHA256 = {
     "verification":
-        "1ba8d70fb9928de2dc0fd9a7aa6e65d6fdcdc117b95968c85a7a7f78624ca297",
+        "b584914618be2e49e258fff623a33a97b9bf284365fe13951207b193e695b488",
     "identities":
-        "6ed4f9568cd899f576bfc239ae4a75affd8839788b4a435b2e93882a8723187e",
+        "e8d1e2a4b3ef48bc05f2168b95db0978dc8cfd1009ed1e3f39715f040f0ef6e1",
 }
 
 

@@ -135,18 +135,18 @@ def test_sector_indices():
         orc.state_sector(orc.SpinChainSpec(2, (0.1, -0.1), 1.0), 1, 2)
 
 
-def test_eigenvector_vacuum(chain2, rng):
+def test_eigenvector_vacuum(chain2):
     spec, model = chain2
-    vec = orc.eigenvector_for_state(vacuum_state(model), "right", spec, rng)
+    vec = orc.eigenvector_for_state(vacuum_state(model), "right", spec)
     assert abs(abs(vec[0]) - 1.0) < 1e-12
     assert np.max(np.abs(vec[1:])) < 1e-12
 
 
-def test_eigenvector_residual_and_pairing(state_lib, rng):
+def test_eigenvector_residual_and_pairing(state_lib):
     spec, model = state_lib[2]["spec"], state_lib[2]["model"]
     st = state_lib[2]["m10"][0]
-    vr = orc.eigenvector_for_state(st, "right", spec, rng)
-    vl = orc.eigenvector_for_state(st, "left", spec, rng)
+    vr = orc.eigenvector_for_state(st, "right", spec)
+    vl = orc.eigenvector_for_state(st, "left", spec)
     w = 0.72 + 0.66j
     m = orc.transfer_matrix(w, spec)
     tv = tau(w, st.roots, model)
@@ -155,32 +155,33 @@ def test_eigenvector_residual_and_pairing(state_lib, rng):
     assert abs(complex(vl @ vr)) > 1e-3  # non-defective pairing
 
 
-def test_eigenvector_off_shell_state_raises(state_lib, rng):
+def test_eigenvector_off_shell_state_raises(state_lib):
     # one root moved by 1e-3: its eigenvalue is in no sector at any attempt
     spec, model = state_lib[3]["spec"], state_lib[3]["model"]
     st = state_lib[3]["m21"][0]
     moved = make_state(model, (st.u[0] + 1e-3,) + st.u[1:], st.v)
     with pytest.raises(DegenerateEigenvalue, match="not present in sector"):
-        orc.eigenvector_for_state(moved, "right", spec, rng)
+        orc.eigenvector_for_state(moved, "right", spec)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_extraction_draws_only_its_probe_points(state_lib, side):
-    # a successful extraction takes from the rng exactly its four probe
-    # points (the decomposition point and three validation points)
+def test_extraction_repeats_bit_for_bit(state_lib, side):
+    # extraction draws from no stream that another call moves: one state
+    # gives the same bits with other extractions run in between
     spec = state_lib[3]["spec"]
-    st = state_lib[3]["m21"][0]
-    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-    orc.eigenvector_for_state(st, side, spec, rng)
-    orc.probe_points(twin, 4, list(spec.xi) + list(st.u) + list(st.v), spec.c)
-    assert rng.bit_generator.state == twin.bit_generator.state
+    st, other = state_lib[3]["m21"][0], state_lib[3]["m10"][0]
+    first = orc.eigenvector_for_state(st, side, spec)
+    orc.eigenvector_for_state(other, "left", spec)
+    orc.eigenvector_for_state(other, "right", spec)
+    orc.eigenvector_for_state(state_lib[2]["m10"][0], side, state_lib[2]["spec"])
+    assert np.array_equal(orc.eigenvector_for_state(st, side, spec), first)
 
 
-def test_orthogonality_distinct_eigenvalues(state_lib, rng):
+def test_orthogonality_distinct_eigenvalues(state_lib):
     spec = state_lib[3]["spec"]
     a, b = state_lib[3]["m10"][0], state_lib[3]["m10"][1]
-    vl = orc.eigenvector_for_state(a, "left", spec, rng)
-    vr = orc.eigenvector_for_state(b, "right", spec, rng)
+    vl = orc.eigenvector_for_state(a, "left", spec)
+    vr = orc.eigenvector_for_state(b, "right", spec)
     assert abs(complex(vl @ vr)) < 1e-9
 
 
@@ -190,8 +191,8 @@ def test_invariant_ratio_trivial_and_diag(state_lib, rng):
     z = 0.9 + 0.6j
     assert abs(orc.invariant_ratio((1, 1), z, z, a, b, spec, rng) - 1.0) < 1e-12
     # mixed diagonal kinds share the sector shift
-    vl = orc.eigenvector_for_state(a, "left", spec, rng)
-    vr = orc.eigenvector_for_state(b, "right", spec, rng)
+    vl = orc.eigenvector_for_state(a, "left", spec)
+    vr = orc.eigenvector_for_state(b, "right", spec)
     val = (complex(vl @ orc.apply_monodromy(z, spec, vr)[0, 0])
            / complex(vl @ orc.apply_monodromy(0.4 - 0.3j, spec, vr)[1, 1]))
     assert np.isfinite(val.real) and val != 0
@@ -201,21 +202,20 @@ def test_invariant_ratio_is_element_ratio_of_its_vectors(state_lib):
     spec = state_lib[3]["spec"]
     a, b = state_lib[3]["m10"][0], state_lib[3]["m10"][1]
     z1, z2 = 0.9 + 0.6j, 0.4 - 0.3j
-    rng = np.random.default_rng(11)
-    vl = orc.eigenvector_for_state(a, "left", spec, rng)
-    vr = orc.eigenvector_for_state(b, "right", spec, rng)
+    vl = orc.eigenvector_for_state(a, "left", spec)
+    vr = orc.eigenvector_for_state(b, "right", spec)
     got = orc.invariant_ratio((1, 1), z1, z2, a, b, spec,
                               np.random.default_rng(11))
     assert got == orc.element_ratio((1, 1), z1, z2, vl, vr, spec)
 
 
-def test_invariant_product_same_state_reduces(state_lib, rng):
+def test_invariant_product_same_state_reduces(state_lib):
     spec = state_lib[3]["spec"]
     st = state_lib[3]["m10"][0]
     z = 0.9 + 0.6j
-    got = orc.invariant_product((2, 2), z, z, st, st, spec, rng)
-    vl = orc.eigenvector_for_state(st, "left", spec, rng)
-    vr = orc.eigenvector_for_state(st, "right", spec, rng)
+    got = orc.invariant_product((2, 2), z, z, st, st, spec)
+    vl = orc.eigenvector_for_state(st, "left", spec)
+    vr = orc.eigenvector_for_state(st, "right", spec)
     expect = (complex(vl @ orc.monodromy(z, spec)[1, 1] @ vr)
               / complex(vl @ vr)) ** 2
     assert abs(got - expect) <= 1e-10 * abs(expect)
@@ -230,11 +230,11 @@ def test_zero_denominator_detected(state_lib, rng):
         orc.invariant_ratio((2, 1), 0.9 + 0.6j, 0.4 - 0.3j, st, vac, spec, rng)
 
 
-def test_element_ratio_zero_denominator_from_vectors(state_lib, rng):
+def test_element_ratio_zero_denominator_from_vectors(state_lib):
     spec, model = state_lib[2]["spec"], state_lib[2]["model"]
     st = state_lib[2]["m10"][0]
-    vl = orc.eigenvector_for_state(st, "left", spec, rng)
-    vr = orc.eigenvector_for_state(vacuum_state(model), "right", spec, rng)
+    vl = orc.eigenvector_for_state(st, "left", spec)
+    vr = orc.eigenvector_for_state(vacuum_state(model), "right", spec)
     with pytest.raises(ZeroDenominator):
         orc.element_ratio((2, 1), 0.9 + 0.6j, 0.4 - 0.3j, vl, vr, spec)
 
