@@ -54,6 +54,14 @@ def _config_values(what: str):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
+def _as_int(node, what: str) -> int:
+    """``node`` if it is a JSON integer; ``int()`` would truncate a float and
+    take a boolean, so both, like strings, are config errors."""
+    if type(node) is not int:
+        raise ConfigError(f"{what} must be an integer, got {node!r}")
+    return node
+
+
 def _as_complex(node, what: str) -> complex:
     if isinstance(node, (int, float)):
         return complex(node)
@@ -75,10 +83,7 @@ def model_from_config(cfg: dict, rng_seed: int) -> ModelFunctions:
         raise ConfigError("config needs a 'model' object")
     if "L" not in node:
         raise ConfigError("model.L is required")
-    try:
-        L = int(node["L"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"model.L must be an integer, got {node['L']!r}")
+    L = _as_int(node["L"], "model.L")
     c = _as_complex(node.get("c", 1.0), "model.c")
     xi_node = node.get("xi", "seeded")
     with _config_values("model"):
@@ -133,8 +138,8 @@ def state_from_json(node: dict, model: ModelFunctions, tol: float) -> BetheState
         raise ConfigError(
             f"roots are not on shell for this model (defect {residual:.3e})")
     with _config_values("state.mode_numbers"):
-        modes = tuple(int(n) for n in node.get("mode_numbers",
-                                               [0] * (roots.a + roots.b)))
+        modes = tuple(_as_int(n, "state.mode_numbers") for n in
+                      node.get("mode_numbers", [0] * (roots.a + roots.b)))
     return BetheState(roots, twist, modes, residual, model)
 
 
@@ -173,11 +178,8 @@ def cmd_solve(args, cfg: dict, rng_seed: int) -> int:
     sector = cfg.get("sector")
     if not isinstance(sector, dict):
         raise ConfigError("config needs a 'sector' object")
-    try:
-        a = int(sector["a"])
-        b = int(sector["b"])
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError("sector.a and sector.b must be integers")
+    a = _as_int(sector.get("a"), "sector.a")
+    b = _as_int(sector.get("b"), "sector.b")
     if not 0 <= b <= a:
         raise ConfigError(f"sector (a={a}, b={b}) violates 0 <= b <= a")
     twist = twist_from_config(sector.get("twist"))
@@ -191,12 +193,16 @@ def cmd_solve(args, cfg: dict, rng_seed: int) -> int:
         elif seed is not None or mode_numbers is not None:
             if seed is not None:
                 seed = roots_from_node(seed, "sector.seed_roots")
+            if mode_numbers is not None:
+                mode_numbers = [_as_int(n, "sector.mode_numbers")
+                                for n in mode_numbers]
             states = [solve_bethe(SolveRequest(
                 model=model, a=a, b=b, twist=twist, seed_roots=seed,
                 mode_numbers=mode_numbers, tol=tol, rng_seed=rng_seed))]
         else:
             states = distinct_states(model, a, b, twist=twist,
-                                     n_seeds=int(sector.get("n_seeds", 48)),
+                                     n_seeds=_as_int(sector.get("n_seeds", 48),
+                                                     "sector.n_seeds"),
                                      tol=tol, rng_seed=rng_seed)
     if not states:
         raise NoConvergence(f"no states found in sector ({a}, {b})")
@@ -243,7 +249,8 @@ def cmd_ff(args, cfg: dict, rng_seed: int) -> int:
         raise ConfigError(f"output.format must be 'json' or 'csv', got {fmt!r}")
     left, right = _state_pair(args, model, _task_tol(args, cfg))
     try:
-        kinds = [(int(i), int(j)) for i, j in task.get("kinds")]
+        kinds = [(_as_int(i, "task.kinds"), _as_int(j, "task.kinds"))
+                 for i, j in task.get("kinds")]
     except (TypeError, ValueError):
         kinds = None
     if not kinds or any(k not in ff.KINDS for k in kinds):

@@ -12,10 +12,14 @@ comparators that need one matrix-vector product per matrix element.
 caller comparing many probe pairs extracts them once; ``invariant_ratio``
 and ``invariant_product`` extract their own.  Extraction draws its probe
 points from a generator of its own with a fixed seed, so a vector depends
-only on the state, the side and the chain, never on what ran before."""
+only on the state, the side and the chain, never on what ran before.  It is
+memoized per model (``_EXTRACTED``, like the solver's sector memo): each
+state's data is computed once while its model lives, and the left and right
+vectors of a state share their probe points and sector matrices."""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -179,32 +183,96 @@ def probe_points(rng: np.random.Generator, n: int, avoid: Sequence[complex],
     return pts
 
 
+# model -> {(spec, roots, twist): _StateOracle}; the entries hold no
+# reference to their model, so they die with it
+_EXTRACTED = weakref.WeakKeyDictionary()
+
+
+class _StateOracle:
+    """Extraction data of one state, shared by its two sides and filled as
+    the attempts need it: the probe generator, each attempt's four points
+    (or the message of the draw that failed), the sector transfer matrix and
+    eigenvalue at each point, the spectral norm at each validation point,
+    and each side's outcome (its read-only vector, or the message of its
+    ``DegenerateEigenvalue``)."""
+
+    def __init__(self):
+        self.rng = np.random.default_rng(0)
+        self.attempts = []
+        self.at_point = {}
+        self.norms = {}
+        self.outcome = {}
+
+    def points(self, k: int, avoid: list, c: complex) -> list:
+        """The four points of attempt ``k``, drawn once, in attempt order."""
+        if k == len(self.attempts):
+            try:
+                self.attempts.append(probe_points(self.rng, 4, avoid, c))
+            except NoConvergence as exc:
+                self.attempts.append(str(exc))
+        if isinstance(self.attempts[k], str):
+            raise NoConvergence(self.attempts[k])
+        return self.attempts[k]
+
+    def matrix_and_tau(self, w: complex, state: BetheState, spec: SpinChainSpec,
+                       idx: np.ndarray) -> tuple:
+        if w not in self.at_point:
+            self.at_point[w] = (
+                transfer_matrix(w, spec, state.twist, idx),
+                tau_twisted(w, state.roots, state.twist, state.model))
+        return self.at_point[w]
+
+    def norm(self, w: complex) -> float:
+        if w not in self.norms:
+            self.norms[w] = np.linalg.norm(self.at_point[w][0], 2)
+        return self.norms[w]
+
+
 def eigenvector_for_state(state: BetheState, side: str,
                           spec: SpinChainSpec) -> np.ndarray:
     """Unit-length sector eigenvector matching the state's eigenvalue.
 
-    Each attempt draws four probe points from a generator that every call
-    seeds afresh with one fixed seed, so two extractions of one state give
-    the same bits whatever ran between them.  The sector transfer matrix at
-    the first is eigendecomposed, and the eigenvector of the one eigenvalue
-    within 1e-7 of the state's is validated at the other three (the true
-    eigenvector is probe-independent, so accidental eigenvalue collisions at
-    the first point are caught).  The overall phase and scale are arbitrary;
-    callers must use invariant comparators.  ``side='left'`` decomposes the
+    Each attempt draws four probe points from a generator seeded with one
+    fixed seed for each state.  The sector transfer matrix at the first is
+    eigendecomposed, and the eigenvector of the one eigenvalue within 1e-7
+    of the state's is validated at the other three (the true eigenvector is
+    probe-independent, so accidental eigenvalue collisions at the first
+    point are caught).  The overall phase and scale are arbitrary; callers
+    must use invariant comparators.  ``side='left'`` decomposes the
     transposed matrix, giving the bilinear dual eigenvector (no
     conjugation).
+
+    Extraction is memoized while the state's model lives, per (spec, roots,
+    twist): a repeated call returns the same read-only vector (or raises
+    the same error) without building a matrix, and the two sides of a state
+    share their probe points, sector matrices, eigenvalues and norms.  A
+    vector therefore has the same bits as a fresh extraction on a new model,
+    whatever was extracted before it.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    per_model = _EXTRACTED.setdefault(state.model, {})
+    key = (spec, state.roots, state.twist)
+    if key not in per_model:
+        per_model[key] = _StateOracle()
+    memo = per_model[key]
+    if side not in memo.outcome:
+        memo.outcome[side] = _extract(state, side, spec, memo)
+    out = memo.outcome[side]
+    if isinstance(out, str):
+        raise DegenerateEigenvalue(out)
+    return out
+
+
+def _extract(state: BetheState, side: str, spec: SpinChainSpec,
+             memo: _StateOracle):
+    """The read-only vector of ``side``, or the last attempt's failure."""
     idx = state_sector(spec, state.a, state.b)
-    model = state.model
     avoid = list(spec.xi) + list(state.u) + list(state.v)
     last_error = "no attempts made"
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        w0, *probes = probe_points(rng, 4, avoid, spec.c)
-        m_sec = transfer_matrix(w0, spec, state.twist, idx)
-        tau0 = tau_twisted(w0, state.roots, state.twist, model)
+    for k in range(5):
+        w0, *probes = memo.points(k, avoid, spec.c)
+        m_sec, tau0 = memo.matrix_and_tau(w0, state, spec, idx)
         try:
             eigs, vecs = np.linalg.eig(m_sec.T if side == "left" else m_sec)
         except np.linalg.LinAlgError as exc:
@@ -220,20 +288,20 @@ def eigenvector_for_state(state: BetheState, side: str,
             continue
         vec = vecs[:, close[0]]
         for wt in probes:
-            mt = transfer_matrix(wt, spec, state.twist, idx)
-            taut = tau_twisted(wt, state.roots, state.twist, model)
+            mt, taut = memo.matrix_and_tau(wt, state, spec, idx)
             if side == "left":
                 resid = np.linalg.norm(vec @ mt - taut * vec)
             else:
                 resid = np.linalg.norm(mt @ vec - taut * vec)
-            if resid > 1e-8 * np.linalg.norm(mt, 2):
+            if resid > 1e-8 * memo.norm(wt):
                 last_error = f"probe residual {resid:.3e} at w={wt}"
                 break
         else:
             full = np.zeros(spec.dim, dtype=complex)
             full[idx] = vec
+            full.flags.writeable = False
             return full
-    raise DegenerateEigenvalue(last_error)
+    return last_error
 
 
 def _entry_value(i: int, j: int, z: complex, vl: np.ndarray, vr: np.ndarray,

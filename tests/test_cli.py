@@ -76,11 +76,18 @@ def test_solve_negative_sector_exits_3(tmp_path):
     ({}, {"mode_numbers": [0, 1]}, {}),
     ({}, {}, {"tol": -1}),
     ({"c": 0}, {}, {}),
+    ({"L": 2.7}, {}, {}),
+    ({}, {"a": 1.9}, {}),
+    ({}, {"b": False}, {}),
+    ({}, {"n_seeds": 12.5}, {}),
+    ({}, {"mode_numbers": [0.5]}, {}),
 ], ids=["L0", "zero_twist", "n_seeds_x", "n_seeds_0", "xi_radius_big",
-        "mode_numbers_length", "negative_tol", "c0"])
+        "mode_numbers_length", "negative_tol", "c0", "L_float", "a_float",
+        "b_false", "n_seeds_float", "mode_numbers_float"])
 def test_solve_malformed_config_exits_3(tmp_path, model, sector, task):
     # values that the library's constructors and argument checks reject are
-    # config errors, not tracebacks, "no states" or a spurious solution
+    # config errors, not tracebacks, "no states" or a spurious solution; so
+    # are integers given as floats or booleans, which int() would truncate
     cfg = write_cfg(tmp_path, "cfg.json", {
         "model": {"L": 2, "xi": "homogeneous", **model},
         "sector": {"a": 1, "b": 0, **sector},
@@ -210,6 +217,8 @@ def test_ff_lu_cond_of_determinant_matrix(tmp_path, state_lib):
     {"kinds": [[1, 2, 3]], "z_points": [[0.6, 0.4]]},
     {"kinds": [], "z_points": [[0.6, 0.4]]},
     {"kinds": [[2, 2]], "z_points": []},
+    {"kinds": [[2, 2.5]], "z_points": [[0.6, 0.4]]},
+    {"kinds": [[True, 1]], "z_points": [[0.6, 0.4]]},
 ])
 def test_ff_bad_task_exits_3(tmp_path, task):
     cfg = write_cfg(tmp_path, "cfg.json", {
@@ -223,7 +232,8 @@ def test_ff_bad_task_exits_3(tmp_path, task):
 
 
 def test_ff_malformed_inputs_exit_3(tmp_path):
-    # a roots file or a task whose JSON is no object is a config error
+    # a roots file or a task whose JSON is no object, or a mode number that
+    # is no integer, is a config error
     model = {"L": 2, "xi": [[0.05, 0.0], [-0.03, 0.0]]}
     cfg = write_cfg(tmp_path, "cfg.json", {
         "model": model, "sector": {"a": 0, "b": 0},
@@ -234,6 +244,10 @@ def test_ff_malformed_inputs_exit_3(tmp_path):
     assert run(["ff", "--config", cfg, "--left", roots, "--right", roots]) == 0
     listed = write_cfg(tmp_path, "list.json", [])
     assert run(["ff", "--config", cfg, "--left", listed, "--right", roots]) == 3
+    blob = json.loads(roots.read_text())
+    blob["states"][0]["mode_numbers"] = [1.5]
+    modes = write_cfg(tmp_path, "modes.json", blob)
+    assert run(["ff", "--config", cfg, "--left", modes, "--right", roots]) == 3
     bad_task = write_cfg(tmp_path, "bad.json", {"model": model, "task": [1]})
     assert run(["ff", "--config", bad_task, "--left", roots,
                 "--right", roots]) == 3

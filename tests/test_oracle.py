@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -166,15 +170,55 @@ def test_eigenvector_off_shell_state_raises(state_lib):
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_extraction_repeats_bit_for_bit(state_lib, side):
-    # extraction draws from no stream that another call moves: one state
-    # gives the same bits with other extractions run in between
+    # the memoized vector, taken after other extractions, has the bits of a
+    # fresh extraction of the same roots on a new model object
     spec = state_lib[3]["spec"]
     st, other = state_lib[3]["m21"][0], state_lib[3]["m10"][0]
-    first = orc.eigenvector_for_state(st, side, spec)
     orc.eigenvector_for_state(other, "left", spec)
     orc.eigenvector_for_state(other, "right", spec)
     orc.eigenvector_for_state(state_lib[2]["m10"][0], side, state_lib[2]["spec"])
-    assert np.array_equal(orc.eigenvector_for_state(st, side, spec), first)
+    memoized = orc.eigenvector_for_state(st, side, spec)
+    fresh = dataclasses.replace(st, model=spec.model())
+    assert fresh.model is not st.model
+    assert np.array_equal(orc.eigenvector_for_state(fresh, side, spec),
+                          memoized)
+
+
+def test_extraction_shares_builds_and_dies_with_model(state_lib, monkeypatch):
+    spec = state_lib[3]["spec"]
+    model = spec.model()
+    st = dataclasses.replace(state_lib[3]["m21"][0], model=model)
+    built = []
+    build = orc.transfer_matrix
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(orc, "transfer_matrix", counted)
+    entries = len(orc._EXTRACTED)
+    orc.eigenvector_for_state(st, "left", spec)
+    assert len(built) == 4  # the first attempt succeeds: w0 and three probes
+    orc.eigenvector_for_state(st, "right", spec)
+    assert len(built) == 4  # the right side reuses the left side's matrices
+    for side in ("left", "right", "left"):
+        orc.eigenvector_for_state(st, side, spec)
+    assert len(built) == 4
+    assert len(orc._EXTRACTED) == entries + 1
+    ref = weakref.ref(model)
+    del model, st
+    gc.collect()
+    assert ref() is None
+    assert len(orc._EXTRACTED) == entries
+
+
+def test_extracted_vector_is_read_only(state_lib):
+    spec = state_lib[2]["spec"]
+    vec = orc.eigenvector_for_state(state_lib[2]["m10"][0], "right", spec)
+    with pytest.raises(ValueError):
+        vec[0] = 0.0
+    with pytest.raises(ValueError):
+        vec *= 2.0
 
 
 def test_orthogonality_distinct_eigenvalues(state_lib):
