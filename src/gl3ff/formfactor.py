@@ -27,8 +27,8 @@ per-column code, which raises the error of its first pole.
 
 from __future__ import annotations
 
-import operator
 import warnings
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -247,26 +247,37 @@ def assemble(left: BetheState, right: BetheState, z: complex,
         raise ValueError("left and right states use different couplings")
     asm = FFAssembly(u_left=left.u, v_left=left.v, u_right=right.u,
                      v_right=right.v, z=complex(z), model=model)
-    c = model.c
-    cols = asm.cols
-    if len(cols) >= GRID_MIN_COLS and asm._grid.clear(same_state):
+    if len(asm.cols) >= GRID_MIN_COLS and asm._grid.clear(same_state):
         return asm
-    hit = collision(cols, cols, c, keep=operator.lt)
+    _label_guards(asm, same_state)
+    if collision(asm.v_left, asm.u_right, model.c, -model.c) is not None:
+        raise PoleError("prefactor denominator h(v_left, u_right) ~ 0")
+    return asm
+
+
+def _label_guards(asm: FFAssembly, same_state: bool, first: int = 0) -> None:
+    """Raise the PoleError of the first pair of coinciding column labels,
+    then, unless ``same_state``, of the first row label on a column point.
+
+    Only the pairs whose column comes at or after ``first`` are tested: a
+    caller that knows the earlier columns clear of each other and of the
+    rows passes ``first`` and gets the error a full test would raise.
+    """
+    c = asm.model.c
+    cols = asm.cols
+    hit = collision(cols, cols[first:], c, keep=lambda j, k: j < k + first)
     if hit is not None:
-        j, k = hit
+        j, k = hit[0], hit[1] + first
         raise PoleError(
             f"column labels {j} and {k} collide ({cols[j]} ~ {cols[k]})")
     if not same_state:
         rows = asm.u_left + asm.v_right
-        hit = collision(rows, cols, c)
+        hit = collision(rows, cols[first:], c)
         if hit is not None:
             raise PoleError(
                 f"row label {rows[hit[0]]} collides with column point "
-                f"{cols[hit[1]]}; shared roots between the two states are "
-                "outside the generic-position formulas")
-    if collision(asm.v_left, asm.u_right, c, -c) is not None:
-        raise PoleError("prefactor denominator h(v_left, u_right) ~ 0")
-    return asm
+                f"{cols[hit[1] + first]}; shared roots between the two states "
+                "are outside the generic-position formulas")
 
 
 def prefactor_H(u_left: Sequence[complex], v_left: Sequence[complex],
@@ -407,25 +418,27 @@ def y_row_diag(asm: FFAssembly, s: int, same_state: bool) -> np.ndarray:
     """
     if s not in (1, 2, 3):
         raise ValueError(f"s must be 1, 2 or 3, got {s}")
-    m = asm.model
-    c = m.c
-    d1, d2, d3 = (s == 1), (s == 2), (s == 3)
-    a = len(asm.u_right)
-    b = len(asm.v_left)
     out = (asm._grid.y_row_diag(s, same_state)
            if len(asm.cols) >= GRID_MIN_COLS else None)
     if out is None:
         out = _column_y_diag(asm, s, same_state)
+    out[-1] = _y_diag_entry(asm, s)
+    return out
+
+
+def _y_diag_entry(asm: FFAssembly, s: int) -> complex:
+    """The last component of :func:`y_row_diag`, the only one that depends
+    on the probe point."""
+    m = asm.model
+    c = m.c
     z = asm.z
     u_ref, v_ref = asm.u_left, asm.v_left
     denom = inv_f_prod(v_ref, z, c) * inv_f_prod(z, u_ref, c)
-    if d1:
-        out[a + b] = m.r1(z) * f_prod(u_ref, z, c) * denom
-    elif d2:
-        out[a + b] = 1.0
-    else:
-        out[a + b] = m.r3(z) * f_prod(z, v_ref, c) * denom
-    return out
+    if s == 1:
+        return m.r1(z) * f_prod(u_ref, z, c) * denom
+    if s == 2:
+        return 1.0
+    return m.r3(z) * f_prod(z, v_ref, c) * denom
 
 
 def _column_y_diag(asm: FFAssembly, s: int, same_state: bool) -> np.ndarray:
@@ -462,9 +475,14 @@ def y_row_13(asm: FFAssembly) -> np.ndarray:
             return out
     out = np.empty(len(asm.cols), dtype=complex)
     for k, x in enumerate(asm.cols):
-        sign, r3, h_xv, if_xu, h_vx, ih_vx = _v_factors(asm, x)
-        out[k] = sign * r3 * h_xv * if_xu * ih_vx + h_vx * ih_vx
+        out[k] = _y13_entry(asm, x)
     return out
+
+
+def _y13_entry(asm: FFAssembly, x: complex) -> complex:
+    """The component of :func:`y_row_13` at column point ``x``."""
+    sign, r3, h_xv, if_xu, h_vx, ih_vx = _v_factors(asm, x)
+    return sign * r3 * h_xv * if_xu * ih_vx + h_vx * ih_vx
 
 
 def _require_untwisted(*states: BetheState) -> None:
@@ -483,12 +501,15 @@ def _check_sector(kind: tuple, left: BetheState, right: BetheState) -> None:
             f"entry {kind}: left sector ({left.a}, {left.b}) != required ({ap}, {bp})")
 
 
-def _same_state_matrix(asm: FFAssembly, s: int) -> np.ndarray:
+def _same_state_matrix(asm: FFAssembly, s: int,
+                       zfree: np.ndarray | None = None) -> np.ndarray:
     """Regularised diagonal-entry matrix for coinciding root sets.
 
     The naive entries develop cancelling poles there, so the top-left block
     is the Gaudin matrix, the last column carries the scaled tau derivatives
-    and the closing row collapses to its Kronecker pattern.
+    and the closing row collapses to its Kronecker pattern.  ``zfree``, a
+    matrix of an earlier call on the same roots, supplies the Gaudin block
+    and the Kronecker pattern.
     """
     m = asm.model
     c = m.c
@@ -496,14 +517,83 @@ def _same_state_matrix(asm: FFAssembly, s: int) -> np.ndarray:
     a, b = roots.a, roots.b
     z = asm.z
     scale = inv_f_prod(z, roots.u, c) * inv_f_prod(roots.v, z, c)
-    mat = np.zeros((a + b + 1, a + b + 1), dtype=complex)
-    mat[:a + b, :a + b] = gaudin_matrix(roots, m)
+    if zfree is None:
+        mat = np.zeros((a + b + 1, a + b + 1), dtype=complex)
+        mat[:a + b, :a + b] = gaudin_matrix(roots, m)
+        mat[a + b, :a + b] = _column_y_diag(asm, s, same_state=True)[:a + b]
+    else:
+        mat = zfree.copy()
     for j in range(a):
         mat[j, a + b] = c * dtau_du(z, roots, m, j) * scale
     for j in range(b):
         mat[a + j, a + b] = -c * dtau_dv(z, roots, m, j) * scale
-    mat[a + b, :a + b + 1] = y_row_diag(asm, s, same_state=True)
+    mat[a + b, a + b] = _y_diag_entry(asm, s)
     return mat
+
+
+def _matrix(asm: FFAssembly, kind: tuple, same: bool,
+            zfree: np.ndarray | None = None) -> np.ndarray:
+    """The determinant matrix of the entry ``kind`` on an assembly.
+
+    Only its last column depends on the probe point.  ``zfree``, the matrix
+    of an earlier call with the same kind and assembly roots, supplies the
+    others; the last column is then built alone, by the code and in the
+    order of a full build, so the matrix and any error are the same.
+    """
+    i, j = kind
+    if same:
+        return _same_state_matrix(asm, i, zfree)
+    if zfree is None:
+        rows = n_matrix(asm)
+        if i == j:
+            return np.vstack([rows, y_row_diag(asm, i, same_state=False)])
+        if kind in ((1, 3), (3, 1)):
+            return np.vstack([rows, y_row_13(asm)])
+        return rows
+    mat = zfree.copy()
+    mat[:asm.n_rows, -1] = n_column(asm, asm.z)
+    if i == j:
+        mat[-1, -1] = _y_diag_entry(asm, i)
+    elif kind in ((1, 3), (3, 1)):
+        mat[-1, -1] = _y13_entry(asm, asm.z)
+    return mat
+
+
+class _ZFreePart:
+    """What one element keeps for the next call on the same kind and the
+    same two state objects: the roots of its validated assembly, its branch,
+    and its matrix, every column of which but the last is free of the probe
+    point.  States and model are held by weak reference, so the part keeps
+    no model alive; the matrix is read-only."""
+
+    def __init__(self, kind: tuple, left: BetheState, right: BetheState,
+                 asm: FFAssembly, same: bool, near: bool, mat: np.ndarray):
+        self.kind = kind
+        self.left, self.right = weakref.ref(left), weakref.ref(right)
+        self.model = weakref.ref(asm.model)
+        self.roots = (asm.u_left, asm.v_left, asm.u_right, asm.v_right)
+        self.same, self.near = same, near
+        self.mat = mat.copy()
+        self.mat.flags.writeable = False
+
+    def serves(self, kind: tuple, left: BetheState, right: BetheState) -> bool:
+        # at GRID_MIN_COLS columns and more the grid builds a matrix as one
+        # array, whose last column a per-column build need not match in
+        # every bit
+        return (kind == self.kind and self.left() is left
+                and self.right() is right
+                and self.mat.shape[1] < GRID_MIN_COLS)
+
+    def assembly(self, z: complex) -> FFAssembly:
+        """The assembly at a new probe point, after the guards that
+        involve it."""
+        asm = FFAssembly(*self.roots, z=complex(z), model=self.model())
+        _label_guards(asm, self.same, first=len(asm.cols) - 1)
+        return asm
+
+
+# the z-free part of the most recent element (see determinant_element)
+_last = None
 
 
 def determinant_element(kind: tuple, left: BetheState, right: BetheState,
@@ -512,44 +602,59 @@ def determinant_element(kind: tuple, left: BetheState, right: BetheState,
     on-shell states: ``value = prefactor * det(matrix)`` and ``same_state``
     tells whether a diagonal entry took the regularised same-state branch.
     The (2,3), (2,1) and (3,1) entries are evaluated with the two states
-    exchanged.
+    exchanged.  The matrix is a new array on every call.
+
+    Only the last column of the matrix depends on ``z``.  The element keeps
+    its other columns, with its validated assembly and branch, until the
+    next call; when that call has the same kind and the same two state
+    objects, it runs only the guards that involve ``z`` and builds only the
+    last column (below ``GRID_MIN_COLS`` columns).  Value, matrix and
+    errors are those of a full build, bit for bit.
     """
+    global _last
     kind = (int(kind[0]), int(kind[1]))
     if kind not in KINDS:
         raise ValueError(f"unknown entry {kind}")
-    _require_untwisted(left, right)
-    _check_sector(kind, left, right)
     i, j = kind
-    same = False
-    if i == j:
-        same = states_equal(left.roots, right.roots, SAME_STATE_TOL)
-        if not same and states_equal(left.roots, right.roots,
-                                     NEAR_DEGENERATE_TOL):
-            warnings.warn(
-                "root multisets nearly coincide; both evaluation branches of "
-                "the diagonal form factor are ill-conditioned here",
-                DegeneracyWarning, stacklevel=3)
+    part = _last
+    if part is not None and part.serves(kind, left, right):
+        same, near, zfree = part.same, part.near, part.mat
+    else:
+        part = zfree = None
+        _require_untwisted(left, right)
+        _check_sector(kind, left, right)
+        same = i == j and states_equal(left.roots, right.roots,
+                                       SAME_STATE_TOL)
+        near = i == j and not same and states_equal(
+            left.roots, right.roots, NEAR_DEGENERATE_TOL)
+    if near:
+        warnings.warn(
+            "root multisets nearly coincide; both evaluation branches of "
+            "the diagonal form factor are ill-conditioned here",
+            DegeneracyWarning, stacklevel=3)
+    if part is not None:
+        asm = part.assembly(z)
     elif kind in ((2, 3), (2, 1), (3, 1)):
-        left, right = right, left
-    asm = assemble(left, right, z, same_state=same)
+        asm = assemble(right, left, z)
+    else:
+        asm = assemble(left, right, z, same_state=same)
     pref = prefactor_H(asm.u_left, asm.v_left, asm.u_right, asm.v_right,
                        asm.cols, asm.model.c)
     if i == j:
-        pref = (-1.0 if right.b % 2 else 1.0) * pref
-        mat = (_same_state_matrix(asm, i) if same else np.vstack(
-            [n_matrix(asm), y_row_diag(asm, i, same_state=False)]))
+        pref = (-1.0 if len(asm.v_right) % 2 else 1.0) * pref
     elif kind in ((1, 3), (3, 1)):
-        pref = (-1.0 if left.b % 2 else 1.0) * pref
-        mat = np.vstack([n_matrix(asm), y_row_13(asm)])
-    else:
-        mat = n_matrix(asm)
+        pref = (-1.0 if len(asm.v_left) % 2 else 1.0) * pref
+    mat = _matrix(asm, kind, same, zfree)
+    if zfree is None and len(asm.cols) < GRID_MIN_COLS:
+        _last = _ZFreePart(kind, left, right, asm, same, near, mat)
     return _element(pref, mat, f"T{kind}"), mat, same
 
 
 def form_factor(kind: tuple, left: BetheState, right: BetheState,
                 z: complex) -> complex:
     """Matrix element of any of the nine entries T(i,j) between two on-shell
-    states (see :func:`determinant_element`)."""
+    states (see :func:`determinant_element`; a run of calls on one pair of
+    states builds the z-free columns once)."""
     return determinant_element(kind, left, right, z)[0]
 
 

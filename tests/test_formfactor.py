@@ -1,9 +1,13 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import gl3ff.formfactor as ff
+import gl3ff.oracle as orc
+import gl3ff.solver as solver
 from gl3ff.errors import (DegeneracyWarning, NonFiniteResult, PoleError,
                           SectorMismatch)
 from gl3ff.kernel import delta, delta_prime, h_prod, inv_f_prod, t
@@ -315,8 +319,9 @@ def test_diag_near_degenerate_warning(state_lib):
     st = state_lib[3]["m10"][0]
     model = state_lib[3]["model"]
     shifted = make_state(model, (st.u[0] + 1e-7,), ())
-    with pytest.warns(DegeneracyWarning):
-        ff.ff_diag(2, shifted, st, 0.9 + 0.4j)
+    for z in (0.9 + 0.4j, -0.6 + 0.8j, 1.1 - 0.3j):  # on every call
+        with pytest.warns(DegeneracyWarning):
+            ff.ff_diag(2, shifted, st, z)
 
 
 # ---------------------------------------------------------------------------
@@ -580,3 +585,167 @@ def test_appendix_identical_sets_vanish():
     res = ff.appendix_identities(u, u, v, v, 0.1 - 0.9j, 1.0)
     for lhs, rhs, _ in res.values():
         assert abs(lhs) < 1e-14 and abs(rhs) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the z-free part of an element, kept for the next call on the same states
+
+Z_POINTS = (0.9 + 0.8j, -0.7 + 1.1j, 1.3 - 0.4j, -1.2 - 0.9j)
+
+
+def _forget():
+    """Evaluate an element between other states, so that the next call
+    builds its element whole."""
+    vac = vacuum_state(xxx_chain(2, (0.05, -0.03), 1.0))
+    ff.form_factor((2, 2), vac, vac, 0.5)
+
+
+def _library_pairs(state_lib):
+    """(kind, left, right): for every kind the largest pair of distinct L=5
+    (else L=4) library states, then the same-state pair of each diagonal
+    kind."""
+    out = []
+    for kind in ff.KINDS:
+        for L in (5, 4):
+            by_sector = {(0, 0): [state_lib[L]["vac"]]}
+            by_sector.update({(int(k[1]), int(k[2])): v
+                              for k, v in state_lib[L].items()
+                              if k[0] == "m" and k[1:].isdigit()})
+            pairs = [(left, right) for (a, b), rights in by_sector.items()
+                     for right in rights
+                     for left in by_sector.get(ff.sector_shift(kind, a, b), ())
+                     if left is not right]
+            if pairs:
+                out.append((kind, *max(pairs, key=lambda p: len(p[0].u)
+                                       + len(p[0].v) + len(p[1].u)
+                                       + len(p[1].v))))
+                break
+    st = state_lib[5]["m21"][0]
+    return out + [((s, s), st, st) for s in (1, 2, 3)]
+
+
+def test_repeat_call_is_bit_identical_to_a_cold_call(monkeypatch, state_lib):
+    z1, z2 = Z_POINTS[:2]
+    built = []
+
+    def counting(build):
+        def counted(*args):
+            built.append(build)
+            return build(*args)
+        return counted
+
+    for name in ("n_matrix", "gaudin_matrix"):
+        monkeypatch.setattr(ff, name, counting(getattr(ff, name)))
+    cases = _library_pairs(state_lib)
+    assert {kind for kind, _, _ in cases} == set(ff.KINDS)
+    rng = np.random.default_rng(5)
+    n = ff.GRID_MIN_COLS
+    left, right, _ = _pair(rng, _polynomial_model(rng), (1, 1),
+                           n - 1 - (n - 1) // 2, (n - 1) // 2)
+    cases.append(((1, 1), left, right))
+    for kind, left, right in cases:
+        ff.determinant_element(kind, left, right, z1)
+        built.clear()
+        warm = ff.determinant_element(kind, left, right, z2)
+        # the z-free columns are kept below GRID_MIN_COLS columns only
+        assert bool(built) == (warm[1].shape[1] >= ff.GRID_MIN_COLS), kind
+        _forget()
+        cold = ff.determinant_element(kind, left, right, z2)
+        assert warm[0] == cold[0] and warm[2] == cold[2], kind
+        assert np.array_equal(warm[1], cold[1]), kind
+    assert warm[1].shape[1] >= ff.GRID_MIN_COLS  # the generalized pair
+    assert cases[-2][1] is cases[-2][2] and warm[2] is False
+
+
+def test_repeat_call_raises_what_a_cold_call_raises(state_lib):
+    left, right = state_lib[5]["m31"][0], state_lib[5]["m21"][0]
+    st = state_lib[5]["m21"][0]
+    c = st.model.c
+    xi = state_lib[5]["spec"].xi[0]
+    cases = [
+        ((1, 2), left, right, right.u[1], "column labels 1 and 3 collide"),
+        ((1, 2), left, right, left.u[2], f"row label {left.u[2]} collides"),
+        ((1, 2), left, right, left.u[0] + c, "t(x, y) pole"),
+        ((2, 2), st, st, st.v[0], "column labels 2 and 3 collide"),
+        ((1, 1), st, st, xi, "f(x, y) pole"),
+    ]
+    for kind, left, right, z, what in cases:
+        got = []
+        for warm in (True, False):
+            if warm:
+                ff.form_factor(kind, left, right, Z_POINTS[0])
+            else:
+                _forget()
+            with pytest.raises(PoleError) as info:
+                ff.form_factor(kind, left, right, z)
+            got.append(str(info.value))
+        assert got[0] == got[1] and what in got[0], got
+
+
+def test_overflow_raises_at_every_probe_point():
+    # the a + b = 32 pairs of test_overflow_raises_nonfinite_result, each at
+    # two probe points in a row
+    warnings.simplefilter("error", RuntimeWarning)
+    rng = np.random.default_rng(48)
+
+    def pts(n):
+        return tuple(complex(p) for p in 3 * np.sqrt(rng.uniform(0, 1, n))
+                     * np.exp(2j * np.pi * rng.uniform(0, 1, n)))
+
+    model = xxx_chain(80, pts(80), 1.0)
+    right = make_state(model, pts(16), pts(16))
+    for kind in ((1, 2), (2, 2), (1, 3), (3, 1)):
+        a, b = ff.sector_shift(kind, right.a, right.b)
+        left = make_state(model, pts(a), pts(b))
+        for z in (0.4 + 0.3j, -0.5 + 0.6j):
+            with pytest.raises(NonFiniteResult):
+                ff.form_factor(kind, left, right, z)
+    for z in (0.4 + 0.3j, -0.5 + 0.6j):
+        with pytest.raises(NonFiniteResult):
+            ff.ff_diag(2, right, right, z)
+
+
+def test_repeat_calls_build_only_the_z_column(monkeypatch, state_lib):
+    # the parent built all n columns for each z: 16 here
+    left, right = state_lib[5]["m31"][0], state_lib[5]["m21"][0]
+    calls = [0]
+    build = ff.n_column
+
+    def counted(*args):
+        calls[0] += 1
+        return build(*args)
+
+    monkeypatch.setattr(ff, "n_column", counted)
+    _forget()
+    for z in Z_POINTS:
+        _, mat, _ = ff.determinant_element((1, 2), left, right, z)
+    assert mat.shape == (4, 4)
+    assert calls[0] == (4 - 1) + len(Z_POINTS)
+
+
+def test_kept_part_is_read_only_and_keeps_no_model(state_lib):
+    spec = state_lib[3]["spec"]
+    model = spec.model()
+    solved, extracted = len(solver._SOLVED), len(orc._EXTRACTED)
+    states = solver.distinct_states(model, 1, 0, rng_seed=7)
+    orc.eigenvector_for_state(states[0], "left", spec)
+    assert len(solver._SOLVED) == solved + 1
+    assert len(orc._EXTRACTED) == extracted + 1
+    z1, z2 = Z_POINTS[:2]
+    _, first, _ = ff.determinant_element((1, 1), states[0], states[1], z1)
+    _, second, _ = ff.determinant_element((1, 1), states[0], states[1], z2)
+    kept = ff._last.mat
+    with pytest.raises(ValueError):
+        kept[0, 0] = 0.0
+    _, third, _ = ff.determinant_element((1, 1), states[0], states[1], z2)
+    assert not any(np.shares_memory(p, q) for p, q in
+                   ((first, second), (second, third), (third, kept)))
+    third[:] = 0.0  # the caller's matrix is its own
+    again = ff.determinant_element((1, 1), states[0], states[1], z2)[1]
+    assert np.array_equal(again, second)
+    ref = weakref.ref(model)
+    del model, states
+    gc.collect()
+    assert ref() is None
+    assert len(solver._SOLVED) == solved
+    assert len(orc._EXTRACTED) == extracted
