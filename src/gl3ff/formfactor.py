@@ -69,7 +69,7 @@ def det_lu(m: np.ndarray) -> complex:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"square matrix required, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return complex(np.linalg.det(m))
 
@@ -77,7 +77,7 @@ def det_lu(m: np.ndarray) -> complex:
 def _element(pref: complex, m: np.ndarray, what: str) -> complex:
     """``pref * det(m)`` for a public element function; an overflow in the
     matrix or in the product raises instead of returning ``inf``/``nan``."""
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise NonFiniteResult(f"{what}: determinant matrix has non-finite entries")
     value = pref * det_lu(m)
     if not np.isfinite(value):
@@ -501,98 +501,133 @@ def _check_sector(kind: tuple, left: BetheState, right: BetheState) -> None:
             f"entry {kind}: left sector ({left.a}, {left.b}) != required ({ap}, {bp})")
 
 
-def _same_state_matrix(asm: FFAssembly, s: int,
-                       zfree: np.ndarray | None = None) -> np.ndarray:
+def _same_state_matrix(asm: FFAssembly, s: int) -> np.ndarray:
     """Regularised diagonal-entry matrix for coinciding root sets.
 
     The naive entries develop cancelling poles there, so the top-left block
     is the Gaudin matrix, the last column carries the scaled tau derivatives
-    and the closing row collapses to its Kronecker pattern.  ``zfree``, a
-    matrix of an earlier call on the same roots, supplies the Gaudin block
-    and the Kronecker pattern.
+    and the closing row collapses to its Kronecker pattern.
     """
-    m = asm.model
-    c = m.c
     roots = RootConfig(u=asm.u_left, v=asm.v_left)
-    a, b = roots.a, roots.b
-    z = asm.z
-    scale = inv_f_prod(z, roots.u, c) * inv_f_prod(roots.v, z, c)
-    if zfree is None:
-        mat = np.zeros((a + b + 1, a + b + 1), dtype=complex)
-        mat[:a + b, :a + b] = gaudin_matrix(roots, m)
-        mat[a + b, :a + b] = _column_y_diag(asm, s, same_state=True)[:a + b]
-    else:
-        mat = zfree.copy()
-    for j in range(a):
-        mat[j, a + b] = c * dtau_du(z, roots, m, j) * scale
-    for j in range(b):
-        mat[a + j, a + b] = -c * dtau_dv(z, roots, m, j) * scale
-    mat[a + b, a + b] = _y_diag_entry(asm, s)
+    n = roots.a + roots.b
+    scale = _tau_scale(asm)
+    mat = np.empty((n + 1, n + 1), dtype=complex)
+    mat[:n, :n] = gaudin_matrix(roots, asm.model)
+    mat[:n, n] = _tau_column(asm, scale)
+    mat[n] = _closing_row(asm, (s, s), same=True)
     return mat
 
 
-def _matrix(asm: FFAssembly, kind: tuple, same: bool,
-            zfree: np.ndarray | None = None) -> np.ndarray:
-    """The determinant matrix of the entry ``kind`` on an assembly.
+def _tau_scale(asm: FFAssembly) -> complex:
+    """The factor 1/(f(z, u) f(v, z)) of the same-state tau column."""
+    c = asm.model.c
+    return inv_f_prod(asm.z, asm.u_left, c) * inv_f_prod(asm.v_left, asm.z, c)
 
-    Only its last column depends on the probe point.  ``zfree``, the matrix
-    of an earlier call with the same kind and assembly roots, supplies the
-    others; the last column is then built alone, by the code and in the
-    order of a full build, so the matrix and any error are the same.
-    """
+
+def _tau_column(asm: FFAssembly, scale: complex) -> list:
+    """The rows of the same-state matrix at the probe point: the tau
+    derivatives in each root, times ``scale``."""
+    m = asm.model
+    c, z = m.c, asm.z
+    roots = RootConfig(u=asm.u_left, v=asm.v_left)
+    return ([c * dtau_du(z, roots, m, j) * scale for j in range(roots.a)]
+            + [-c * dtau_dv(z, roots, m, j) * scale for j in range(roots.b)])
+
+
+def _closing(kind: tuple):
+    """What closes the matrix of ``kind`` below its N rows: the colour of a
+    diagonal entry's row, the one row of the (1,3)/(3,1) pair, or nothing.
+    Two kinds on one assembly with the same closing have the same matrix."""
+    i, j = kind
+    if i == j:
+        return i
+    return (1, 3) if kind in ((1, 3), (3, 1)) else None
+
+
+def _closing_row(asm: FFAssembly, kind: tuple, same: bool):
+    """The closing row of the entry ``kind``, or None."""
     i, j = kind
     if same:
-        return _same_state_matrix(asm, i, zfree)
-    if zfree is None:
-        rows = n_matrix(asm)
-        if i == j:
-            return np.vstack([rows, y_row_diag(asm, i, same_state=False)])
-        if kind in ((1, 3), (3, 1)):
-            return np.vstack([rows, y_row_13(asm)])
-        return rows
-    mat = zfree.copy()
-    mat[:asm.n_rows, -1] = n_column(asm, asm.z)
+        row = _column_y_diag(asm, i, same_state=True)
+        row[-1] = _y_diag_entry(asm, i)
+        return row
     if i == j:
-        mat[-1, -1] = _y_diag_entry(asm, i)
-    elif kind in ((1, 3), (3, 1)):
-        mat[-1, -1] = _y13_entry(asm, asm.z)
+        return y_row_diag(asm, i, same_state=False)
+    if kind in ((1, 3), (3, 1)):
+        return y_row_13(asm)
+    return None
+
+
+def _matrix(asm: FFAssembly, kind: tuple, same: bool,
+            part: "_ZFreePart | None" = None) -> np.ndarray:
+    """The determinant matrix of the entry ``kind`` on an assembly.
+
+    ``part``, kept from an earlier element on the same assembly, supplies
+    the N rows (the Gaudin block and tau column in the same-state branch)
+    and, for a kind with the same closing, the closing row.  At a new probe
+    point the last column is then built alone, by the code and in the order
+    of a full build, so the matrix and any error are the same.
+    """
+    if part is None:
+        if same:
+            return _same_state_matrix(asm, kind[0])
+        rows = n_matrix(asm)
+        row = _closing_row(asm, kind, False)
+        return rows if row is None else np.vstack([rows, row])
+    mat = part.mat.copy()
+    new_z = asm.z != part.z
+    if new_z:
+        mat[:asm.n_rows, -1] = (_tau_column(asm, _tau_scale(asm)) if same
+                                else n_column(asm, asm.z))
+    closing = _closing(kind)
+    if closing != part.closing:
+        mat[-1] = _closing_row(asm, kind, same)
+    elif new_z and closing is not None:
+        mat[-1, -1] = (_y_diag_entry(asm, kind[0]) if kind[0] == kind[1]
+                       else _y13_entry(asm, asm.z))
     return mat
 
 
 class _ZFreePart:
-    """What one element keeps for the next call on the same kind and the
-    same two state objects: the roots of its validated assembly, its branch,
-    and its matrix, every column of which but the last is free of the probe
-    point.  States and model are held by weak reference, so the part keeps
-    no model alive; the matrix is read-only."""
+    """What one element keeps for the next call on the same assembly (its
+    two states after the exchange of the (2,3), (2,1) and (3,1) entries):
+    the assembly's roots and branch, its probe point, its prefactor before
+    the sign of the kind, and its matrix.  The first ``n_rows`` rows of the
+    matrix (the Gaudin block and tau column in the same-state branch) are
+    the same for every kind the two states' sectors admit, and every column
+    but the last is free of the probe point.  States and model are held by
+    weak reference, so the part keeps no model alive; the matrix is
+    read-only."""
 
     def __init__(self, kind: tuple, left: BetheState, right: BetheState,
-                 asm: FFAssembly, same: bool, near: bool, mat: np.ndarray):
-        self.kind = kind
+                 asm: FFAssembly, same: bool, near: bool, pref: complex,
+                 mat: np.ndarray):
+        self.closing = _closing(kind)
         self.left, self.right = weakref.ref(left), weakref.ref(right)
         self.model = weakref.ref(asm.model)
         self.roots = (asm.u_left, asm.v_left, asm.u_right, asm.v_right)
         self.same, self.near = same, near
+        self.z, self.pref = asm.z, pref
         self.mat = mat.copy()
         self.mat.flags.writeable = False
 
-    def serves(self, kind: tuple, left: BetheState, right: BetheState) -> bool:
+    def serves(self, left: BetheState, right: BetheState, z: complex) -> bool:
         # at GRID_MIN_COLS columns and more the grid builds a matrix as one
         # array, whose last column a per-column build need not match in
         # every bit
-        return (kind == self.kind and self.left() is left
-                and self.right() is right
-                and self.mat.shape[1] < GRID_MIN_COLS)
+        return (self.left() is left and self.right() is right
+                and (self.mat.shape[1] < GRID_MIN_COLS or z == self.z))
 
     def assembly(self, z: complex) -> FFAssembly:
-        """The assembly at a new probe point, after the guards that
-        involve it."""
-        asm = FFAssembly(*self.roots, z=complex(z), model=self.model())
-        _label_guards(asm, self.same, first=len(asm.cols) - 1)
+        """The assembly at the probe point ``z``, after the guards that
+        involve it if it is new."""
+        asm = FFAssembly(*self.roots, z=z, model=self.model())
+        if z != self.z:
+            _label_guards(asm, self.same, first=len(asm.cols) - 1)
         return asm
 
 
-# the z-free part of the most recent element (see determinant_element)
+# the kept part of the most recent element (see determinant_element)
 _last = None
 
 
@@ -604,25 +639,33 @@ def determinant_element(kind: tuple, left: BetheState, right: BetheState,
     The (2,3), (2,1) and (3,1) entries are evaluated with the two states
     exchanged.  The matrix is a new array on every call.
 
-    Only the last column of the matrix depends on ``z``.  The element keeps
-    its other columns, with its validated assembly and branch, until the
-    next call; when that call has the same kind and the same two state
-    objects, it runs only the guards that involve ``z`` and builds only the
-    last column (below ``GRID_MIN_COLS`` columns).  Value, matrix and
-    errors are those of a full build, bit for bit.
+    All kinds of one sector pair share the assembly (its two states after
+    the exchange), the prefactor and the N rows; they differ only in the
+    closing row.  Only the last column of the matrix depends on ``z``.  The
+    element keeps its assembly, branch, prefactor and matrix until the next
+    full build.  A call on the same assembly at the same ``z`` (any kind,
+    any size) reuses the prefactor and the N rows and builds only its own
+    closing row; at a new ``z`` below ``GRID_MIN_COLS`` columns it runs only
+    the guards that involve ``z`` and builds only the last column (and its
+    own closing row, if its kind's differs).  The sector, twist and
+    near-degeneracy checks run on every call.  Value, matrix and errors are
+    those of a full build, bit for bit.
     """
     global _last
     kind = (int(kind[0]), int(kind[1]))
     if kind not in KINDS:
         raise ValueError(f"unknown entry {kind}")
     i, j = kind
+    _require_untwisted(left, right)
+    _check_sector(kind, left, right)
+    z = complex(z)
+    if kind in ((2, 3), (2, 1), (3, 1)):
+        left, right = right, left
     part = _last
-    if part is not None and part.serves(kind, left, right):
-        same, near, zfree = part.same, part.near, part.mat
+    if part is not None and part.serves(left, right, z):
+        same, near = part.same, part.near
     else:
-        part = zfree = None
-        _require_untwisted(left, right)
-        _check_sector(kind, left, right)
+        part = None
         same = i == j and states_equal(left.roots, right.roots,
                                        SAME_STATE_TOL)
         near = i == j and not same and states_equal(
@@ -632,29 +675,31 @@ def determinant_element(kind: tuple, left: BetheState, right: BetheState,
             "root multisets nearly coincide; both evaluation branches of "
             "the diagonal form factor are ill-conditioned here",
             DegeneracyWarning, stacklevel=3)
-    if part is not None:
-        asm = part.assembly(z)
-    elif kind in ((2, 3), (2, 1), (3, 1)):
-        asm = assemble(right, left, z)
-    else:
+    if part is None:
         asm = assemble(left, right, z, same_state=same)
-    pref = prefactor_H(asm.u_left, asm.v_left, asm.u_right, asm.v_right,
-                       asm.cols, asm.model.c)
+    else:
+        asm = part.assembly(z)
+    if part is not None and z == part.z:
+        pref = part.pref
+    else:
+        pref = prefactor_H(asm.u_left, asm.v_left, asm.u_right, asm.v_right,
+                           asm.cols, asm.model.c)
+    mat = _matrix(asm, kind, same, part)
+    if part is None:
+        _last = _ZFreePart(kind, left, right, asm, same, near, pref, mat)
     if i == j:
         pref = (-1.0 if len(asm.v_right) % 2 else 1.0) * pref
     elif kind in ((1, 3), (3, 1)):
         pref = (-1.0 if len(asm.v_left) % 2 else 1.0) * pref
-    mat = _matrix(asm, kind, same, zfree)
-    if zfree is None and len(asm.cols) < GRID_MIN_COLS:
-        _last = _ZFreePart(kind, left, right, asm, same, near, mat)
     return _element(pref, mat, f"T{kind}"), mat, same
 
 
 def form_factor(kind: tuple, left: BetheState, right: BetheState,
                 z: complex) -> complex:
     """Matrix element of any of the nine entries T(i,j) between two on-shell
-    states (see :func:`determinant_element`; a run of calls on one pair of
-    states builds the z-free columns once)."""
+    states (see :func:`determinant_element`; the kinds of one sector pair
+    at one z share one build, and a run of z on one pair builds the z-free
+    columns once)."""
     return determinant_element(kind, left, right, z)[0]
 
 

@@ -265,27 +265,46 @@ def phi_log(roots: RootConfig, model: ModelFunctions) -> np.ndarray:
     assert_regular(roots, model.c)
     u, v, c = roots.u, roots.v, model.c
     tol = pole_tol(c)
-    out = np.empty(roots.a + roots.b, dtype=complex)
-    for j in range(roots.a):
+    a, b = roots.a, roots.b
+    # each log f is taken once, where the loops below first need it: the
+    # pairs of a set at the row of their lower index, log f(v_m, u_j) at the
+    # u-row j; the v-rows read those
+    log_uu = [[None] * a for _ in range(a)]
+    log_vv = [[None] * b for _ in range(b)]
+    log_vu = [[None] * a for _ in range(b)]
+    out = np.empty(a + b, dtype=complex)
+    for j in range(a):
         acc = _log_checked(model.r1(u[j]), tol, "r1(u_j)")
-        for k in range(roots.a):
+        for k in range(a):
             if k == j:
                 continue
-            acc -= _log_checked(_f(u[j], u[k], c, tol), tol, "f(u_j, u_k)")
-            acc += _log_checked(_f(u[k], u[j], c, tol), tol, "f(u_k, u_j)")
-        for m in range(roots.b):
-            acc -= _log_checked(_f(v[m], u[j], c, tol), tol, "f(v_m, u_j)")
+            if k > j:
+                log_uu[j][k] = _log_checked(_f(u[j], u[k], c, tol), tol,
+                                            "f(u_j, u_k)")
+                log_uu[k][j] = _log_checked(_f(u[k], u[j], c, tol), tol,
+                                            "f(u_k, u_j)")
+            acc -= log_uu[j][k]
+            acc += log_uu[k][j]
+        for m in range(b):
+            log_vu[m][j] = _log_checked(_f(v[m], u[j], c, tol), tol,
+                                        "f(v_m, u_j)")
+            acc -= log_vu[m][j]
         out[j] = acc
-    for j in range(roots.b):
+    for j in range(b):
         acc = _log_checked(model.r3(v[j]), tol, "r3(v_j)")
-        for m in range(roots.b):
+        for m in range(b):
             if m == j:
                 continue
-            acc -= _log_checked(_f(v[m], v[j], c, tol), tol, "f(v_m, v_j)")
-            acc += _log_checked(_f(v[j], v[m], c, tol), tol, "f(v_j, v_m)")
-        for k in range(roots.a):
-            acc -= _log_checked(_f(v[j], u[k], c, tol), tol, "f(v_j, u_k)")
-        out[roots.a + j] = acc
+            if m > j:
+                log_vv[m][j] = _log_checked(_f(v[m], v[j], c, tol), tol,
+                                            "f(v_m, v_j)")
+                log_vv[j][m] = _log_checked(_f(v[j], v[m], c, tol), tol,
+                                            "f(v_j, v_m)")
+            acc -= log_vv[m][j]
+            acc += log_vv[j][m]
+        for k in range(a):
+            acc -= log_vu[j][k]
+        out[a + j] = acc
     return out
 
 
@@ -315,33 +334,48 @@ def gaudin_matrix(roots: RootConfig, model: ModelFunctions) -> np.ndarray:
             raise PoleError(f"root separation {x - y} collides with +-c")
         return 2.0 * c2 / d2
 
+    # each pair term and each t(v_m, u_k) is evaluated once, where the loops
+    # below first need it: a pair at the column of its lower index, t(v_m,
+    # u_k) at the u-column k
+    pair_uu = [[None] * a for _ in range(a)]
+    pair_vv = [[None] * b for _ in range(b)]
+    t_vu = [[None] * a for _ in range(b)]
     m = np.zeros((a + b, a + b), dtype=complex)
     for k in range(a):
         diag = -c * model.dlog_r1(u[k])
         for l in range(a):
+            if l > k:
+                pair_uu[k][l] = pair_term(u[k], u[l])
             if l != k:
-                diag -= pair_term(u[k], u[l])
+                diag -= pair_uu[k][l]
         for mm in range(b):
-            diag += _t(v[mm], u[k], c, tol)
+            t_vu[mm][k] = _t(v[mm], u[k], c, tol)
+            diag += t_vu[mm][k]
         m[k, k] = diag
         for j in range(a):
+            if j > k:
+                pair_uu[j][k] = pair_term(u[j], u[k])
             if j != k:
-                m[j, k] = pair_term(u[j], u[k])
+                m[j, k] = pair_uu[j][k]
     for k in range(b):
         diag = c * model.dlog_r3(v[k])
         for mm in range(b):
+            if mm > k:
+                pair_vv[k][mm] = pair_term(v[k], v[mm])
             if mm != k:
-                diag -= pair_term(v[k], v[mm])
+                diag -= pair_vv[k][mm]
         for l in range(a):
-            diag += _t(v[k], u[l], c, tol)
+            diag += t_vu[k][l]
         m[a + k, a + k] = diag
         for j in range(b):
+            if j > k:
+                pair_vv[j][k] = pair_term(v[j], v[k])
             if j != k:
-                m[a + j, a + k] = pair_term(v[j], v[k])
+                m[a + j, a + k] = pair_vv[j][k]
     for j in range(a):
         for k in range(b):
-            m[j, a + k] = _t(v[k], u[j], c, tol)
-            m[a + k, j] = _t(v[k], u[j], c, tol)
+            m[j, a + k] = t_vu[k][j]
+            m[a + k, j] = t_vu[k][j]
     return m
 
 

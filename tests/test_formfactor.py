@@ -204,6 +204,8 @@ def _both_builders(monkeypatch, build):
     out = []
     for threshold in (PER_COLUMN, GRID):
         monkeypatch.setattr(ff, "GRID_MIN_COLS", threshold)
+        # an element kept from the other builder would serve the same call
+        monkeypatch.setattr(ff, "_last", None)
         out.append(build())
     return out
 
@@ -684,7 +686,8 @@ def test_repeat_call_raises_what_a_cold_call_raises(state_lib):
 
 def test_overflow_raises_at_every_probe_point():
     # the a + b = 32 pairs of test_overflow_raises_nonfinite_result, each at
-    # two probe points in a row
+    # two probe points in a row; then every kind of a group after each
+    # other kind at one probe point, with the message of a cold call
     warnings.simplefilter("error", RuntimeWarning)
     rng = np.random.default_rng(48)
 
@@ -694,15 +697,32 @@ def test_overflow_raises_at_every_probe_point():
 
     model = xxx_chain(80, pts(80), 1.0)
     right = make_state(model, pts(16), pts(16))
+    groups = [_group((2, 2), right, right)]
     for kind in ((1, 2), (2, 2), (1, 3), (3, 1)):
         a, b = ff.sector_shift(kind, right.a, right.b)
         left = make_state(model, pts(a), pts(b))
         for z in (0.4 + 0.3j, -0.5 + 0.6j):
             with pytest.raises(NonFiniteResult):
                 ff.form_factor(kind, left, right, z)
+        groups.append(_group(kind, left, right))
     for z in (0.4 + 0.3j, -0.5 + 0.6j):
         with pytest.raises(NonFiniteResult):
             ff.ff_diag(2, right, right, z)
+    z = 0.4 + 0.3j
+    for group in groups:
+        for first in group:
+            with pytest.raises(NonFiniteResult):
+                ff.form_factor(*first, z)
+            warm = []
+            for call in group:
+                with pytest.raises(NonFiniteResult) as info:
+                    ff.form_factor(*call, z)
+                warm.append(str(info.value))
+            for call, msg in zip(group, warm):
+                _forget()
+                with pytest.raises(NonFiniteResult) as info:
+                    ff.form_factor(*call, z)
+                assert msg == str(info.value), call[0]
 
 
 def test_repeat_calls_build_only_the_z_column(monkeypatch, state_lib):
@@ -749,3 +769,151 @@ def test_kept_part_is_read_only_and_keeps_no_model(state_lib):
     assert ref() is None
     assert len(solver._SOLVED) == solved
     assert len(orc._EXTRACTED) == extracted
+    # a grid-sized element is kept too, for the calls at its probe point
+    rng = np.random.default_rng(3)
+    model = _polynomial_model(rng)
+    n = ff.GRID_MIN_COLS - 1
+    left, right, z = _pair(rng, model, (1, 1), n - n // 2, n // 2)
+    _, first, _ = ff.determinant_element((1, 1), left, right, z)
+    kept = ff._last.mat
+    assert kept.shape[1] >= ff.GRID_MIN_COLS
+    with pytest.raises(ValueError):
+        kept[0, 0] = 0.0
+    _, second, _ = ff.determinant_element((2, 2), left, right, z)
+    assert ff._last.mat is kept
+    assert not any(np.shares_memory(p, q) for p, q in
+                   ((first, second), (first, kept), (second, kept)))
+    ref = weakref.ref(model)
+    del model, left, right
+    gc.collect()
+    assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# one kept element for every kind on its assembly
+
+def _group(kind, left, right):
+    """The calls that share the assembly of ``kind`` on (left, right): the
+    three diagonal kinds, or the kind and its transposition image on the
+    exchanged states."""
+    i, j = kind
+    if i == j:
+        return [((s, s), left, right) for s in (1, 2, 3)]
+    return [(kind, left, right), ((j, i), right, left)]
+
+
+def _reuse_groups(state_lib):
+    """Every group on L=5 (else L=4) library pairs, the same-state diagonal
+    triple, and each again on generalized pairs of GRID_MIN_COLS columns
+    and more."""
+    lib = {kind: (left, right)
+           for kind, left, right in _library_pairs(state_lib)[:9]}
+    st = state_lib[5]["m21"][0]
+    roots = ((1, 1), (1, 2), (2, 3), (1, 3))
+    groups = [_group(kind, *lib[kind]) for kind in roots]
+    groups.append(_group((1, 1), st, st))
+    rng = np.random.default_rng(5)
+    model = _polynomial_model(rng)
+    n = ff.GRID_MIN_COLS - 1
+    for kind in roots:
+        left, right, _ = _pair(rng, model, kind, n - n // 2, n // 2)
+        groups.append(_group(kind, left, right))
+    groups.append(_group((1, 1), right, right))
+    return groups
+
+
+def test_kept_part_serves_every_kind_of_its_assembly_bit_for_bit(state_lib):
+    z1, z2 = Z_POINTS[:2]
+    groups = _reuse_groups(state_lib)
+    cols = set()
+    for group in groups:
+        same_state = group[0][1] is group[0][2]
+        for first in group:
+            for z in (z1, z2):  # the kept probe point, then a new one
+                ff.determinant_element(*first, z1)
+                warm = [ff.determinant_element(*call, z) for call in group]
+                for call, got in zip(group, warm):
+                    _forget()
+                    cold = ff.determinant_element(*call, z)
+                    assert got[0] == cold[0] and got[2] == cold[2], call[0]
+                    assert np.array_equal(got[1], cold[1]), call[0]
+                    cols.add(got[1].shape[1])
+                if group[0][0][0] != group[0][0][1]:
+                    # a transposition pair is one element
+                    assert warm[0][0] == warm[1][0]
+                    assert np.array_equal(warm[0][1], warm[1][1])
+                assert all(got[2] == same_state for got in warm)
+    assert min(cols) < ff.GRID_MIN_COLS <= max(cols)
+
+
+def test_kept_part_raises_what_a_cold_call_raises(state_lib):
+    z1 = Z_POINTS[0]
+    for group in _reuse_groups(state_lib):
+        kind, left, right = group[0]
+        # the assembly's states: (1,1), (1,2), (1,3) keep them, (2,3) not
+        rows, cols = (right, left) if kind == (2, 3) else (left, right)
+        c = rows.model.c
+        bad = [cols.u[1], (rows.u + rows.v)[0]]
+        if rows.u:
+            bad.append(rows.u[0] + c)
+        for z in bad:
+            for k, call in enumerate(group):
+                got = []
+                for warm in (True, False):
+                    if warm:
+                        ff.form_factor(*group[k - 1], z1)
+                    else:
+                        _forget()
+                    with pytest.raises(PoleError) as info:
+                        ff.form_factor(*call, z)
+                    got.append(str(info.value))
+                assert got[0] == got[1], (call[0], got)
+
+
+def test_kept_part_builds_rows_and_prefactor_once(monkeypatch, state_lib):
+    l5 = state_lib[5]
+    left, right = l5["m31"][0], l5["m31"][1]
+    lib = dict((kind, (l, r)) for kind, l, r in _library_pairs(state_lib))
+    z1, z2 = Z_POINTS[:2]
+    calls = dict.fromkeys(("n_matrix", "prefactor_H", "n_column"), 0)
+    for name in calls:
+        def counted(*args, _build=getattr(ff, name), _name=name):
+            calls[_name] += 1
+            return _build(*args)
+        monkeypatch.setattr(ff, name, counted)
+    for threshold in (PER_COLUMN, GRID):
+        monkeypatch.setattr(ff, "GRID_MIN_COLS", threshold)
+        for group in (_group((1, 1), left, right), _group((1, 2), *lib[1, 2])):
+            monkeypatch.setattr(ff, "_last", None)
+            calls.update(n_matrix=0, prefactor_H=0)
+            for call in group:  # one assembly, one z
+                ff.form_factor(*call, z1)
+            assert calls["n_matrix"] == calls["prefactor_H"] == 1, threshold
+    # a kind switch at a new probe point builds the z column alone
+    monkeypatch.setattr(ff, "GRID_MIN_COLS", PER_COLUMN)
+    ff.form_factor((1, 1), left, right, z1)
+    calls.update(n_matrix=0, prefactor_H=0, n_column=0)
+    ff.form_factor((3, 3), left, right, z2)
+    assert calls == {"n_matrix": 0, "prefactor_H": 1, "n_column": 1}
+
+
+def test_kept_part_keeps_the_per_call_checks(state_lib):
+    z = Z_POINTS[0]
+    l5 = state_lib[5]
+    left, right = l5["m31"][0], l5["m31"][1]
+    ff.form_factor((1, 1), left, right, z)
+    for kind, l, r in (((1, 2), left, right), ((2, 1), right, left),
+                       ((2, 1), left, right)):
+        with pytest.raises(SectorMismatch):
+            ff.form_factor(kind, l, r, z)
+    lib = dict((kind, (l, r)) for kind, l, r in _library_pairs(state_lib))
+    l12, r12 = lib[1, 2]
+    ff.form_factor((1, 2), l12, r12, z)
+    with pytest.raises(SectorMismatch):
+        ff.form_factor((2, 1), l12, r12, z)
+    # a near pair warns on each diagonal kind, also where it is served
+    st = state_lib[3]["m10"][0]
+    shifted = make_state(state_lib[3]["model"], (st.u[0] + 1e-7,), ())
+    for s in (1, 2, 3):
+        with pytest.warns(DegeneracyWarning):
+            ff.ff_diag(s, shifted, st, z)
