@@ -65,21 +65,24 @@ def sector_shift(kind: tuple, a: int, b: int) -> tuple:
 
 
 def det_lu(m: np.ndarray) -> complex:
-    """Determinant via LU with partial pivoting; the empty matrix gives 1."""
+    """Determinant via LU with partial pivoting; the empty matrix gives 1,
+    and a matrix with a non-finite entry raises ``NonFiniteResult``."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"square matrix required, got shape {m.shape}")
     if m.size and not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
+        raise NonFiniteResult("matrix contains non-finite entries")
     return complex(np.linalg.det(m))
 
 
 def _element(pref: complex, m: np.ndarray, what: str) -> complex:
     """``pref * det(m)`` for a public element function; an overflow in the
     matrix or in the product raises instead of returning ``inf``/``nan``."""
-    if m.size and not np.isfinite(m).all():
-        raise NonFiniteResult(f"{what}: determinant matrix has non-finite entries")
-    value = pref * det_lu(m)
+    try:
+        value = pref * det_lu(m)
+    except NonFiniteResult:
+        raise NonFiniteResult(
+            f"{what}: determinant matrix has non-finite entries") from None
     if not np.isfinite(value):
         raise NonFiniteResult(f"{what} is not finite: {value}")
     return value

@@ -10,16 +10,15 @@ chain realisation is provided by :func:`xxx_chain`.
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
-import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import PoleError, ZeroArgError
-from .kernel import (_f, _t, collision, exclude, f_prod, pole_tol, t)
+from .errors import Gl3Error, PoleError, ZeroArgError
+from .kernel import collision, exclude, f_prod, pole_tol, t
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,6 +100,16 @@ class RootConfig:
         return np.array(self.u + self.v, dtype=complex)
 
 
+@dataclass(frozen=True, eq=False)
+class RootStack:
+    """Root configurations of one sector as the rows of ``x`` (shape
+    (n, a + b), u then v), for ``phi_log`` and ``gaudin_matrix`` to evaluate
+    at once."""
+
+    x: np.ndarray
+    a: int
+
+
 @dataclass(frozen=True)
 class BetheState:
     """A (possibly twisted) on-shell root configuration with bookkeeping."""
@@ -132,12 +141,10 @@ def assert_regular(roots: RootConfig, c: complex) -> None:
     """Check the intra/inter-set distinctness every formula relies on:
     raise PoleError naming the first pair of roots (u then v) closer than
     the collision tolerance."""
-    xs = roots.u + roots.v
-    hit = collision(xs, xs, c, keep=operator.lt)
-    if hit is not None:
-        j, k = hit
-        raise PoleError(f"roots (u then v): entries {j} and {k} collide "
-                        f"({xs[j]} ~ {xs[k]})")
+    xs = list(roots.u + roots.v)
+    err = _collision_error(xs, np.abs(np.subtract.outer(xs, xs)) <= pole_tol(c))
+    if err is not None:
+        raise err
 
 
 def tau(w: complex, roots: RootConfig, model: ModelFunctions) -> complex:
@@ -246,13 +253,118 @@ def bethe_defect(roots: RootConfig, twist: Twist,
     return out
 
 
-def _log_checked(value: complex, tol: float, what: str) -> complex:
-    if abs(value) <= tol:
-        raise ZeroArgError(f"log argument ~ 0 in {what}: {value}")
-    return cmath.log(value)
+def _root_values(x: np.ndarray, a: int, on_u: Callable, on_v: Callable
+                 ) -> tuple:
+    """``on_u`` at the first ``a`` roots and ``on_v`` at the others of each
+    row, one call per root: an (n, a + b) array and {(row, root): the
+    Gl3Error of a call that raised}, whose entries are nan."""
+    values, failed = [], {}
+    for r, row in enumerate(x.tolist()):
+        for k, w in enumerate(row):
+            try:
+                values.append((on_u if k < a else on_v)(w))
+            except Gl3Error as exc:
+                failed[r, k] = exc
+                values.append(math.nan)
+    return np.array(values, dtype=complex).reshape(x.shape), failed
 
 
-def phi_log(roots: RootConfig, model: ModelFunctions) -> np.ndarray:
+class _PairBlocks(NamedTuple):
+    """Read-only (n, n) masks and signs over the root pairs (row j, column k)
+    of sector (a, n - a), u then v, and the pair masks of each guard test,
+    stacked in the order the guard takes them."""
+
+    same: np.ndarray    # j != k within one set
+    vu: np.ndarray      # j a v-root, k a u-root
+    need: np.ndarray    # the log f(x_j, x_k) in phi_log: all but f(u, v)
+    cl: np.ndarray      # sign of log f(x_j, x_k) in entry j of phi_log
+    clt: np.ndarray     # sign of log f(x_k, x_j) in entry j of phi_log
+    sign: np.ndarray    # sign of Gaudin entry (j, k) in diagonal entry j
+    # phi_log: x_j = x_k at j < k, then a log f(x_j, x_k) of ~0
+    phi_guard: np.ndarray
+    # gaudin_matrix: x_j = x_k at j < k, x_j - x_k = +-c within a set at
+    # j < k, then t(v_j, u_k) at v_j = u_k - c
+    gaudin_guard: np.ndarray
+    # solver._check_collisions: x_j = x_k at j < k, then x_j - x_k = c at
+    # every ordered pair but a v-root j and a u-root k (v = u + c is
+    # allowed; a pair at -c is the other order's pair at +c)
+    collision_guard: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_blocks(a: int, n: int) -> _PairBlocks:
+    is_u = np.arange(n) < a
+    uu = is_u[:, None] & is_u[None, :]
+    vv = ~is_u[:, None] & ~is_u[None, :]
+    vu = ~is_u[:, None] & is_u[None, :]
+    off = ~np.eye(n, dtype=bool)
+    upper = np.triu(off)
+    same = (uu | vv) & off
+    need = same | vu
+    blocks = _PairBlocks(
+        same=same, vu=vu, need=need,
+        cl=1.0 * (uu & off) - 1.0 * (vv & off) + vu,
+        clt=-1.0 * (uu & off) + 1.0 * (vv & off) + vu.T,
+        sign=1.0 * (vu | vu.T) - same,
+        phi_guard=np.stack((upper, need)),
+        gaudin_guard=np.stack((upper, same & upper, vu)),
+        collision_guard=np.stack((upper, same | vu.T)))
+    for arr in blocks:
+        arr.setflags(write=False)
+    return blocks
+
+
+def _rows(roots) -> tuple:
+    """(rows, a) of a RootStack, or of a RootConfig as a stack of one."""
+    if isinstance(roots, RootStack):
+        return roots.x, roots.a
+    return (np.array(roots.u + roots.v, dtype=complex).reshape(1, -1),
+            roots.a)
+
+
+def _per_stack(roots, values: np.ndarray, errors: list):
+    """The result for a RootStack, (values, errors); for a RootConfig its one
+    row, or its error raised."""
+    if isinstance(roots, RootStack):
+        return values, errors
+    if errors[0] is not None:
+        raise errors[0]
+    return values[0]
+
+
+def _guard_flags(values: tuple, limits, masks: np.ndarray) -> np.ndarray:
+    """Flags (n, tests, a+b, a+b) of a stacked guard: test i flags the pairs
+    of ``masks[i]`` where ``|values[i]|`` is at most its limit (``limits``
+    is one limit or one per test, shaped (tests, 1, 1))."""
+    n, m = values[0].shape[:2]
+    size = np.abs(np.concatenate(values, axis=1)).reshape(n, len(values), m, m)
+    return (size <= limits) & masks
+
+
+def _failing_rows(flags: np.ndarray, roots: Optional[np.ndarray],
+                  failed: dict) -> list:
+    """The rows, in order, with a flag in ``flags`` (n, tests, a+b, a+b), a
+    flagged root in ``roots`` (n, a+b) or a root call in ``failed``."""
+    if not (failed or flags.any() or (roots is not None and roots.any())):
+        return []
+    bad = flags.reshape(len(flags), -1).any(axis=1)
+    if roots is not None:
+        bad |= roots.any(axis=1)
+    return sorted(set(np.flatnonzero(bad).tolist()) | {i for i, _ in failed})
+
+
+def _collision_error(xs: list, hit: np.ndarray) -> Optional[PoleError]:
+    """The error of the regularity guard (``assert_regular``) for the first
+    pair j < k of ``xs`` that ``hit`` marks as colliding, or None."""
+    for j in range(len(xs)):
+        for k in range(j + 1, len(xs)):
+            if hit[j, k]:
+                return PoleError(f"roots (u then v): entries {j} and {k} "
+                                 f"collide ({xs[j]} ~ {xs[k]})")
+    return None
+
+
+def phi_log(roots, model: ModelFunctions):
     """Logarithmic Bethe residual functions, principal branch per factor.
 
     Entry j < a:   log r1(u_j) - sum_{k != j} [log f(u_j,u_k) - log f(u_k,u_j)]
@@ -261,54 +373,73 @@ def phi_log(roots: RootConfig, model: ModelFunctions) -> np.ndarray:
                    - sum_k log f(v_j, u_k)
 
     Branch choices only relabel the integer mode numbers carried alongside.
+
+    ``roots`` is a RootConfig, whose entries come back as a vector, or a
+    RootStack, whose rows are evaluated at once: then the result is the
+    (n, a + b) array of entries and a list holding each row's error or None
+    (a failing row's entries are meaningless).  A row fails, and a
+    RootConfig raises, with the error the term-by-term evaluation meets
+    first: the regularity guard's ``PoleError``, an error of ``r1`` or
+    ``r3``, or ``ZeroArgError`` for a log argument within the collision
+    tolerance of 0, in the order u-row by u-row, then v-row by v-row.
     """
-    assert_regular(roots, model.c)
-    u, v, c = roots.u, roots.v, model.c
+    x, a = _rows(roots)
+    n = x.shape[1]
+    c = model.c
     tol = pole_tol(c)
-    a, b = roots.a, roots.b
-    # each log f is taken once, where the loops below first need it: the
-    # pairs of a set at the row of their lower index, log f(v_m, u_j) at the
-    # u-row j; the v-rows read those
-    log_uu = [[None] * a for _ in range(a)]
-    log_vv = [[None] * b for _ in range(b)]
-    log_vu = [[None] * a for _ in range(b)]
-    out = np.empty(a + b, dtype=complex)
-    for j in range(a):
-        acc = _log_checked(model.r1(u[j]), tol, "r1(u_j)")
-        for k in range(a):
-            if k == j:
-                continue
-            if k > j:
-                log_uu[j][k] = _log_checked(_f(u[j], u[k], c, tol), tol,
-                                            "f(u_j, u_k)")
-                log_uu[k][j] = _log_checked(_f(u[k], u[j], c, tol), tol,
-                                            "f(u_k, u_j)")
-            acc -= log_uu[j][k]
-            acc += log_uu[k][j]
-        for m in range(b):
-            log_vu[m][j] = _log_checked(_f(v[m], u[j], c, tol), tol,
-                                        "f(v_m, u_j)")
-            acc -= log_vu[m][j]
-        out[j] = acc
-    for j in range(b):
-        acc = _log_checked(model.r3(v[j]), tol, "r3(v_j)")
-        for m in range(b):
-            if m == j:
-                continue
-            if m > j:
-                log_vv[m][j] = _log_checked(_f(v[m], v[j], c, tol), tol,
-                                            "f(v_m, v_j)")
-                log_vv[j][m] = _log_checked(_f(v[j], v[m], c, tol), tol,
-                                            "f(v_j, v_m)")
-            acc -= log_vv[m][j]
-            acc += log_vv[j][m]
-        for k in range(a):
-            acc -= log_vu[j][k]
-        out[a + j] = acc
-    return out
+    pairs = _pair_blocks(a, n)
+    r, failed = _root_values(x, a, model.r1, model.r3)
+    d = x[:, :, None] - x[:, None, :]
+    with np.errstate(all="ignore"):
+        fv = (d + c) / d
+        lf = np.log(np.where(pairs.need, fv, 1.0))
+        out = np.log(r) - (lf * pairs.cl
+                           + lf.swapaxes(1, 2) * pairs.clt).sum(2)
+    flags = _guard_flags((d, fv), tol, pairs.phi_guard)
+    errors = [None] * len(x)
+    for row in _failing_rows(flags, np.abs(r) <= tol, failed):
+        errors[row] = _phi_log_error(x[row].tolist(), a, r[row].tolist(),
+                                     *flags[row],
+                                     {k: e for (i, k), e in failed.items()
+                                      if i == row}, c, tol)
+    return _per_stack(roots, out, errors)
 
 
-def gaudin_matrix(roots: RootConfig, model: ModelFunctions) -> np.ndarray:
+def _phi_log_error(xs: list, a: int, r: list, hit: np.ndarray,
+                   zero: np.ndarray, failed: dict, c: complex,
+                   tol: float) -> Gl3Error:
+    """The first error of one row of ``phi_log``, in the order of its
+    docstring."""
+    err = _collision_error(xs, hit)
+    if err is not None:
+        return err
+    for lo, hi, name in ((0, a, "u"), (a, len(xs), "v")):
+        for j in range(lo, hi):
+            if j in failed:
+                return failed[j]
+            if abs(r[j]) <= tol:
+                what = "r1(u_j)" if name == "u" else "r3(v_j)"
+                return ZeroArgError(f"log argument ~ 0 in {what}: {r[j]}")
+            # a u-row meets f(u_j, u_k), f(u_k, u_j), then f(v_m, u_j); a
+            # v-row meets f(v_m, v_j), then f(v_j, v_m)
+            if name == "u":
+                pairs = ([(p, what) for k in range(j + 1, a)
+                          for p, what in (((j, k), "f(u_j, u_k)"),
+                                          ((k, j), "f(u_k, u_j)"))]
+                         + [((m, j), "f(v_m, u_j)")
+                            for m in range(a, len(xs))])
+            else:
+                pairs = [(p, what) for m in range(j + 1, len(xs))
+                         for p, what in (((m, j), "f(v_m, v_j)"),
+                                         ((j, m), "f(v_j, v_m)"))]
+            for (p, q), what in pairs:
+                if zero[p, q]:
+                    value = (xs[p] - xs[q] + c) / (xs[p] - xs[q])
+                    return ZeroArgError(f"log argument ~ 0 in {what}: {value}")
+    raise AssertionError("phi_log row marked failing without an error")
+
+
+def gaudin_matrix(roots, model: ModelFunctions):
     """Jacobian matrix of the logarithmic Bethe system in closed form.
 
     Rows and columns follow the u-then-v ordering.  The blocks are
@@ -321,70 +452,75 @@ def gaudin_matrix(roots: RootConfig, model: ModelFunctions) -> np.ndarray:
 
     and satisfy M[:, :a] = -c dPhi/du, M[:, a:] = +c dPhi/dv.  The matrix is
     symmetric.
+
+    ``roots`` is a RootConfig, or a RootStack whose matrices come back as an
+    (n, a + b, a + b) array with each row's error or None, as in
+    ``phi_log``.  The error is the first the column-by-column evaluation
+    meets: the regularity guard's ``PoleError``; then, per u-column k, an
+    error of ``dlog_r1(u_k)``, a pair term of u_k and a later u-root whose
+    separation is +-c, and t(v_m, u_k) at v_m = u_k - c; then, per
+    v-column, an error of ``dlog_r3`` and a pair term with a later v-root.
     """
-    assert_regular(roots, model.c)
-    u, v, c = roots.u, roots.v, model.c
-    a, b = roots.a, roots.b
+    x, a = _rows(roots)
+    n = x.shape[1]
+    c = model.c
     tol = pole_tol(c)
     c2 = c * c
-
-    def pair_term(x, y):
-        d2 = (x - y) ** 2 - c2
-        if abs(d2) <= tol * max(1.0, abs(c2)):
-            raise PoleError(f"root separation {x - y} collides with +-c")
-        return 2.0 * c2 / d2
-
-    # each pair term and each t(v_m, u_k) is evaluated once, where the loops
-    # below first need it: a pair at the column of its lower index, t(v_m,
-    # u_k) at the u-column k
-    pair_uu = [[None] * a for _ in range(a)]
-    pair_vv = [[None] * b for _ in range(b)]
-    t_vu = [[None] * a for _ in range(b)]
-    m = np.zeros((a + b, a + b), dtype=complex)
-    for k in range(a):
-        diag = -c * model.dlog_r1(u[k])
-        for l in range(a):
-            if l > k:
-                pair_uu[k][l] = pair_term(u[k], u[l])
-            if l != k:
-                diag -= pair_uu[k][l]
-        for mm in range(b):
-            t_vu[mm][k] = _t(v[mm], u[k], c, tol)
-            diag += t_vu[mm][k]
-        m[k, k] = diag
-        for j in range(a):
-            if j > k:
-                pair_uu[j][k] = pair_term(u[j], u[k])
-            if j != k:
-                m[j, k] = pair_uu[j][k]
-    for k in range(b):
-        diag = c * model.dlog_r3(v[k])
-        for mm in range(b):
-            if mm > k:
-                pair_vv[k][mm] = pair_term(v[k], v[mm])
-            if mm != k:
-                diag -= pair_vv[k][mm]
-        for l in range(a):
-            diag += t_vu[k][l]
-        m[a + k, a + k] = diag
-        for j in range(b):
-            if j > k:
-                pair_vv[j][k] = pair_term(v[j], v[k])
-            if j != k:
-                m[a + j, a + k] = pair_vv[j][k]
-    for j in range(a):
-        for k in range(b):
-            m[j, a + k] = t_vu[k][j]
-            m[a + k, j] = t_vu[k][j]
-    return m
+    pairs = _pair_blocks(a, n)
+    # the diagonal's own terms, -c (log r1)'(u_k) and c (log r3)'(v_k)
+    own, failed = _root_values(x, a, lambda w: -c * model.dlog_r1(w),
+                               lambda w: c * model.dlog_r3(w))
+    d = x[:, :, None] - x[:, None, :]
+    dc = d + c
+    with np.errstate(all="ignore"):
+        d2 = d * d - c2
+        cross = np.where(pairs.vu, c2 / (d * dc), 0.0)
+        m = np.where(pairs.same, 2.0 * c2 / d2, cross + cross.swapaxes(1, 2))
+        m.reshape(len(m), -1)[:, ::n + 1] = own + (m * pairs.sign).sum(2)
+    limits = np.array([tol, tol * max(1.0, abs(c2)), tol])[:, None, None]
+    flags = _guard_flags((d, d2, dc), limits, pairs.gaudin_guard)
+    errors = [None] * len(x)
+    for row in _failing_rows(flags, None, failed):
+        errors[row] = _gaudin_error(x[row].tolist(), a, *flags[row],
+                                    {k: e for (i, k), e in failed.items()
+                                     if i == row})
+    return _per_stack(roots, m, errors)
 
 
-def gaudin_jacobian(roots: RootConfig, model: ModelFunctions) -> np.ndarray:
+def _gaudin_error(xs: list, a: int, hit: np.ndarray, pole: np.ndarray,
+                  shifted: np.ndarray, failed: dict) -> Gl3Error:
+    """The first error of one row of ``gaudin_matrix``, in the order of its
+    docstring."""
+    err = _collision_error(xs, hit)
+    if err is not None:
+        return err
+    for lo, hi in ((0, a), (a, len(xs))):
+        for k in range(lo, hi):
+            if k in failed:
+                return failed[k]
+            for l in range(k + 1, hi):
+                if pole[k, l]:
+                    return PoleError(f"root separation {xs[k] - xs[l]} "
+                                     f"collides with +-c")
+            if k < a:
+                for m in range(a, len(xs)):
+                    if shifted[m, k]:
+                        return PoleError(f"t(x, y) pole: x={xs[m]} collides "
+                                         f"with y={xs[k]} - c")
+    raise AssertionError("Gaudin row marked failing without an error")
+
+
+def gaudin_jacobian(roots, model: ModelFunctions):
     """Jacobian of the logarithmic Bethe system in the roots, u then v:
-    the Gaudin matrix with columns :a divided by -c and a: by +c."""
+    the Gaudin matrix with columns :a divided by -c and a: by +c.  Takes and
+    returns what ``gaudin_matrix`` does."""
     c = model.c
-    return gaudin_matrix(roots, model) / np.array([-c] * roots.a
-                                                  + [c] * roots.b)
+    x, a = _rows(roots)
+    scale = np.array([-c] * a + [c] * (x.shape[1] - a))
+    if isinstance(roots, RootStack):
+        m, errors = gaudin_matrix(roots, model)
+        return m / scale, errors
+    return gaudin_matrix(roots, model) / scale
 
 
 def xxx_chain(L: int, xi: Sequence[complex], c: complex) -> ModelFunctions:

@@ -1,11 +1,15 @@
 """On-shell root finding: damped Newton iteration on the logarithmic Bethe
-system, best-effort state enumeration, and continuation in the twist."""
+system, best-effort state enumeration, and continuation in the twist.
+
+There is one Newton, ``_newton``, and it advances a stack of seeds in
+lockstep: a sector's whole seed pool for ``distinct_states``, a stack of one
+for ``solve_bethe`` and ``continue_in_twist``.  Every guard and exit rule
+holds for each seed on its own, so each seed keeps its own exit reason."""
 
 from __future__ import annotations
 
 import cmath
 import math
-import operator
 import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -14,9 +18,9 @@ import numpy as np
 
 from .errors import (CollisionError, Gl3Error, JacobianSingular, NoConvergence,
                      PathCollision, PoleError, ZeroArgError)
-from .kernel import collision, f
-from .model import (BetheState, ModelFunctions, RootConfig, Twist,
-                    gaudin_jacobian, phi_log)
+from .kernel import f, pole_tol
+from .model import (BetheState, ModelFunctions, RootConfig, RootStack, Twist,
+                    _guard_flags, _pair_blocks, gaudin_jacobian, phi_log)
 
 TWO_PI = 2.0 * math.pi
 
@@ -117,48 +121,160 @@ def _twist_offsets(a: int, b: int, twist: Twist) -> np.ndarray:
     return np.array([off_u] * a + [off_v] * b, dtype=complex)
 
 
-def _check_collisions(x: np.ndarray, a: int, c: complex) -> None:
-    """Reject coincidences that break the log system or its Jacobian: two
-    equal roots, u_j - u_k = +-c, v_j - v_k = +-c and v = u - c."""
-    xs = x.tolist()
-    # an ordered pair at +c is the other order's pair at -c; v = u + c (a
-    # v-root first, then a u-root) is allowed
-    for shift, keep in ((0.0, operator.lt),
-                        (c, lambda i, j: i != j and (i < a or j >= a))):
-        hit = collision(xs, xs, c, shift, keep)
-        if hit is not None:
-            i, j = (f"u_{k}" if k < a else f"v_{k - a}" for k in hit)
-            raise CollisionError(f"{i} - {j} = {shift}")
+def _check_collisions(x: np.ndarray, a: int, c: complex) -> list:
+    """For each row of the stack ``x``, the CollisionError of the first
+    coincidence that breaks the log system or its Jacobian, or None: two
+    equal roots, then u_j - u_k = +-c, v_j - v_k = +-c and v = u - c."""
+    d = x[:, :, None] - x[:, None, :]
+    flags = _guard_flags((d, d - c), pole_tol(c),
+                         _pair_blocks(a, x.shape[1]).collision_guard)
+    errors: list = [None] * len(x)
+    if not flags.any():
+        return errors
+    for row in np.flatnonzero(flags.reshape(len(x), -1).any(axis=1)).tolist():
+        test, i, j = np.argwhere(flags[row])[0]
+        i, j = (f"u_{k}" if k < a else f"v_{k - a}" for k in (i, j))
+        errors[row] = CollisionError(f"{i} - {j} = {(0.0, c)[test]}")
+    return errors
 
 
 def _residual(x: np.ndarray, a: int, b: int, model: ModelFunctions,
               offsets: np.ndarray, modes: Optional[np.ndarray]) -> tuple:
-    """Residual of the log system; snaps to the nearest integer branch when
-    modes are not pinned.  Returns (residual vector, mode numbers used)."""
-    cfg = RootConfig(u=tuple(x[:a]), v=tuple(x[a:]))
-    delta = phi_log(cfg, model) - offsets
+    """Residuals of the log system at each row of the stack ``x``; snaps to
+    the nearest integer branch when modes are not pinned.  Returns
+    (residuals, mode numbers used, each row's error or None)."""
+    phi, errors = phi_log(RootStack(x, a), model)
+    delta = phi - offsets
     if modes is None:
         used = np.rint(delta.imag / TWO_PI).astype(int)
     else:
-        used = modes
-    return delta - 2j * math.pi * used, used
+        used = np.broadcast_to(modes, delta.shape)
+    return delta - 2j * math.pi * used, used, errors
 
 
-def _jacobian(x: np.ndarray, a: int, model: ModelFunctions) -> np.ndarray:
-    return gaudin_jacobian(RootConfig(u=tuple(x[:a]), v=tuple(x[a:])), model)
+def _jacobian(x: np.ndarray, a: int, model: ModelFunctions) -> tuple:
+    return gaudin_jacobian(RootStack(x, a), model)
+
+
+def _evaluate(x: np.ndarray, a: int, b: int, model: ModelFunctions,
+              offsets: np.ndarray, modes: Optional[np.ndarray]) -> tuple:
+    """The collision guard, then the residuals, at each row of the stack
+    ``x``: (residuals, mode numbers, largest residual, each row's error or
+    None)."""
+    res, used, failed = _residual(x, a, b, model, offsets, modes)
+    errors = [err if err is not None else fail for err, fail in
+              zip(_check_collisions(x, a, model.c), failed)]
+    return res, used, np.max(np.abs(res), axis=1), errors
+
+
+def _steps(jac: np.ndarray, res: np.ndarray) -> tuple:
+    """The Newton step of each row and its error or None: one batched solve,
+    or one solve per row when some Jacobian is singular."""
+    try:
+        return (np.linalg.solve(jac, res[:, :, None])[:, :, 0],
+                [None] * len(jac))
+    except np.linalg.LinAlgError:
+        pass
+    steps = np.zeros_like(res)
+    errors: list = [None] * len(jac)
+    for i in range(len(jac)):
+        try:
+            steps[i] = np.linalg.solve(jac[i:i + 1],
+                                       res[i:i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError as exc:
+            errors[i] = JacobianSingular(str(exc))
+    return steps, errors
+
+
+class _Runs:
+    """The running rows of a lockstep Newton stack: each row's iterate,
+    residuals, mode numbers, largest residual, count of creeping steps in a
+    row, and the row of the seed stack it started from."""
+
+    def __init__(self, x, res, used, err):
+        self.x, self.res, self.used, self.err = x, res, used, err
+        self.creeping = np.zeros(len(x), dtype=int)
+        self.seed = np.arange(len(x))
+
+    def end(self, outcome: list, results: list):
+        """Record each row's result that is not None as the outcome of its
+        seed, and drop that row; returns the index of the rows kept."""
+        ending = [row for row, result in enumerate(results)
+                  if result is not None]
+        if not ending:
+            return slice(None)
+        going = np.ones(len(results), dtype=bool)
+        going[ending] = False
+        for row in ending:
+            outcome[self.seed[row]] = results[row]
+        for name, value in vars(self).items():
+            setattr(self, name, value[going])
+        return going
+
+
+def _line_search(trials: np.ndarray, inside: np.ndarray, err: np.ndarray,
+                 evaluate) -> tuple:
+    """The first step halving of each row, from the full step down, that
+    lies inside the escape disk, meets no collision, pole or log of ~0, and
+    lowers the residual below ``err``.  Each round evaluates every row at
+    its next halving inside the disk.  Returns the halving index,
+    residuals, mode numbers and largest residual of each row, and its error
+    or None: ``Newton stalled`` when no halving serves, or an error that is
+    none of those three."""
+    h = inside.shape[1]
+    k = np.where(inside.any(axis=1), inside.argmax(axis=1), h)
+    res = np.zeros(trials[:, 0].shape, dtype=complex)
+    used = np.zeros(res.shape, dtype=int)
+    best = np.zeros(len(k))
+    errors: list = [None] * len(k)
+    search = k < h
+    while search.any():
+        rows = np.flatnonzero(search)
+        res_t, used_t, err_t, failed = evaluate(trials[rows, k[rows]])
+        lower = err_t < err[rows]
+        for j in np.flatnonzero(lower).tolist():
+            lower[j] = failed[j] is None
+        took = rows[lower]
+        res[took], used[took], best[took] = (res_t[lower], used_t[lower],
+                                             err_t[lower])
+        search[took] = False
+        for j, row in zip(np.flatnonzero(~lower).tolist(),
+                          rows[~lower].tolist()):
+            fail = failed[j]
+            if fail is not None and not isinstance(
+                    fail, (PoleError, ZeroArgError, CollisionError)):
+                errors[row] = fail
+                search[row] = False
+                continue
+            later = np.flatnonzero(inside[row, k[row] + 1:])
+            k[row] = k[row] + 1 + later[0] if len(later) else h
+            search[row] = k[row] < h
+    for row in np.flatnonzero(k == h).tolist():
+        errors[row] = NoConvergence(f"Newton stalled at residual "
+                                    f"{err[row]:.3e}")
+    return k, res, used, best, errors
 
 
 def _newton(model: ModelFunctions, a: int, b: int, twist: Twist,
             x0: np.ndarray, tol: float,
-            modes: Optional[Sequence[int]] = None) -> tuple:
-    """Damped Newton on the log system.  Returns (roots, modes, residual).
+            modes: Optional[Sequence[int]] = None):
+    """Damped Newton on the log system for a stack of seeds in lockstep.
+
+    ``x0`` holds one seed per row.  Yields one outcome per seed, in row
+    order, once that seed and every one before it have ended: the (roots,
+    modes, residual) of a converged run, or the Gl3Error that ended it.  A
+    consumer that stops iterating stops the runs still going.  Each round
+    evaluates the running rows together, one Gaudin matrix call per Newton
+    round and one ``phi_log`` call per round of the line search, and every
+    rule below holds for each row on its own, so a seed ends the same alone
+    as in any stack.
 
     A run ends in one of five ways:
 
     - converged: the residual is at most ``tol`` with every root inside the
       escape radius ``r_max`` around the centroid of the inhomogeneities;
     - stalled: no step halving inside the disk of radius ``3 r_max`` lowers
-      the residual;
+      the residual (see ``_line_search``);
     - creeping: ``_CREEP_STEPS`` accepted steps in a row each lower the
       residual by less than 0.1 % (``_CREEP_RATIO``);
     - escaped: roots converge beyond ``r_max``.  The residual also vanishes
@@ -171,8 +287,9 @@ def _newton(model: ModelFunctions, a: int, b: int, twist: Twist,
       not halve the residual (``_LINEAR_RATIO``) shows linear convergence
       to a singular limit.
 
-    Every way but the first raises ``NoConvergence``, as does the iteration
-    cap.
+    Every way but the first is a ``NoConvergence``, as is the iteration
+    cap.  A seed also ends with the error of a collision, pole or log of ~0
+    at its seed or iterate, or with ``JacobianSingular``.
     """
     offsets = _twist_offsets(a, b, twist)
     pinned = None if modes is None else np.asarray(modes, dtype=int)
@@ -181,48 +298,67 @@ def _newton(model: ModelFunctions, a: int, b: int, twist: Twist,
     # radius beyond which an accepted iterate ends the run as escaped
     r_escape = (r_max if model.sites is not None and twist.is_identity()
                 else math.inf)
-    x = np.asarray(x0, dtype=complex).copy()
-    _check_collisions(x, a, model.c)
-    res, used = _residual(x, a, b, model, offsets, pinned)
-    err = float(np.max(np.abs(res)))
-    creeping = 0
-    for _ in range(_MAX_ITER):
-        if err <= tol:
-            if np.max(np.abs(x - centroid)) > r_max:
-                raise NoConvergence("roots escaped towards infinity")
-            return x, tuple(int(n) for n in used), err
-        try:
-            step = np.linalg.solve(_jacobian(x, a, model), res)
-        except np.linalg.LinAlgError as exc:
-            raise JacobianSingular(str(exc)) from exc
-        # every halving at once against the escape disk; a non-finite trial
-        # passes this filter and is rejected by the residual below
-        trials = x - step * _HALVINGS[:, None]
-        reach = np.max(np.abs(trials - centroid), axis=1)
-        for k in np.flatnonzero(~(reach > 3.0 * r_max)):
-            x_try = trials[k]
-            try:
-                _check_collisions(x_try, a, model.c)
-                res_try, used_try = _residual(x_try, a, b, model, offsets, pinned)
-            except (PoleError, ZeroArgError, CollisionError):
-                continue
-            err_try = float(np.max(np.abs(res_try)))
-            if err_try < err:
-                break
-        else:
-            raise NoConvergence(f"Newton stalled at residual {err:.3e}")
-        if reach[k] > r_escape:
-            raise NoConvergence("roots escaped towards infinity")
-        if err < _LINEAR_BELOW and err_try > max(tol, _LINEAR_RATIO * err):
-            raise NoConvergence(f"Newton converging linearly, residual "
-                                f"{err_try:.3e} after {err:.3e}")
-        creeping = creeping + 1 if err_try > _CREEP_RATIO * err else 0
-        x, res, used, err = x_try, res_try, used_try, err_try
-        if creeping == _CREEP_STEPS:
-            raise NoConvergence(f"Newton creeping, residual {err:.3e}")
-    if err <= tol and np.max(np.abs(x - centroid)) <= r_max:
-        return x, tuple(int(n) for n in used), err
-    raise NoConvergence(f"residual {err:.3e} after {_MAX_ITER} iterations")
+
+    def evaluate(x):
+        return _evaluate(x, a, b, model, offsets, pinned)
+
+    x = np.array(x0, dtype=complex, ndmin=2)
+    outcome: list = [None] * len(x)
+    with np.errstate(all="ignore"):
+        res, used, err, errors = evaluate(x)
+    run = _Runs(x, res, used, err)
+    run.end(outcome, errors)
+    done = 0
+    for it in range(_MAX_ITER + 1):
+        far = np.max(np.abs(run.x - centroid), axis=1) > r_max
+        ending: list = [None] * len(run.seed)
+        for i in np.flatnonzero(run.err <= tol).tolist():
+            ending[i] = (NoConvergence("roots escaped towards infinity")
+                         if far[i] else
+                         (run.x[i], tuple(run.used[i].tolist()),
+                          float(run.err[i])))
+        if it == _MAX_ITER:
+            for i, result in enumerate(ending):
+                if result is None or far[i]:
+                    ending[i] = NoConvergence(f"residual {run.err[i]:.3e} "
+                                              f"after {_MAX_ITER} iterations")
+        run.end(outcome, ending)
+        while done < len(outcome) and outcome[done] is not None:
+            yield outcome[done]
+            done += 1
+        if not len(run.seed):
+            return
+        with np.errstate(all="ignore"):
+            jac, errors = _jacobian(run.x, a, model)
+            going = run.end(outcome, errors)
+            step, errors = _steps(jac[going], run.res)
+            step = step[run.end(outcome, errors)]
+            # every halving at once against the escape disk; a non-finite
+            # trial passes this filter and is rejected by its residual
+            trials = run.x[:, None, :] - step[:, None, :] * _HALVINGS[:, None]
+            reach = np.max(np.abs(trials - centroid), axis=2)
+            k, res, used, err, errors = _line_search(
+                trials, ~(reach > 3.0 * r_max), run.err, evaluate)
+            going = run.end(outcome, errors)
+            rows = np.arange(len(run.seed))
+            k, res, used, err = (v[going] for v in (k, res, used, err))
+            reach, trials = reach[going][rows, k], trials[going][rows, k]
+            escaped = reach > r_escape
+            linear = (run.err < _LINEAR_BELOW) & (
+                err > np.maximum(tol, _LINEAR_RATIO * run.err))
+            creeping = np.where(err > _CREEP_RATIO * run.err,
+                                run.creeping + 1, 0)
+            ending = [None] * len(rows)
+            for i in np.flatnonzero(escaped | linear
+                                    | (creeping == _CREEP_STEPS)).tolist():
+                ending[i] = NoConvergence(
+                    "roots escaped towards infinity" if escaped[i] else
+                    f"Newton converging linearly, residual {err[i]:.3e} "
+                    f"after {run.err[i]:.3e}" if linear[i] else
+                    f"Newton creeping, residual {err[i]:.3e}")
+            run.x, run.res, run.used, run.err = trials, res, used, err
+            run.creeping = creeping
+            run.end(outcome, ending)
 
 
 def _centroid(model: ModelFunctions) -> complex:
@@ -334,22 +470,32 @@ def _converged_runs(model: ModelFunctions, a: int, b: int, twist: Twist,
                     n_random: int, rng_seed: int, tol: float,
                     modes: Optional[Sequence[int]] = None,
                     magnon_roots: Sequence[complex] = ()):
-    """Newton from each seed of the pool in turn: yields the (roots, modes,
-    residual) of every run that converges.  Raises NoConvergence, naming the
-    last run's error, when the pool runs out and no run converged."""
+    """Newton from the whole seed pool as one stack: yields the (roots,
+    modes, residual) of every run that converges, in pool order.  Raises
+    NoConvergence, naming the last seed's error, when no run converged."""
     rng = np.random.default_rng(rng_seed)
+    pool = np.array(_seed_pool(model, a, b, n_random, rng, magnon_roots))
     last: Exception = NoConvergence("no seeds tried")
     converged = False
-    for x0 in _seed_pool(model, a, b, n_random, rng, magnon_roots):
-        try:
-            run = _newton(model, a, b, twist, x0, tol, modes)
-        except Gl3Error as exc:
-            last = exc
+    for run in _newton(model, a, b, twist, pool, tol, modes):
+        if isinstance(run, Gl3Error):
+            last = run
             continue
         converged = True
         yield run
     if not converged:
         raise NoConvergence(f"all seeds failed; last error: {last}")
+
+
+def _newton_one(model: ModelFunctions, a: int, b: int, twist: Twist,
+                x0: np.ndarray, tol: float,
+                modes: Optional[Sequence[int]] = None) -> tuple:
+    """Newton from one seed, a stack of one: its (roots, modes, residual),
+    or its error raised."""
+    run = next(_newton(model, a, b, twist, x0, tol, modes))
+    if isinstance(run, Gl3Error):
+        raise run
+    return run
 
 
 def solve_bethe(req: SolveRequest) -> BetheState:
@@ -364,8 +510,8 @@ def solve_bethe(req: SolveRequest) -> BetheState:
         x0 = req.seed_roots.as_array()
         if x0.size != a + b:
             raise ValueError("seed roots do not match the requested sector")
-        x, modes, err = _newton(model, a, b, req.twist, x0, req.tol,
-                                req.mode_numbers)
+        x, modes, err = _newton_one(model, a, b, req.twist, x0, req.tol,
+                                    req.mode_numbers)
     else:
         x, modes, err = next(_converged_runs(
             model, a, b, req.twist, 40, req.rng_seed, req.tol,
@@ -414,9 +560,10 @@ def distinct_states(model: ModelFunctions, a: int, b: int,
 
     Converged states are deduplicated as unordered root multisets; no claim
     of completeness is made.  An empty list means no seed converged, which is
-    the honest outcome for sectors without finite-root solutions.  On a chain
-    (``model.sites`` set) the seed pool stops once it has found as many
-    states as the sector can hold, and a sector that can hold none returns
+    the honest outcome for sectors without finite-root solutions.  The seed
+    pool runs through Newton as one stack.  On a chain (``model.sites`` set)
+    the stack stops once the seeds that have ended, in pool order, hold as
+    many states as the sector can, and a sector that can hold none returns
     an empty list without a Newton run (see ``_sector_size``).
 
     Results are memoized while the model object lives: a repeated call with
@@ -436,9 +583,10 @@ def distinct_states(model: ModelFunctions, a: int, b: int,
 
 def _solve_sector(model: ModelFunctions, a: int, b: int, twist: Twist,
                   n_seeds: int, tol: float, rng_seed: int) -> tuple:
-    """Newton from each seed of the pool until the sector holds as many
-    states as it can; the distinct converged states as sorted (roots, mode
-    numbers, residual) triples."""
+    """The seed pool through Newton as one stack, its converged runs taken
+    in pool order until the sector holds as many states as it can; the
+    distinct converged states as sorted (roots, mode numbers, residual)
+    triples."""
     size = _sector_size(model, a, b, twist)
     if size == 0:
         return ()
@@ -491,7 +639,7 @@ def continue_in_twist(state: BetheState, target: Twist,
                    k2=src.k2 + lam * (target.k2 - src.k2),
                    k3=src.k3 + lam * (target.k3 - src.k3))
         try:
-            x, modes, err = _newton(model, a, b, tw, x, 1e-12)
+            x, modes, err = _newton_one(model, a, b, tw, x, 1e-12)
         except CollisionError as exc:
             raise PathCollision(f"collision at twist step {step}/{steps}: {exc}")
     return BetheState(RootConfig(tuple(x[:a]), tuple(x[a:])), target, modes,

@@ -327,9 +327,9 @@ def test_check_records_do_not_depend_on_other_checks(lib_seed7, suite):
 PINNED_BUILD = ((3, 11), (2, 4))
 REPORT_SHA256 = {
     "verification":
-        "b584914618be2e49e258fff623a33a97b9bf284365fe13951207b193e695b488",
+        "794875922212fdee3f9250851b4f565296e964d7721cc8cd3a6184c61e7ac350",
     "identities":
-        "e8d1e2a4b3ef48bc05f2168b95db0978dc8cfd1009ed1e3f39715f040f0ef6e1",
+        "30d7e1169f96678a2ccb63548f8b654acfc995f736a054002f106bfd406b6efb",
 }
 
 

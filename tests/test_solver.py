@@ -13,8 +13,8 @@ import gl3ff.kernel as kernel
 import gl3ff.solver as solver
 from gl3ff.checks import prepare_states
 from gl3ff.errors import CollisionError, NoConvergence
-from gl3ff.model import (RootConfig, Twist, bethe_defect, gaudin_matrix,
-                         mirror_model, phi_log, tau, xxx_chain)
+from gl3ff.model import (RootConfig, RootStack, Twist, bethe_defect,
+                         gaudin_matrix, mirror_model, phi_log, tau, xxx_chain)
 from gl3ff.oracle import SpinChainSpec
 from gl3ff.solver import (SolveRequest, continue_in_twist, distinct_states,
                           solve_bethe, states_equal)
@@ -197,16 +197,23 @@ def _chain(L=3, seed=7):
 @pytest.mark.parametrize("c", [1.0, 0.6 + 0.5j])
 def test_newton_collision_guard(c):
     u0, v0 = 0.3 - 0.1j, -0.4 + 0.2j
-    solver._check_collisions(np.array([u0, u0 + 0.5, v0]), 2, c)
-    solver._check_collisions(np.array([u0, u0 + c]), 1, c)  # v = u + c is fine
-    bad = [(np.array([u0, u0 + c, v0]), 2),   # u_0 - u_1 = -c
-           (np.array([u0 + c, u0, v0]), 2),   # u_0 - u_1 = +c
-           (np.array([u0, v0, v0 - c]), 1),   # v_0 - v_1 = +c
-           (np.array([u0, u0]), 1),           # u = v
-           (np.array([u0, u0 - c]), 1)]       # v = u - c
-    for x, a in bad:
-        with pytest.raises(CollisionError):
-            solver._check_collisions(x, a, c)
+    assert solver._check_collisions(np.array([[u0, u0 + 0.5, v0]]), 2,
+                                    c) == [None]
+    # v = u + c is fine
+    assert solver._check_collisions(np.array([[u0, u0 + c]]), 1, c) == [None]
+    bad = [(np.array([u0, u0 + c, v0]), 2, "u_1 - u_0"),   # u_0 - u_1 = -c
+           (np.array([u0 + c, u0, v0]), 2, "u_0 - u_1"),   # u_0 - u_1 = +c
+           (np.array([u0, v0, v0 - c]), 1, "v_0 - v_1"),   # v_0 - v_1 = +c
+           (np.array([u0, u0]), 1, "u_0 - v_0 = 0.0"),     # u = v
+           (np.array([u0, u0 - c]), 1, "u_0 - v_0")]       # v = u - c
+    for x, a, name in bad:
+        # each row of a stack is guarded on its own: a clean row beside a
+        # colliding one passes
+        clean = np.arange(len(x)) * (2.0 + 3.0j)
+        errors = solver._check_collisions(np.array([clean, x, clean]), a, c)
+        assert errors[0] is None and errors[2] is None
+        assert isinstance(errors[1], CollisionError)
+        assert str(errors[1]).startswith(name)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -225,6 +232,20 @@ def _count_calls(monkeypatch, module, name):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+def _count_rows(monkeypatch, module, name):
+    """Wrap module.name, whose first argument is a stack of iterates, and
+    count the rows it is called on."""
+    original = getattr(module, name)
+    rows = [0]
+
+    def counted(x, *args):
+        rows[0] += len(x)
+        return original(x, *args)
+
+    monkeypatch.setattr(module, name, counted)
+    return rows
 
 
 def test_distinct_states_memoized_per_model(monkeypatch):
@@ -310,9 +331,9 @@ def test_line_search_never_evaluates_outside_escape_disk(monkeypatch):
 
 
 def test_tracer_visible_solver_hot_path(monkeypatch):
-    # the benchmark tracer counts one Gaudin matrix per Newton step and one
-    # phi_log per residual, through the module-level names; L=4 (2,0) stays
-    # incomplete, so its whole pool runs
+    # the benchmark tracer counts one Gaudin matrix call per Newton round and
+    # one phi_log call per residual round of the stack, through the
+    # module-level names; L=4 (2,0) stays incomplete, so its whole pool runs
     import gl3ff.model as model_mod
     gaudin = _count_calls(monkeypatch, model_mod, "gaudin_matrix")
     phi = _count_calls(monkeypatch, model_mod, "phi_log")
@@ -337,7 +358,7 @@ def test_newton_stops_creeping_at_escape_disk(monkeypatch):
     x0 = _pool_seed(model, 1, 0, 24, 0, 30)
     steps = _count_calls(monkeypatch, solver, "_jacobian")
     with pytest.raises(NoConvergence, match="Newton creeping"):
-        solver._newton(model, 1, 0, Twist(), x0, 1e-12)
+        solver._newton_one(model, 1, 0, Twist(), x0, 1e-12)
     assert steps[0] <= 10
 
 
@@ -349,7 +370,7 @@ def test_newton_ends_escaping_chain_run(monkeypatch):
     x0 = _pool_seed(model, 1, 0, 24, 0, 30)
     steps = _count_calls(monkeypatch, solver, "_jacobian")
     with pytest.raises(NoConvergence, match="roots escaped"):
-        solver._newton(model, 1, 0, Twist(), x0, 1e-12)
+        solver._newton_one(model, 1, 0, Twist(), x0, 1e-12)
     assert steps[0] <= 4
 
 
@@ -371,7 +392,7 @@ def test_newton_stops_creeping_inside_escape_disk(monkeypatch):
 
     monkeypatch.setattr(solver, "_jacobian", recorded)
     with pytest.raises(NoConvergence, match="Newton creeping"):
-        solver._newton(model, 3, 0, twist, x0, 1e-12)
+        solver._newton_one(model, 3, 0, twist, x0, 1e-12)
     assert len(reach) <= 20
     assert max(reach) < 0.5
 
@@ -387,16 +408,16 @@ def test_newton_ends_linear_convergence(monkeypatch):
     x0 = solver._seed_pool(model, 3, 1, 48, rng, magnons)[0]
     steps = _count_calls(monkeypatch, solver, "_jacobian")
     with pytest.raises(NoConvergence, match="Newton converging linearly"):
-        solver._newton(model, 3, 1, Twist(), x0, 1e-12)
+        solver._newton_one(model, 3, 1, Twist(), x0, 1e-12)
     assert steps[0] <= 5
 
 
 def test_library_newton_exits_cut_no_state(monkeypatch):
     # the escape and linear-convergence exits end the seed-7 library's
     # doomed runs early; with both off (Newton sees no site count, and no
-    # residual is small enough for the linear test) it takes 1,939 Jacobians
-    # and finds the same states
-    steps = _count_calls(monkeypatch, solver, "_jacobian")
+    # residual is small enough for the linear test) it takes 1,939 Jacobians,
+    # counted over the rows of each stacked round, and finds the same states
+    steps = _count_rows(monkeypatch, solver, "_jacobian")
     lib = prepare_states(7)
     assert steps[0] <= 700
     cut = steps[0]
@@ -431,7 +452,7 @@ def test_newton_returns_from_creep_zone(monkeypatch):
         return jacobian(x, *args)
 
     monkeypatch.setattr(solver, "_jacobian", recorded)
-    x, modes, err = solver._newton(model, 1, 1, twist, x0, 1e-12)
+    x, modes, err = solver._newton_one(model, 1, 1, twist, x0, 1e-12)
     assert sum(r > 2.9 for r in reach) == 3
     expect = [4.799331359210748 + 4.979255055986534j,
               7.299331359210748 + 7.479255055986535j]
@@ -439,16 +460,52 @@ def test_newton_returns_from_creep_zone(monkeypatch):
     assert modes == (0, 0) and err <= 1e-12
 
 
+def _ending(run):
+    """A Newton outcome in comparable form: roots, modes and residual, or the
+    error's type and message."""
+    if isinstance(run, Exception):
+        return type(run), str(run)
+    x, modes, err = run
+    return tuple(x.tolist()), modes, err
+
+
+@pytest.mark.parametrize("L, a, b, twist", [
+    (5, 3, 1, Twist()), (3, 1, 1, Twist(0.9 + 0.1j, 1.0, 1.2 - 0.2j))])
+def test_seed_ends_the_same_alone_and_stacked(L, a, b, twist):
+    # an untwisted L=5 (3,1) pool of 78 seeds, which converge, escape or
+    # converge linearly, and a twisted L=3 (1,1) pool of 54, which converge
+    # or creep; the pools and the stacks of 13 and 7 that cut them are no
+    # multiples of the 4 or 8 lanes of a vector loop
+    model = _chain(L).model()
+    magnons = []
+    if a >= 2:
+        magnons = [st.u[0] for st in distinct_states(model, 1, 0, n_seeds=24,
+                                                     rng_seed=8)]
+    pool = np.array(solver._seed_pool(model, a, b, 48,
+                                      np.random.default_rng(7), magnons))
+    alone = [_ending(next(solver._newton(model, a, b, twist, x0, 1e-12)))
+             for x0 in pool]
+    kinds = {ending[0] if isinstance(ending[0], type) else "converged"
+             for ending in alone}
+    assert "converged" in kinds and NoConvergence in kinds
+    for size in (len(pool), 13, 7):
+        stacked = [_ending(run) for start in range(0, len(pool), size)
+                   for run in solver._newton(model, a, b, twist,
+                                             pool[start:start + size], 1e-12)]
+        assert stacked == alone, size
+
+
 def test_pole_tol_per_call_not_per_term(monkeypatch):
-    # phi_log and gaudin_matrix compute the tolerance twice per call, once in
-    # the regularity guard and once for all of their terms, however many
-    # roots there are; phi_log adds one per r1(u_j) product of the chain
+    # phi_log and gaudin_matrix compute the tolerance once per call for the
+    # regularity guard and all of their terms, however many roots or rows
+    # there are; phi_log adds one per r1(u_j) product of the chain
     model = _chain().model()
     small = RootConfig((0.31 + 0.2j,), ())
     large = RootConfig((0.31 + 0.2j, -0.4 + 0.1j), (0.05 - 0.3j, 0.6 + 0.5j))
+    stack = RootStack(np.array([large.as_array() + k for k in range(3)]), 2)
     calls = _count_calls(monkeypatch, kernel, "pole_tol")
-    for roots in (small, large):
-        for fn, expect in ((phi_log, 2 + roots.a), (gaudin_matrix, 2)):
+    for roots, a, rows in ((small, 1, 1), (large, 2, 1), (stack, 2, 3)):
+        for fn, expect in ((phi_log, 1 + rows * a), (gaudin_matrix, 1)):
             before = calls[0]
             fn(roots, model)
             assert calls[0] - before == expect
@@ -493,8 +550,9 @@ _LIBRARY_SECTORS = ([(L, 1, 0, 24) for L in (2, 3, 4, 5)]
 
 def test_complete_sector_stops_its_seed_pool(monkeypatch):
     # a chain finds the same states as its copy without a site count, and
-    # runs fewer seeds wherever it finds as many as the sector can hold
-    newton = _count_calls(monkeypatch, solver, "_newton")
+    # takes fewer Newton steps (Jacobian rows of the stacked rounds) wherever
+    # it finds as many states as the sector can hold: it stops the stack
+    newton = _count_rows(monkeypatch, solver, "_jacobian")
     complete = 0
     for L, a, b, n_seeds in _LIBRARY_SECTORS:
         chain = _chain(L).model()
