@@ -141,8 +141,11 @@ def assert_regular(roots: RootConfig, c: complex) -> None:
     """Check the intra/inter-set distinctness every formula relies on:
     raise PoleError naming the first pair of roots (u then v) closer than
     the collision tolerance."""
-    xs = list(roots.u + roots.v)
-    err = _collision_error(xs, np.abs(np.subtract.outer(xs, xs)) <= pole_tol(c))
+    x, a = _rows(roots)
+    # the first test of every guard: x_j ~ x_k at j < k
+    err, = _guard_errors((x[:, :, None] - x[:, None, :],), pole_tol(c),
+                         _pair_blocks(a, x.shape[1]).phi_guard[:1], {},
+                         lambda row, test, j, k: _collided(x, row, j, k))
     if err is not None:
         raise err
 
@@ -211,8 +214,6 @@ def dtau_dkappa_onshell(s: int, w: complex, roots: RootConfig,
     quantity the normalized diagonal matrix elements equal (the eigenvalue
     version of first-order perturbation theory in the twist).
     """
-    if s not in (1, 2, 3):
-        raise ValueError(f"s must be 1, 2 or 3, got {s}")
     a, b = roots.a, roots.b
     value = dtau_dkappa(s, w, roots, model)
     if a + b == 0:
@@ -332,36 +333,37 @@ def _per_stack(roots, values: np.ndarray, errors: list):
     return values[0]
 
 
-def _guard_flags(values: tuple, limits, masks: np.ndarray) -> np.ndarray:
-    """Flags (n, tests, a+b, a+b) of a stacked guard: test i flags the pairs
-    of ``masks[i]`` where ``|values[i]|`` is at most its limit (``limits``
-    is one limit or one per test, shaped (tests, 1, 1))."""
+def _guard_errors(values: tuple, limits, masks: np.ndarray, failed: dict,
+                  pair_error: Callable) -> list:
+    """Each row's error or None under a stacked guard.  Test i flags the
+    pairs of ``masks[i]`` where ``|values[i]|`` (n, a+b, a+b) is at most its
+    limit (``limits`` is one limit or one per test, shaped (tests, 1, 1)).
+    A row's error is that of its first flagged pair in (test, j, k) order,
+    ``pair_error(row, test, j, k)``; in a row with no flag, that of its
+    first failing root call, u then v, in ``failed`` {(row, root): error}."""
     n, m = values[0].shape[:2]
     size = np.abs(np.concatenate(values, axis=1)).reshape(n, len(values), m, m)
-    return (size <= limits) & masks
+    flags = (size <= limits) & masks
+    errors: list = [None] * n
+    for row, k in sorted(failed, reverse=True):
+        errors[row] = failed[row, k]
+    if flags.any():
+        for row in np.flatnonzero(flags.reshape(n, -1).any(axis=1)):
+            errors[row] = pair_error(row, *np.argwhere(flags[row])[0].tolist())
+    return errors
 
 
-def _failing_rows(flags: np.ndarray, roots: Optional[np.ndarray],
-                  failed: dict) -> list:
-    """The rows, in order, with a flag in ``flags`` (n, tests, a+b, a+b), a
-    flagged root in ``roots`` (n, a+b) or a root call in ``failed``."""
-    if not (failed or flags.any() or (roots is not None and roots.any())):
-        return []
-    bad = flags.reshape(len(flags), -1).any(axis=1)
-    if roots is not None:
-        bad |= roots.any(axis=1)
-    return sorted(set(np.flatnonzero(bad).tolist()) | {i for i, _ in failed})
+def _collided(x: np.ndarray, row: int, j: int, k: int) -> PoleError:
+    """The regularity guard's error for the colliding roots j < k of row
+    ``row`` of the stack ``x``."""
+    xs = x[row].tolist()
+    return PoleError(f"roots (u then v): entries {j} and {k} "
+                     f"collide ({xs[j]} ~ {xs[k]})")
 
 
-def _collision_error(xs: list, hit: np.ndarray) -> Optional[PoleError]:
-    """The error of the regularity guard (``assert_regular``) for the first
-    pair j < k of ``xs`` that ``hit`` marks as colliding, or None."""
-    for j in range(len(xs)):
-        for k in range(j + 1, len(xs)):
-            if hit[j, k]:
-                return PoleError(f"roots (u then v): entries {j} and {k} "
-                                 f"collide ({xs[j]} ~ {xs[k]})")
-    return None
+def _label(k: int, a: int) -> str:
+    """Name of root k of a sector with ``a`` u-roots: u_k or v_(k - a)."""
+    return f"u_{k}" if k < a else f"v_{k - a}"
 
 
 def phi_log(roots, model: ModelFunctions):
@@ -378,10 +380,11 @@ def phi_log(roots, model: ModelFunctions):
     RootStack, whose rows are evaluated at once: then the result is the
     (n, a + b) array of entries and a list holding each row's error or None
     (a failing row's entries are meaningless).  A row fails, and a
-    RootConfig raises, with the error the term-by-term evaluation meets
-    first: the regularity guard's ``PoleError``, an error of ``r1`` or
-    ``r3``, or ``ZeroArgError`` for a log argument within the collision
-    tolerance of 0, in the order u-row by u-row, then v-row by v-row.
+    RootConfig raises, with the error of its first flagged pair in (test,
+    j, k) order: ``PoleError`` for x_j ~ x_k at j < k, then ``ZeroArgError``
+    for a log f(x_j, x_k) of ~0 ("~": within the collision tolerance).  With
+    no flagged pair, it is that of its first failing root, u then v: an
+    error of ``r1`` or ``r3``, or ``ZeroArgError`` for a value of ~0.
     """
     x, a = _rows(roots)
     n = x.shape[1]
@@ -389,54 +392,25 @@ def phi_log(roots, model: ModelFunctions):
     tol = pole_tol(c)
     pairs = _pair_blocks(a, n)
     r, failed = _root_values(x, a, model.r1, model.r3)
+    for row, k in np.argwhere(np.abs(r) <= tol).tolist():
+        failed[row, k] = ZeroArgError(
+            f"log argument ~ 0 in {'r1' if k < a else 'r3'}({_label(k, a)}): "
+            f"{r[row, k]}")
     d = x[:, :, None] - x[:, None, :]
     with np.errstate(all="ignore"):
         fv = (d + c) / d
         lf = np.log(np.where(pairs.need, fv, 1.0))
         out = np.log(r) - (lf * pairs.cl
                            + lf.swapaxes(1, 2) * pairs.clt).sum(2)
-    flags = _guard_flags((d, fv), tol, pairs.phi_guard)
-    errors = [None] * len(x)
-    for row in _failing_rows(flags, np.abs(r) <= tol, failed):
-        errors[row] = _phi_log_error(x[row].tolist(), a, r[row].tolist(),
-                                     *flags[row],
-                                     {k: e for (i, k), e in failed.items()
-                                      if i == row}, c, tol)
-    return _per_stack(roots, out, errors)
 
+    def pair_error(row, test, j, k):
+        if test == 0:
+            return _collided(x, row, j, k)
+        return ZeroArgError(f"log argument ~ 0 in f({_label(j, a)}, "
+                            f"{_label(k, a)}): {fv[row, j, k]}")
 
-def _phi_log_error(xs: list, a: int, r: list, hit: np.ndarray,
-                   zero: np.ndarray, failed: dict, c: complex,
-                   tol: float) -> Gl3Error:
-    """The first error of one row of ``phi_log``, in the order of its
-    docstring."""
-    err = _collision_error(xs, hit)
-    if err is not None:
-        return err
-    for lo, hi, name in ((0, a, "u"), (a, len(xs), "v")):
-        for j in range(lo, hi):
-            if j in failed:
-                return failed[j]
-            if abs(r[j]) <= tol:
-                what = "r1(u_j)" if name == "u" else "r3(v_j)"
-                return ZeroArgError(f"log argument ~ 0 in {what}: {r[j]}")
-            # a u-row meets f(u_j, u_k), f(u_k, u_j), then f(v_m, u_j); a
-            # v-row meets f(v_m, v_j), then f(v_j, v_m)
-            if name == "u":
-                pairs = ([(p, what) for k in range(j + 1, a)
-                          for p, what in (((j, k), "f(u_j, u_k)"),
-                                          ((k, j), "f(u_k, u_j)"))]
-                         + [((m, j), "f(v_m, u_j)")
-                            for m in range(a, len(xs))])
-            else:
-                pairs = [(p, what) for m in range(j + 1, len(xs))
-                         for p, what in (((m, j), "f(v_m, v_j)"),
-                                         ((j, m), "f(v_j, v_m)"))]
-            for (p, q), what in pairs:
-                if zero[p, q]:
-                    value = (xs[p] - xs[q] + c) / (xs[p] - xs[q])
-                    return ZeroArgError(f"log argument ~ 0 in {what}: {value}")
-    raise AssertionError("phi_log row marked failing without an error")
+    return _per_stack(roots, out, _guard_errors(
+        (d, fv), tol, pairs.phi_guard, failed, pair_error))
 
 
 def gaudin_matrix(roots, model: ModelFunctions):
@@ -455,11 +429,11 @@ def gaudin_matrix(roots, model: ModelFunctions):
 
     ``roots`` is a RootConfig, or a RootStack whose matrices come back as an
     (n, a + b, a + b) array with each row's error or None, as in
-    ``phi_log``.  The error is the first the column-by-column evaluation
-    meets: the regularity guard's ``PoleError``; then, per u-column k, an
-    error of ``dlog_r1(u_k)``, a pair term of u_k and a later u-root whose
-    separation is +-c, and t(v_m, u_k) at v_m = u_k - c; then, per
-    v-column, an error of ``dlog_r3`` and a pair term with a later v-root.
+    ``phi_log``.  The error is that of the first flagged pair in (test, j,
+    k) order, each a ``PoleError``: x_j ~ x_k at j < k, then x_j - x_k ~
+    +-c within one set at j < k, then v_j ~ u_k - c.  With no flagged pair,
+    it is that of the first failing root call, ``dlog_r1`` on u then
+    ``dlog_r3`` on v.
     """
     x, a = _rows(roots)
     n = x.shape[1]
@@ -478,36 +452,19 @@ def gaudin_matrix(roots, model: ModelFunctions):
         m = np.where(pairs.same, 2.0 * c2 / d2, cross + cross.swapaxes(1, 2))
         m.reshape(len(m), -1)[:, ::n + 1] = own + (m * pairs.sign).sum(2)
     limits = np.array([tol, tol * max(1.0, abs(c2)), tol])[:, None, None]
-    flags = _guard_flags((d, d2, dc), limits, pairs.gaudin_guard)
-    errors = [None] * len(x)
-    for row in _failing_rows(flags, None, failed):
-        errors[row] = _gaudin_error(x[row].tolist(), a, *flags[row],
-                                    {k: e for (i, k), e in failed.items()
-                                     if i == row})
-    return _per_stack(roots, m, errors)
 
+    def pair_error(row, test, j, k):
+        xs = x[row].tolist()
+        if test == 0:
+            return _collided(x, row, j, k)
+        if test == 1:
+            return PoleError(f"root separation {xs[j] - xs[k]} collides "
+                             f"with +-c")
+        return PoleError(f"t(x, y) pole: x={xs[j]} collides with "
+                         f"y={xs[k]} - c")
 
-def _gaudin_error(xs: list, a: int, hit: np.ndarray, pole: np.ndarray,
-                  shifted: np.ndarray, failed: dict) -> Gl3Error:
-    """The first error of one row of ``gaudin_matrix``, in the order of its
-    docstring."""
-    err = _collision_error(xs, hit)
-    if err is not None:
-        return err
-    for lo, hi in ((0, a), (a, len(xs))):
-        for k in range(lo, hi):
-            if k in failed:
-                return failed[k]
-            for l in range(k + 1, hi):
-                if pole[k, l]:
-                    return PoleError(f"root separation {xs[k] - xs[l]} "
-                                     f"collides with +-c")
-            if k < a:
-                for m in range(a, len(xs)):
-                    if shifted[m, k]:
-                        return PoleError(f"t(x, y) pole: x={xs[m]} collides "
-                                         f"with y={xs[k]} - c")
-    raise AssertionError("Gaudin row marked failing without an error")
+    return _per_stack(roots, m, _guard_errors(
+        (d, d2, dc), limits, pairs.gaudin_guard, failed, pair_error))
 
 
 def gaudin_jacobian(roots, model: ModelFunctions):
@@ -516,11 +473,11 @@ def gaudin_jacobian(roots, model: ModelFunctions):
     returns what ``gaudin_matrix`` does."""
     c = model.c
     x, a = _rows(roots)
+    m, errors = gaudin_matrix(RootStack(x, a), model)
     scale = np.array([-c] * a + [c] * (x.shape[1] - a))
-    if isinstance(roots, RootStack):
-        m, errors = gaudin_matrix(roots, model)
-        return m / scale, errors
-    return gaudin_matrix(roots, model) / scale
+    with np.errstate(all="ignore"):     # a failing row may hold inf or nan
+        jac = m / scale
+    return _per_stack(roots, jac, errors)
 
 
 def xxx_chain(L: int, xi: Sequence[complex], c: complex) -> ModelFunctions:

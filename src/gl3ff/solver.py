@@ -20,7 +20,8 @@ from .errors import (CollisionError, Gl3Error, JacobianSingular, NoConvergence,
                      PathCollision, PoleError, ZeroArgError)
 from .kernel import f, pole_tol
 from .model import (BetheState, ModelFunctions, RootConfig, RootStack, Twist,
-                    _guard_flags, _pair_blocks, gaudin_jacobian, phi_log)
+                    _guard_errors, _label, _pair_blocks, gaudin_jacobian,
+                    phi_log)
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,12 +43,14 @@ _CREEP_RATIO = 0.999    # err_new > _CREEP_RATIO * err counts as no progress
 _CREEP_STEPS = 2
 
 # Singular: near a regular root Newton converges quadratically; a step that
-# does not halve a residual already below _LINEAR_BELOW marks linear
-# convergence to a singular limit (merging roots), which is never a state.
-# Over every run of the verify and identities suites at seeds 0-39, the
-# largest such ratio of a converged run is 0.036.
+# does not cut a residual already below _LINEAR_BELOW to a quarter marks
+# linear convergence to a singular limit (merging roots), which is never a
+# state.  Towards a double root the ratio is exactly 1/2 per step, so a
+# threshold at 1/2 would leave the exit step to rounding; over every run of
+# the verify and identities suites at seeds 0-39, the largest such ratio of
+# a converged run is 0.036.
 _LINEAR_BELOW = 1e-2
-_LINEAR_RATIO = 0.5     # err_new > _LINEAR_RATIO * err counts as linear
+_LINEAR_RATIO = 0.25    # err_new > _LINEAR_RATIO * err counts as linear
 
 # most composite seeds one sector's pool takes (see _composite_seeds)
 _COMPOSITE_CAP = 120
@@ -126,16 +129,10 @@ def _check_collisions(x: np.ndarray, a: int, c: complex) -> list:
     coincidence that breaks the log system or its Jacobian, or None: two
     equal roots, then u_j - u_k = +-c, v_j - v_k = +-c and v = u - c."""
     d = x[:, :, None] - x[:, None, :]
-    flags = _guard_flags((d, d - c), pole_tol(c),
-                         _pair_blocks(a, x.shape[1]).collision_guard)
-    errors: list = [None] * len(x)
-    if not flags.any():
-        return errors
-    for row in np.flatnonzero(flags.reshape(len(x), -1).any(axis=1)).tolist():
-        test, i, j = np.argwhere(flags[row])[0]
-        i, j = (f"u_{k}" if k < a else f"v_{k - a}" for k in (i, j))
-        errors[row] = CollisionError(f"{i} - {j} = {(0.0, c)[test]}")
-    return errors
+    return _guard_errors(
+        (d, d - c), pole_tol(c), _pair_blocks(a, x.shape[1]).collision_guard,
+        {}, lambda row, test, j, k: CollisionError(
+            f"{_label(j, a)} - {_label(k, a)} = {(0.0, c)[test]}"))
 
 
 def _residual(x: np.ndarray, a: int, b: int, model: ModelFunctions,
@@ -284,8 +281,8 @@ def _newton(model: ModelFunctions, a: int, b: int, twist: Twist,
       run, because such runs never come back; twisted runs and models
       without ``sites`` may, so they search the whole ``3 r_max`` disk;
     - singular: below residual ``_LINEAR_BELOW`` an accepted step that does
-      not halve the residual (``_LINEAR_RATIO``) shows linear convergence
-      to a singular limit.
+      not cut the residual to a quarter (``_LINEAR_RATIO``) shows linear
+      convergence to a singular limit.
 
     Every way but the first is a ``NoConvergence``, as is the iteration
     cap.  A seed also ends with the error of a collision, pole or log of ~0

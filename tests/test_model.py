@@ -3,9 +3,10 @@ import pytest
 
 import gl3ff.oracle as orc
 from gl3ff.errors import PoleError, ZeroArgError
-from gl3ff.model import (RootConfig, Twist, bethe_defect, dtau_dkappa,
-                         dtau_dkappa_onshell, dtau_du, dtau_dv, gaudin_matrix,
-                         mirror_model, phi_log, tau, tau_twisted, xxx_chain)
+from gl3ff.model import (RootConfig, RootStack, Twist, bethe_defect,
+                         dtau_dkappa, dtau_dkappa_onshell, dtau_du, dtau_dv,
+                         gaudin_matrix, mirror_model, phi_log, tau,
+                         tau_twisted, xxx_chain)
 
 TWO_PI = 2 * np.pi
 
@@ -184,8 +185,39 @@ def test_phi_log_twisted_lattice(state_lib):
 def test_phi_log_zero_arg():
     model = xxx_chain(2, (0.0, 0.0), 1.0)
     # u = -c makes r1(u) = 0 exactly
-    with pytest.raises((ZeroArgError, PoleError)):
+    with pytest.raises(ZeroArgError):
         phi_log(RootConfig((-1.0,), ()), model)
+
+
+@pytest.mark.parametrize("fn, u, v, error, match", [
+    # phi_log: a collision, a log f of ~0, r1(u) = 0, an r1 that raises
+    (phi_log, (0.2 + 0.1j, 0.2 + 0.1j), (), PoleError, "entries 0 and 1"),
+    (phi_log, (0.2 + 0.1j, 1.2 + 0.1j), (), ZeroArgError, r"f\(u_0, u_1\)"),
+    (phi_log, (-1.0,), (), ZeroArgError, r"r1\(u_0\)"),
+    (phi_log, (0.3,), (), PoleError, "pole"),
+    # gaudin_matrix: a collision, a +-c separation in one set, v = u - c
+    (gaudin_matrix, (0.2,), (0.2,), PoleError, "entries 0 and 1"),
+    (gaudin_matrix, (), (0.2 + 0.1j, 1.2 + 0.1j), PoleError, "separation"),
+    (gaudin_matrix, (0.2 + 0.1j,), (-0.8 + 0.1j,), PoleError, r"t\(x, y\)"),
+    # two faults: a flagged pair before a failing root call (r1 and
+    # dlog_r1 have a pole at u_0 = 0), a collision before a log of ~0
+    (phi_log, (0.0, 1.0), (), ZeroArgError, r"f\(u_0, u_1\)"),
+    (gaudin_matrix, (0.0, 1.0), (), PoleError, "separation"),
+    (phi_log, (0.2, 0.2, 1.2), (), PoleError, "entries 0 and 1"),
+])
+def test_guard_error_of_a_row(fn, u, v, error, match):
+    # a RootConfig raises the error its docstring orders first; in a stack
+    # the failing row returns that same error between clean rows
+    model = xxx_chain(2, (0.0, 0.3), 1.0)
+    roots = RootConfig(u, v)
+    with pytest.raises(error, match=match) as raised:
+        fn(roots, model)
+    assert type(raised.value) is error
+    clean = 0.5 + 0.7j + (2.0 + 3.0j) * np.arange(roots.a + roots.b)
+    _, errors = fn(RootStack(np.array([clean, roots.as_array(), clean]),
+                             roots.a), model)
+    assert errors[0] is None and errors[2] is None
+    assert type(errors[1]) is error and str(errors[1]) == str(raised.value)
 
 
 def test_gaudin_single_root_block():

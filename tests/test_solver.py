@@ -12,7 +12,8 @@ import gl3ff.cli as cli
 import gl3ff.kernel as kernel
 import gl3ff.solver as solver
 from gl3ff.checks import prepare_states
-from gl3ff.errors import CollisionError, NoConvergence
+from gl3ff.errors import (CollisionError, NoConvergence, PoleError,
+                          ZeroArgError)
 from gl3ff.model import (RootConfig, RootStack, Twist, bethe_defect,
                          gaudin_matrix, mirror_model, phi_log, tau, xxx_chain)
 from gl3ff.oracle import SpinChainSpec
@@ -474,7 +475,9 @@ def _ending(run):
 def test_seed_ends_the_same_alone_and_stacked(L, a, b, twist):
     # an untwisted L=5 (3,1) pool of 78 seeds, which converge, escape or
     # converge linearly, and a twisted L=3 (1,1) pool of 54, which converge
-    # or creep; the pools and the stacks of 13 and 7 that cut them are no
+    # or creep; each gets three more seeds that fail a guard at once: two
+    # equal roots, a root on a pole of r1 and a root on a zero of r1.  The
+    # pools of 81 and 57 and the stacks of 13 and 7 that cut them are no
     # multiples of the 4 or 8 lanes of a vector loop
     model = _chain(L).model()
     magnons = []
@@ -483,11 +486,18 @@ def test_seed_ends_the_same_alone_and_stacked(L, a, b, twist):
                                                      rng_seed=8)]
     pool = np.array(solver._seed_pool(model, a, b, 48,
                                       np.random.default_rng(7), magnons))
+    xi = model.inhomogeneities[0]
+    for row, root, value in ((5, 1, pool[5, 0]), (11, 0, xi),
+                             (17, 0, xi - model.c)):
+        bad = pool[row].copy()
+        bad[root] = value
+        pool = np.insert(pool, row, bad, axis=0)
     alone = [_ending(next(solver._newton(model, a, b, twist, x0, 1e-12)))
              for x0 in pool]
     kinds = {ending[0] if isinstance(ending[0], type) else "converged"
              for ending in alone}
-    assert "converged" in kinds and NoConvergence in kinds
+    assert kinds >= {"converged", NoConvergence, CollisionError, PoleError,
+                     ZeroArgError}
     for size in (len(pool), 13, 7):
         stacked = [_ending(run) for start in range(0, len(pool), size)
                    for run in solver._newton(model, a, b, twist,
