@@ -495,8 +495,15 @@ def xxx_chain(L: int, xi: Sequence[complex], c: complex) -> ModelFunctions:
         raise ValueError("coupling c must be nonzero")
     tol = pole_tol(c)
 
+    # f_prod(w, xi, c) written out, the tolerance taken once per model
     def r1(w: complex) -> complex:
-        return f_prod(w, xi, c)
+        out = 1.0 + 0.0j
+        for x in xi:
+            d = w - x
+            if abs(d) <= tol:
+                raise PoleError(f"f(x, y) pole: x={w} collides with y={x}")
+            out *= (d + c) / d
+        return out
 
     def dlog_r1(w: complex) -> complex:
         acc = 0.0 + 0.0j

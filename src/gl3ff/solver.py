@@ -437,9 +437,13 @@ def _polynomial_magnon_seeds(model: ModelFunctions) -> list:
 def _seed_pool(model: ModelFunctions, a: int, b: int, n_random: int,
                rng: np.random.Generator,
                magnon_roots: Sequence[complex] = ()) -> list:
-    """Random disk seeds, deterministic string-like patterns, polynomial
-    single-excitation seeds for chains, and (when a pool of single-excitation
-    roots is supplied) composite patterns."""
+    """Polynomial single-excitation seeds for chains, composite patterns
+    (when a pool of single-excitation roots is supplied), deterministic
+    string-like patterns, then ``n_random`` random disk seeds.
+
+    The random seeds come from one draw of (n_random, 2, a + b) uniforms: in
+    C order the same doubles as a draw per seed, a + b radii and then a + b
+    angles, seed by seed."""
     c = model.c
     centroid = _centroid(model)
     seeds = []
@@ -456,9 +460,8 @@ def _seed_pool(model: ModelFunctions, a: int, b: int, n_random: int,
                  - 0.05 * c * (j + 1) for j in range(b)]
             seeds.append(np.array(u + v, dtype=complex))
     radius = _seed_scale(model)
-    for _ in range(n_random):
-        pts = centroid + radius * np.sqrt(rng.uniform(0, 1, a + b)) * np.exp(
-            2j * math.pi * rng.uniform(0, 1, a + b))
+    for r2, turn in rng.uniform(0, 1, (n_random, 2, a + b)):
+        pts = centroid + radius * np.sqrt(r2) * np.exp(2j * math.pi * turn)
         seeds.append(pts.astype(complex))
     return seeds
 
@@ -590,10 +593,14 @@ def _solve_sector(model: ModelFunctions, a: int, b: int, twist: Twist,
     magnons: tuple = ()
     if a >= 2:
         # single-excitation roots feed the composite seed patterns that
-        # higher sectors of trivial-r3 chains are built from
+        # higher sectors of trivial-r3 chains are built from.  The pool
+        # shares this sector's rng seed, so the memo can serve it from a
+        # library's own (1, 0) call; on an untwisted chain that sector fills
+        # from its exact polynomial seeds before any random seed is read, so
+        # the seed moves none of its states
         pool = distinct_states(model, 1, 0, twist=twist,
                                n_seeds=max(24, n_seeds // 2), tol=tol,
-                               rng_seed=rng_seed + 1)
+                               rng_seed=rng_seed)
         magnons = tuple(st.u[0] for st in pool)
     found: list = []
     try:

@@ -3,6 +3,7 @@ import pytest
 
 import gl3ff.oracle as orc
 from gl3ff.errors import PoleError, ZeroArgError
+from gl3ff.kernel import f_prod, pole_tol
 from gl3ff.model import (RootConfig, RootStack, Twist, bethe_defect,
                          dtau_dkappa, dtau_dkappa_onshell, dtau_du, dtau_dv,
                          gaudin_matrix, mirror_model, phi_log, tau,
@@ -24,6 +25,29 @@ def test_xxx_chain_pole_guard():
         m.r1(0.1)
     with pytest.raises(PoleError):
         m.dlog_r1(-0.2)
+
+
+@pytest.mark.parametrize("c", [1.0, 0.7 + 0.2j])
+@pytest.mark.parametrize("L", [2, 5, 6])
+def test_xxx_chain_r1_is_the_kernel_product(L, c):
+    # the chain's r1 is f_prod(w, xi, c) written out: the same bits at every
+    # point, and the kernel's error within pole_tol of each inhomogeneity
+    rng = np.random.default_rng([L, int(10 * c.real)])
+    xi = tuple(complex(p) for p in rng.normal(size=L) + 1j * rng.normal(size=L))
+    model = xxx_chain(L, xi, c)
+    pts = 1.5 * (rng.normal(size=1000) + 1j * rng.normal(size=1000))
+    for w in pts.tolist() + list(pts[:50]):
+        got, expect = model.r1(w), f_prod(w, xi, c)
+        assert got.real == expect.real and got.imag == expect.imag
+    tol = pole_tol(c)
+    for x in xi:
+        w = x + 0.5 * tol * np.exp(2j * np.pi * rng.uniform())
+        with pytest.raises(PoleError) as expect:
+            f_prod(w, xi, c)
+        with pytest.raises(PoleError) as got:
+            model.r1(w)
+        assert str(got.value) == str(expect.value)
+        assert str(got.value).startswith("f(x, y) pole: x=")
 
 
 def test_xxx_chain_rejects_zero_coupling():

@@ -508,17 +508,17 @@ def test_seed_ends_the_same_alone_and_stacked(L, a, b, twist):
 def test_pole_tol_per_call_not_per_term(monkeypatch):
     # phi_log and gaudin_matrix compute the tolerance once per call for the
     # regularity guard and all of their terms, however many roots or rows
-    # there are; phi_log adds one per r1(u_j) product of the chain
+    # there are; the chain's r1 and dlog_r1 took theirs when it was built
     model = _chain().model()
     small = RootConfig((0.31 + 0.2j,), ())
     large = RootConfig((0.31 + 0.2j, -0.4 + 0.1j), (0.05 - 0.3j, 0.6 + 0.5j))
     stack = RootStack(np.array([large.as_array() + k for k in range(3)]), 2)
     calls = _count_calls(monkeypatch, kernel, "pole_tol")
-    for roots, a, rows in ((small, 1, 1), (large, 2, 1), (stack, 2, 3)):
-        for fn, expect in ((phi_log, 1 + rows * a), (gaudin_matrix, 1)):
+    for roots in (small, large, stack):
+        for fn in (phi_log, gaudin_matrix):
             before = calls[0]
             fn(roots, model)
-            assert calls[0] - before == expect
+            assert calls[0] - before == 1
 
 
 def _content_counts(L, ballot):
@@ -550,6 +550,52 @@ def test_sector_size_counts_words(L):
     assert model.sites == L
     assert mirror_model(model).sites is None
     assert solver._sector_size(mirror_model(model), 1, 0, Twist()) is None
+
+
+def _seed_pool_per_seed_draws(model, a, b, n_random, rng, magnon_roots):
+    """The reference for _seed_pool's random seeds: one draw of a + b radii
+    and one of a + b angles per seed."""
+    seeds = solver._seed_pool(model, a, b, 0, rng, magnon_roots)
+    centroid, radius = solver._centroid(model), solver._seed_scale(model)
+    for _ in range(n_random):
+        pts = centroid + radius * np.sqrt(rng.uniform(0, 1, a + b)) * np.exp(
+            2j * np.pi * rng.uniform(0, 1, a + b))
+        seeds.append(pts.astype(complex))
+    return seeds
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("a, b", [(1, 0), (2, 1), (3, 1)])
+def test_seed_pool_draws_its_random_seeds_at_once(a, b, twisted):
+    # one draw of (n_random, 2, a + b) uniforms gives the same seeds, bit
+    # for bit, and leaves the generator where per-seed draws leave it
+    model = _chain(5).model()
+    twist = Twist(0.9 + 0.1j, 1.0, 1.2 - 0.2j) if twisted else Twist()
+    magnons = tuple(st.u[0] for st in
+                    distinct_states(model, 1, 0, twist=twist, n_seeds=24))
+    assert len(magnons) >= 3
+    for roots in ((), magnons):
+        for n_random in (0, 48):
+            rng, ref_rng = (np.random.default_rng(11) for _ in range(2))
+            got = solver._seed_pool(model, a, b, n_random, rng, roots)
+            expect = _seed_pool_per_seed_draws(model, a, b, n_random,
+                                               ref_rng, roots)
+            assert len(got) == len(expect) > n_random
+            assert np.array(got).tobytes() == np.array(expect).tobytes()
+            assert rng.uniform() == ref_rng.uniform()
+
+
+def test_library_solves_each_chain_sector_once(monkeypatch):
+    # the composite seeds' magnon pool shares the library's rng seed, so
+    # each chain's (1, 0) sector is solved once, by the library's own call
+    solved = []
+    solve = solver._solve_sector
+    monkeypatch.setattr(solver, "_solve_sector", lambda model, a, b, *args: (
+        solved.append((model.sites, a, b)), solve(model, a, b, *args))[1])
+    prepare_states(7)
+    assert [key for key in solved if key[1:] == (1, 0)] == \
+        [(L, 1, 0) for L in (2, 3, 4, 5)]
+    assert len(solved) == len(set(solved)) == len(_LIBRARY_SECTORS)
 
 
 # the sectors prepare_states solves, as (L, a, b, n_seeds)
