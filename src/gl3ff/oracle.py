@@ -3,11 +3,15 @@ inhomogeneous three-colour chain.
 
 The monodromy matrix is never built as operators: ``apply_monodromy``
 applies all nine entries to a stack of vectors one site at a time, at
-O(9 L 3^L) per vector.  On top of it sit the dense entries (for structural
-checks), the (twisted) transfer matrix restricted to one weight sector
-(built from that sector's basis vectors alone), eigenvector extraction by
-one eigendecomposition at a known eigenvalue, and normalization-invariant
-comparators that need one matrix-vector product per matrix element.
+O(9 L 3^L) per vector, and the dense entries (for structural checks) are
+that sweep on the identity.  The (twisted) transfer matrix is built one
+weight sector at a time by the same sweep on the rows that the sector's
+basis vectors can reach: the R-matrix keeps the colour counts of the
+auxiliary and site colours together, so a column of the L=5 sector with
+counts (2, 2, 1) keeps 210 of the dense sweep's 9 3^L = 2,187 rows.  On
+top of these sit eigenvector extraction by one eigendecomposition at a
+known eigenvalue, and normalization-invariant comparators that need one
+matrix-vector product per matrix element.
 ``element_ratio`` takes two eigenvectors the caller has extracted, so a
 caller comparing many probe pairs extracts them once; ``invariant_ratio``
 and ``invariant_product`` extract their own.  Extraction draws its probe
@@ -90,7 +94,9 @@ def apply_monodromy(w: complex, spec: SpinChainSpec,
     starts as ``delta_ij`` times ``vecs``; site k (site 1 is the leftmost
     tensor factor, site L is applied last) adds ``g(w, xi_k)`` times the
     tensor with the auxiliary row index exchanged with the site index.
-    Cost O(9 L 3^L k) instead of the O(L 9^L) of the dense operators.  The
+    Cost O(9 L 3^L k) instead of the O(L 9^L) of the dense operators; most
+    of the 9 3^L entries of a column whose vector lies in one weight sector
+    are structural zeros, which ``transfer_matrix`` leaves out.  The
     pseudovacuum (all sites in colour 1) then carries the eigenvalue pattern
     (prod_k f(w, xi_k), 1, 1) on the diagonal entries.
     """
@@ -119,31 +125,114 @@ def transfer_matrix(w: complex, spec: SpinChainSpec,
                     sector: Optional[np.ndarray] = None) -> np.ndarray:
     """Twist-weighted trace of the monodromy matrix over the auxiliary space.
 
-    With ``sector`` (basis indices, as from ``weight_sector_indices``) only
-    the block on those indices is returned, computed from the monodromy
-    applied to their basis vectors alone; the transfer matrix preserves
-    every weight sector, so the block equals the restricted full matrix.
-    Without it the sector is the whole basis.
+    With ``sector`` (basis indices of one weight sector, as from
+    ``weight_sector_indices``) only the block on those indices is returned;
+    the transfer matrix preserves every weight sector, so the block equals
+    the restricted full matrix.  Indices of more than one weight sector, or
+    none at all, raise ValueError.  Without ``sector`` the full matrix is
+    assembled from the blocks of every weight sector.
+
+    A block is ``apply_monodromy``'s sweep restricted to the rows that can be
+    nonzero.  Each site step exchanges the auxiliary colour with a site
+    colour, so auxiliary column ``j`` of a sector basis vector stays on the
+    (i, s_1..s_L) whose colour counts are the sector's plus one colour
+    ``j``.  The three classes (``_class_rows``) are all the rows a column
+    keeps (210 of 2,187 for the L=5 sector (2, 2, 1)), and each site step
+    is one gather of them.  The arithmetic is the dense sweep's on the rows
+    it keeps.
     """
-    if sector is None:
-        sector = np.arange(spec.dim)
-    cols = np.zeros((spec.dim, len(sector)), dtype=complex)
-    cols[sector, np.arange(len(sector))] = 1.0
-    blocks = apply_monodromy(w, spec, cols)[:, :, sector]
+    if collision(w, spec.xi, spec.c) is not None:
+        raise PoleError(f"probe point {w} collides with an inhomogeneity")
     kappas = twist.as_tuple()
-    return sum(kappas[i] * blocks[i, i] for i in range(3))
+    if sector is not None:
+        return _sector_block(w, spec, kappas, _one_sector(spec.L, sector))
+    full = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for n1 in range(spec.L + 1):
+        for n2 in range(spec.L + 1 - n1):
+            idx = weight_sector_indices(spec.L, (n1, n2, spec.L - n1 - n2))
+            full[np.ix_(idx, idx)] = _sector_block(w, spec, kappas, idx)
+    return full
+
+
+def _one_sector(L: int, sector) -> np.ndarray:
+    """``sector`` as an index array, checked to hold basis indices of one
+    weight sector and at least one of them."""
+    idx = np.asarray(sector, dtype=int)
+    if idx.ndim != 1 or len(idx) == 0:
+        raise ValueError(f"need a nonempty index list, got shape {idx.shape}")
+    if idx.min() < 0 or idx.max() >= 3 ** L:
+        raise ValueError(f"basis indices must lie in [0, {3 ** L})")
+    occ = _occupations(L)[idx]
+    if (occ != occ[0]).any():
+        raise ValueError("sector indices span more than one weight sector")
+    return idx
+
+
+def _sector_block(w: complex, spec: SpinChainSpec, kappas: tuple,
+                  idx: np.ndarray) -> np.ndarray:
+    """The transfer-matrix block on ``idx`` (basis indices of one weight
+    sector), by the class sweep."""
+    counts = tuple(int(n) for n in _occupations(spec.L)[idx[0]])
+    where, swaps = _class_rows(spec.L, counts)
+    start = where[:, idx]
+    cols = np.arange(len(idx))
+    x = np.zeros((swaps.shape[1], len(idx)), dtype=complex)
+    for j in range(3):
+        x[start[j], cols] = 1.0
+    for xi_k, swap in zip(spec.xi, swaps):
+        x = x + g(w, xi_k, spec.c) * x[swap]
+    return sum(kappas[i] * x[start[i]] for i in range(3))
+
+
+@lru_cache(maxsize=64)
+def _class_rows(L: int, counts: tuple) -> tuple:
+    """Read-only tables of the class sweep for the weight sector with
+    colour ``counts``: ``(where, swaps)``.
+
+    Class j holds the pairs (auxiliary colour i, basis state s) whose
+    colour counts together are ``counts`` plus one colour j; the three
+    classes are stacked into one row list.  ``where[i, s]`` (shape
+    (3, 3^L)) is the row of the pair (i, s), -1 outside the classes; for a
+    basis state s of the sector it is both the row where auxiliary column i
+    starts and the row of the diagonal entry T(i,i).  ``swaps[k]`` (shape
+    (L, rows)) is the row that exchanging the auxiliary colour with site
+    k+1's colour brings to each row, the gather of one site step.
+    """
+    dim = 3 ** L
+    eye = np.eye(3, dtype=int)
+    pair_counts = _occupations(L)[None] + eye[:, None]
+    rows = np.concatenate([
+        np.flatnonzero((pair_counts == np.add(counts, eye[j])).all(axis=-1))
+        for j in range(3)])
+    where = np.full(3 * dim, -1)
+    where[rows] = np.arange(len(rows))
+    aux, state = np.divmod(rows, dim)
+    site_colour = _digits(L)[state].T
+    place = 3 ** np.arange(L - 1, -1, -1)[:, None]
+    swaps = where[site_colour * dim + state + (aux - site_colour) * place]
+    where = where.reshape(3, dim)
+    for arr in (where, swaps):
+        arr.setflags(write=False)
+    return where, swaps
+
+
+@lru_cache(maxsize=64)
+def _digits(L: int) -> np.ndarray:
+    """Read-only base-3 digits of every basis index, shape (3^L, L): the
+    colours (0, 1, 2) of sites 1..L, site 1 the most significant digit as
+    in ``apply_monodromy``'s ``(3,) * L`` reshape."""
+    place = 3 ** np.arange(L - 1, -1, -1)
+    out = np.arange(3 ** L)[:, None] // place % 3
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=64)
 def _occupations(L: int) -> np.ndarray:
-    """Colour occupation counts (n1, n2, n3) of every basis state."""
-    dim = 3 ** L
-    out = np.zeros((dim, 3), dtype=int)
-    for idx in range(dim):
-        rem = idx
-        for _ in range(L):
-            out[idx, rem % 3] += 1
-            rem //= 3
+    """Read-only colour occupation counts (n1, n2, n3) of every basis
+    state."""
+    out = (_digits(L)[:, :, None] == np.arange(3)).sum(axis=1)
+    out.setflags(write=False)
     return out
 
 

@@ -324,17 +324,61 @@ def _chain4():
     return orc.SpinChainSpec(L=4, xi=xi, c=0.9 + 0.3j)
 
 
+def _chain(L):
+    rng = np.random.default_rng(200 + L)
+    xi = tuple(complex(*rng.uniform(-0.4, 0.4, 2)) for _ in range(L))
+    return orc.SpinChainSpec(L=L, xi=xi, c=0.9 + 0.3j)
+
+
+def _dense_block(w, spec, tw, idx):
+    """The sector block as the kappa-weighted diagonal of the dense sweep
+    applied to the sector's basis columns."""
+    cols = np.zeros((spec.dim, len(idx)), dtype=complex)
+    cols[idx, np.arange(len(idx))] = 1.0
+    blocks = orc.apply_monodromy(w, spec, cols)[:, :, idx]
+    kappas = tw.as_tuple()
+    return sum(kappas[i] * blocks[i, i] for i in range(3))
+
+
 def test_sector_transfer_matrix_is_restricted_block():
-    spec = _chain4()
     tw = Twist(0.8 + 0.2j, 1.0, 1.3 - 0.1j)
     w = 0.57 + 0.38j
-    full = orc.transfer_matrix(w, spec, tw)
-    for n1 in range(spec.L + 1):
-        for n2 in range(spec.L + 1 - n1):
-            idx = orc.weight_sector_indices(spec.L, (n1, n2, spec.L - n1 - n2))
-            sec = orc.transfer_matrix(w, spec, tw, idx)
-            # the columns are computed independently, so the block is exact
-            assert np.array_equal(sec, full[np.ix_(idx, idx)])
+    for L in range(1, orc.MAX_SITES + 1):
+        spec = _chain(L)
+        full = orc.transfer_matrix(w, spec, tw)
+        for n1 in range(L + 1):
+            for n2 in range(L + 1 - n1):
+                idx = orc.weight_sector_indices(L, (n1, n2, L - n1 - n2))
+                sec = orc.transfer_matrix(w, spec, tw, idx)
+                ref = _dense_block(w, spec, tw, idx)
+                if L <= 5:
+                    # the class sweep does the dense sweep's arithmetic on
+                    # the rows it keeps
+                    assert np.array_equal(sec, ref)
+                else:
+                    # at L=6 numpy multiplies the dense sweep's large
+                    # strided swap in another loop, which moves low bits
+                    assert np.max(np.abs(sec - ref)) <= 1e-12 * np.max(np.abs(ref))
+                assert np.array_equal(full[np.ix_(idx, idx)], sec)
+        # a subset of one sector, in any order, gives the restricted block
+        sub = orc.weight_sector_indices(L, (L - 1, 1, 0))[::-1][:max(1, L - 1)]
+        assert np.array_equal(orc.transfer_matrix(w, spec, tw, sub),
+                              full[np.ix_(sub, sub)])
+
+
+def test_sector_transfer_matrix_needs_one_weight_sector():
+    spec = _chain(3)
+    w = 0.57 + 0.38j
+    one = orc.weight_sector_indices(3, (2, 1, 0))
+    other = orc.weight_sector_indices(3, (1, 1, 1))
+    for bad in ([], np.array([], dtype=int), np.concatenate([one, other[:1]]),
+                [0, 1], [spec.dim], [-1]):
+        with pytest.raises(ValueError):
+            orc.transfer_matrix(w, spec, Twist.identity(), bad)
+    where, swaps = orc._class_rows(3, (2, 1, 0))
+    for table in (where, swaps, orc._digits(3), orc._occupations(3)):
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 def test_apply_monodromy_matvec_matches_dense():
