@@ -123,9 +123,14 @@ def _prod(term: Callable[[complex, complex, complex, float], complex],
     """
     ys = _as_tuple(rhs)
     out = 1.0 + 0.0j
+    if keep is None:
+        for x in _as_tuple(lhs):
+            for y in ys:
+                out *= term(x, y, c, tol)
+        return out
     for i, x in enumerate(_as_tuple(lhs)):
         for j, y in enumerate(ys):
-            if keep is None or keep(i, j):
+            if keep(i, j):
                 out *= term(x, y, c, tol)
     return out
 

@@ -254,20 +254,41 @@ def bethe_defect(roots: RootConfig, twist: Twist,
     return out
 
 
-def _root_values(x: np.ndarray, a: int, on_u: Callable, on_v: Callable
-                 ) -> tuple:
+def _root_values(x: np.ndarray, a: int, on_u: Callable, on_v: Callable,
+                 scales: tuple) -> tuple:
     """``on_u`` at the first ``a`` roots and ``on_v`` at the others of each
-    row, one call per root: an (n, a + b) array and {(row, root): the
-    Gl3Error of a call that raised}, whose entries are nan."""
-    values, failed = [], {}
-    for r, row in enumerate(x.tolist()):
-        for k, w in enumerate(row):
-            try:
-                values.append((on_u if k < a else on_v)(w))
-            except Gl3Error as exc:
-                failed[r, k] = exc
-                values.append(math.nan)
-    return np.array(values, dtype=complex).reshape(x.shape), failed
+    row, each times its factor in ``scales`` (u, v) unless that is None: an
+    (n, a + b) array and {(row, root): the Gl3Error of a call that raised},
+    whose entries are nan.
+
+    A chain's ratios (both of type ``_ChainRatio``) take the whole array in
+    one ``stacked`` pass each; a root on one of their poles gets the error of
+    its own scalar call.  Any other pair is called once per root."""
+    su, sv = scales
+    failed = {}
+
+    def call(row: int, k: int, w: complex) -> complex:
+        on, scale = (on_u, su) if k < a else (on_v, sv)
+        try:
+            value = on(w)
+        except Gl3Error as exc:
+            failed[row, k] = exc
+            return math.nan
+        return value if scale is None else scale * value
+
+    if not (isinstance(on_u, _ChainRatio) and isinstance(on_v, _ChainRatio)):
+        values = [call(row, k, w) for row, ws in enumerate(x.tolist())
+                  for k, w in enumerate(ws)]
+        return np.array(values, dtype=complex).reshape(x.shape), failed
+    values = np.empty(x.shape, dtype=complex)
+    for on, scale, start, stop in ((on_u, su, 0, a), (on_v, sv, a, None)):
+        part, poles = on.stacked(x[:, start:stop])
+        values[:, start:stop] = part if scale is None else part * scale
+        if poles is not None:
+            for row, j in np.argwhere(poles).tolist():
+                k = start + j
+                values[row, k] = call(row, k, complex(x[row, k]))
+    return values, failed
 
 
 class _PairBlocks(NamedTuple):
@@ -347,7 +368,7 @@ def _guard_errors(values: tuple, limits, masks: np.ndarray, failed: dict,
     errors: list = [None] * n
     for row, k in sorted(failed, reverse=True):
         errors[row] = failed[row, k]
-    if flags.any():
+    if np.count_nonzero(flags):
         for row in np.flatnonzero(flags.reshape(n, -1).any(axis=1)):
             errors[row] = pair_error(row, *np.argwhere(flags[row])[0].tolist())
     return errors
@@ -385,23 +406,28 @@ def phi_log(roots, model: ModelFunctions):
     for a log f(x_j, x_k) of ~0 ("~": within the collision tolerance).  With
     no flagged pair, it is that of its first failing root, u then v: an
     error of ``r1`` or ``r3``, or ``ZeroArgError`` for a value of ~0.
+
+    ``r1`` and ``r3`` are evaluated by ``_root_values``: a chain's over the
+    whole stack in one array pass, any other model's once per root.
     """
     x, a = _rows(roots)
     n = x.shape[1]
     c = model.c
     tol = pole_tol(c)
     pairs = _pair_blocks(a, n)
-    r, failed = _root_values(x, a, model.r1, model.r3)
-    for row, k in np.argwhere(np.abs(r) <= tol).tolist():
-        failed[row, k] = ZeroArgError(
-            f"log argument ~ 0 in {'r1' if k < a else 'r3'}({_label(k, a)}): "
-            f"{r[row, k]}")
     d = x[:, :, None] - x[:, None, :]
     with np.errstate(all="ignore"):
+        r, failed = _root_values(x, a, model.r1, model.r3, (None, None))
         fv = (d + c) / d
         lf = np.log(np.where(pairs.need, fv, 1.0))
         out = np.log(r) - (lf * pairs.cl
                            + lf.swapaxes(1, 2) * pairs.clt).sum(2)
+    small = np.abs(r) <= tol
+    if np.count_nonzero(small):
+        for row, k in np.argwhere(small).tolist():
+            failed[row, k] = ZeroArgError(
+                f"log argument ~ 0 in {'r1' if k < a else 'r3'}"
+                f"({_label(k, a)}): {r[row, k]}")
 
     def pair_error(row, test, j, k):
         if test == 0:
@@ -433,7 +459,8 @@ def gaudin_matrix(roots, model: ModelFunctions):
     k) order, each a ``PoleError``: x_j ~ x_k at j < k, then x_j - x_k ~
     +-c within one set at j < k, then v_j ~ u_k - c.  With no flagged pair,
     it is that of the first failing root call, ``dlog_r1`` on u then
-    ``dlog_r3`` on v.
+    ``dlog_r3`` on v.  As in ``phi_log``, a chain's ``dlog_r1`` and
+    ``dlog_r3`` take the whole stack in one array pass.
     """
     x, a = _rows(roots)
     n = x.shape[1]
@@ -441,12 +468,12 @@ def gaudin_matrix(roots, model: ModelFunctions):
     tol = pole_tol(c)
     c2 = c * c
     pairs = _pair_blocks(a, n)
-    # the diagonal's own terms, -c (log r1)'(u_k) and c (log r3)'(v_k)
-    own, failed = _root_values(x, a, lambda w: -c * model.dlog_r1(w),
-                               lambda w: c * model.dlog_r3(w))
     d = x[:, :, None] - x[:, None, :]
     dc = d + c
     with np.errstate(all="ignore"):
+        # the diagonal's own terms, -c (log r1)'(u_k) and c (log r3)'(v_k)
+        own, failed = _root_values(x, a, model.dlog_r1, model.dlog_r3,
+                                   (-c, c))
         d2 = d * d - c2
         cross = np.where(pairs.vu, c2 / (d * dc), 0.0)
         m = np.where(pairs.same, 2.0 * c2 / d2, cross + cross.swapaxes(1, 2))
@@ -480,10 +507,73 @@ def gaudin_jacobian(roots, model: ModelFunctions):
     return _per_stack(roots, jac, errors)
 
 
+class _ChainRatio(staticmethod):
+    """A chain's vacuum ratio r1(w) = prod_k f(w, xi_k), or with ``dlog`` its
+    logarithmic derivative sum_k [1/(w - xi_k + c) - 1/(w - xi_k)]; over no
+    sites, the constants r3 = 1 and (log r3)' = 0.  The tolerance is taken at
+    construction.
+
+    A call takes one point and runs the scalar loop that the staticmethod
+    wraps (``kernel.f_prod(w, xi, c)`` written out, with the kernel's error
+    at a pole).  A staticmethod calls what it wraps from C, so a point costs
+    what a plain function call does; a Python ``__call__`` would add about
+    15 % at L=5, which the form-factor builders pay at every column.
+    ``stacked`` takes an array of points at once, for ``_root_values``."""
+
+    def __init__(self, xi: tuple, c: complex, dlog: bool):
+        tol = pole_tol(c)
+
+        def r1(w: complex) -> complex:
+            out = 1.0 + 0.0j
+            for x in xi:
+                d = w - x
+                if abs(d) <= tol:
+                    raise PoleError(f"f(x, y) pole: x={w} collides with y={x}")
+                out *= (d + c) / d
+            return out
+
+        def dlog_r1(w: complex) -> complex:
+            acc = 0.0 + 0.0j
+            for x in xi:
+                d = w - x
+                if abs(d) <= tol or abs(d + c) <= tol:
+                    raise PoleError(f"dlog r1 pole: w={w} collides with xi={x}")
+                acc += 1.0 / (d + c) - 1.0 / d
+            return acc
+
+        super().__init__(dlog_r1 if dlog else r1)
+        self.sites = np.array(xi, dtype=complex)
+        self.sites.setflags(write=False)
+        self.c, self.tol, self.dlog = c, tol, dlog
+
+    def stacked(self, w: np.ndarray) -> tuple:
+        """The values at every point of the array ``w``, and None or, if a
+        point is on a pole (w ~ xi_k, or for ``dlog`` also w ~ xi_k - c),
+        the mask of the points where a call raises, whose values are
+        meaningless (and may warn: the caller sets ``np.errstate``).  Over
+        no sites the value is one constant."""
+        if not self.sites.size:
+            return (0j if self.dlog else 1 + 0j), None
+        c, tol = self.c, self.tol
+        d = w[..., None] - self.sites
+        if self.dlog:
+            dc = d + c
+            near = np.minimum(np.abs(d), np.abs(dc))
+            values = (1.0 / dc - 1.0 / d).sum(-1)
+        else:
+            near = np.abs(d)
+            values = ((d + c) / d).prod(-1)
+        poles = near <= tol
+        return values, poles.any(-1) if np.count_nonzero(poles) else None
+
+
 def xxx_chain(L: int, xi: Sequence[complex], c: complex) -> ModelFunctions:
     """Model functions of an inhomogeneous chain of length L:
 
         r1(w) = prod_k f(w, xi_k),   r3(w) = 1.
+
+    All four ratios are ``_ChainRatio``s, which ``phi_log`` and
+    ``gaudin_matrix`` evaluate over a whole stack of roots at once.
     """
     if L < 1:
         raise ValueError("chain length must be >= 1")
@@ -493,33 +583,12 @@ def xxx_chain(L: int, xi: Sequence[complex], c: complex) -> ModelFunctions:
     c = complex(c)
     if c == 0:
         raise ValueError("coupling c must be nonzero")
-    tol = pole_tol(c)
-
-    # f_prod(w, xi, c) written out, the tolerance taken once per model
-    def r1(w: complex) -> complex:
-        out = 1.0 + 0.0j
-        for x in xi:
-            d = w - x
-            if abs(d) <= tol:
-                raise PoleError(f"f(x, y) pole: x={w} collides with y={x}")
-            out *= (d + c) / d
-        return out
-
-    def dlog_r1(w: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for x in xi:
-            d = w - x
-            if abs(d) <= tol or abs(d + c) <= tol:
-                raise PoleError(f"dlog r1 pole: w={w} collides with xi={x}")
-            acc += 1.0 / (d + c) - 1.0 / d
-        return acc
-
     return ModelFunctions(
         c=c,
-        r1=r1,
-        r3=lambda w: 1.0 + 0.0j,
-        dlog_r1=dlog_r1,
-        dlog_r3=lambda w: 0.0 + 0.0j,
+        r1=_ChainRatio(xi, c, dlog=False),
+        r3=_ChainRatio((), c, dlog=False),
+        dlog_r1=_ChainRatio(xi, c, dlog=True),
+        dlog_r3=_ChainRatio((), c, dlog=True),
         description=f"xxx chain L={L}",
         inhomogeneities=xi,
         sites=L,

@@ -443,7 +443,8 @@ def _seed_pool(model: ModelFunctions, a: int, b: int, n_random: int,
 
     The random seeds come from one draw of (n_random, 2, a + b) uniforms: in
     C order the same doubles as a draw per seed, a + b radii and then a + b
-    angles, seed by seed."""
+    angles, seed by seed.  They are built as one array expression, with the
+    bits of a loop seed by seed."""
     c = model.c
     centroid = _centroid(model)
     seeds = []
@@ -459,10 +460,10 @@ def _seed_pool(model: ModelFunctions, a: int, b: int, n_random: int,
             v = [base + 0.23 * c + 1j * c * (spread * (j - 0.5 * (b - 1)) - shift)
                  - 0.05 * c * (j + 1) for j in range(b)]
             seeds.append(np.array(u + v, dtype=complex))
-    radius = _seed_scale(model)
-    for r2, turn in rng.uniform(0, 1, (n_random, 2, a + b)):
-        pts = centroid + radius * np.sqrt(r2) * np.exp(2j * math.pi * turn)
-        seeds.append(pts.astype(complex))
+    draw = rng.uniform(0, 1, (n_random, 2, a + b))
+    pts = centroid + _seed_scale(model) * np.sqrt(draw[:, 0]) * np.exp(
+        2j * math.pi * draw[:, 1])
+    seeds.extend(pts)
     return seeds
 
 

@@ -327,9 +327,9 @@ def test_check_records_do_not_depend_on_other_checks(lib_seed7, suite):
 PINNED_BUILD = ((3, 11), (2, 4))
 REPORT_SHA256 = {
     "verification":
-        "794875922212fdee3f9250851b4f565296e964d7721cc8cd3a6184c61e7ac350",
+        "29deb2d7de0d5d73ddc1aa49eb7d1f1c2ba2d5d71c03953bfad3fb68c543b9ca",
     "identities":
-        "30d7e1169f96678a2ccb63548f8b654acfc995f736a054002f106bfd406b6efb",
+        "8e8627c2d34b9f76884c1afa37b4cc9e46a297c22188d2470734fc4ab472ba58",
 }
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,95 @@ def test_xxx_chain_r1_is_the_kernel_product(L, c):
             model.r1(w)
         assert str(got.value) == str(expect.value)
         assert str(got.value).startswith("f(x, y) pole: x=")
+
+
+def _seeded_chain(L, c, salt):
+    rng = np.random.default_rng([L, int(10 * c.real), salt])
+    xi = tuple(complex(p) for p in rng.normal(size=L) + 1j * rng.normal(size=L))
+    return xxx_chain(L, xi, c), rng
+
+
+@pytest.mark.parametrize("c", [1.0, 0.7 + 0.2j])
+@pytest.mark.parametrize("L", [1, 2, 5, 6])
+def test_chain_ratios_stacked_match_scalar(L, c):
+    # numpy's complex arithmetic rounds differently from Python's, so the
+    # stacked ratios may differ from the scalar calls in the last bits: by at
+    # most 1e-14 of |r1|, and for dlog r1 of the sum of its terms' sizes
+    # sum_k (|1/(w - xi_k + c)| + |1/(w - xi_k)|); r3 and dlog r3 stay 1, 0
+    model, rng = _seeded_chain(L, c, 1)
+    w = 1.5 * (rng.normal(size=(40, 5)) + 1j * rng.normal(size=(40, 5)))
+    d = w[..., None] - np.array(model.inhomogeneities)
+    sizes = (np.abs(1 / (d + c)) + np.abs(1 / d)).sum(-1)
+    for ratio, size in ((model.r1, None), (model.dlog_r1, sizes)):
+        values, poles = ratio.stacked(w)
+        expect = np.array([[ratio(p) for p in row] for row in w.tolist()])
+        size = np.abs(expect) if size is None else size
+        assert poles is None
+        assert np.all(np.abs(values - expect) <= 1e-14 * size)
+    for ratio, const in ((model.r3, 1), (model.dlog_r3, 0)):
+        values, poles = ratio.stacked(w)
+        assert np.all(values == const) and poles is None
+        assert ratio(w[0, 0]) == const
+
+
+@pytest.mark.parametrize("c", [1.0, 0.7 + 0.2j])
+@pytest.mark.parametrize("L", [1, 2, 5, 6])
+def test_chain_ratio_poles_raise_the_scalar_error(L, c):
+    # a root within pole_tol of xi_k (a pole of r1 and dlog r1) or of
+    # xi_k - c (a pole of dlog r1) is flagged in the stacked pass, and its row
+    # fails with the exact error of the scalar call, stacked or alone
+    model, rng = _seeded_chain(L, c, 2)
+    tol = pole_tol(c)
+    base = np.array([2.1 + 0.3j, -1.7 - 0.2j, 0.4 + 2.2j])
+    for k, x in enumerate(model.inhomogeneities):
+        for fn, ratio, at in ((phi_log, model.r1, x),
+                              (gaudin_matrix, model.dlog_r1, x),
+                              (gaudin_matrix, model.dlog_r1, x - c)):
+            w = at + 0.5 * tol * np.exp(2j * np.pi * rng.uniform())
+            with pytest.raises(PoleError) as expect:
+                ratio(w)
+            bad = base.copy()
+            bad[1] = w
+            stack = np.array([base, bad, base + 0.1])
+            assert np.array_equal(ratio.stacked(stack[:, :2])[1],
+                                  [[False, False], [False, True],
+                                   [False, False]])
+            _, errors = fn(RootStack(stack, 2), model)
+            assert errors[0] is None and errors[2] is None
+            assert type(errors[1]) is PoleError
+            assert str(errors[1]) == str(expect.value)
+            with pytest.raises(PoleError) as got:
+                fn(RootConfig(tuple(bad[:2]), tuple(bad[2:])), model)
+            assert str(got.value) == str(expect.value)
+
+
+def test_chain_ratios_are_stacked_by_type():
+    # a hand-built r1 goes through the per-root loop, one call per u-root,
+    # and moves phi_log's u entries by log 2; a chain without its site
+    # count keeps the stacked ratios, bit for bit
+    chain, rng = _seeded_chain(5, 0.7 + 0.2j, 3)
+    x = 1.5 * (rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
+    stack = RootStack(x, 2)
+    calls = []
+
+    def doubled(w):
+        calls.append(w)
+        return 2 * chain.r1(w)
+
+    got, errors = phi_log(stack, dataclasses.replace(chain, r1=doubled))
+    ref, ref_errors = phi_log(stack, chain)
+    assert errors == ref_errors == [None] * 4
+    assert len(calls) == 4 * 2
+    assert np.max(np.abs(got[:, :2] - ref[:, :2] - np.log(2))) < 1e-14
+    assert np.array_equal(got[:, 2:], ref[:, 2:])
+    # the loop rounds r1 otherwise than the stacked pass ...
+    looped, _ = phi_log(stack, dataclasses.replace(chain,
+                                                   r1=lambda w: chain.r1(w)))
+    assert not np.array_equal(looped, ref)
+    # ... which a chain keeps without its site count
+    unsized = dataclasses.replace(chain, sites=None)
+    for fn in (phi_log, gaudin_matrix):
+        assert np.array_equal(fn(stack, unsized)[0], fn(stack, chain)[0])
 
 
 def test_xxx_chain_rejects_zero_coupling():
