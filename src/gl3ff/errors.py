@@ -36,7 +36,8 @@ class SectorMismatch(Gl3Error):
 
 
 class DegenerateEigenvalue(Gl3Error):
-    """Two sector eigenvalues are too close for the oracle to disambiguate."""
+    """The oracle has no confirmed vector for the state: its Bethe vector
+    vanishes, is no transfer-matrix eigenvector, or has no formula (b >= 2)."""
 
 
 class ZeroDenominator(Gl3Error):

@@ -8,18 +8,20 @@ that sweep on the identity.  The (twisted) transfer matrix is built one
 weight sector at a time by the same sweep on the rows that the sector's
 basis vectors can reach: the R-matrix keeps the colour counts of the
 auxiliary and site colours together, so a column of the L=5 sector with
-counts (2, 2, 1) keeps 210 of the dense sweep's 9 3^L = 2,187 rows.  On
-top of these sit eigenvector extraction by one eigendecomposition at a
-known eigenvalue, and normalization-invariant comparators that need one
-matrix-vector product per matrix element.
-``element_ratio`` takes two eigenvectors the caller has extracted, so a
-caller comparing many probe pairs extracts them once; ``invariant_ratio``
-and ``invariant_product`` extract their own.  Extraction draws its probe
-points from a generator of its own with a fixed seed, so a vector depends
-only on the state, the side and the chain, never on what ran before.  It is
-memoized per model (``_EXTRACTED``, like the solver's sector memo): each
-state's data is computed once while its model lives, and the left and right
-vectors of a state share their probe points and sector matrices."""
+counts (2, 2, 1) keeps 210 of the dense sweep's 9 3^L = 2,187 rows.
+
+A state's vectors are its Bethe vectors, built by the same sweep from the
+explicit formulas (Belliard-Pakuliak-Ragoucy-Slavnov, "Bethe vectors of
+GL(3)-invariant integrable models", J. Stat. Mech. 2013) in the
+normalization the determinant formulas use; the dual vector runs the sweep
+over the sites in reverse order, which transposes every entry.  A vector is
+accepted only as a confirmed transfer-matrix eigenvector.  It depends only
+on the state, the side and the chain, and is memoized per model
+(``_EXTRACTED``, like the solver's sector memo).  The comparators
+``element_ratio``, ``invariant_ratio`` and ``invariant_product`` need one
+matrix-vector product per matrix element and do not depend on the vectors'
+normalization; ``element_ratio`` takes two vectors the caller holds, so a
+caller comparing many probe pairs builds them once."""
 
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import (DegenerateEigenvalue, NoConvergence, PoleError,
                      ZeroDenominator)
-from .kernel import collision, g
+from .kernel import collision, exclude, f_prod, g
 from .model import (BetheState, ModelFunctions, Twist, tau_twisted, xxx_chain)
 
 MAX_SITES = 6
@@ -100,6 +102,15 @@ def apply_monodromy(w: complex, spec: SpinChainSpec,
     pseudovacuum (all sites in colour 1) then carries the eigenvalue pattern
     (prod_k f(w, xi_k), 1, 1) on the diagonal entries.
     """
+    return _sweep(w, spec, vecs, reverse=False)
+
+
+def _sweep(w: complex, spec: SpinChainSpec, vecs: np.ndarray,
+           reverse: bool) -> np.ndarray:
+    """``apply_monodromy``, with the sites taken from L down to 1 when
+    ``reverse``.  The R-matrix is symmetric, so entry (j, i) of the
+    reversed sweep is ``T(i,j)(w).T @ vecs``: the dual Bethe vectors are
+    built from it."""
     if collision(w, spec.xi, spec.c) is not None:
         raise PoleError(f"probe point {w} collides with an inhomogeneity")
     vecs = np.asarray(vecs, dtype=complex)
@@ -109,7 +120,8 @@ def apply_monodromy(w: complex, spec: SpinChainSpec,
     x = np.zeros((3, 3) + cols.shape, dtype=complex)
     for i in range(3):
         x[i, i] = cols
-    for site, xi_k in enumerate(spec.xi, start=1):
+    sites = list(enumerate(spec.xi, start=1))
+    for site, xi_k in (sites[::-1] if reverse else sites):
         x = x + g(w, xi_k, spec.c) * x.swapaxes(0, site + 1)
     return x.reshape((3, 3) + vecs.shape)
 
@@ -272,125 +284,103 @@ def probe_points(rng: np.random.Generator, n: int, avoid: Sequence[complex],
     return pts
 
 
-# model -> {(spec, roots, twist): _StateOracle}; the entries hold no
-# reference to their model, so they die with it
+# model -> {(spec, roots, twist, side): read-only vector}; the entries hold
+# no reference to their model, so they die with it
 _EXTRACTED = weakref.WeakKeyDictionary()
 
-
-class _StateOracle:
-    """Extraction data of one state, shared by its two sides and filled as
-    the attempts need it: the probe generator, each attempt's four points
-    (or the message of the draw that failed), the sector transfer matrix and
-    eigenvalue at each point, the spectral norm at each validation point,
-    and each side's outcome (its read-only vector, or the message of its
-    ``DegenerateEigenvalue``)."""
-
-    def __init__(self):
-        self.rng = np.random.default_rng(0)
-        self.attempts = []
-        self.at_point = {}
-        self.norms = {}
-        self.outcome = {}
-
-    def points(self, k: int, avoid: list, c: complex) -> list:
-        """The four points of attempt ``k``, drawn once, in attempt order."""
-        if k == len(self.attempts):
-            try:
-                self.attempts.append(probe_points(self.rng, 4, avoid, c))
-            except NoConvergence as exc:
-                self.attempts.append(str(exc))
-        if isinstance(self.attempts[k], str):
-            raise NoConvergence(self.attempts[k])
-        return self.attempts[k]
-
-    def matrix_and_tau(self, w: complex, state: BetheState, spec: SpinChainSpec,
-                       idx: np.ndarray) -> tuple:
-        if w not in self.at_point:
-            self.at_point[w] = (
-                transfer_matrix(w, spec, state.twist, idx),
-                tau_twisted(w, state.roots, state.twist, state.model))
-        return self.at_point[w]
-
-    def norm(self, w: complex) -> float:
-        if w not in self.norms:
-            self.norms[w] = np.linalg.norm(self.at_point[w][0], 2)
-        return self.norms[w]
+# a vector is accepted where |t(w) v - tau(w) v| <= _EIGEN_TOL times
+# sum_i |kappa_i| |T(i,i)(w) v|, the scale of the terms that cancel
+_EIGEN_TOL = 1e-9
 
 
 def eigenvector_for_state(state: BetheState, side: str,
                           spec: SpinChainSpec) -> np.ndarray:
-    """Unit-length sector eigenvector matching the state's eigenvalue.
+    """The state's Bethe vector, confirmed as a twisted transfer-matrix
+    eigenvector, in the normalization of the determinant formulas.
 
-    Each attempt draws four probe points from a generator seeded with one
-    fixed seed for each state.  The sector transfer matrix at the first is
-    eigendecomposed, and the eigenvector of the one eigenvalue within 1e-7
-    of the state's is validated at the other three (the true eigenvector is
-    probe-independent, so accidental eigenvalue collisions at the first
-    point are caught).  The overall phase and scale are arbitrary; callers
-    must use invariant comparators.  ``side='left'`` decomposes the
-    transposed matrix, giving the bilinear dual eigenvector (no
-    conjugation).
+    ``side='right'`` gives B(u) = T12(u_1) ... T12(u_a)|0>, or for one
+    v-root
 
-    Extraction is memoized while the state's model lives, per (spec, roots,
-    twist): a repeated call returns the same read-only vector (or raises
-    the same error) without building a matrix, and the two sides of a state
-    share their probe points, sector matrices, eigenvalues and norms.  A
-    vector therefore has the same bits as a fresh extraction on a new model,
-    whatever was extracted before it.
+        B(u; v) = f(v, u)^-1 [ T12(u) T23(v)
+                    + sum_j g(v, u_j) f(u_j, u_j-bar) T13(u_j) T12(u_j-bar) ] |0>
+
+    (u_j-bar is u without u_j; the pseudovacuum |0> has every site in
+    colour 1).  ``side='left'`` gives the dual vector C as a column, by
+    the same formula on the transposed entries (no conjugation), so that
+    C @ B is the bilinear norm ``norm_squared`` and C @ T(i,j)(z) @ B the
+    element ``form_factor``.
+
+    The vector is accepted only if it is nonzero and, at three probe points
+    drawn with a fixed seed, an eigenvector of the twisted transfer matrix
+    with ``tau_twisted`` within ``_EIGEN_TOL`` of its terms' scale; else,
+    and for b >= 2 v-roots (no formula here), ``DegenerateEigenvalue``.
+    Vectors are memoized while the state's model lives, per (spec, roots,
+    twist, side): a repeated call returns the same read-only array.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     per_model = _EXTRACTED.setdefault(state.model, {})
-    key = (spec, state.roots, state.twist)
+    key = (spec, state.roots, state.twist, side)
     if key not in per_model:
-        per_model[key] = _StateOracle()
-    memo = per_model[key]
-    if side not in memo.outcome:
-        memo.outcome[side] = _extract(state, side, spec, memo)
-    out = memo.outcome[side]
-    if isinstance(out, str):
-        raise DegenerateEigenvalue(out)
-    return out
+        if state.b > 1:
+            raise DegenerateEigenvalue(
+                f"no Bethe-vector formula for {state.b} v-roots")
+        reverse = side == "left"
+        vec = _bethe_vector(state.u, state.v, spec, reverse)
+        _confirm_eigenvector(vec, state, spec, reverse)
+        vec.flags.writeable = False
+        per_model[key] = vec
+    return per_model[key]
 
 
-def _extract(state: BetheState, side: str, spec: SpinChainSpec,
-             memo: _StateOracle):
-    """The read-only vector of ``side``, or the last attempt's failure."""
-    idx = state_sector(spec, state.a, state.b)
+def _bethe_vector(u: tuple, v: tuple, spec: SpinChainSpec,
+                  reverse: bool) -> np.ndarray:
+    """B(u; v) of ``eigenvector_for_state`` for at most one v-root; with
+    ``reverse`` every entry is transposed, which gives the dual vector.
+
+    For one v-root, column 0 of one stack builds T12(u) T23(v)|0> and
+    column j+1 builds T12(u_j-bar)|0> (each T12 step skips it), so the
+    vector takes 2a + 1 sweeps."""
+    vac = np.zeros(spec.dim, dtype=complex)
+    vac[0] = 1.0
+    if not v:
+        for uk in u:
+            vac = _sweep(uk, spec, vac, reverse)[0, 1]
+        return vac.copy()  # not a view that keeps all nine entries alive
+    (v1,) = v
+    c = spec.c
+    cols = np.repeat(vac[:, None], len(u) + 1, axis=1)
+    cols[:, 0] = _sweep(v1, spec, vac, reverse)[1, 2]
+    for k, uk in enumerate(u):
+        skipped = cols[:, k + 1].copy()
+        cols = _sweep(uk, spec, cols, reverse)[0, 1]
+        cols[:, k + 1] = skipped
+    vec = cols[:, 0]
+    for j, uj in enumerate(u):
+        coef = g(v1, uj, c) * f_prod(uj, exclude(u, j), c)
+        vec = vec + coef * _sweep(uj, spec, cols[:, j + 1], reverse)[0, 2]
+    return vec / f_prod(v1, u, c)
+
+
+def _confirm_eigenvector(vec: np.ndarray, state: BetheState,
+                         spec: SpinChainSpec, reverse: bool) -> None:
+    """Raise ``DegenerateEigenvalue`` unless ``vec`` is nonzero and an
+    eigenvector of the state's twisted transfer matrix (of its transpose
+    with ``reverse``) at three fixed-seed probe points."""
+    if not vec.any():
+        raise DegenerateEigenvalue("the Bethe vector vanishes")
+    kappas = state.twist.as_tuple()
     avoid = list(spec.xi) + list(state.u) + list(state.v)
-    last_error = "no attempts made"
-    for k in range(5):
-        w0, *probes = memo.points(k, avoid, spec.c)
-        m_sec, tau0 = memo.matrix_and_tau(w0, state, spec, idx)
-        try:
-            eigs, vecs = np.linalg.eig(m_sec.T if side == "left" else m_sec)
-        except np.linalg.LinAlgError as exc:
-            last_error = f"eigendecomposition failed: {exc}"
-            continue
-        tol = 1e-7 * max(1.0, abs(tau0))
-        close = np.flatnonzero(np.abs(eigs - tau0) <= tol)
-        if len(close) == 0:
-            last_error = f"eigenvalue {tau0} not present in sector at w0={w0}"
-            continue
-        if len(close) > 1:
-            last_error = f"{len(close)} sector eigenvalues within 1e-7 of {tau0}"
-            continue
-        vec = vecs[:, close[0]]
-        for wt in probes:
-            mt, taut = memo.matrix_and_tau(wt, state, spec, idx)
-            if side == "left":
-                resid = np.linalg.norm(vec @ mt - taut * vec)
-            else:
-                resid = np.linalg.norm(mt @ vec - taut * vec)
-            if resid > 1e-8 * memo.norm(wt):
-                last_error = f"probe residual {resid:.3e} at w={wt}"
-                break
-        else:
-            full = np.zeros(spec.dim, dtype=complex)
-            full[idx] = vec
-            full.flags.writeable = False
-            return full
-    return last_error
+    for w in probe_points(np.random.default_rng(0), 3, avoid, spec.c):
+        entries = _sweep(w, spec, vec, reverse)
+        terms = [kappas[i] * entries[i, i] for i in range(3)]
+        tv = tau_twisted(w, state.roots, state.twist, state.model)
+        resid = np.linalg.norm(sum(terms) - tv * vec)
+        bound = _EIGEN_TOL * sum(np.linalg.norm(t) for t in terms)
+        if resid > bound:
+            raise DegenerateEigenvalue(
+                f"Bethe vector is no transfer-matrix eigenvector: residual "
+                f"{resid:.3e} above {bound:.3e} at w={w}")
 
 
 def _entry_value(i: int, j: int, z: complex, vl: np.ndarray, vr: np.ndarray,
@@ -400,11 +390,12 @@ def _entry_value(i: int, j: int, z: complex, vl: np.ndarray, vr: np.ndarray,
 
 def element_ratio(kind: tuple, z1: complex, z2: complex, vl: np.ndarray,
                   vr: np.ndarray, spec: SpinChainSpec) -> complex:
-    """``<vl|T(i,j)(z1)|vr> / <vl|T(i,j)(z2)|vr>`` for already extracted
-    eigenvectors; invariant under rescaling of either vector."""
+    """``<vl|T(i,j)(z1)|vr> / <vl|T(i,j)(z2)|vr>`` for vectors the caller
+    already holds; invariant under rescaling of either vector, and so is
+    the zero-denominator floor."""
     num = _entry_value(kind[0], kind[1], z1, vl, vr, spec)
     den = _entry_value(kind[0], kind[1], z2, vl, vr, spec)
-    floor = 1e-12 * max(1.0, abs(num))
+    floor = 1e-12 * max(np.linalg.norm(vl) * np.linalg.norm(vr), abs(num))
     if abs(den) <= floor:
         raise ZeroDenominator(f"denominator element {den} too small")
     return num / den
@@ -413,9 +404,9 @@ def element_ratio(kind: tuple, z1: complex, z2: complex, vl: np.ndarray,
 def invariant_ratio(kind: tuple, z1: complex, z2: complex,
                     left_state: BetheState, right_state: BetheState,
                     spec: SpinChainSpec, rng: np.random.Generator) -> complex:
-    """``element_ratio`` between the two states' eigenvectors, extracted
-    here.  ``rng`` is not used: the benchmark under ``bench/`` passes one,
-    and the parameter goes when that call drops it."""
+    """``element_ratio`` between the two states' Bethe vectors.  ``rng`` is
+    not used: the benchmark under ``bench/`` passes one, and the parameter
+    goes when that call drops it."""
     vl = eigenvector_for_state(left_state, "left", spec)
     vr = eigenvector_for_state(right_state, "right", spec)
     return element_ratio(kind, z1, z2, vl, vr, spec)
@@ -424,9 +415,9 @@ def invariant_ratio(kind: tuple, z1: complex, z2: complex,
 def invariant_product(kind: tuple, z1: complex, z2: complex,
                       left_state: BetheState, right_state: BetheState,
                       spec: SpinChainSpec) -> complex:
-    """Product <C|T(i,j)(z1)|B> <B|T(j,i)(z2)|C> / (<B|B> <C|C>) with bilinear
-    left eigenvectors; invariant under independent rescaling of all four
-    vectors."""
+    """Product <C|T(i,j)(z1)|B> <B|T(j,i)(z2)|C> / (<B|B> <C|C>) with dual
+    (left) vectors; invariant under independent rescaling of all four
+    vectors, and so is the zero-denominator floor."""
     i, j = kind
     vl_c = eigenvector_for_state(left_state, "left", spec)
     vr_c = eigenvector_for_state(left_state, "right", spec)
@@ -435,6 +426,7 @@ def invariant_product(kind: tuple, z1: complex, z2: complex,
     num = (_entry_value(i, j, z1, vl_c, vr_b, spec)
            * _entry_value(j, i, z2, vl_b, vr_c, spec))
     den = complex(vl_b @ vr_b) * complex(vl_c @ vr_c)
-    if abs(den) <= 1e-12:
+    scale = np.prod([np.linalg.norm(x) for x in (vl_c, vr_c, vl_b, vr_b)])
+    if abs(den) <= 1e-12 * scale:
         raise ZeroDenominator("defective eigenpair: <left|right> ~ 0")
     return num / den

@@ -327,7 +327,7 @@ def test_check_records_do_not_depend_on_other_checks(lib_seed7, suite):
 PINNED_BUILD = ((3, 11), (2, 4))
 REPORT_SHA256 = {
     "verification":
-        "29deb2d7de0d5d73ddc1aa49eb7d1f1c2ba2d5d71c03953bfad3fb68c543b9ca",
+        "9d59984f0545bf0b32e31eeecfe823a357bbb1fd7a7270c9879f6ca155ab79d8",
     "identities":
         "8e8627c2d34b9f76884c1afa37b4cc9e46a297c22188d2470734fc4ab472ba58",
 }

@@ -1,13 +1,19 @@
 import dataclasses
 import gc
+import itertools
 import weakref
 
 import numpy as np
 import pytest
 
+import gl3ff.checks as checks
+import gl3ff.formfactor as ff
 import gl3ff.oracle as orc
-from gl3ff.errors import DegenerateEigenvalue, PoleError, ZeroDenominator
-from gl3ff.model import Twist, tau
+from gl3ff.checks import Report
+from gl3ff.errors import (DegenerateEigenvalue, Gl3Error, PoleError,
+                          ZeroDenominator)
+from gl3ff.model import Twist, tau, tau_twisted
+from gl3ff.solver import distinct_states
 from conftest import make_state, vacuum_state
 
 
@@ -160,12 +166,65 @@ def test_eigenvector_residual_and_pairing(state_lib):
 
 
 def test_eigenvector_off_shell_state_raises(state_lib):
-    # one root moved by 1e-3: its eigenvalue is in no sector at any attempt
+    # one root moved by 1e-3: its Bethe vector is off shell, no eigenvector
     spec, model = state_lib[3]["spec"], state_lib[3]["model"]
     st = state_lib[3]["m21"][0]
     moved = make_state(model, (st.u[0] + 1e-3,) + st.u[1:], st.v)
-    with pytest.raises(DegenerateEigenvalue, match="not present in sector"):
-        orc.eigenvector_for_state(moved, "right", spec)
+    for side in ("left", "right"):
+        with pytest.raises(DegenerateEigenvalue,
+                           match="no transfer-matrix eigenvector"):
+            orc.eigenvector_for_state(moved, side, spec)
+
+
+def test_two_v_roots_raise_before_any_sweep(state_lib, monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("swept a state with no vector formula")
+
+    monkeypatch.setattr(orc, "_sweep", sweep)
+    spec, model = state_lib[4]["spec"], state_lib[4]["model"]
+    st = make_state(model, (0.1, 0.5, -0.4 + 0.3j), (0.2 + 0.1j, -0.3j))
+    for side in ("left", "right"):
+        with pytest.raises(DegenerateEigenvalue,
+                           match="no Bethe-vector formula for 2 v-roots"):
+            orc.eigenvector_for_state(st, side, spec)
+
+
+def test_twisted_pair_state_passes_on_both_sides(state_lib):
+    spec, model = state_lib[2]["spec"], state_lib[2]["model"]
+    tw = Twist(0.9 + 0.1j, 1.0, 1.2 - 0.2j)
+    st = distinct_states(model, 1, 1, twist=tw, rng_seed=7)[0]
+    vr = orc.eigenvector_for_state(st, "right", spec)
+    vl = orc.eigenvector_for_state(st, "left", spec)
+    w = 0.72 + 0.66j
+    m = orc.transfer_matrix(w, spec, tw)
+    tv = tau_twisted(w, st.roots, tw, model)
+    scale = np.linalg.norm(m)
+    assert np.linalg.norm(m @ vr - tv * vr) < 1e-10 * scale * np.linalg.norm(vr)
+    assert np.linalg.norm(vl @ m - tv * vl) < 1e-10 * scale * np.linalg.norm(vl)
+
+
+def test_vectors_need_no_transfer_matrix_or_eigendecomposition(state_lib,
+                                                               monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a vector built a matrix or decomposed one")
+
+    swept = []
+    sweep = orc._sweep
+
+    def counted(w, spec, vecs, reverse):
+        swept.append(reverse)
+        return sweep(w, spec, vecs, reverse)
+
+    monkeypatch.setattr(orc, "transfer_matrix", forbidden)
+    monkeypatch.setattr(np.linalg, "eig", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+    monkeypatch.setattr(orc, "_sweep", counted)
+    spec = state_lib[5]["spec"]
+    st = dataclasses.replace(state_lib[5]["m31"][0], model=spec.model())
+    orc.eigenvector_for_state(st, "left", spec)
+    orc.eigenvector_for_state(st, "right", spec)
+    # per side 2a + 1 sweeps for the (3,1) vector, three for its eigen-test
+    assert swept == [True] * 10 + [False] * 10
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -184,26 +243,15 @@ def test_extraction_repeats_bit_for_bit(state_lib, side):
                           memoized)
 
 
-def test_extraction_shares_builds_and_dies_with_model(state_lib, monkeypatch):
+def test_extraction_memo_dies_with_model(state_lib):
     spec = state_lib[3]["spec"]
     model = spec.model()
     st = dataclasses.replace(state_lib[3]["m21"][0], model=model)
-    built = []
-    build = orc.transfer_matrix
-
-    def counted(*args, **kwargs):
-        built.append(args[0])
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(orc, "transfer_matrix", counted)
     entries = len(orc._EXTRACTED)
-    orc.eigenvector_for_state(st, "left", spec)
-    assert len(built) == 4  # the first attempt succeeds: w0 and three probes
-    orc.eigenvector_for_state(st, "right", spec)
-    assert len(built) == 4  # the right side reuses the left side's matrices
+    vectors = {side: orc.eigenvector_for_state(st, side, spec)
+               for side in ("left", "right")}
     for side in ("left", "right", "left"):
-        orc.eigenvector_for_state(st, side, spec)
-    assert len(built) == 4
+        assert orc.eigenvector_for_state(st, side, spec) is vectors[side]
     assert len(orc._EXTRACTED) == entries + 1
     ref = weakref.ref(model)
     del model, st
@@ -219,6 +267,111 @@ def test_extracted_vector_is_read_only(state_lib):
         vec[0] = 0.0
     with pytest.raises(ValueError):
         vec *= 2.0
+
+
+def test_bethe_vectors_carry_the_formulas_normalization(state_lib):
+    # C.B is the bilinear norm, and C.T(i,j)(z).B every element that the
+    # determinant formulas accept, on the scale |C| |T(i,j)(z).B|
+    z = 0.41 - 0.83j
+    n_elements = 0
+    for L in (3, 4, 5):
+        lib, spec = state_lib[L], state_lib[L]["spec"]
+        states = [lib["vac"]] + [st for key in ("m10", "m21", "m20", "m31")
+                                 for st in lib.get(key, ())]
+        left = [orc.eigenvector_for_state(st, "left", spec) for st in states]
+        right = [orc.eigenvector_for_state(st, "right", spec) for st in states]
+        for st, vl, vr in zip(states, left, right):
+            ns = ff.norm_squared(st)
+            assert abs(complex(vl @ vr) - ns) <= 1e-10 * abs(ns)
+        for r, vr in zip(states, right):
+            t_vr = orc.apply_monodromy(z, spec, vr)
+            for l, vl in zip(states, left):
+                for i, j in itertools.product((1, 2, 3), repeat=2):
+                    try:
+                        val = ff.form_factor((i, j), l, r, z)
+                    except Gl3Error:
+                        continue
+                    col = t_vr[i - 1, j - 1]
+                    scale = np.linalg.norm(vl) * np.linalg.norm(col)
+                    assert abs(val - complex(vl @ col)) <= 1e-11 * scale
+                    n_elements += 1
+    assert n_elements >= 300
+
+
+def _near_zero_pair(spec):
+    """Unit vectors whose T(1,1) elements lie below 1e-12: the vacuum on
+    the right, on the left a basis vector tilted by 1e-14 towards it."""
+    vr = np.zeros(spec.dim, dtype=complex)
+    vr[0] = 1.0
+    vl = np.zeros(spec.dim, dtype=complex)
+    vl[1], vl[0] = 1.0, 1e-14
+    return vl, vr
+
+
+def _ratio_or_error(kind, vl, vr, spec):
+    try:
+        return orc.element_ratio(kind, 0.9 + 0.6j, 0.4 - 0.3j, vl, vr, spec)
+    except ZeroDenominator:
+        return None
+
+
+def test_floors_do_not_depend_on_vector_scale(state_lib, monkeypatch):
+    spec = state_lib[3]["spec"]
+    a, b = state_lib[3]["m10"][0], state_lib[3]["m10"][1]
+    cases = [((1, 1), orc.eigenvector_for_state(a, "left", spec),
+              orc.eigenvector_for_state(b, "right", spec)),
+             ((2, 1), orc.eigenvector_for_state(a, "left", spec),
+              orc.eigenvector_for_state(state_lib[3]["vac"], "right", spec)),
+             ((1, 1),) + _near_zero_pair(spec)]
+    decided = []
+    build = orc.eigenvector_for_state
+    for kind, vl, vr in cases:
+        got = _ratio_or_error(kind, vl, vr, spec)
+        scaled = _ratio_or_error(kind, 1e6 * vl, 1e6 * vr, spec)
+        assert (got is None) == (scaled is None)
+        if got is not None:
+            assert abs(scaled - got) <= 1e-13 * abs(got)
+        decided.append(got is None)
+    assert decided == [False, True, True]
+
+    def products(scale, vectors=None):
+        def vector(state, side, spec_):
+            if vectors is not None:
+                return scale * vectors[side]
+            return scale * build(state, side, spec_)
+
+        monkeypatch.setattr(orc, "eigenvector_for_state", vector)
+        try:
+            return orc.invariant_product((1, 1), 0.9 + 0.6j, 0.4 - 0.3j,
+                                         a, a, spec)
+        except ZeroDenominator:
+            return None
+        finally:
+            monkeypatch.undo()
+
+    got, scaled = products(1.0), products(1e6)
+    assert got is not None and abs(scaled - got) <= 1e-13 * abs(got)
+    # unit vectors with <left|right> = 3e-7: a product denominator of 1e-13
+    tilted = np.zeros(spec.dim, dtype=complex)
+    tilted[1], tilted[0] = 1.0, 3e-7
+    near = {"left": tilted, "right": _near_zero_pair(spec)[1]}
+    assert products(1.0, near) is None and products(1e6, near) is None
+
+    def orthogonality(scale):
+        def vector(state, side, spec_):
+            return scale * build(state, side, spec_)
+
+        report = Report("orthogonality", 7)
+        with monkeypatch.context() as m:
+            m.setattr(checks.orc, "eigenvector_for_state", vector)
+            checks.check_orthogonality(report, state_lib, None)
+        (record,) = report.records
+        return record
+
+    # the overlap is of unit scale and at rounding level: compare absolutely
+    unit, scaled = orthogonality(1.0), orthogonality(1e6)
+    assert unit["pass"] == scaled["pass"]
+    assert abs(scaled["residual"] - unit["residual"]) <= 1e-15
 
 
 def test_orthogonality_distinct_eigenvalues(state_lib):
