@@ -14,9 +14,9 @@ from .formfactor import (FFAssembly, KINDS, appendix_identities, assemble,
                          det_lu, ff_diag, form_factor, norm_squared,
                          omega_vector, prefactor_H, s_function,
                          s_function_reference, sector_shift)
-from .oracle import (SpinChainSpec, apply_monodromy, eigenvector_for_state,
-                     element_ratio, invariant_product, invariant_ratio,
-                     r_matrix, transfer_matrix, weight_sector_indices)
+from .oracle import (SpinChainSpec, apply_monodromy, eigen_residual,
+                     eigenvector_for_state, invariant_ratio, r_matrix,
+                     transfer_matrix, weight_sector_indices)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import Gl3Error, NoConvergence, PoleError
 from .model import (BetheState, ModelFunctions, RootConfig, Twist,
                     dtau_dkappa_onshell, gaudin_jacobian, gaudin_matrix,
-                    mirror_model, phi_log, tau_twisted)
+                    mirror_model, phi_log)
 from .solver import continue_in_twist, distinct_states
 from . import formfactor as ff
 from . import oracle as orc
@@ -263,17 +263,10 @@ def check_structural(report: Report, lib: dict,
 
 
 def _twisted_tau_residual(st: BetheState, spec, rng: np.random.Generator) -> float:
-    """Distance of the state's twisted eigenvalue from the oracle spectrum of
-    its weight sector, worst over five probe points."""
-    model, twist = st.model, st.twist
-    idx = orc.state_sector(spec, st.a, st.b)
-    worst = 0.0
-    for w in orc.probe_points(rng, 5, _avoid_set(model, st), model.c):
-        mat = orc.transfer_matrix(w, spec, twist, idx)
-        tv = tau_twisted(w, st.roots, twist, model)
-        worst = max(worst, float(np.min(np.abs(np.linalg.eigvals(mat) - tv))
-                                 / max(1.0, abs(tv))))
-    return worst
+    """The eigen-residual of the state's Bethe vector with its twisted
+    eigenvalue (``oracle.eigen_residual``), worst over five probe points."""
+    pts = orc.probe_points(rng, 5, _avoid_set(st.model, st), st.model.c)
+    return max(orc.eigen_residual(st, spec, w) for w in pts)
 
 
 def check_onshell_pipeline(report: Report, lib: dict,
@@ -299,43 +292,50 @@ def check_onshell_pipeline(report: Report, lib: dict,
                        1e-8, inputs=state_to_json(st))
 
 
+def _oracle_residual(kind: tuple, left: BetheState, right: BetheState,
+                     z: complex, vl: np.ndarray, vr: np.ndarray, spec) -> float:
+    """|form_factor - C @ T(i,j)(z) @ B| / (|C| |T(i,j)(z) @ B|) for the
+    left state's dual Bethe vector C = ``vl`` and the right state's Bethe
+    vector B = ``vr``; where T(i,j)(z) @ B is exactly zero, the element's
+    own modulus."""
+    i, j = kind
+    col = orc.apply_monodromy(z, spec, vr)[i - 1, j - 1]
+    resid = abs(ff.form_factor(kind, left, right, z) - complex(vl @ col))
+    scale = np.linalg.norm(vl) * np.linalg.norm(col)
+    return float(resid / scale) if scale else float(resid)
+
+
 def check_offdiagonal(report: Report, lib: dict,
                       rng: np.random.Generator) -> None:
     for (tag, kind, L, left, right) in _ratio_cases(lib):
         spec, model = lib[L]["spec"], lib[L]["model"]
-        name = f"invariant_ratio_{tag}"
+        name = f"oracle_element_{tag}"
         with _errors_recorded_as(report, name):
-            avoid = _avoid_set(model, left, right)
-            pts = orc.probe_points(rng, 10, avoid, model.c)
+            pts = orc.probe_points(rng, 5, _avoid_set(model, left, right),
+                                   model.c)
             vl = orc.eigenvector_for_state(left, "left", spec)
             vr = orc.eigenvector_for_state(right, "right", spec)
-            worst = 0.0
-            for (z1, z2) in zip(pts[:5], pts[5:]):
-                det_r = (ff.form_factor(kind, left, right, z1)
-                         / ff.form_factor(kind, left, right, z2))
-                orc_r = orc.element_ratio(kind, z1, z2, vl, vr, spec)
-                worst = max(worst, abs(det_r - orc_r) / abs(orc_r))
-            report.add(name, worst, 1e-8,
+            worst = max(_oracle_residual(kind, left, right, z, vl, vr, spec)
+                        for z in pts)
+            report.add(name, worst, 1e-10,
                        inputs=[state_to_json(left), state_to_json(right)])
 
 
-def check_products(report: Report, lib: dict, rng: np.random.Generator) -> None:
-    for (tag, kind, L, left, right) in _ratio_cases(lib):
-        if tag not in ("12_L4", "23_L4", "13_L5"):
-            continue
-        spec, model = lib[L]["spec"], lib[L]["model"]
-        name = f"invariant_product_{tag}"
-        i, j = kind
-        with _errors_recorded_as(report, name):
-            avoid = _avoid_set(model, left, right)
-            z1, z2 = orc.probe_points(rng, 2, avoid, model.c)
-            det_p = (ff.form_factor(kind, left, right, z1)
-                     * ff.form_factor((j, i), right, left, z2)
-                     / (ff.norm_squared(left) * ff.norm_squared(right)))
-            orc_p = orc.invariant_product(kind, z1, z2, left, right, spec)
-            resid = abs(det_p - orc_p) / abs(orc_p)
-            report.add(name, resid, 1e-8,
-                       inputs=[state_to_json(left), state_to_json(right)])
+def check_norms(report: Report, lib: dict, rng: np.random.Generator) -> None:
+    """``norm_squared`` against C @ B, relative, worst over the states
+    with roots among the oracle-element cases."""
+    with _errors_recorded_as(report, "oracle_norms"):
+        states = {id(st): (st, lib[L]["spec"])
+                  for (_, _, L, left, right) in _ratio_cases(lib)
+                  for st in (left, right) if st.a}
+        worst = 0.0
+        for st, spec in states.values():
+            ns = ff.norm_squared(st)
+            cb = complex(orc.eigenvector_for_state(st, "left", spec)
+                         @ orc.eigenvector_for_state(st, "right", spec))
+            worst = max(worst, abs(ns - cb) / abs(ns))
+        report.add("oracle_norms", worst, 1e-10,
+                   inputs=[state_to_json(st) for st, _ in states.values()])
 
 
 def _diag_identity_block(report: Report, tag: str, left: BetheState,
@@ -394,12 +394,9 @@ def check_diagonal(report: Report, lib: dict, rng: np.random.Generator) -> None:
                    inputs=[state_to_json(st), pair(z)])
         vl = orc.eigenvector_for_state(st, "left", spec)
         vr = orc.eigenvector_for_state(st, "right", spec)
-        t_vr = orc.apply_monodromy(z, spec, vr)
-        worst = 0.0
-        for s in (1, 2, 3):
-            expect = complex(vl @ t_vr[s - 1, s - 1]) / complex(vl @ vr)
-            worst = max(worst, abs(lhs[s - 1] - expect) / abs(expect))
-        report.add("diag_same_state_oracle", worst, 1e-8,
+        worst = max(_oracle_residual((s, s), st, st, z, vl, vr, spec)
+                    for s in (1, 2, 3))
+        report.add("diag_same_state_oracle", worst, 1e-10,
                    inputs=[state_to_json(st), pair(z)])
 
 
@@ -533,6 +530,20 @@ def _mirrored(st: BetheState, mm: ModelFunctions) -> BetheState:
     return BetheState(roots, Twist.identity(), st.mode_numbers, st.residual, mm)
 
 
+def _scaled_element(kind: tuple, left: BetheState, right: BetheState,
+                    z: complex) -> tuple:
+    """The element ``kind`` and its scale |prefactor| times Hadamard's bound
+    prod_k |column k| on its matrix, on the assembly the element uses (the
+    states exchanged for the (2,3), (2,1) and (3,1) entries); unlike the
+    value, the scale does not vanish at an exact zero of the element."""
+    value, mat, _ = ff.determinant_element(kind, left, right, z)
+    if kind in ((2, 3), (2, 1), (3, 1)):
+        left, right = right, left
+    pref = ff.prefactor_H(left.u, left.v, right.u, right.v,
+                          right.u + left.v + (complex(z),), left.model.c)
+    return value, abs(pref) * float(np.prod(np.linalg.norm(mat, axis=0)))
+
+
 def check_morphisms(report: Report, lib: dict, rng: np.random.Generator) -> None:
     with _errors_recorded_as(report, "morphisms"):
         cases = _ratio_cases(lib)
@@ -552,19 +563,19 @@ def check_morphisms(report: Report, lib: dict, rng: np.random.Generator) -> None
             mm = mirror_model(model)
             i, j = kind
             z = orc.probe_points(rng, 1, _avoid_set(model, left, right), model.c)[0]
-            lhs = ff.form_factor(kind, left, right, z)
+            lhs, scale = _scaled_element(kind, left, right, z)
             rhs = ff.form_factor((4 - j, 4 - i), _mirrored(left, mm),
                                  _mirrored(right, mm), -z)
-            worst_phi = max(worst_phi, abs(lhs - rhs) / max(abs(lhs), 1e-30))
+            worst_phi = max(worst_phi, abs(lhs - rhs) / scale)
         # diagonal entries under the reflection map
         st = lib[3]["m21"][0]
         model = lib[3]["model"]
         st_m = _mirrored(st, mirror_model(model))
         z = orc.probe_points(rng, 1, _avoid_set(model, st), model.c)[0]
         for s in (1, 2, 3):
-            lhs = ff.ff_diag(s, st, st, z)
+            lhs, scale = _scaled_element((s, s), st, st, z)
             rhs = ff.ff_diag(4 - s, st_m, st_m, -z)
-            worst_phi = max(worst_phi, abs(lhs - rhs) / abs(lhs))
+            worst_phi = max(worst_phi, abs(lhs - rhs) / scale)
         report.add("reflection_consistency", worst_phi, 1e-10)
 
 
@@ -575,16 +586,17 @@ def _shuffled(st: BetheState, perm_u, perm_v) -> BetheState:
 
 
 def shuffle_residual(kinds, a: BetheState, b: BetheState, z: complex) -> float:
-    """Worst relative change of the entries ``kinds`` between the (3,1)
-    states ``a`` and ``b`` when their u-roots are listed in other orders."""
+    """Worst change of the entries ``kinds`` between the (3,1) states ``a``
+    and ``b`` when their u-roots are listed in other orders, on the scale
+    of ``_scaled_element``."""
     worst = 0.0
-    base = {kind: ff.form_factor(kind, a, b, z) for kind in kinds}
+    base = {kind: _scaled_element(kind, a, b, z) for kind in kinds}
     for perm_u in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
         ap = _shuffled(a, perm_u, (0,))
         bp = _shuffled(b, (2, 0, 1), (0,))
-        for kind, ref in base.items():
+        for kind, (ref, scale) in base.items():
             val = ff.form_factor(kind, ap, bp, z)
-            worst = max(worst, abs(val - ref) / abs(ref))
+            worst = max(worst, abs(val - ref) / scale)
     return worst
 
 
@@ -596,11 +608,11 @@ def check_permutation(report: Report, lib: dict, rng: np.random.Generator) -> No
         z = orc.probe_points(rng, 1, _avoid_set(model, a, b), model.c)[0]
         worst = shuffle_residual(((2, 2), (1, 1)), a, b, z)
         c31 = _partner(l5, "c31")
-        ref13 = ff.form_factor((1, 3), c31, l5["m20"][0], z)
+        ref13, scale = _scaled_element((1, 3), c31, l5["m20"][0], z)
         cp = _shuffled(c31, (2, 0, 1), (0,))
         bp = _shuffled(l5["m20"][0], (1, 0), ())
         got = ff.form_factor((1, 3), cp, bp, z)
-        worst = max(worst, abs(got - ref13) / abs(ref13))
+        worst = max(worst, abs(got - ref13) / scale)
         report.add("permutation_invariance", worst, 1e-10)
 
 
@@ -631,7 +643,7 @@ def check_gl2_reduction(report: Report, lib: dict,
 # the registry
 
 VERIFY = (check_structural, check_onshell_pipeline, check_offdiagonal,
-          check_products, check_diagonal, check_sfunction_and_forms,
+          check_norms, check_diagonal, check_sfunction_and_forms,
           check_gaudin, check_twist_machinery, check_orthogonality)
 IDENTITIES = (check_appendix, check_morphisms, check_permutation,
               check_gl2_reduction)

@@ -15,13 +15,12 @@ explicit formulas (Belliard-Pakuliak-Ragoucy-Slavnov, "Bethe vectors of
 GL(3)-invariant integrable models", J. Stat. Mech. 2013) in the
 normalization the determinant formulas use; the dual vector runs the sweep
 over the sites in reverse order, which transposes every entry.  A vector is
-accepted only as a confirmed transfer-matrix eigenvector.  It depends only
-on the state, the side and the chain, and is memoized per model
-(``_EXTRACTED``, like the solver's sector memo).  The comparators
-``element_ratio``, ``invariant_ratio`` and ``invariant_product`` need one
-matrix-vector product per matrix element and do not depend on the vectors'
-normalization; ``element_ratio`` takes two vectors the caller holds, so a
-caller comparing many probe pairs builds them once."""
+accepted only as a confirmed transfer-matrix eigenvector (``eigen_residual``
+measures how far it is from one).  It depends only on the state, the side
+and the chain, and is memoized per model (``_EXTRACTED``, like the solver's
+sector memo).  With both vectors, an element is C @ T(i,j)(z) @ B, one sweep
+of ``apply_monodromy`` on B and one dot product; ``invariant_ratio`` divides
+two of them, a ratio that does not depend on the vectors' normalization."""
 
 from __future__ import annotations
 
@@ -288,8 +287,7 @@ def probe_points(rng: np.random.Generator, n: int, avoid: Sequence[complex],
 # no reference to their model, so they die with it
 _EXTRACTED = weakref.WeakKeyDictionary()
 
-# a vector is accepted where |t(w) v - tau(w) v| <= _EIGEN_TOL times
-# sum_i |kappa_i| |T(i,i)(w) v|, the scale of the terms that cancel
+# a vector is accepted where its eigen_residual is at most this
 _EIGEN_TOL = 1e-9
 
 
@@ -364,69 +362,57 @@ def _bethe_vector(u: tuple, v: tuple, spec: SpinChainSpec,
 
 def _confirm_eigenvector(vec: np.ndarray, state: BetheState,
                          spec: SpinChainSpec, reverse: bool) -> None:
-    """Raise ``DegenerateEigenvalue`` unless ``vec`` is nonzero and an
-    eigenvector of the state's twisted transfer matrix (of its transpose
-    with ``reverse``) at three fixed-seed probe points."""
+    """Raise ``DegenerateEigenvalue`` unless ``vec`` is nonzero and, at
+    three fixed-seed probe points, has an eigen-residual (nan fails) within
+    ``_EIGEN_TOL``, of the transposed entries with ``reverse``."""
     if not vec.any():
         raise DegenerateEigenvalue("the Bethe vector vanishes")
-    kappas = state.twist.as_tuple()
     avoid = list(spec.xi) + list(state.u) + list(state.v)
     for w in probe_points(np.random.default_rng(0), 3, avoid, spec.c):
-        entries = _sweep(w, spec, vec, reverse)
-        terms = [kappas[i] * entries[i, i] for i in range(3)]
-        tv = tau_twisted(w, state.roots, state.twist, state.model)
-        resid = np.linalg.norm(sum(terms) - tv * vec)
-        bound = _EIGEN_TOL * sum(np.linalg.norm(t) for t in terms)
-        if resid > bound:
+        resid = _eigen_residual(vec, state, spec, w, reverse)
+        if not resid <= _EIGEN_TOL:
             raise DegenerateEigenvalue(
-                f"Bethe vector is no transfer-matrix eigenvector: residual "
-                f"{resid:.3e} above {bound:.3e} at w={w}")
+                f"Bethe vector is no transfer-matrix eigenvector: relative "
+                f"residual {resid:.3e} above {_EIGEN_TOL:.0e} at w={w}")
 
 
-def _entry_value(i: int, j: int, z: complex, vl: np.ndarray, vr: np.ndarray,
-                 spec: SpinChainSpec) -> complex:
-    return complex(vl @ apply_monodromy(z, spec, vr)[i - 1, j - 1])
+def eigen_residual(state: BetheState, spec: SpinChainSpec,
+                   w: complex) -> float:
+    """|t(w) B - tau(w) B| / sum_i |kappa_i| |T(i,i)(w) B| for the state's
+    Bethe vector B, twisted transfer matrix t(w) and ``tau_twisted``: the
+    eigen-residual on the scale of the terms that cancel, taken by one
+    sweep on B and no transfer matrix."""
+    vec = eigenvector_for_state(state, "right", spec)
+    return _eigen_residual(vec, state, spec, w, reverse=False)
 
 
-def element_ratio(kind: tuple, z1: complex, z2: complex, vl: np.ndarray,
-                  vr: np.ndarray, spec: SpinChainSpec) -> complex:
-    """``<vl|T(i,j)(z1)|vr> / <vl|T(i,j)(z2)|vr>`` for vectors the caller
-    already holds; invariant under rescaling of either vector, and so is
-    the zero-denominator floor."""
-    num = _entry_value(kind[0], kind[1], z1, vl, vr, spec)
-    den = _entry_value(kind[0], kind[1], z2, vl, vr, spec)
-    floor = 1e-12 * max(np.linalg.norm(vl) * np.linalg.norm(vr), abs(num))
-    if abs(den) <= floor:
-        raise ZeroDenominator(f"denominator element {den} too small")
-    return num / den
+def _eigen_residual(vec: np.ndarray, state: BetheState, spec: SpinChainSpec,
+                    w: complex, reverse: bool) -> float:
+    """``eigen_residual`` of ``vec``, of the transposed entries with
+    ``reverse``."""
+    kappas = state.twist.as_tuple()
+    entries = _sweep(w, spec, vec, reverse)
+    terms = [kappas[i] * entries[i, i] for i in range(3)]
+    tv = tau_twisted(w, state.roots, state.twist, state.model)
+    resid = np.linalg.norm(sum(terms) - tv * vec)
+    return float(resid / sum(np.linalg.norm(t) for t in terms))
 
 
 def invariant_ratio(kind: tuple, z1: complex, z2: complex,
                     left_state: BetheState, right_state: BetheState,
                     spec: SpinChainSpec, rng: np.random.Generator) -> complex:
-    """``element_ratio`` between the two states' Bethe vectors.  ``rng`` is
-    not used: the benchmark under ``bench/`` passes one, and the parameter
-    goes when that call drops it."""
+    """``C @ T(i,j)(z1) @ B / C @ T(i,j)(z2) @ B`` between the two states'
+    Bethe vectors C (left) and B (right); ``ZeroDenominator`` where the
+    denominator is within 1e-12 of max(|C| |B|, |numerator|), a floor that,
+    like the ratio, does not change when either vector is rescaled.  ``rng``
+    is not used: the benchmark under ``bench/`` passes one, and the
+    parameter goes when that call drops it."""
+    i, j = kind
     vl = eigenvector_for_state(left_state, "left", spec)
     vr = eigenvector_for_state(right_state, "right", spec)
-    return element_ratio(kind, z1, z2, vl, vr, spec)
-
-
-def invariant_product(kind: tuple, z1: complex, z2: complex,
-                      left_state: BetheState, right_state: BetheState,
-                      spec: SpinChainSpec) -> complex:
-    """Product <C|T(i,j)(z1)|B> <B|T(j,i)(z2)|C> / (<B|B> <C|C>) with dual
-    (left) vectors; invariant under independent rescaling of all four
-    vectors, and so is the zero-denominator floor."""
-    i, j = kind
-    vl_c = eigenvector_for_state(left_state, "left", spec)
-    vr_c = eigenvector_for_state(left_state, "right", spec)
-    vl_b = eigenvector_for_state(right_state, "left", spec)
-    vr_b = eigenvector_for_state(right_state, "right", spec)
-    num = (_entry_value(i, j, z1, vl_c, vr_b, spec)
-           * _entry_value(j, i, z2, vl_b, vr_c, spec))
-    den = complex(vl_b @ vr_b) * complex(vl_c @ vr_c)
-    scale = np.prod([np.linalg.norm(x) for x in (vl_c, vr_c, vl_b, vr_b)])
-    if abs(den) <= 1e-12 * scale:
-        raise ZeroDenominator("defective eigenpair: <left|right> ~ 0")
+    num, den = (complex(vl @ apply_monodromy(z, spec, vr)[i - 1, j - 1])
+                for z in (z1, z2))
+    floor = 1e-12 * max(np.linalg.norm(vl) * np.linalg.norm(vr), abs(num))
+    if abs(den) <= floor:
+        raise ZeroDenominator(f"denominator element {den} too small")
     return num / den

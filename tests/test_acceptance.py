@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 
+import gl3ff.formfactor as ff
 import gl3ff.oracle as orc
 from gl3ff import checks
 from conftest import RNG_SEED
@@ -24,7 +25,7 @@ CRITERIA = {
     1: (checks.check_structural,),
     2: (checks.check_onshell_pipeline,),
     3: (checks.check_offdiagonal, checks.check_orthogonality),
-    4: (checks.check_products,),
+    4: (checks.check_norms,),
     5: (checks.check_diagonal,),
     6: (checks.check_morphisms, checks.check_permutation,
         checks.check_gl2_reduction),
@@ -95,7 +96,34 @@ def test_offdiagonal_extracts_each_eigenvector_once(state_lib, monkeypatch):
     assert extracted == ["left", "right"] * n_cases
 
 
-def test_criterion_4_products(state_lib):
+def test_oracle_elements_catch_a_constant_factor(state_lib, monkeypatch):
+    # T(1,2) values scaled by 1.001: a z-ratio of them is unchanged, so a
+    # ratio record passes them, while the absolute oracle record fails
+    form_factor = ff.form_factor
+
+    def scaled(kind, left, right, z):
+        value = form_factor(kind, left, right, z)
+        return 1.001 * value if tuple(kind) == (1, 2) else value
+
+    monkeypatch.setattr(ff, "form_factor", scaled)
+    z1, z2 = 0.9 + 0.6j, 0.4 - 0.3j
+    for (tag, kind, L, left, right) in checks._ratio_cases(state_lib):
+        if kind != (1, 2):
+            continue
+        spec = state_lib[L]["spec"]
+        ratio = ff.form_factor(kind, left, right, z1) / ff.form_factor(
+            kind, left, right, z2)
+        oracle = orc.invariant_ratio(kind, z1, z2, left, right, spec, None)
+        assert abs(ratio - oracle) <= 1e-8 * abs(oracle)
+    report = checks.Report("criterion 3, scaled T(1,2)", RNG_SEED)
+    checks._run_check(checks.check_offdiagonal, report, state_lib)
+    failed = {rec["name"] for rec in report.records if not rec["pass"]}
+    assert failed == {"oracle_element_12_L3", "oracle_element_12_L4"}
+    assert min(rec["residual"] for rec in report.records
+               if rec["name"] in failed) > 1e-5
+
+
+def test_criterion_4_norms(state_lib):
     run_criterion(4, state_lib)
 
 
@@ -127,3 +155,26 @@ def test_criterion_8_gaudin(state_lib):
 
 def test_criterion_9_twist_machinery(state_lib):
     run_criterion(9, state_lib)
+
+
+def test_verify_checks_build_no_transfer_matrix(state_lib, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a verify check built a transfer matrix")
+
+    monkeypatch.setattr(orc, "transfer_matrix", forbidden)
+    report = checks.Report("verification", RNG_SEED)
+    for check in checks.VERIFY:
+        checks._run_check(check, report, state_lib)
+    assert report.to_json()["n_failures"] == 0
+
+
+def test_seed_27_passes_both_suites():
+    # seed 27 holds an exact zero of T(1,3) between an L=5 (3,1) state and
+    # a (2,0) state: records relative to that element's value fail there
+    lib = checks.prepare_states(27)
+    for suite in (checks.VERIFY, checks.IDENTITIES):
+        report = checks.Report("seed 27", 27)
+        for check in suite:
+            checks._run_check(check, report, lib)
+        failed = [rec["name"] for rec in report.records if not rec["pass"]]
+        assert report.records and not failed, failed

@@ -327,9 +327,9 @@ def test_check_records_do_not_depend_on_other_checks(lib_seed7, suite):
 PINNED_BUILD = ((3, 11), (2, 4))
 REPORT_SHA256 = {
     "verification":
-        "9d59984f0545bf0b32e31eeecfe823a357bbb1fd7a7270c9879f6ca155ab79d8",
+        "2546117191f8ca526f92dbdf2ac1983967b1960b1e7752e1fc23c72776f67cd6",
     "identities":
-        "8e8627c2d34b9f76884c1afa37b4cc9e46a297c22188d2470734fc4ab472ba58",
+        "138a288811a5f4cde7edd267cd5ab2f9bbfd157bd59679650b0e7ebd813a2e93",
 }
 
 

@@ -203,6 +203,31 @@ def test_twisted_pair_state_passes_on_both_sides(state_lib):
     assert np.linalg.norm(vl @ m - tv * vl) < 1e-10 * scale * np.linalg.norm(vl)
 
 
+def test_eigen_residual_is_relative_to_the_cancelling_terms(state_lib,
+                                                            monkeypatch):
+    spec, model = state_lib[2]["spec"], state_lib[2]["model"]
+    tw = Twist(0.9 + 0.1j, 1.0, 1.2 - 0.2j)
+    st = distinct_states(model, 1, 1, twist=tw, rng_seed=7)[0]
+    w = 0.72 + 0.66j
+    vec = orc.eigenvector_for_state(st, "right", spec)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the eigen-residual built a transfer matrix")
+
+    monkeypatch.setattr(orc, "transfer_matrix", forbidden)
+    assert orc.eigen_residual(st, spec, w) <= 1e-13
+    # an eigenvalue off by 1e-6 relative leaves |tau| 1e-6 |B| in the
+    # numerator, divided by sum_i |kappa_i| |T(i,i)(w) B|
+    tv = tau_twisted(w, st.roots, tw, model)
+    entries = orc.apply_monodromy(w, spec, vec)
+    scale = sum(abs(k) * np.linalg.norm(entries[i, i])
+                for i, k in enumerate(tw.as_tuple()))
+    expect = 1e-6 * abs(tv) * np.linalg.norm(vec) / scale
+    monkeypatch.setattr(orc, "tau_twisted",
+                        lambda *args: (1 + 1e-6) * tau_twisted(*args))
+    assert abs(orc.eigen_residual(st, spec, w) - expect) <= 1e-6 * expect
+
+
 def test_vectors_need_no_transfer_matrix_or_eigendecomposition(state_lib,
                                                                monkeypatch):
     def forbidden(*args, **kwargs):
@@ -308,54 +333,43 @@ def _near_zero_pair(spec):
     return vl, vr
 
 
-def _ratio_or_error(kind, vl, vr, spec):
-    try:
-        return orc.element_ratio(kind, 0.9 + 0.6j, 0.4 - 0.3j, vl, vr, spec)
-    except ZeroDenominator:
-        return None
+def _ratio_or_error(kind, left, right, spec, scale, monkeypatch,
+                    vectors=None):
+    """``invariant_ratio`` with every Bethe vector (or ``vectors``, by side)
+    multiplied by ``scale``; None where the floor raises."""
+    build = orc.eigenvector_for_state
+
+    def vector(state, side, spec_):
+        return scale * (vectors[side] if vectors else build(state, side, spec_))
+
+    with monkeypatch.context() as m:
+        m.setattr(orc, "eigenvector_for_state", vector)
+        try:
+            return orc.invariant_ratio(kind, 0.9 + 0.6j, 0.4 - 0.3j, left,
+                                       right, spec, None)
+        except ZeroDenominator:
+            return None
 
 
 def test_floors_do_not_depend_on_vector_scale(state_lib, monkeypatch):
     spec = state_lib[3]["spec"]
     a, b = state_lib[3]["m10"][0], state_lib[3]["m10"][1]
-    cases = [((1, 1), orc.eigenvector_for_state(a, "left", spec),
-              orc.eigenvector_for_state(b, "right", spec)),
-             ((2, 1), orc.eigenvector_for_state(a, "left", spec),
-              orc.eigenvector_for_state(state_lib[3]["vac"], "right", spec)),
-             ((1, 1),) + _near_zero_pair(spec)]
+    vl, vr = _near_zero_pair(spec)
+    cases = [((1, 1), a, b, None), ((2, 1), a, state_lib[3]["vac"], None),
+             ((1, 1), a, b, {"left": vl, "right": vr})]
     decided = []
-    build = orc.eigenvector_for_state
-    for kind, vl, vr in cases:
-        got = _ratio_or_error(kind, vl, vr, spec)
-        scaled = _ratio_or_error(kind, 1e6 * vl, 1e6 * vr, spec)
+    for kind, left, right, vectors in cases:
+        got = _ratio_or_error(kind, left, right, spec, 1.0, monkeypatch,
+                              vectors)
+        scaled = _ratio_or_error(kind, left, right, spec, 1e6, monkeypatch,
+                                 vectors)
         assert (got is None) == (scaled is None)
         if got is not None:
             assert abs(scaled - got) <= 1e-13 * abs(got)
         decided.append(got is None)
     assert decided == [False, True, True]
 
-    def products(scale, vectors=None):
-        def vector(state, side, spec_):
-            if vectors is not None:
-                return scale * vectors[side]
-            return scale * build(state, side, spec_)
-
-        monkeypatch.setattr(orc, "eigenvector_for_state", vector)
-        try:
-            return orc.invariant_product((1, 1), 0.9 + 0.6j, 0.4 - 0.3j,
-                                         a, a, spec)
-        except ZeroDenominator:
-            return None
-        finally:
-            monkeypatch.undo()
-
-    got, scaled = products(1.0), products(1e6)
-    assert got is not None and abs(scaled - got) <= 1e-13 * abs(got)
-    # unit vectors with <left|right> = 3e-7: a product denominator of 1e-13
-    tilted = np.zeros(spec.dim, dtype=complex)
-    tilted[1], tilted[0] = 1.0, 3e-7
-    near = {"left": tilted, "right": _near_zero_pair(spec)[1]}
-    assert products(1.0, near) is None and products(1e6, near) is None
+    build = orc.eigenvector_for_state
 
     def orthogonality(scale):
         def vector(state, side, spec_):
@@ -395,29 +409,6 @@ def test_invariant_ratio_trivial_and_diag(state_lib, rng):
     assert np.isfinite(val.real) and val != 0
 
 
-def test_invariant_ratio_is_element_ratio_of_its_vectors(state_lib):
-    spec = state_lib[3]["spec"]
-    a, b = state_lib[3]["m10"][0], state_lib[3]["m10"][1]
-    z1, z2 = 0.9 + 0.6j, 0.4 - 0.3j
-    vl = orc.eigenvector_for_state(a, "left", spec)
-    vr = orc.eigenvector_for_state(b, "right", spec)
-    got = orc.invariant_ratio((1, 1), z1, z2, a, b, spec,
-                              np.random.default_rng(11))
-    assert got == orc.element_ratio((1, 1), z1, z2, vl, vr, spec)
-
-
-def test_invariant_product_same_state_reduces(state_lib):
-    spec = state_lib[3]["spec"]
-    st = state_lib[3]["m10"][0]
-    z = 0.9 + 0.6j
-    got = orc.invariant_product((2, 2), z, z, st, st, spec)
-    vl = orc.eigenvector_for_state(st, "left", spec)
-    vr = orc.eigenvector_for_state(st, "right", spec)
-    expect = (complex(vl @ orc.monodromy(z, spec)[1, 1] @ vr)
-              / complex(vl @ vr)) ** 2
-    assert abs(got - expect) <= 1e-10 * abs(expect)
-
-
 def test_zero_denominator_detected(state_lib, rng):
     spec, model = state_lib[2]["spec"], state_lib[2]["model"]
     st = state_lib[2]["m10"][0]
@@ -425,15 +416,6 @@ def test_zero_denominator_detected(state_lib, rng):
     with pytest.raises(ZeroDenominator):
         # annihilation entry on the vacuum is exactly zero
         orc.invariant_ratio((2, 1), 0.9 + 0.6j, 0.4 - 0.3j, st, vac, spec, rng)
-
-
-def test_element_ratio_zero_denominator_from_vectors(state_lib):
-    spec, model = state_lib[2]["spec"], state_lib[2]["model"]
-    st = state_lib[2]["m10"][0]
-    vl = orc.eigenvector_for_state(st, "left", spec)
-    vr = orc.eigenvector_for_state(vacuum_state(model), "right", spec)
-    with pytest.raises(ZeroDenominator):
-        orc.element_ratio((2, 1), 0.9 + 0.6j, 0.4 - 0.3j, vl, vr, spec)
 
 
 def _kron_monodromy(w, spec):
@@ -545,7 +527,7 @@ def test_apply_monodromy_matvec_matches_dense():
     for i in range(1, 4):
         for j in range(1, 4):
             expect = complex(vl @ mono[i - 1, j - 1] @ vr)
-            got = orc._entry_value(i, j, z, vl, vr, spec)
+            got = complex(vl @ orc.apply_monodromy(z, spec, vr)[i - 1, j - 1])
             assert abs(got - expect) <= 1e-12 * np.linalg.norm(vl) * np.linalg.norm(vr)
     with pytest.raises(ValueError):
         orc.apply_monodromy(z, spec, vr[:-1])
@@ -562,7 +544,6 @@ def test_pole_guard_on_every_entry_point(state_lib, rng):
             lambda: orc.monodromy(xi_k, spec),
             lambda: orc.transfer_matrix(xi_k, spec),
             lambda: orc.transfer_matrix(xi_k, spec, Twist.identity(), idx),
-            lambda: orc._entry_value(2, 2, xi_k, vec, vec, spec),
             lambda: orc.invariant_ratio((1, 1), xi_k, 0.9 + 0.6j, a, b, spec, rng),
         ]
         for call in calls:
