@@ -62,11 +62,17 @@ def _as_int(node, what: str) -> int:
     return node
 
 
+def _is_number(node) -> bool:
+    """Whether ``node`` is a JSON number; a boolean is an ``int`` to
+    ``isinstance``, but no number here."""
+    return isinstance(node, (int, float)) and not isinstance(node, bool)
+
+
 def _as_complex(node, what: str) -> complex:
-    if isinstance(node, (int, float)):
+    if _is_number(node):
         return complex(node)
     if (isinstance(node, (list, tuple)) and len(node) == 2
-            and all(isinstance(x, (int, float)) for x in node)):
+            and all(_is_number(x) for x in node)):
         return complex(node[0], node[1])
     raise ConfigError(f"{what}: expected a number or [re, im] pair, got {node!r}")
 
@@ -90,8 +96,11 @@ def model_from_config(cfg: dict, rng_seed: int) -> ModelFunctions:
         if xi_node == "homogeneous":
             xi = (0j,) * L
         elif xi_node == "seeded":
-            xi = seeded_inhomogeneities(
-                L, rng_seed, float(node.get("xi_radius", DEFAULT_XI_RADIUS)))
+            radius = node.get("xi_radius", DEFAULT_XI_RADIUS)
+            if not _is_number(radius):
+                raise ConfigError(
+                    f"model.xi_radius must be a number, got {radius!r}")
+            xi = seeded_inhomogeneities(L, rng_seed, radius)
         else:
             xi = _as_complex_list(xi_node, "model.xi")
             if len(xi) != L:
@@ -167,10 +176,17 @@ def _section(cfg: dict, key: str) -> dict:
 
 
 def _task_tol(args, cfg: dict) -> float:
+    """``--tol``, else the config's ``task.tol``, else 1e-12; a tolerance
+    that is not positive is a config error."""
     if args.tol is not None:
-        return args.tol
-    with _config_values("task.tol"):
-        return float(_section(cfg, "task").get("tol", 1e-12))
+        tol = args.tol
+    else:
+        with _config_values("task.tol"):
+            tol = float(_section(cfg, "task").get("tol", 1e-12))
+    if not tol > 0:
+        raise ConfigError(f"tolerance (--tol or task.tol) must be positive, "
+                          f"got {tol!r}")
+    return tol
 
 
 def cmd_solve(args, cfg: dict, rng_seed: int) -> int:
@@ -305,15 +321,15 @@ def cmd_report(args, cfg: dict, rng_seed: int) -> int:
 
 def cmd_local_op(args, cfg: dict, rng_seed: int) -> int:
     model = model_from_config(cfg, rng_seed)
-    tol = args.tol if args.tol is not None else 1e-12
-    left, right = _state_pair(args, model, tol)
+    left, right = _state_pair(args, model, _task_tol(args, cfg))
     z = _as_complex([args.z_re, args.z_im], "z-eval")
     m_site = args.site
     alpha, beta = args.alpha, args.beta
     if not (1 <= alpha <= 3 and 1 <= beta <= 3):
         raise ConfigError("alpha and beta must be in {1, 2, 3}")
-    if m_site < 1:
-        raise ConfigError("site index must be >= 1")
+    if not 1 <= m_site <= model.sites:
+        raise ConfigError(f"site index must be in [1, {model.sites}], "
+                          f"got {m_site}")
     points = (model.inhomogeneities or ()) + left.u + left.v + right.u + right.v
     hit = collision(z, points, model.c)
     if hit is not None:

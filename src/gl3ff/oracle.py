@@ -3,12 +3,9 @@ inhomogeneous three-colour chain.
 
 The monodromy matrix is never built as operators: ``apply_monodromy``
 applies all nine entries to a stack of vectors one site at a time, at
-O(9 L 3^L) per vector, and the dense entries (for structural checks) are
-that sweep on the identity.  The (twisted) transfer matrix is built one
-weight sector at a time by the same sweep on the rows that the sector's
-basis vectors can reach: the R-matrix keeps the colour counts of the
-auxiliary and site colours together, so a column of the L=5 sector with
-counts (2, 2, 1) keeps 210 of the dense sweep's 9 3^L = 2,187 rows.
+O(9 L 3^L) per vector.  The dense entries (for structural checks) are that
+sweep on the identity, and the (twisted) transfer matrix is the
+twist-weighted sum of its diagonal entries on the basis columns it needs.
 
 A state's vectors are its Bethe vectors, built by the same sweep from the
 explicit formulas (Belliard-Pakuliak-Ragoucy-Slavnov, "Bethe vectors of
@@ -95,9 +92,7 @@ def apply_monodromy(w: complex, spec: SpinChainSpec,
     starts as ``delta_ij`` times ``vecs``; site k (site 1 is the leftmost
     tensor factor, site L is applied last) adds ``g(w, xi_k)`` times the
     tensor with the auxiliary row index exchanged with the site index.
-    Cost O(9 L 3^L k) instead of the O(L 9^L) of the dense operators; most
-    of the 9 3^L entries of a column whose vector lies in one weight sector
-    are structural zeros, which ``transfer_matrix`` leaves out.  The
+    Cost O(9 L 3^L k) instead of the O(L 9^L) of the dense operators.  The
     pseudovacuum (all sites in colour 1) then carries the eigenvalue pattern
     (prod_k f(w, xi_k), 1, 1) on the diagonal entries.
     """
@@ -134,115 +129,36 @@ def monodromy(w: complex, spec: SpinChainSpec) -> np.ndarray:
 def transfer_matrix(w: complex, spec: SpinChainSpec,
                     twist: Twist = Twist.identity(),
                     sector: Optional[np.ndarray] = None) -> np.ndarray:
-    """Twist-weighted trace of the monodromy matrix over the auxiliary space.
+    """Twist-weighted trace sum_i kappa_i T(i,i)(w) of the monodromy matrix
+    over the auxiliary space, by ``apply_monodromy`` on the basis columns.
 
-    With ``sector`` (basis indices of one weight sector, as from
-    ``weight_sector_indices``) only the block on those indices is returned;
-    the transfer matrix preserves every weight sector, so the block equals
-    the restricted full matrix.  Indices of more than one weight sector, or
-    none at all, raise ValueError.  Without ``sector`` the full matrix is
-    assembled from the blocks of every weight sector.
-
-    A block is ``apply_monodromy``'s sweep restricted to the rows that can be
-    nonzero.  Each site step exchanges the auxiliary colour with a site
-    colour, so auxiliary column ``j`` of a sector basis vector stays on the
-    (i, s_1..s_L) whose colour counts are the sector's plus one colour
-    ``j``.  The three classes (``_class_rows``) are all the rows a column
-    keeps (210 of 2,187 for the L=5 sector (2, 2, 1)), and each site step
-    is one gather of them.  The arithmetic is the dense sweep's on the rows
-    it keeps.
+    With ``sector`` (basis indices, as from ``weight_sector_indices``) only
+    the principal block on those indices is returned, in their order; the
+    transfer matrix preserves every weight sector, so the block of a whole
+    sector is its restriction.  Indices that are not a 1-D list in
+    [0, 3^L) raise ValueError.
     """
-    if collision(w, spec.xi, spec.c) is not None:
-        raise PoleError(f"probe point {w} collides with an inhomogeneity")
+    if sector is None:
+        idx = np.arange(spec.dim)
+    else:
+        idx = np.asarray(sector, dtype=int)
+        if idx.ndim != 1 or (idx < 0).any() or (idx >= spec.dim).any():
+            raise ValueError(
+                f"need a 1-D list of basis indices in [0, {spec.dim})")
+    cols = np.zeros((spec.dim, len(idx)), dtype=complex)
+    cols[idx, np.arange(len(idx))] = 1.0
+    entries = apply_monodromy(w, spec, cols)
     kappas = twist.as_tuple()
-    if sector is not None:
-        return _sector_block(w, spec, kappas, _one_sector(spec.L, sector))
-    full = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for n1 in range(spec.L + 1):
-        for n2 in range(spec.L + 1 - n1):
-            idx = weight_sector_indices(spec.L, (n1, n2, spec.L - n1 - n2))
-            full[np.ix_(idx, idx)] = _sector_block(w, spec, kappas, idx)
-    return full
-
-
-def _one_sector(L: int, sector) -> np.ndarray:
-    """``sector`` as an index array, checked to hold basis indices of one
-    weight sector and at least one of them."""
-    idx = np.asarray(sector, dtype=int)
-    if idx.ndim != 1 or len(idx) == 0:
-        raise ValueError(f"need a nonempty index list, got shape {idx.shape}")
-    if idx.min() < 0 or idx.max() >= 3 ** L:
-        raise ValueError(f"basis indices must lie in [0, {3 ** L})")
-    occ = _occupations(L)[idx]
-    if (occ != occ[0]).any():
-        raise ValueError("sector indices span more than one weight sector")
-    return idx
-
-
-def _sector_block(w: complex, spec: SpinChainSpec, kappas: tuple,
-                  idx: np.ndarray) -> np.ndarray:
-    """The transfer-matrix block on ``idx`` (basis indices of one weight
-    sector), by the class sweep."""
-    counts = tuple(int(n) for n in _occupations(spec.L)[idx[0]])
-    where, swaps = _class_rows(spec.L, counts)
-    start = where[:, idx]
-    cols = np.arange(len(idx))
-    x = np.zeros((swaps.shape[1], len(idx)), dtype=complex)
-    for j in range(3):
-        x[start[j], cols] = 1.0
-    for xi_k, swap in zip(spec.xi, swaps):
-        x = x + g(w, xi_k, spec.c) * x[swap]
-    return sum(kappas[i] * x[start[i]] for i in range(3))
-
-
-@lru_cache(maxsize=64)
-def _class_rows(L: int, counts: tuple) -> tuple:
-    """Read-only tables of the class sweep for the weight sector with
-    colour ``counts``: ``(where, swaps)``.
-
-    Class j holds the pairs (auxiliary colour i, basis state s) whose
-    colour counts together are ``counts`` plus one colour j; the three
-    classes are stacked into one row list.  ``where[i, s]`` (shape
-    (3, 3^L)) is the row of the pair (i, s), -1 outside the classes; for a
-    basis state s of the sector it is both the row where auxiliary column i
-    starts and the row of the diagonal entry T(i,i).  ``swaps[k]`` (shape
-    (L, rows)) is the row that exchanging the auxiliary colour with site
-    k+1's colour brings to each row, the gather of one site step.
-    """
-    dim = 3 ** L
-    eye = np.eye(3, dtype=int)
-    pair_counts = _occupations(L)[None] + eye[:, None]
-    rows = np.concatenate([
-        np.flatnonzero((pair_counts == np.add(counts, eye[j])).all(axis=-1))
-        for j in range(3)])
-    where = np.full(3 * dim, -1)
-    where[rows] = np.arange(len(rows))
-    aux, state = np.divmod(rows, dim)
-    site_colour = _digits(L)[state].T
-    place = 3 ** np.arange(L - 1, -1, -1)[:, None]
-    swaps = where[site_colour * dim + state + (aux - site_colour) * place]
-    where = where.reshape(3, dim)
-    for arr in (where, swaps):
-        arr.setflags(write=False)
-    return where, swaps
-
-
-@lru_cache(maxsize=64)
-def _digits(L: int) -> np.ndarray:
-    """Read-only base-3 digits of every basis index, shape (3^L, L): the
-    colours (0, 1, 2) of sites 1..L, site 1 the most significant digit as
-    in ``apply_monodromy``'s ``(3,) * L`` reshape."""
-    place = 3 ** np.arange(L - 1, -1, -1)
-    out = np.arange(3 ** L)[:, None] // place % 3
-    out.setflags(write=False)
-    return out
+    return sum(kappas[i] * entries[i, i, idx] for i in range(3))
 
 
 @lru_cache(maxsize=64)
 def _occupations(L: int) -> np.ndarray:
     """Read-only colour occupation counts (n1, n2, n3) of every basis
-    state."""
-    out = (_digits(L)[:, :, None] == np.arange(3)).sum(axis=1)
+    state; the colours of sites 1..L are its base-3 digits, site 1 the most
+    significant as in ``apply_monodromy``'s ``(3,) * L`` reshape."""
+    digits = np.arange(3 ** L)[:, None] // 3 ** np.arange(L - 1, -1, -1) % 3
+    out = (digits[:, :, None] == np.arange(3)).sum(axis=1)
     out.setflags(write=False)
     return out
 
@@ -254,14 +170,6 @@ def weight_sector_indices(L: int, counts: Sequence[int]) -> np.ndarray:
         raise ValueError(f"invalid occupation counts {counts} for L={L}")
     occ = _occupations(L)
     return np.nonzero((occ == np.array(counts)).all(axis=1))[0]
-
-
-def state_sector(spec: SpinChainSpec, a: int, b: int) -> np.ndarray:
-    """Sector indices of a state with a u-roots and b v-roots:
-    occupation counts (L - a, a - b, b)."""
-    if not 0 <= b <= a <= spec.L:
-        raise ValueError(f"sector (a={a}, b={b}) not realizable on L={spec.L}")
-    return weight_sector_indices(spec.L, (spec.L - a, a - b, b))
 
 
 def probe_points(rng: np.random.Generator, n: int, avoid: Sequence[complex],

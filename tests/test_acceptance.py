@@ -15,6 +15,7 @@ realizable form of that sector.
 import time
 
 import numpy as np
+import pytest
 
 import gl3ff.formfactor as ff
 import gl3ff.oracle as orc
@@ -157,13 +158,15 @@ def test_criterion_9_twist_machinery(state_lib):
     run_criterion(9, state_lib)
 
 
-def test_verify_checks_build_no_transfer_matrix(state_lib, monkeypatch):
+@pytest.mark.parametrize("suite", [checks.VERIFY, checks.IDENTITIES],
+                         ids=["verify", "identities"])
+def test_suite_checks_build_no_transfer_matrix(state_lib, monkeypatch, suite):
     def forbidden(*args, **kwargs):
-        raise AssertionError("a verify check built a transfer matrix")
+        raise AssertionError("a report check built a transfer matrix")
 
     monkeypatch.setattr(orc, "transfer_matrix", forbidden)
-    report = checks.Report("verification", RNG_SEED)
-    for check in checks.VERIFY:
+    report = checks.Report("suite", RNG_SEED)
+    for check in suite:
         checks._run_check(check, report, state_lib)
     assert report.to_json()["n_failures"] == 0
 

@@ -81,13 +81,18 @@ def test_solve_negative_sector_exits_3(tmp_path):
     ({}, {"b": False}, {}),
     ({}, {"n_seeds": 12.5}, {}),
     ({}, {"mode_numbers": [0.5]}, {}),
+    ({"c": True}, {}, {}),
+    ({"c": [True, 0]}, {}, {}),
+    ({"xi": "seeded", "xi_radius": True}, {}, {}),
 ], ids=["L0", "zero_twist", "n_seeds_x", "n_seeds_0", "xi_radius_big",
         "mode_numbers_length", "negative_tol", "c0", "L_float", "a_float",
-        "b_false", "n_seeds_float", "mode_numbers_float"])
+        "b_false", "n_seeds_float", "mode_numbers_float", "c_true",
+        "c_true_pair", "xi_radius_true"])
 def test_solve_malformed_config_exits_3(tmp_path, model, sector, task):
     # values that the library's constructors and argument checks reject are
     # config errors, not tracebacks, "no states" or a spurious solution; so
-    # are integers given as floats or booleans, which int() would truncate
+    # are integers given as floats or booleans, which int() would truncate,
+    # and booleans given as numbers, which complex() and float() would take
     cfg = write_cfg(tmp_path, "cfg.json", {
         "model": {"L": 2, "xi": "homogeneous", **model},
         "sector": {"a": 1, "b": 0, **sector},
@@ -384,6 +389,49 @@ def test_identities_tightened_tolerance_fails(tmp_path, lib_seed7):
     assert run(["identities", "--seed", 7, "--out", out, "--tol", "1e-18"]) == 1
     blob = json.loads(out.read_text())
     assert blob["n_failures"] > 0
+
+
+@pytest.mark.parametrize("tol", [-1, 0])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["ff", "local-op"])
+def test_nonpositive_tolerance_exits_3(tmp_path, command, source, tol):
+    cfg = {
+        "model": {"L": 2, "xi": [[0.05, 0.0], [-0.03, 0.0]]},
+        "sector": {"a": 0, "b": 0},
+        "task": {"kinds": [[2, 2]], "z_points": [[0.6, 0.4]]},
+    }
+    roots = tmp_path / "vac.json"
+    assert run(["solve", "--config", write_cfg(tmp_path, "cfg.json", cfg),
+                "--out", roots]) == 0
+    if source == "flag":
+        flags = ["--tol", tol]
+    else:
+        flags = []
+        cfg["task"]["tol"] = tol
+    args = [command, "--config", write_cfg(tmp_path, "tol.json", cfg),
+            "--left", roots, "--right", roots, *flags]
+    if command == "local-op":
+        args += ["--site", 1, "--alpha", 2, "--beta", 2, "--z-re", 0.4]
+    assert run(args) == 3
+
+
+def test_local_op_site_outside_chain_exits_3(tmp_path):
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "model": {"L": 3, "c": [1.0, 0.0],
+                  "xi": [[0.08, 0.01], [-0.05, 0.03], [0.02, -0.07]]},
+        "sector": {"a": 0, "b": 0},
+    })
+    roots = tmp_path / "vac.json"
+    assert run(["solve", "--config", cfg, "--out", roots]) == 0
+
+    def local_op(site):
+        return run(["local-op", "--config", cfg, "--left", roots,
+                    "--right", roots, "--site", site, "--alpha", 1,
+                    "--beta", 1, "--z-re", 0.4, "--out", tmp_path / "op.json"])
+
+    assert local_op(3) == 0
+    for site in (0, 4, 9):
+        assert local_op(site) == 3
 
 
 def test_local_op_structure(tmp_path):

@@ -142,7 +142,7 @@ def test_sector_indices():
     with pytest.raises(ValueError):
         orc.weight_sector_indices(2, (2, 1, 0))
     with pytest.raises(ValueError):
-        orc.state_sector(orc.SpinChainSpec(2, (0.1, -0.1), 1.0), 1, 2)
+        orc.weight_sector_indices(2, (1, -1, 2))  # a=1 u-root, b=2 v-roots
 
 
 def test_eigenvector_vacuum(chain2):
@@ -465,55 +465,51 @@ def _chain(L):
     return orc.SpinChainSpec(L=L, xi=xi, c=0.9 + 0.3j)
 
 
-def _dense_block(w, spec, tw, idx):
-    """The sector block as the kappa-weighted diagonal of the dense sweep
-    applied to the sector's basis columns."""
-    cols = np.zeros((spec.dim, len(idx)), dtype=complex)
-    cols[idx, np.arange(len(idx))] = 1.0
-    blocks = orc.apply_monodromy(w, spec, cols)[:, :, idx]
-    kappas = tw.as_tuple()
-    return sum(kappas[i] * blocks[i, i] for i in range(3))
+def _assert_principal_block(block, full, idx):
+    # numpy runs the sweep's elementwise steps in other loops for other
+    # column counts, which can move the last bit
+    ref = full[np.ix_(idx, idx)]
+    assert block.shape == ref.shape
+    assert np.max(np.abs(block - ref), initial=0) <= 1e-14 * np.max(np.abs(full))
 
 
 def test_sector_transfer_matrix_is_restricted_block():
     tw = Twist(0.8 + 0.2j, 1.0, 1.3 - 0.1j)
+    kappas = tw.as_tuple()
     w = 0.57 + 0.38j
     for L in range(1, orc.MAX_SITES + 1):
         spec = _chain(L)
         full = orc.transfer_matrix(w, spec, tw)
+        if L <= 4:
+            # the kappa-weighted trace of the Kronecker-product reference
+            ref = _kron_monodromy(w, spec)
+            trace = sum(kappas[i] * ref[i, i] for i in range(3))
+            assert np.max(np.abs(full - trace)) <= 1e-13 * np.max(np.abs(trace))
         for n1 in range(L + 1):
             for n2 in range(L + 1 - n1):
                 idx = orc.weight_sector_indices(L, (n1, n2, L - n1 - n2))
-                sec = orc.transfer_matrix(w, spec, tw, idx)
-                ref = _dense_block(w, spec, tw, idx)
-                if L <= 5:
-                    # the class sweep does the dense sweep's arithmetic on
-                    # the rows it keeps
-                    assert np.array_equal(sec, ref)
-                else:
-                    # at L=6 numpy multiplies the dense sweep's large
-                    # strided swap in another loop, which moves low bits
-                    assert np.max(np.abs(sec - ref)) <= 1e-12 * np.max(np.abs(ref))
-                assert np.array_equal(full[np.ix_(idx, idx)], sec)
+                _assert_principal_block(
+                    orc.transfer_matrix(w, spec, tw, idx), full, idx)
         # a subset of one sector, in any order, gives the restricted block
         sub = orc.weight_sector_indices(L, (L - 1, 1, 0))[::-1][:max(1, L - 1)]
-        assert np.array_equal(orc.transfer_matrix(w, spec, tw, sub),
-                              full[np.ix_(sub, sub)])
+        _assert_principal_block(orc.transfer_matrix(w, spec, tw, sub), full, sub)
 
 
-def test_sector_transfer_matrix_needs_one_weight_sector():
+def test_sector_transfer_matrix_guards_its_indices():
     spec = _chain(3)
     w = 0.57 + 0.38j
-    one = orc.weight_sector_indices(3, (2, 1, 0))
-    other = orc.weight_sector_indices(3, (1, 1, 1))
-    for bad in ([], np.array([], dtype=int), np.concatenate([one, other[:1]]),
-                [0, 1], [spec.dim], [-1]):
+    # an index that is no 1-D list, or that a -1 would wrap around, raises
+    for bad in (0, [[0, 1], [3, 9]], [-1], [0, -1], [spec.dim], [1, 40]):
         with pytest.raises(ValueError):
             orc.transfer_matrix(w, spec, Twist.identity(), bad)
-    where, swaps = orc._class_rows(3, (2, 1, 0))
-    for table in (where, swaps, orc._digits(3), orc._occupations(3)):
-        with pytest.raises(ValueError):
-            table[0] = 0
+    # indices of two weight sectors give the principal block all the same
+    idx = np.concatenate([orc.weight_sector_indices(3, (2, 1, 0)),
+                          orc.weight_sector_indices(3, (1, 1, 1))[:2]])
+    full = orc.transfer_matrix(w, spec)
+    _assert_principal_block(orc.transfer_matrix(w, spec, Twist.identity(), idx),
+                            full, idx)
+    with pytest.raises(ValueError):
+        orc._occupations(3)[0] = 0
 
 
 def test_apply_monodromy_matvec_matches_dense():
@@ -537,7 +533,7 @@ def test_pole_guard_on_every_entry_point(state_lib, rng):
     spec = state_lib[3]["spec"]
     a, b = state_lib[3]["m10"][0], state_lib[3]["m10"][1]
     vec = np.ones(spec.dim, dtype=complex)
-    idx = orc.state_sector(spec, 1, 0)
+    idx = orc.weight_sector_indices(spec.L, (spec.L - 1, 1, 0))
     for xi_k in spec.xi:
         calls = [
             lambda: orc.apply_monodromy(xi_k, spec, vec),

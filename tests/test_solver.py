@@ -55,7 +55,7 @@ def test_solved_tau_is_oracle_eigenvalue(state_lib):
     import gl3ff.oracle as orc
     spec, model = state_lib[3]["spec"], state_lib[3]["model"]
     st = state_lib[3]["m21"][0]
-    idx = orc.state_sector(spec, 2, 1)
+    idx = orc.weight_sector_indices(spec.L, (spec.L - 2, 1, 1))
     for w in (0.83 + 0.62j, -1.1 - 0.4j):
         eigs = np.linalg.eigvals(orc.transfer_matrix(w, spec)[np.ix_(idx, idx)])
         tv = tau(w, st.roots, model)
