@@ -4,7 +4,7 @@ brute-force validation oracle."""
 from .errors import (CollisionError, ConfigError, DegeneracyWarning,
                      DegenerateEigenvalue, Gl3Error, JacobianSingular,
                      NoConvergence, NonFiniteResult, PathCollision, PoleError,
-                     SectorMismatch, ZeroArgError, ZeroDenominator, ZeroTau)
+                     SectorMismatch, ZeroArgError, ZeroDenominator)
 from .model import (BetheState, ModelFunctions, RootConfig, Twist,
                     bethe_defect, dtau_dkappa, gaudin_matrix, mirror_model,
                     phi_log, tau, tau_twisted, xxx_chain)

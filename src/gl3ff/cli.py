@@ -1,8 +1,7 @@
 """Command-line surface: solve Bethe systems, tabulate matrix elements over a
-probe grid, run the verification and identity suites, and evaluate the
-local-operator ratio formula.
+probe grid, and run the verification and identity suites.
 
-This module parses configs, serializes results and runs the five commands.
+This module parses configs, serializes results and runs the four commands.
 The checks behind ``verify`` and ``identities`` live in ``gl3ff.checks``,
 which the acceptance tests run as well.
 
@@ -10,7 +9,8 @@ Configs and reports are JSON; tables are CSV or JSON.  Complex numbers are
 serialized as [re, im] pairs.  A fixed rng seed makes every output
 byte-reproducible.
 
-Exit codes: 0 pass, 1 check failure, 2 numerical failure, 3 config error.
+Exit codes: 0 pass, 1 check failure, 2 numerical failure, 3 config error
+(a malformed command line included).
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from .checks import (DEFAULT_SEED, DEFAULT_XI_RADIUS,
                      build_identities_report, build_verify_report, pair,
                      seeded_inhomogeneities, state_to_json, vacuum)
 from .errors import (ConfigError, Gl3Error, NoConvergence, NonFiniteResult,
-                     PoleError, SectorMismatch, ZeroTau)
-from .kernel import collision
+                     PoleError, SectorMismatch)
 from .model import (BetheState, ModelFunctions, RootConfig, Twist,
-                    bethe_defect, tau, xxx_chain)
+                    bethe_defect, xxx_chain)
 from .solver import SolveRequest, distinct_states, solve_bethe
 from . import formfactor as ff
 # unused here, but bound for the benchmark, which looks them up in this module
@@ -251,19 +250,15 @@ def _load_state_file(path: str, model: ModelFunctions, tol: float,
     return state_from_json(states[index], model, max(1e-8, 100 * tol))
 
 
-def _state_pair(args, model: ModelFunctions, tol: float) -> tuple:
-    """The (left, right) states that ``--left``/``--right`` name."""
-    return (_load_state_file(args.left, model, tol, args.left_index),
-            _load_state_file(args.right, model, tol, args.right_index))
-
-
 def cmd_ff(args, cfg: dict, rng_seed: int) -> int:
     model = model_from_config(cfg, rng_seed)
     task = _section(cfg, "task")
     fmt = args.format or _section(cfg, "output").get("format", "csv")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"output.format must be 'json' or 'csv', got {fmt!r}")
-    left, right = _state_pair(args, model, _task_tol(args, cfg))
+    tol = _task_tol(args, cfg)
+    left = _load_state_file(args.left, model, tol, args.left_index)
+    right = _load_state_file(args.right, model, tol, args.right_index)
     try:
         kinds = [(_as_int(i, "task.kinds"), _as_int(j, "task.kinds"))
                  for i, j in task.get("kinds")]
@@ -301,14 +296,16 @@ def cmd_ff(args, cfg: dict, rng_seed: int) -> int:
 
 
 def cmd_report(args, cfg: dict, rng_seed: int) -> int:
-    """Write the report that ``args.build`` makes; exit 1 if a record fails."""
+    """Write the report that ``args.build`` makes; exit 1 if a record fails.
+    Only ``--tol`` overrides the checks' tolerances, not ``task.tol``."""
+    tol = None if args.tol is None else _task_tol(args, cfg)
     payload = args.build(rng_seed).to_json()
-    if args.tol is not None:
+    if tol is not None:
         # uniform tolerance override: re-evaluate pass flags
         for rec in payload["records"]:
             if "residual" in rec:
-                rec["tolerance"] = args.tol
-                rec["pass"] = rec["residual"] <= args.tol
+                rec["tolerance"] = tol
+                rec["pass"] = rec["residual"] <= tol
         payload["n_failures"] = sum(not r["pass"] for r in payload["records"])
     _write_output(payload, args.out, "json")
     for rec in payload["records"]:
@@ -317,44 +314,6 @@ def cmd_report(args, cfg: dict, rng_seed: int) -> int:
                  if "residual" in rec else rec.get("error", ""))
         print(f"[{status}] {rec['name']}: {extra}", file=sys.stderr)
     return 0 if payload["n_failures"] == 0 else 1
-
-
-def cmd_local_op(args, cfg: dict, rng_seed: int) -> int:
-    model = model_from_config(cfg, rng_seed)
-    left, right = _state_pair(args, model, _task_tol(args, cfg))
-    z = _as_complex([args.z_re, args.z_im], "z-eval")
-    m_site = args.site
-    alpha, beta = args.alpha, args.beta
-    if not (1 <= alpha <= 3 and 1 <= beta <= 3):
-        raise ConfigError("alpha and beta must be in {1, 2, 3}")
-    if not 1 <= m_site <= model.sites:
-        raise ConfigError(f"site index must be in [1, {model.sites}], "
-                          f"got {m_site}")
-    points = (model.inhomogeneities or ()) + left.u + left.v + right.u + right.v
-    hit = collision(z, points, model.c)
-    if hit is not None:
-        raise PoleError(f"evaluation point {z} collides with {points[hit[1]]}")
-    tau_left = tau(z, left.roots, model)
-    tau_right = tau(z, right.roots, model)
-    if abs(tau_right) <= 1e-12 or abs(tau_left) <= 1e-12:
-        raise ZeroTau("transfer-matrix eigenvalue vanishes at the evaluation point")
-    entry = ff.form_factor((beta, alpha), left, right, z)
-    value = tau_left ** (m_site - 1) / tau_right ** m_site * entry
-    payload = {
-        "site": m_site,
-        "alpha": alpha,
-        "beta": beta,
-        "z_eval": pair(z),
-        "tau_left": pair(tau_left),
-        "tau_right": pair(tau_right),
-        "entry_value": pair(entry),
-        "local_operator_element": pair(value),
-        "caveat": ("ratio formula evaluated verbatim; for inhomogeneous chains "
-                   "no claim is made that this reproduces lattice operators away "
-                   "from the homogeneous evaluation point"),
-    }
-    _write_output(payload, args.out, "json")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -376,37 +335,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, **defaults)
         return p
 
-    def state_files(p):
-        p.add_argument("--left", required=True, help="left-state roots file")
-        p.add_argument("--right", required=True, help="right-state roots file")
-        p.add_argument("--left-index", type=int, default=0)
-        p.add_argument("--right-index", type=int, default=0)
-
     command("solve", "find on-shell root configurations", cmd_solve)
 
     p = command("ff", "tabulate matrix elements over a z-grid", cmd_ff)
     p.add_argument("--format", choices=("json", "csv"), default=None,
                    help="table format (default: config output.format, else csv)")
-    state_files(p)
+    p.add_argument("--left", required=True, help="left-state roots file")
+    p.add_argument("--right", required=True, help="right-state roots file")
+    p.add_argument("--left-index", type=int, default=0)
+    p.add_argument("--right-index", type=int, default=0)
 
     command("verify", "run the oracle verification suite", cmd_report,
             build=build_verify_report)
     command("identities", "run the algebraic identity suite", cmd_report,
             build=build_identities_report)
-
-    p = command("local-op", "evaluate the local-operator ratio formula",
-                cmd_local_op)
-    state_files(p)
-    p.add_argument("--site", type=int, required=True)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--z-re", type=float, required=True)
-    p.add_argument("--z-im", type=float, default=0.0)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a malformed command line, which here is a
+        # config error (2 is a numerical failure); --help exits 0
+        if exc.code == 2:
+            return 3
+        raise
     try:
         cfg = load_config(args.config)
         rng_seed = (args.seed if args.seed is not None

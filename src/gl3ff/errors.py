@@ -44,10 +44,6 @@ class ZeroDenominator(Gl3Error):
     """An invariant comparator hit a vanishing denominator."""
 
 
-class ZeroTau(Gl3Error):
-    """Transfer-matrix eigenvalue vanished where a nonzero value is required."""
-
-
 class NonFiniteResult(Gl3Error):
     """A matrix element or norm overflowed to a non-finite value."""
 

@@ -268,18 +268,18 @@ def _newton(model: ModelFunctions, a: int, b: int, twist: Twist,
 
     A run ends in one of five ways:
 
-    - converged: the residual is at most ``tol`` with every root inside the
-      escape radius ``r_max`` around the centroid of the inhomogeneities;
-    - stalled: no step halving inside the disk of radius ``3 r_max`` lowers
-      the residual (see ``_line_search``);
+    - converged: the residual is at most ``tol``;
+    - stalled: no step halving inside the disk of radius ``3 r_max`` around
+      the centroid of the inhomogeneities lowers the residual (see
+      ``_line_search``), so every iterate stays in that disk;
     - creeping: ``_CREEP_STEPS`` accepted steps in a row each lower the
       residual by less than 0.1 % (``_CREEP_RATIO``);
-    - escaped: roots converge beyond ``r_max``.  The residual also vanishes
-      as roots run off to infinity (descendant towers), which is not a
-      finite-root solution.  On a chain (``model.sites`` set) at the
-      identity twist the first accepted iterate beyond ``r_max`` ends the
-      run, because such runs never come back; twisted runs and models
-      without ``sites`` may, so they search the whole ``3 r_max`` disk;
+    - escaped: on a chain (``model.sites`` set) at the identity twist, an
+      accepted iterate lies beyond the escape radius ``r_max``.  The
+      residual also vanishes as roots run off to infinity (descendant
+      towers), which is not a finite-root solution, and such runs never
+      come back.  Twisted runs and models without ``sites`` may, so they
+      search the whole ``3 r_max`` disk and converge anywhere in it;
     - singular: below residual ``_LINEAR_BELOW`` an accepted step that does
       not cut the residual to a quarter (``_LINEAR_RATIO``) shows linear
       convergence to a singular limit.
@@ -307,16 +307,13 @@ def _newton(model: ModelFunctions, a: int, b: int, twist: Twist,
     run.end(outcome, errors)
     done = 0
     for it in range(_MAX_ITER + 1):
-        far = np.max(np.abs(run.x - centroid), axis=1) > r_max
         ending: list = [None] * len(run.seed)
         for i in np.flatnonzero(run.err <= tol).tolist():
-            ending[i] = (NoConvergence("roots escaped towards infinity")
-                         if far[i] else
-                         (run.x[i], tuple(run.used[i].tolist()),
-                          float(run.err[i])))
+            ending[i] = (run.x[i], tuple(run.used[i].tolist()),
+                         float(run.err[i]))
         if it == _MAX_ITER:
             for i, result in enumerate(ending):
-                if result is None or far[i]:
+                if result is None:
                     ending[i] = NoConvergence(f"residual {run.err[i]:.3e} "
                                               f"after {_MAX_ITER} iterations")
         run.end(outcome, ending)

@@ -1,6 +1,9 @@
+import argparse
 import csv
 import hashlib
 import json
+import pathlib
+import re
 import sys
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 import gl3ff.checks as checks
 import gl3ff.cli as cli
 import gl3ff.formfactor as ff
-from gl3ff.model import tau, xxx_chain
+from gl3ff.model import xxx_chain
 
 
 def run(args):
@@ -276,8 +279,7 @@ def test_ff_unknown_output_format_exits_3(tmp_path):
 def test_format_is_a_flag_of_ff_only(capsys):
     # only ff writes a table; the other commands write JSON and take no --format
     for command in ("solve", "verify", "identities"):
-        with pytest.raises(SystemExit):
-            run([command, "--format", "csv"])
+        assert run([command, "--format", "csv"]) == 3
     assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
@@ -392,9 +394,16 @@ def test_identities_tightened_tolerance_fails(tmp_path, lib_seed7):
 
 
 @pytest.mark.parametrize("tol", [-1, 0])
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("command", ["ff", "local-op"])
-def test_nonpositive_tolerance_exits_3(tmp_path, command, source, tol):
+@pytest.mark.parametrize("command, source", [
+    ("ff", "flag"), ("ff", "config"), ("verify", "flag"),
+    ("identities", "flag")])
+def test_nonpositive_tolerance_exits_3(tmp_path, capsys, command, source,
+                                       tol):
+    if command != "ff":
+        # a report's --tol would re-evaluate every record against it
+        assert run([command, "--tol", tol]) == 3
+        assert "tolerance" in capsys.readouterr().err
+        return
     cfg = {
         "model": {"L": 2, "xi": [[0.05, 0.0], [-0.03, 0.0]]},
         "sector": {"a": 0, "b": 0},
@@ -408,78 +417,43 @@ def test_nonpositive_tolerance_exits_3(tmp_path, command, source, tol):
     else:
         flags = []
         cfg["task"]["tol"] = tol
-    args = [command, "--config", write_cfg(tmp_path, "tol.json", cfg),
-            "--left", roots, "--right", roots, *flags]
-    if command == "local-op":
-        args += ["--site", 1, "--alpha", 2, "--beta", 2, "--z-re", 0.4]
+    assert run(["ff", "--config", write_cfg(tmp_path, "tol.json", cfg),
+                "--left", roots, "--right", roots, *flags]) == 3
+
+
+@pytest.mark.parametrize("args, message", [
+    (["verify", "--seed", "abc"], "invalid int value: 'abc'"),
+    (["verify", "--tol", "abc"], "invalid float value: 'abc'"),
+    (["ff", "--right", "roots.json"], "the following arguments are required: "
+                                      "--left"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+    # the deleted, never verified local-operator ratio formula
+    (["local-op", "--left", "roots.json", "--right", "roots.json", "--site",
+      "1", "--alpha", "1", "--beta", "1", "--z-re", "0.4"],
+     "invalid choice: 'local-op'"),
+], ids=["seed", "tol", "ff_without_left", "subcommand", "flag", "local_op"])
+def test_malformed_command_line_exits_3(capsys, args, message):
+    # argparse would exit 2, the code of a numerical failure
     assert run(args) == 3
+    assert message in capsys.readouterr().err
 
 
-def test_local_op_site_outside_chain_exits_3(tmp_path):
-    cfg = write_cfg(tmp_path, "cfg.json", {
-        "model": {"L": 3, "c": [1.0, 0.0],
-                  "xi": [[0.08, 0.01], [-0.05, 0.03], [0.02, -0.07]]},
-        "sector": {"a": 0, "b": 0},
-    })
-    roots = tmp_path / "vac.json"
-    assert run(["solve", "--config", cfg, "--out", roots]) == 0
-
-    def local_op(site):
-        return run(["local-op", "--config", cfg, "--left", roots,
-                    "--right", roots, "--site", site, "--alpha", 1,
-                    "--beta", 1, "--z-re", 0.4, "--out", tmp_path / "op.json"])
-
-    assert local_op(3) == 0
-    for site in (0, 4, 9):
-        assert local_op(site) == 3
+@pytest.mark.parametrize("args", [["--help"], ["ff", "--help"]],
+                         ids=["gl3ff", "ff"])
+def test_help_exits_0(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 0
+    assert "usage: gl3ff" in capsys.readouterr().out
 
 
-def test_local_op_structure(tmp_path):
-    xi = [[0.08, 0.01], [-0.05, 0.03]]
-    cfg = write_cfg(tmp_path, "cfg.json", {
-        "model": {"L": 2, "c": [1.0, 0.0], "xi": xi},
-        "sector": {"a": 0, "b": 0},
-    })
-    roots = tmp_path / "vac.json"
-    assert run(["solve", "--config", cfg, "--out", roots]) == 0
-    out = tmp_path / "op.json"
-    assert run(["local-op", "--config", cfg, "--left", roots, "--right", roots,
-                "--site", 1, "--alpha", 2, "--beta", 2,
-                "--z-re", 0.4, "--z-im", 0.2, "--out", out]) == 0
-    blob = json.loads(out.read_text())
-    model = xxx_chain(2, tuple(complex(*p) for p in xi), 1.0)
-    from gl3ff.model import RootConfig
-    z = 0.4 + 0.2j
-    tz = tau(z, RootConfig((), ()), model)
-    got = complex(*blob["local_operator_element"])
-    expect = 1.0 / tz  # F(2,2) = 1 on the vacuum, site 1
-    assert abs(got - expect) < 1e-12 * abs(expect)
-    assert "caveat" in blob
-
-
-def test_local_op_pole_homogeneous(tmp_path):
-    cfg = write_cfg(tmp_path, "cfg.json", {
-        "model": {"L": 2, "xi": "homogeneous"},
-        "sector": {"a": 0, "b": 0},
-    })
-    roots = tmp_path / "vac.json"
-    assert run(["solve", "--config", cfg, "--out", roots]) == 0
-    code = run(["local-op", "--config", cfg, "--left", roots, "--right", roots,
-                "--site", 1, "--alpha", 1, "--beta", 1,
-                "--z-re", 0.0, "--z-im", 0.0])
-    assert code == 2  # evaluation point sits on the homogeneous pole
-
-
-def test_local_op_finite_inhomogeneous(tmp_path):
-    cfg = write_cfg(tmp_path, "cfg.json", {
-        "model": {"L": 2, "c": [1.0, 0.0], "xi": [[0.08, 0.01], [-0.05, 0.03]]},
-        "sector": {"a": 0, "b": 0},
-    })
-    roots = tmp_path / "vac.json"
-    assert run(["solve", "--config", cfg, "--out", roots]) == 0
-    out = tmp_path / "op.json"
-    assert run(["local-op", "--config", cfg, "--left", roots, "--right", roots,
-                "--site", 2, "--alpha", 1, "--beta", 1,
-                "--z-re", 0.0, "--z-im", 0.0, "--out", out]) == 0
-    got = complex(*json.loads(out.read_text())["local_operator_element"])
-    assert np.isfinite(got.real) and np.isfinite(got.imag)
+def test_readme_names_the_subcommands():
+    # the README's "Subcommands:" line lists exactly the parser's commands
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    line = next(ln for ln in readme.splitlines()
+                if ln.startswith("Subcommands:"))
+    named = re.search(r"`([^`]*)`", line).group(1).split(" | ")
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert named == list(sub.choices)

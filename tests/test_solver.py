@@ -11,7 +11,7 @@ import pytest
 import gl3ff.cli as cli
 import gl3ff.kernel as kernel
 import gl3ff.solver as solver
-from gl3ff.checks import prepare_states
+from gl3ff.checks import prepare_states, seeded_inhomogeneities
 from gl3ff.errors import (CollisionError, NoConvergence, PoleError,
                           ZeroArgError)
 from gl3ff.model import (RootConfig, RootStack, Twist, bethe_defect,
@@ -80,6 +80,19 @@ def test_twisted_pair_sector_solvable():
     tw = Twist(1.0, 1.0, 0.6 + 0.1j)
     states = distinct_states(model, 1, 1, twist=tw, n_seeds=32)
     assert states
+    for st in states:
+        assert np.max(np.abs(bethe_defect(st.roots, tw, st.model))) < 1e-10
+
+
+@pytest.mark.parametrize("seed", [12, 28])
+def test_twisted_l3_pair_sector_complete(seed):
+    # verify's twisted L=3 (1,1) sector holds its L states at every seed; at
+    # these two, one state has its v-root just beyond r_max, where a twisted
+    # run may converge
+    model = xxx_chain(3, seeded_inhomogeneities(3, seed), 1.0)
+    tw = Twist(0.9 + 0.1j, 1.0, 1.2 - 0.2j)
+    states = distinct_states(model, 1, 1, twist=tw, rng_seed=seed)
+    assert len(states) == solver._sector_size(model, 1, 1, tw) == 3
     for st in states:
         assert np.max(np.abs(bethe_defect(st.roots, tw, st.model))) < 1e-10
 
