@@ -297,7 +297,12 @@ def cmd_ff(args, cfg: dict, rng_seed: int) -> int:
 
 def cmd_report(args, cfg: dict, rng_seed: int) -> int:
     """Write the report that ``args.build`` makes; exit 1 if a record fails.
-    Only ``--tol`` overrides the checks' tolerances, not ``task.tol``."""
+    The config may hold ``rng_seed`` and nothing else; only ``--tol``
+    overrides the checks' tolerances."""
+    unread = sorted(set(cfg) - {"rng_seed"})
+    if unread:
+        raise ConfigError(f"{args.command} reads only rng_seed from its "
+                          f"config, got {', '.join(map(repr, unread))}")
     tol = None if args.tol is None else _task_tol(args, cfg)
     payload = args.build(rng_seed).to_json()
     if tol is not None:

@@ -414,29 +414,40 @@ def _composite_seeds(model: ModelFunctions, a: int, b: int,
     return seeds[:_COMPOSITE_CAP]
 
 
-def _polynomial_magnon_seeds(model: ModelFunctions) -> list:
-    """For chain models the single-excitation condition r1(u) = 1 is a
-    polynomial equation; its full root set makes exact seeds."""
+def _exact_seeds(model: ModelFunctions, a: int, b: int, twist: Twist) -> list:
+    """Every state of a chain sector with a = 1 and b <= 1, in closed form.
+
+    With r3 = 1 the v-equation of ``bethe_defect`` reads f(v, u) = k3/k2, so
+    v = u + c / (k3/k2 - 1), and the u-equation then reads r1(u) = k3/k1; in
+    (1, 0) it reads r1(u) = k2/k1.  Either is the polynomial equation
+    prod(u - xi_k + c) - t prod(u - xi_k) = 0, whose roots are the seeds, one
+    per state; at t = 1 it loses its leading term.  Untwisted (1, 1), where
+    k3/k2 = 1, has no finite roots and gets no seed."""
     xi = model.inhomogeneities
-    if not xi:
+    if not xi or a != 1 or b > 1:
         return []
-    c = model.c
+    c, t, shift = model.c, twist.k2 / twist.k1, []
+    if b:
+        if twist.k3 / twist.k2 == 1:
+            return []
+        t, shift = twist.k3 / twist.k1, [c / (twist.k3 / twist.k2 - 1.0)]
     shifted = np.poly([x - c for x in xi])
     plain = np.poly(np.array(xi, dtype=complex))
-    diff = np.asarray(shifted - plain, dtype=complex)
+    diff = np.asarray(shifted - t * plain, dtype=complex)
     lead = np.nonzero(np.abs(diff) > 1e-13 * max(1.0, np.abs(diff).max()))[0]
     if lead.size == 0:
         return []
-    roots = np.roots(diff[lead[0]:])
-    return [np.array([r], dtype=complex) for r in roots]
+    return [np.array([r] + [r + s for s in shift], dtype=complex)
+            for r in np.roots(diff[lead[0]:])]
 
 
-def _seed_pool(model: ModelFunctions, a: int, b: int, n_random: int,
-               rng: np.random.Generator,
+def _seed_pool(model: ModelFunctions, a: int, b: int, twist: Twist,
+               n_random: int, rng: np.random.Generator,
                magnon_roots: Sequence[complex] = ()) -> list:
-    """Polynomial single-excitation seeds for chains, composite patterns
-    (when a pool of single-excitation roots is supplied), deterministic
-    string-like patterns, then ``n_random`` random disk seeds.
+    """The exact seeds of a chain's a = 1, b <= 1 sector at ``twist`` (see
+    ``_exact_seeds``), composite patterns (when a pool of single-excitation
+    roots is supplied), deterministic string-like patterns, then
+    ``n_random`` random disk seeds.
 
     The random seeds come from one draw of (n_random, 2, a + b) uniforms: in
     C order the same doubles as a draw per seed, a + b radii and then a + b
@@ -444,9 +455,7 @@ def _seed_pool(model: ModelFunctions, a: int, b: int, n_random: int,
     bits of a loop seed by seed."""
     c = model.c
     centroid = _centroid(model)
-    seeds = []
-    if a == 1 and b == 0:
-        seeds.extend(_polynomial_magnon_seeds(model))
+    seeds = _exact_seeds(model, a, b, twist)
     if magnon_roots:
         seeds.extend(_composite_seeds(model, a, b, magnon_roots))
     base = centroid - 0.5 * c
@@ -472,7 +481,8 @@ def _converged_runs(model: ModelFunctions, a: int, b: int, twist: Twist,
     modes, residual) of every run that converges, in pool order.  Raises
     NoConvergence, naming the last seed's error, when no run converged."""
     rng = np.random.default_rng(rng_seed)
-    pool = np.array(_seed_pool(model, a, b, n_random, rng, magnon_roots))
+    pool = np.array(_seed_pool(model, a, b, twist, n_random, rng,
+                               magnon_roots))
     last: Exception = NoConvergence("no seeds tried")
     converged = False
     for run in _newton(model, a, b, twist, pool, tol, modes):
@@ -593,9 +603,9 @@ def _solve_sector(model: ModelFunctions, a: int, b: int, twist: Twist,
         # single-excitation roots feed the composite seed patterns that
         # higher sectors of trivial-r3 chains are built from.  The pool
         # shares this sector's rng seed, so the memo can serve it from a
-        # library's own (1, 0) call; on an untwisted chain that sector fills
-        # from its exact polynomial seeds before any random seed is read, so
-        # the seed moves none of its states
+        # library's own (1, 0) call; on a chain at the identity or at a twist
+        # with k1 != k2 that sector fills from its exact seeds before any
+        # random seed is read, so the seed moves none of its states
         pool = distinct_states(model, 1, 0, twist=twist,
                                n_seeds=max(24, n_seeds // 2), tol=tol,
                                rng_seed=rng_seed)

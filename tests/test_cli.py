@@ -125,6 +125,21 @@ def test_bad_rng_seed_exits_3(tmp_path, capsys, command, flags, rng_seed):
     assert "rng seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "identities"])
+def test_report_config_reads_only_rng_seed(tmp_path, capsys, command):
+    # a report command reads rng_seed from its config and nothing else; a
+    # key it would ignore is a config error that names it
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "model": {"L": 99, "c": 0}, "task": {"tol": -1}, "rng_seed": 7})
+    assert run([command, "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "'model'" in err and "'task'" in err
+    out = tmp_path / "report.json"
+    seeded = write_cfg(tmp_path, "seed.json", {"rng_seed": 3})
+    assert run([command, "--config", seeded, "--out", out]) == 0
+    assert json.loads(out.read_text())["rng_seed"] == 3
+
+
 def test_solve_unsolvable_sector_exits_2(tmp_path):
     # untwisted (1,1) has no finite roots
     cfg = write_cfg(tmp_path, "cfg.json", {
@@ -334,7 +349,7 @@ def test_check_records_do_not_depend_on_other_checks(lib_seed7, suite):
 PINNED_BUILD = ((3, 11), (2, 4))
 REPORT_SHA256 = {
     "verification":
-        "2546117191f8ca526f92dbdf2ac1983967b1960b1e7752e1fc23c72776f67cd6",
+        "cda5394f20eb8a10ed802c53c73f743df605acd1be0f0f2cb0e40b704aaf0477",
     "identities":
         "138a288811a5f4cde7edd267cd5ab2f9bbfd157bd59679650b0e7ebd813a2e93",
 }

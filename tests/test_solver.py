@@ -97,6 +97,82 @@ def test_twisted_l3_pair_sector_complete(seed):
         assert np.max(np.abs(bethe_defect(st.roots, tw, st.model))) < 1e-10
 
 
+@pytest.mark.parametrize("L", range(2, 7))
+def test_a1_sectors_complete_at_a_twist(L):
+    # at a generic twist the (1,0) and (1,1) sectors hold L states each
+    # (Mukhin-Tarasov-Varchenko), and the solver finds all of them
+    tw = Twist(0.9 + 0.1j, 1.0, 1.2 - 0.2j)
+    for seed in range(40):
+        model = xxx_chain(L, seeded_inhomogeneities(L, seed), 1.0)
+        for a, b in ((1, 0), (1, 1)):
+            states = distinct_states(model, a, b, twist=tw, rng_seed=seed)
+            assert len(states) == solver._sector_size(model, a, b, tw) == L, \
+                (seed, a, b)
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_exact_seeds_are_states(L):
+    # one seed per state of the sector, each on shell before any Newton
+    # step; untwisted (1,1) can hold no state and gets no seed
+    model = _chain(L).model()
+    for twist in (Twist(), Twist(0.9 + 0.1j, 1.0, 1.2 - 0.2j)):
+        for a, b in ((1, 0), (1, 1)):
+            seeds = solver._exact_seeds(model, a, b, twist)
+            assert len(seeds) == solver._sector_size(model, a, b, twist)
+            for x in seeds:
+                defect = bethe_defect(RootConfig(x[:1], x[1:]), twist, model)
+                assert np.max(np.abs(defect)) < 1e-10
+
+
+def test_exact_seeds_fill_twisted_pair_sectors_without_newton_steps(
+        monkeypatch):
+    # verify's twisted L=2 and L=3 (1,1) sectors: the exact seeds converge
+    # at their first evaluation, so the stack stops before any Jacobian
+    rows = _count_rows(monkeypatch, solver, "_jacobian")
+    tw = Twist(0.9 + 0.1j, 1.0, 1.2 - 0.2j)
+    for L in (2, 3):
+        for seed in range(40):
+            states = distinct_states(_chain(L, seed).model(), 1, 1, twist=tw,
+                                     rng_seed=seed)
+            assert len(states) == L
+    assert rows[0] == 0
+
+
+def test_exact_seeds_edge_twists():
+    model = _chain(4).model()
+    k1, k3 = 0.9 + 0.1j, 1.2 - 0.2j
+    # k3 = k2: f(v, u) = 1 has no finite v
+    assert solver._exact_seeds(model, 1, 1, Twist(k1, k3, k3)) == []
+    # k3 = k1: r1(u) = 1 loses its leading term, and one state its roots
+    tw = Twist(k1, 1.0, k1)
+    seeds = solver._exact_seeds(model, 1, 1, tw)
+    assert len(seeds) == 3
+    for x in seeds:
+        defect = bethe_defect(RootConfig(x[:1], x[1:]), tw, model)
+        assert np.max(np.abs(defect)) < 1e-10
+    for a, b in ((2, 0), (2, 1), (0, 1)):
+        assert solver._exact_seeds(model, a, b, tw) == []
+    model = dataclasses.replace(model, inhomogeneities=None)
+    assert solver._exact_seeds(model, 1, 0, tw) == []
+
+
+@pytest.mark.parametrize("xi", [
+    (0.0, 0.0, 0.0), (0.1, 0.2, 0.3, 0.4), seeded_inhomogeneities(5, 7),
+    seeded_inhomogeneities(6, 0)])
+@pytest.mark.parametrize("c", [1.0, 0.7 + 0.3j])
+def test_exact_seeds_untwisted_magnons_unchanged(xi, c):
+    # at the identity twist the (1,0) seeds are the bytes of the polynomial
+    # r1(u) = 1 as the solver has always written it
+    model = xxx_chain(len(xi), xi, c)
+    xi, c = model.inhomogeneities, model.c
+    diff = np.asarray(np.poly([x - c for x in xi])
+                      - np.poly(np.array(xi, dtype=complex)), dtype=complex)
+    lead = np.nonzero(np.abs(diff) > 1e-13 * max(1.0, np.abs(diff).max()))[0]
+    expect = [np.array([r], dtype=complex) for r in np.roots(diff[lead[0]:])]
+    got = solver._exact_seeds(model, 1, 0, Twist())
+    assert np.array(got).tobytes() == np.array(expect).tobytes()
+
+
 def test_solve_with_explicit_seed_roots(state_lib):
     model = state_lib[3]["model"]
     ref = state_lib[3]["m21"][0]
@@ -358,9 +434,9 @@ def test_tracer_visible_solver_hot_path(monkeypatch):
     assert phi[0] == residuals[0] > 0
 
 
-def _pool_seed(model, a, b, n_random, rng_seed, index):
+def _pool_seed(model, a, b, twist, n_random, rng_seed, index):
     rng = np.random.default_rng(rng_seed)
-    return solver._seed_pool(model, a, b, n_random, rng)[index]
+    return solver._seed_pool(model, a, b, twist, n_random, rng)[index]
 
 
 def test_newton_stops_creeping_at_escape_disk(monkeypatch):
@@ -369,7 +445,7 @@ def test_newton_stops_creeping_at_escape_disk(monkeypatch):
     # model without a site count searches the whole disk, as a chain at a
     # twist does
     model = dataclasses.replace(_chain().model(), sites=None)
-    x0 = _pool_seed(model, 1, 0, 24, 0, 30)
+    x0 = _pool_seed(model, 1, 0, Twist(), 24, 0, 30)
     steps = _count_calls(monkeypatch, solver, "_jacobian")
     with pytest.raises(NoConvergence, match="Newton creeping"):
         solver._newton_one(model, 1, 0, Twist(), x0, 1e-12)
@@ -381,7 +457,7 @@ def test_newton_ends_escaping_chain_run(monkeypatch):
     # beyond r_max ends the run, where the search of the whole disk takes
     # ten Jacobians to creep
     model = _chain().model()
-    x0 = _pool_seed(model, 1, 0, 24, 0, 30)
+    x0 = _pool_seed(model, 1, 0, Twist(), 24, 0, 30)
     steps = _count_calls(monkeypatch, solver, "_jacobian")
     with pytest.raises(NoConvergence, match="roots escaped"):
         solver._newton_one(model, 1, 0, Twist(), x0, 1e-12)
@@ -394,7 +470,7 @@ def test_newton_stops_creeping_inside_escape_disk(monkeypatch):
     # where the linear-convergence exit applies
     model = _chain(4).model()
     twist = Twist(0.9 + 0.1j, 1.0, 1.2 - 0.2j)
-    x0 = _pool_seed(model, 3, 0, 0, 0, 5)
+    x0 = _pool_seed(model, 3, 0, twist, 0, 0, 5)
     centroid = sum(model.inhomogeneities) / len(model.inhomogeneities)
     r_max = 3.0 * solver._seed_scale(model)
     reach = []
@@ -419,7 +495,7 @@ def test_newton_ends_linear_convergence(monkeypatch):
     magnons = [st.u[0] for st in distinct_states(model, 1, 0, n_seeds=24,
                                                  rng_seed=8)]
     rng = np.random.default_rng(7)
-    x0 = solver._seed_pool(model, 3, 1, 48, rng, magnons)[0]
+    x0 = solver._seed_pool(model, 3, 1, Twist(), 48, rng, magnons)[0]
     steps = _count_calls(monkeypatch, solver, "_jacobian")
     with pytest.raises(NoConvergence, match="Newton converging linearly"):
         solver._newton_one(model, 3, 1, Twist(), x0, 1e-12)
@@ -450,12 +526,12 @@ def test_library_newton_exits_cut_no_state(monkeypatch):
 
 
 def test_newton_returns_from_creep_zone(monkeypatch):
-    # a seed of the verify suite's twisted L=3 (1,1) pool: three iterates lie
-    # beyond 2.9 r_max, each step cutting the residual by 3 % or more,
-    # and the run comes back to converge
+    # a random seed of the verify suite's twisted L=3 (1,1) pool, after its
+    # three exact seeds: three iterates lie beyond 2.9 r_max, each step
+    # cutting the residual by 3 % or more, and the run comes back to converge
     model = _chain().model()
     twist = Twist(0.9 + 0.1j, 1.0, 1.2 - 0.2j)
-    x0 = _pool_seed(model, 1, 1, 48, 7, 50)
+    x0 = _pool_seed(model, 1, 1, twist, 48, 7, 53)
     centroid = sum(model.inhomogeneities) / len(model.inhomogeneities)
     r_max = 3.0 * solver._seed_scale(model)
     reach = []
@@ -483,21 +559,23 @@ def _ending(run):
     return tuple(x.tolist()), modes, err
 
 
-@pytest.mark.parametrize("L, a, b, twist", [
-    (5, 3, 1, Twist()), (3, 1, 1, Twist(0.9 + 0.1j, 1.0, 1.2 - 0.2j))])
-def test_seed_ends_the_same_alone_and_stacked(L, a, b, twist):
+@pytest.mark.parametrize("L, a, b, twist, n_random", [
+    (5, 3, 1, Twist(), 48), (3, 1, 1, Twist(0.9 + 0.1j, 1.0, 1.2 - 0.2j), 47)],
+    ids=["5-3-1-twist0", "3-1-1-twist1"])
+def test_seed_ends_the_same_alone_and_stacked(L, a, b, twist, n_random):
     # an untwisted L=5 (3,1) pool of 78 seeds, which converge, escape or
-    # converge linearly, and a twisted L=3 (1,1) pool of 54, which converge
-    # or creep; each gets three more seeds that fail a guard at once: two
-    # equal roots, a root on a pole of r1 and a root on a zero of r1.  The
-    # pools of 81 and 57 and the stacks of 13 and 7 that cut them are no
-    # multiples of the 4 or 8 lanes of a vector loop
+    # converge linearly, and a twisted L=3 (1,1) pool of 56 (its three exact
+    # seeds, then 53 more), which converge or creep; each gets three more
+    # seeds that fail a guard at once: two equal roots, a root on a pole of
+    # r1 and a root on a zero of r1.  The pools of 81 and 59 and the stacks
+    # of 13 and 7 that cut them are no multiples of the 4 or 8 lanes of a
+    # vector loop
     model = _chain(L).model()
     magnons = []
     if a >= 2:
         magnons = [st.u[0] for st in distinct_states(model, 1, 0, n_seeds=24,
                                                      rng_seed=8)]
-    pool = np.array(solver._seed_pool(model, a, b, 48,
+    pool = np.array(solver._seed_pool(model, a, b, twist, n_random,
                                       np.random.default_rng(7), magnons))
     xi = model.inhomogeneities[0]
     for row, root, value in ((5, 1, pool[5, 0]), (11, 0, xi),
@@ -565,10 +643,11 @@ def test_sector_size_counts_words(L):
     assert solver._sector_size(mirror_model(model), 1, 0, Twist()) is None
 
 
-def _seed_pool_per_seed_draws(model, a, b, n_random, rng, magnon_roots):
+def _seed_pool_per_seed_draws(model, a, b, twist, n_random, rng,
+                              magnon_roots):
     """The reference for _seed_pool's random seeds: one draw of a + b radii
     and one of a + b angles per seed."""
-    seeds = solver._seed_pool(model, a, b, 0, rng, magnon_roots)
+    seeds = solver._seed_pool(model, a, b, twist, 0, rng, magnon_roots)
     centroid, radius = solver._centroid(model), solver._seed_scale(model)
     for _ in range(n_random):
         pts = centroid + radius * np.sqrt(rng.uniform(0, 1, a + b)) * np.exp(
@@ -590,8 +669,8 @@ def test_seed_pool_draws_its_random_seeds_at_once(a, b, twisted):
     for roots in ((), magnons):
         for n_random in (0, 48):
             rng, ref_rng = (np.random.default_rng(11) for _ in range(2))
-            got = solver._seed_pool(model, a, b, n_random, rng, roots)
-            expect = _seed_pool_per_seed_draws(model, a, b, n_random,
+            got = solver._seed_pool(model, a, b, twist, n_random, rng, roots)
+            expect = _seed_pool_per_seed_draws(model, a, b, twist, n_random,
                                                ref_rng, roots)
             assert len(got) == len(expect) > n_random
             assert np.array(got).tobytes() == np.array(expect).tobytes()
