@@ -259,6 +259,12 @@ def cmd_ff(args, cfg: dict, rng_seed: int) -> int:
     tol = _task_tol(args, cfg)
     left = _load_state_file(args.left, model, tol, args.left_index)
     right = _load_state_file(args.right, model, tol, args.right_index)
+    for path, index, st in ((args.left, args.left_index, left),
+                            (args.right, args.right_index, right)):
+        if not st.twist.is_identity():
+            raise ConfigError(
+                f"state {index} of {path} is twisted ({st.twist}); the "
+                "determinant representations need untwisted states")
     try:
         kinds = [(_as_int(i, "task.kinds"), _as_int(j, "task.kinds"))
                  for i, j in task.get("kinds")]

@@ -27,9 +27,10 @@ per-column code, which raises the error of its first pole.
 
 from __future__ import annotations
 
+import operator
 import warnings
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -37,8 +38,9 @@ import numpy as np
 
 from .errors import (DegeneracyWarning, NonFiniteResult, PoleError,
                      SectorMismatch)
-from .kernel import (collision, delta, delta_prime, exclude, f_prod, g_prod,
-                     h_prod, inv_f_prod, inv_g_prod, inv_h_prod, pole_tol, t)
+from .kernel import (collision, delta, delta_extend, delta_prime, exclude,
+                     f_prod, g_prod, h_prod, h_prod_extend, inv_f_prod,
+                     inv_g_prod, inv_h_prod, pole_tol, t)
 from .model import (BetheState, ModelFunctions, RootConfig, dtau_du,
                     dtau_dv, gaudin_matrix, tau)
 from .solver import states_equal
@@ -119,6 +121,16 @@ class FFAssembly:
     def _grid(self) -> "_Grid":
         """Difference arrays of the grid builder, formed once per assembly."""
         return _Grid(self)
+
+    # per column point x, the factors that n_column or _tau_scale built
+    # there: r1(x), 1/f(v_left, x), 1/f(x, u_left) and the v-row factors of
+    # _v_factors, None where they built none; the closing entries at x take
+    # them from here
+    _factors: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
+
+
+_NO_FACTORS = (None, None, None, None)
 
 
 class _Grid:
@@ -258,29 +270,45 @@ def assemble(left: BetheState, right: BetheState, z: complex,
     return asm
 
 
-def _label_guards(asm: FFAssembly, same_state: bool, first: int = 0) -> None:
+def _label_guards(asm: FFAssembly, same_state: bool) -> None:
     """Raise the PoleError of the first pair of coinciding column labels,
-    then, unless ``same_state``, of the first row label on a column point.
-
-    Only the pairs whose column comes at or after ``first`` are tested: a
-    caller that knows the earlier columns clear of each other and of the
-    rows passes ``first`` and gets the error a full test would raise.
-    """
-    c = asm.model.c
+    then, unless ``same_state``, of the first row label on a column point."""
     cols = asm.cols
-    hit = collision(cols, cols[first:], c, keep=lambda j, k: j < k + first)
+    hit = collision(cols, cols, asm.model.c, keep=operator.lt)
     if hit is not None:
-        j, k = hit[0], hit[1] + first
-        raise PoleError(
-            f"column labels {j} and {k} collide ({cols[j]} ~ {cols[k]})")
+        raise _label_clash(cols, *hit)
     if not same_state:
-        rows = asm.u_left + asm.v_right
-        hit = collision(rows, cols[first:], c)
-        if hit is not None:
-            raise PoleError(
-                f"row label {rows[hit[0]]} collides with column point "
-                f"{cols[hit[1] + first]}; shared roots between the two states "
-                "are outside the generic-position formulas")
+        _row_guard(asm, cols)
+
+
+def _probe_guards(asm: FFAssembly, same_state: bool) -> None:
+    """The guards of :func:`_label_guards` that involve the probe point, on
+    an assembly whose other columns passed them: the probe point against
+    the other columns, then against the rows.  The error is the one the
+    full test would raise."""
+    cols = asm.cols
+    hit = collision(cols[:-1], cols[-1:], asm.model.c)
+    if hit is not None:
+        raise _label_clash(cols, hit[0], len(cols) - 1)
+    if not same_state:
+        _row_guard(asm, cols[-1:])
+
+
+def _label_clash(cols: tuple, j: int, k: int) -> PoleError:
+    """The error of the column labels ``j`` and ``k``."""
+    return PoleError(
+        f"column labels {j} and {k} collide ({cols[j]} ~ {cols[k]})")
+
+
+def _row_guard(asm: FFAssembly, points: tuple) -> None:
+    """Raise the PoleError of the first row label on one of ``points``."""
+    rows = asm.u_left + asm.v_right
+    hit = collision(rows, points, asm.model.c)
+    if hit is not None:
+        raise PoleError(
+            f"row label {rows[hit[0]]} collides with column point "
+            f"{points[hit[1]]}; shared roots between the two states "
+            "are outside the generic-position formulas")
 
 
 def prefactor_H(u_left: Sequence[complex], v_left: Sequence[complex],
@@ -293,18 +321,60 @@ def prefactor_H(u_left: Sequence[complex], v_left: Sequence[complex],
 
     shared by every determinant representation.  Passing ``cols`` without the
     probe point (only the merged root sets) yields the norm prefactor.
+    Below ``GRID_MIN_COLS`` columns it is a :class:`_PrefactorHead` over the
+    columns but the last, closed by the last; that head is kept in
+    ``_last_head`` (None after a grid build) for :func:`determinant_element`.
     """
+    global _last_head
     u_left, v_left = tuple(u_left), tuple(v_left)
     u_right, v_right = tuple(u_right), tuple(v_right)
     cols = tuple(cols)
     if len(cols) >= GRID_MIN_COLS:
         pref = _grid_prefactor(u_left, v_left, u_right, v_right, cols, c)
         if pref is not None:
+            _last_head = None
             return pref
-    return (h_prod(cols, u_right, c) * h_prod(v_left, cols, c)
-            * inv_h_prod(v_left, u_right, c)
-            * delta_prime(u_left, c) * delta_prime(v_right, c)
-            * delta(cols, c))
+    _last_head = _PrefactorHead(u_left, v_left, u_right, v_right, cols[:-1], c)
+    return _last_head.close(cols[-1:])
+
+
+class _PrefactorHead:
+    """The factors of :func:`prefactor_H` that do not involve its last
+    column point: h(cols, u_right) and Delta(cols) over the other columns,
+    1/h(v_left, u_right), Delta'(u_left) and Delta'(v_right).
+
+    The kernel's products take the terms of a last ``lhs`` point last, so
+    :meth:`close` extends the kept h(cols, u_right) and Delta(cols) by the
+    last column in the order of a build over all columns, and its value is
+    that build's, bit for bit.  Only h(v_left, cols) interleaves the last
+    column's terms (for two or more left v-roots), so it is built whole on
+    every close.
+    """
+
+    def __init__(self, u_left: tuple, v_left: tuple, u_right: tuple,
+                 v_right: tuple, cols: tuple, c: complex):
+        self.v_left, self.u_right, self.cols, self.c = v_left, u_right, cols, c
+        self.h_cu = h_prod(cols, u_right, c)
+        self.ih_vu = inv_h_prod(v_left, u_right, c)
+        self.dp_u = delta_prime(u_left, c)
+        self.dp_v = delta_prime(v_right, c)
+        self.d_c = delta(cols, c)
+
+    def close(self, last: tuple) -> complex:
+        """The prefactor over the head's columns and ``last``, which holds
+        the last column point or nothing."""
+        c = self.c
+        h_cu, d_c = self.h_cu, self.d_c
+        for x in last:
+            h_cu = h_prod_extend(h_cu, x, self.u_right, c)
+            d_c = delta_extend(d_c, x, self.cols, c)
+        return (h_cu * h_prod(self.v_left, self.cols + last, c) * self.ih_vu
+                * self.dp_u * self.dp_v * d_c)
+
+
+# the head of the most recent per-column prefactor_H build (see
+# determinant_element)
+_last_head = None
 
 
 def _grid_prefactor(u_left: tuple, v_left: tuple, u_right: tuple,
@@ -349,13 +419,15 @@ def n_column(asm: FFAssembly, x: complex) -> list:
 
     Rows 0..len(u_left)-1 are u-type, the rest v-type.  Each entry is a row
     factor t(u_j, x) or t(x, v_j) times products that depend on ``x`` alone,
-    which are built once per column.  The closed form uses only t/h ratios,
-    so it stays finite at columns equal to right u-roots or left v-roots
-    (where the respective r-term is killed by an inverse-f zero).
+    which are built once per column and kept in ``asm._factors`` for the
+    closing entries at ``x``.  The closed form uses only t/h ratios, so it
+    stays finite at columns equal to right u-roots or left v-roots (where
+    the respective r-term is killed by an inverse-f zero).
     """
     m = asm.model
     c = m.c
     out = []
+    r1 = if_vx = v_row = None
     if asm.u_left:
         sign = -1.0 if (len(asm.u_left) - 1) % 2 else 1.0
         r1 = m.r1(x)
@@ -366,9 +438,10 @@ def n_column(asm: FFAssembly, x: complex) -> list:
         out += [sign * t(uj, x, c) * r1 * h_ux * if_vx * ih_xu
                 + t(x, uj, c) * h_xu * ih_xu for uj in asm.u_left]
     if asm.v_right:
-        sign, r3, h_xv, if_xu, h_vx, ih_vx = _v_factors(asm, x)
+        v_row = sign, r3, h_xv, if_xu, h_vx, ih_vx = _v_factors(asm, x)
         out += [sign * t(x, vj, c) * r3 * h_xv * if_xu * ih_vx
                 + t(vj, x, c) * h_vx * ih_vx for vj in asm.v_right]
+    asm._factors[x] = (r1, if_vx, None, v_row)
     return out
 
 
@@ -433,15 +506,20 @@ def _y_diag_entry(asm: FFAssembly, s: int) -> complex:
     """The last component of :func:`y_row_diag`, the only one that depends
     on the probe point."""
     m = asm.model
-    c = m.c
-    z = asm.z
-    u_ref, v_ref = asm.u_left, asm.v_left
-    denom = inv_f_prod(v_ref, z, c) * inv_f_prod(z, u_ref, c)
+    c, z = m.c, asm.z
+    r1, if_vx, if_zu, v_row = asm._factors.get(z, _NO_FACTORS)
+    if if_vx is None:
+        if_vx = inv_f_prod(asm.v_left, z, c)
+    if if_zu is None:
+        if_zu = inv_f_prod(z, asm.u_left, c)
+    denom = if_vx * if_zu
     if s == 1:
-        return m.r1(z) * f_prod(u_ref, z, c) * denom
+        r1 = m.r1(z) if r1 is None else r1
+        return r1 * f_prod(asm.u_left, z, c) * denom
     if s == 2:
         return 1.0
-    return m.r3(z) * f_prod(z, v_ref, c) * denom
+    r3 = m.r3(z) if v_row is None else v_row[1]
+    return r3 * f_prod(z, asm.v_left, c) * denom
 
 
 def _column_y_diag(asm: FFAssembly, s: int, same_state: bool) -> np.ndarray:
@@ -483,8 +561,12 @@ def y_row_13(asm: FFAssembly) -> np.ndarray:
 
 
 def _y13_entry(asm: FFAssembly, x: complex) -> complex:
-    """The component of :func:`y_row_13` at column point ``x``."""
-    sign, r3, h_xv, if_xu, h_vx, ih_vx = _v_factors(asm, x)
+    """The component of :func:`y_row_13` at column point ``x``, from the
+    v-row factors that :func:`n_column` built there if it did."""
+    v_row = asm._factors.get(x, _NO_FACTORS)[3]
+    if v_row is None:
+        v_row = _v_factors(asm, x)
+    sign, r3, h_xv, if_xu, h_vx, ih_vx = v_row
     return sign * r3 * h_xv * if_xu * ih_vx + h_vx * ih_vx
 
 
@@ -522,9 +604,13 @@ def _same_state_matrix(asm: FFAssembly, s: int) -> np.ndarray:
 
 
 def _tau_scale(asm: FFAssembly) -> complex:
-    """The factor 1/(f(z, u) f(v, z)) of the same-state tau column."""
-    c = asm.model.c
-    return inv_f_prod(asm.z, asm.u_left, c) * inv_f_prod(asm.v_left, asm.z, c)
+    """The factor 1/(f(z, u) f(v, z)) of the same-state tau column; its
+    two products are kept in ``asm._factors`` for the closing entry."""
+    c, z = asm.model.c, asm.z
+    if_zu = inv_f_prod(z, asm.u_left, c)
+    if_vx = inv_f_prod(asm.v_left, z, c)
+    asm._factors[z] = (None, if_vx, if_zu, None)
+    return if_zu * if_vx
 
 
 def _tau_column(asm: FFAssembly, scale: complex) -> list:
@@ -568,8 +654,9 @@ def _matrix(asm: FFAssembly, kind: tuple, same: bool,
     ``part``, kept from an earlier element on the same assembly, supplies
     the N rows (the Gaudin block and tau column in the same-state branch)
     and, for a kind with the same closing, the closing row.  At a new probe
-    point the last column is then built alone, by the code and in the order
-    of a full build, so the matrix and any error are the same.
+    point the last column and the closing entry are then built alone, by
+    the code and in the order of a full build and from one set of factors
+    at the probe point, so the matrix and any error are the same.
     """
     if part is None:
         if same:
@@ -595,29 +682,31 @@ class _ZFreePart:
     """What one element keeps for the next call on the same assembly (its
     two states after the exchange of the (2,3), (2,1) and (3,1) entries):
     the assembly's roots and branch, its probe point, its prefactor before
-    the sign of the kind, and its matrix.  The first ``n_rows`` rows of the
-    matrix (the Gaudin block and tau column in the same-state branch) are
-    the same for every kind the two states' sectors admit, and every column
-    but the last is free of the probe point.  States and model are held by
-    weak reference, so the part keeps no model alive; the matrix is
-    read-only."""
+    the sign of the kind, the prefactor's :class:`_PrefactorHead`, and its
+    matrix.  The first ``n_rows`` rows of the matrix (the Gaudin block and
+    tau column in the same-state branch) are the same for every kind the
+    two states' sectors admit, and every column but the last is free of the
+    probe point.  A new probe point thus builds only what involves it: the
+    prefactor's terms in it, the last column and the closing entry.  States
+    and model are held by weak reference, so the part keeps no model alive;
+    the matrix is read-only."""
 
     def __init__(self, kind: tuple, left: BetheState, right: BetheState,
                  asm: FFAssembly, same: bool, near: bool, pref: complex,
-                 mat: np.ndarray):
+                 head: _PrefactorHead, mat: np.ndarray):
         self.closing = _closing(kind)
         self.left, self.right = weakref.ref(left), weakref.ref(right)
         self.model = weakref.ref(asm.model)
         self.roots = (asm.u_left, asm.v_left, asm.u_right, asm.v_right)
         self.same, self.near = same, near
-        self.z, self.pref = asm.z, pref
+        self.z, self.pref, self.head = asm.z, pref, head
         self.mat = mat.copy()
         self.mat.flags.writeable = False
 
     def serves(self, left: BetheState, right: BetheState, z: complex) -> bool:
         # at GRID_MIN_COLS columns and more the grid builds a matrix as one
         # array, whose last column a per-column build need not match in
-        # every bit
+        # every bit (and its prefactor too, so no head is kept there)
         return (self.left() is left and self.right() is right
                 and (self.mat.shape[1] < GRID_MIN_COLS or z == self.z))
 
@@ -626,7 +715,7 @@ class _ZFreePart:
         involve it if it is new."""
         asm = FFAssembly(*self.roots, z=z, model=self.model())
         if z != self.z:
-            _label_guards(asm, self.same, first=len(asm.cols) - 1)
+            _probe_guards(asm, self.same)
         return asm
 
 
@@ -644,13 +733,17 @@ def determinant_element(kind: tuple, left: BetheState, right: BetheState,
 
     All kinds of one sector pair share the assembly (its two states after
     the exchange), the prefactor and the N rows; they differ only in the
-    closing row.  Only the last column of the matrix depends on ``z``.  The
-    element keeps its assembly, branch, prefactor and matrix until the next
-    full build.  A call on the same assembly at the same ``z`` (any kind,
-    any size) reuses the prefactor and the N rows and builds only its own
-    closing row; at a new ``z`` below ``GRID_MIN_COLS`` columns it runs only
-    the guards that involve ``z`` and builds only the last column (and its
-    own closing row, if its kind's differs).  The sector, twist and
+    closing row.  Only the last column of the matrix, the closing row's
+    last entry and the prefactor's factors h(z, u_right), h(v_left, z) and
+    the pairs of Delta(cols) with z depend on ``z``.  The element keeps its
+    assembly, branch, prefactor (with the head of its z-free products) and
+    matrix until the next full build.  A call on the same assembly at the
+    same ``z`` (any kind, any size) reuses the prefactor and the N rows and
+    builds only its own closing row.  At a new ``z`` below
+    ``GRID_MIN_COLS`` columns it runs only the guards that involve ``z``
+    and builds only the prefactor's z factors, the last column and the
+    closing entry, which share one set of factors at ``z`` (and its own
+    closing row, if its kind's differs).  The sector, twist and
     near-degeneracy checks run on every call.  Value, matrix and errors are
     those of a full build, bit for bit.
     """
@@ -680,16 +773,15 @@ def determinant_element(kind: tuple, left: BetheState, right: BetheState,
             DegeneracyWarning, stacklevel=3)
     if part is None:
         asm = assemble(left, right, z, same_state=same)
-    else:
-        asm = part.assembly(z)
-    if part is not None and z == part.z:
-        pref = part.pref
-    else:
         pref = prefactor_H(asm.u_left, asm.v_left, asm.u_right, asm.v_right,
                            asm.cols, asm.model.c)
+    else:
+        asm = part.assembly(z)
+        pref = part.pref if z == part.z else part.head.close((z,))
     mat = _matrix(asm, kind, same, part)
     if part is None:
-        _last = _ZFreePart(kind, left, right, asm, same, near, pref, mat)
+        _last = _ZFreePart(kind, left, right, asm, same, near, pref,
+                           _last_head, mat)
     if i == j:
         pref = (-1.0 if len(asm.v_right) % 2 else 1.0) * pref
     elif kind in ((1, 3), (3, 1)):

@@ -276,6 +276,36 @@ def test_ff_malformed_inputs_exit_3(tmp_path):
                 "--right", roots]) == 3
 
 
+def test_ff_twisted_state_exits_3(tmp_path, capsys):
+    # solve writes twisted states; the determinant representations need
+    # untwisted ones, so ff rejects them as a config error that names the
+    # file and the index, and writes no table
+    model = {"L": 3, "xi": "seeded"}
+    task = {"kinds": [[1, 1]], "z_points": [[0.6, 0.4]]}
+    files = {}
+    for name, twist in (("plain", [[1.0, 0.0]] * 3),
+                        ("twisted", [[0.9, 0.1], [1.0, 0.0], [1.2, -0.2]])):
+        cfg = write_cfg(tmp_path, f"{name}.cfg.json", {
+            "model": model, "sector": {"a": 1, "b": 0, "twist": twist},
+            "task": task, "rng_seed": 7})
+        files[name] = tmp_path / f"{name}.json"
+        assert run(["solve", "--config", cfg, "--out", files[name]]) == 0
+    assert len(json.loads(files["twisted"].read_text())["states"]) == 3
+    table = tmp_path / "table.csv"
+    for left, index, named in (("twisted", 0, "twisted"),
+                               ("plain", 1, "twisted")):
+        capsys.readouterr()
+        assert run(["ff", "--config", cfg, "--left", files[left],
+                    "--right", files["twisted"], "--right-index", 1,
+                    "--left-index", index, "--out", table]) == 3
+        err = capsys.readouterr().err
+        assert f"state {index} of {files[named]} is twisted" in err, err
+        assert not table.exists()
+    assert run(["ff", "--config", cfg, "--left", files["plain"],
+                "--right", files["plain"], "--right-index", 1,
+                "--out", table]) == 0
+
+
 def test_ff_unknown_output_format_exits_3(tmp_path):
     cfg = write_cfg(tmp_path, "cfg.json", {
         "model": {"L": 2, "xi": [[0.05, 0.0], [-0.03, 0.0]]},

@@ -10,7 +10,8 @@ import gl3ff.oracle as orc
 import gl3ff.solver as solver
 from gl3ff.errors import (DegeneracyWarning, NonFiniteResult, PoleError,
                           SectorMismatch)
-from gl3ff.kernel import delta, delta_prime, h_prod, inv_f_prod, t
+from gl3ff.kernel import (delta, delta_prime, h_prod, inv_f_prod,
+                          inv_h_prod, t)
 from gl3ff.model import (ModelFunctions, Twist, dtau_dkappa,
                          dtau_dkappa_onshell, mirror_model, tau, xxx_chain)
 from conftest import make_state, vacuum_state
@@ -891,12 +892,70 @@ def test_kept_part_builds_rows_and_prefactor_once(monkeypatch, state_lib):
             for call in group:  # one assembly, one z
                 ff.form_factor(*call, z1)
             assert calls["n_matrix"] == calls["prefactor_H"] == 1, threshold
-    # a kind switch at a new probe point builds the z column alone
+    # a kind switch at a new probe point builds the z column alone, and of
+    # the prefactor only its factors in z: neither the prefactor whole nor
+    # its z-free products Delta'(u_left), Delta'(v_right), 1/h(v_left,
+    # u_right)
     monkeypatch.setattr(ff, "GRID_MIN_COLS", PER_COLUMN)
+    calls.update(delta_prime=0, inv_h_vu=0)
+    for name, key, counts in (
+            ("delta_prime", "delta_prime", lambda *args: True),
+            ("inv_h_prod", "inv_h_vu",
+             lambda lhs, rhs, c: (lhs, rhs) == (left.v, right.u))):
+        def counted(*args, _build=getattr(ff, name), _key=key,
+                    _counts=counts):
+            calls[_key] += _counts(*args)
+            return _build(*args)
+        monkeypatch.setattr(ff, name, counted)
     ff.form_factor((1, 1), left, right, z1)
-    calls.update(n_matrix=0, prefactor_H=0, n_column=0)
+    assert calls["prefactor_H"] and calls["delta_prime"] == 2
+    assert calls["inv_h_vu"] == 1
+    calls.update(dict.fromkeys(calls, 0))
     ff.form_factor((3, 3), left, right, z2)
-    assert calls == {"n_matrix": 0, "prefactor_H": 1, "n_column": 1}
+    assert calls == {"n_matrix": 0, "prefactor_H": 0, "n_column": 1,
+                     "delta_prime": 0, "inv_h_vu": 0}
+
+
+def _whole_prefactor(asm):
+    """:func:`prefactor_H` as one product of its six factors over all
+    columns, each built whole."""
+    c, cols = asm.model.c, asm.cols
+    return (h_prod(cols, asm.u_right, c) * h_prod(asm.v_left, cols, c)
+            * inv_h_prod(asm.v_left, asm.u_right, c)
+            * delta_prime(asm.u_left, c) * delta_prime(asm.v_right, c)
+            * delta(cols, c))
+
+
+def test_new_probe_point_is_bit_identical_with_two_left_v_roots():
+    # with two or more left v-roots the probe point's terms interleave in
+    # h(v_left, cols), the one prefactor product a new z builds whole; the
+    # polynomial model reaches these sectors below GRID_MIN_COLS columns
+    rng = np.random.default_rng(29)
+    model = _polynomial_model(rng)
+    seen = set()
+    for kind, a, b in (((1, 3), 2, 1), ((1, 3), 1, 2), ((1, 1), 2, 2),
+                       ((1, 2), 1, 2), ((2, 3), 1, 2), ((3, 3), 1, 3)):
+        for _ in range(3):
+            left, right, _ = _pair(rng, model, kind, a, b)
+            group = _group(kind, left, right)
+            for first in group:
+                ff.determinant_element(*first, Z_POINTS[0])
+                for z in Z_POINTS[1:]:
+                    warm = [ff.determinant_element(*call, z)
+                            for call in group]
+                    for call, got in zip(group, warm):
+                        _forget()
+                        cold = ff.determinant_element(*call, z)
+                        assert got[0] == cold[0], (call[0], z)
+                        assert np.array_equal(got[1], cold[1]), call[0]
+                        asm = ff.FFAssembly(*ff._last.roots, z=z,
+                                            model=model)
+                        assert (ff.prefactor_H(
+                            asm.u_left, asm.v_left, asm.u_right, asm.v_right,
+                            asm.cols, model.c) == _whole_prefactor(asm))
+                        seen.add((len(asm.v_left), got[1].shape[1]))
+    assert all(n < ff.GRID_MIN_COLS for _, n in seen)
+    assert max(v for v, _ in seen) >= 2
 
 
 def test_kept_part_keeps_the_per_call_checks(state_lib):
