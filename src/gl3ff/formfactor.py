@@ -30,7 +30,7 @@ from __future__ import annotations
 import operator
 import warnings
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -122,16 +122,6 @@ class FFAssembly:
         """Difference arrays of the grid builder, formed once per assembly."""
         return _Grid(self)
 
-    # per column point x, the factors that n_column or _tau_scale built
-    # there: r1(x), 1/f(v_left, x), 1/f(x, u_left) and the v-row factors of
-    # _v_factors, None where they built none; the closing entries at x take
-    # them from here
-    _factors: dict = field(default_factory=dict, init=False, compare=False,
-                           repr=False)
-
-
-_NO_FACTORS = (None, None, None, None)
-
 
 class _Grid:
     """Differences ``d = q - x`` between every root ``q`` of ``u_left +
@@ -217,14 +207,15 @@ class _Grid:
                                 + (c * c / (v * (v + c))) * h_vx * ih_vx)
         return out
 
-    def y_row_diag(self, s: int, same_state: bool):
-        """The closing row of :func:`y_row_diag` but its last component."""
+    def y_row_diag(self, s: int):
+        """The closing row of :func:`y_row_diag` between distinct states but
+        its last component."""
         c, d = self.c, self.d
         cu, cv = slice(0, self.a), slice(self.a, -1)
         out = np.empty(len(self.cols), dtype=complex)
         out[cu] = (s == 2) - (s == 1)
         out[cv] = (s == 2) - (s == 3)
-        if same_state or s == 2:
+        if s == 2:
             return out
         if (self.zero[self.VR, cu].any() or self.plus[self.VL, cu].any()
                 or self.zero[self.U, cv].any()
@@ -419,15 +410,13 @@ def n_column(asm: FFAssembly, x: complex) -> list:
 
     Rows 0..len(u_left)-1 are u-type, the rest v-type.  Each entry is a row
     factor t(u_j, x) or t(x, v_j) times products that depend on ``x`` alone,
-    which are built once per column and kept in ``asm._factors`` for the
-    closing entries at ``x``.  The closed form uses only t/h ratios, so it
-    stays finite at columns equal to right u-roots or left v-roots (where
-    the respective r-term is killed by an inverse-f zero).
+    which are built once per column.  The closed form uses only t/h ratios,
+    so it stays finite at columns equal to right u-roots or left v-roots
+    (where the respective r-term is killed by an inverse-f zero).
     """
     m = asm.model
     c = m.c
     out = []
-    r1 = if_vx = v_row = None
     if asm.u_left:
         sign = -1.0 if (len(asm.u_left) - 1) % 2 else 1.0
         r1 = m.r1(x)
@@ -438,10 +427,9 @@ def n_column(asm: FFAssembly, x: complex) -> list:
         out += [sign * t(uj, x, c) * r1 * h_ux * if_vx * ih_xu
                 + t(x, uj, c) * h_xu * ih_xu for uj in asm.u_left]
     if asm.v_right:
-        v_row = sign, r3, h_xv, if_xu, h_vx, ih_vx = _v_factors(asm, x)
+        sign, r3, h_xv, if_xu, h_vx, ih_vx = _v_factors(asm, x)
         out += [sign * t(x, vj, c) * r3 * h_xv * if_xu * ih_vx
                 + t(vj, x, c) * h_vx * ih_vx for vj in asm.v_right]
-    asm._factors[x] = (r1, if_vx, None, v_row)
     return out
 
 
@@ -490,12 +478,14 @@ def y_row_diag(asm: FFAssembly, s: int, same_state: bool) -> np.ndarray:
     The first a components carry the Kronecker pattern of the colour ``s``
     plus a bracket that vanishes when the two v-sets coincide; the next b
     components mirror it for the u-sets; the final component only matters in
-    the same-state case and is built from the left state's roots.
+    the same-state case and is built from the left state's roots.  With
+    ``same_state`` the other components are the Kronecker pattern alone,
+    built per column at any size.
     """
     if s not in (1, 2, 3):
         raise ValueError(f"s must be 1, 2 or 3, got {s}")
-    out = (asm._grid.y_row_diag(s, same_state)
-           if len(asm.cols) >= GRID_MIN_COLS else None)
+    out = (asm._grid.y_row_diag(s)
+           if len(asm.cols) >= GRID_MIN_COLS and not same_state else None)
     if out is None:
         out = _column_y_diag(asm, s, same_state)
     out[-1] = _y_diag_entry(asm, s)
@@ -507,19 +497,12 @@ def _y_diag_entry(asm: FFAssembly, s: int) -> complex:
     on the probe point."""
     m = asm.model
     c, z = m.c, asm.z
-    r1, if_vx, if_zu, v_row = asm._factors.get(z, _NO_FACTORS)
-    if if_vx is None:
-        if_vx = inv_f_prod(asm.v_left, z, c)
-    if if_zu is None:
-        if_zu = inv_f_prod(z, asm.u_left, c)
-    denom = if_vx * if_zu
+    denom = inv_f_prod(asm.v_left, z, c) * inv_f_prod(z, asm.u_left, c)
     if s == 1:
-        r1 = m.r1(z) if r1 is None else r1
-        return r1 * f_prod(asm.u_left, z, c) * denom
+        return m.r1(z) * f_prod(asm.u_left, z, c) * denom
     if s == 2:
         return 1.0
-    r3 = m.r3(z) if v_row is None else v_row[1]
-    return r3 * f_prod(z, asm.v_left, c) * denom
+    return m.r3(z) * f_prod(z, asm.v_left, c) * denom
 
 
 def _column_y_diag(asm: FFAssembly, s: int, same_state: bool) -> np.ndarray:
@@ -561,12 +544,8 @@ def y_row_13(asm: FFAssembly) -> np.ndarray:
 
 
 def _y13_entry(asm: FFAssembly, x: complex) -> complex:
-    """The component of :func:`y_row_13` at column point ``x``, from the
-    v-row factors that :func:`n_column` built there if it did."""
-    v_row = asm._factors.get(x, _NO_FACTORS)[3]
-    if v_row is None:
-        v_row = _v_factors(asm, x)
-    sign, r3, h_xv, if_xu, h_vx, ih_vx = v_row
+    """The component of :func:`y_row_13` at column point ``x``."""
+    sign, r3, h_xv, if_xu, h_vx, ih_vx = _v_factors(asm, x)
     return sign * r3 * h_xv * if_xu * ih_vx + h_vx * ih_vx
 
 
@@ -595,29 +574,19 @@ def _same_state_matrix(asm: FFAssembly, s: int) -> np.ndarray:
     """
     roots = RootConfig(u=asm.u_left, v=asm.v_left)
     n = roots.a + roots.b
-    scale = _tau_scale(asm)
     mat = np.empty((n + 1, n + 1), dtype=complex)
     mat[:n, :n] = gaudin_matrix(roots, asm.model)
-    mat[:n, n] = _tau_column(asm, scale)
-    mat[n] = _closing_row(asm, (s, s), same=True)
+    mat[:n, n] = _tau_column(asm)
+    mat[n] = y_row_diag(asm, s, same_state=True)
     return mat
 
 
-def _tau_scale(asm: FFAssembly) -> complex:
-    """The factor 1/(f(z, u) f(v, z)) of the same-state tau column; its
-    two products are kept in ``asm._factors`` for the closing entry."""
-    c, z = asm.model.c, asm.z
-    if_zu = inv_f_prod(z, asm.u_left, c)
-    if_vx = inv_f_prod(asm.v_left, z, c)
-    asm._factors[z] = (None, if_vx, if_zu, None)
-    return if_zu * if_vx
-
-
-def _tau_column(asm: FFAssembly, scale: complex) -> list:
+def _tau_column(asm: FFAssembly) -> list:
     """The rows of the same-state matrix at the probe point: the tau
-    derivatives in each root, times ``scale``."""
+    derivatives in each root, times 1/(f(z, u) f(v, z))."""
     m = asm.model
     c, z = m.c, asm.z
+    scale = inv_f_prod(z, asm.u_left, c) * inv_f_prod(asm.v_left, z, c)
     roots = RootConfig(u=asm.u_left, v=asm.v_left)
     return ([c * dtau_du(z, roots, m, j) * scale for j in range(roots.a)]
             + [-c * dtau_dv(z, roots, m, j) * scale for j in range(roots.b)])
@@ -636,12 +605,8 @@ def _closing(kind: tuple):
 def _closing_row(asm: FFAssembly, kind: tuple, same: bool):
     """The closing row of the entry ``kind``, or None."""
     i, j = kind
-    if same:
-        row = _column_y_diag(asm, i, same_state=True)
-        row[-1] = _y_diag_entry(asm, i)
-        return row
     if i == j:
-        return y_row_diag(asm, i, same_state=False)
+        return y_row_diag(asm, i, same)
     if kind in ((1, 3), (3, 1)):
         return y_row_13(asm)
     return None
@@ -655,8 +620,8 @@ def _matrix(asm: FFAssembly, kind: tuple, same: bool,
     the N rows (the Gaudin block and tau column in the same-state branch)
     and, for a kind with the same closing, the closing row.  At a new probe
     point the last column and the closing entry are then built alone, by
-    the code and in the order of a full build and from one set of factors
-    at the probe point, so the matrix and any error are the same.
+    the code and in the order of a full build, so the matrix and any error
+    are the same.
     """
     if part is None:
         if same:
@@ -667,7 +632,7 @@ def _matrix(asm: FFAssembly, kind: tuple, same: bool,
     mat = part.mat.copy()
     new_z = asm.z != part.z
     if new_z:
-        mat[:asm.n_rows, -1] = (_tau_column(asm, _tau_scale(asm)) if same
+        mat[:asm.n_rows, -1] = (_tau_column(asm) if same
                                 else n_column(asm, asm.z))
     closing = _closing(kind)
     if closing != part.closing:
@@ -742,9 +707,8 @@ def determinant_element(kind: tuple, left: BetheState, right: BetheState,
     builds only its own closing row.  At a new ``z`` below
     ``GRID_MIN_COLS`` columns it runs only the guards that involve ``z``
     and builds only the prefactor's z factors, the last column and the
-    closing entry, which share one set of factors at ``z`` (and its own
-    closing row, if its kind's differs).  The sector, twist and
-    near-degeneracy checks run on every call.  Value, matrix and errors are
+    closing entry (and its own closing row, if its kind's differs).  The
+    sector, twist and near-degeneracy checks run on every call.  Value, matrix and errors are
     those of a full build, bit for bit.
     """
     global _last
@@ -869,25 +833,18 @@ def appendix_identities(u_left: Sequence[complex], u_right: Sequence[complex],
         return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
 
     out = {}
-    lhs = sum(t(u_left[j], z, c) * omega[j] for j in range(a))
-    rhs = (h_prod(u_right, z, c) * inv_h_prod(u_left, z, c)
-           * (1.0 - f_prod(u_left, z, c) * inv_f_prod(u_right, z, c)))
-    out["u_row_from_left"] = (lhs, rhs, rel(lhs, rhs))
-
-    lhs = sum(t(z, u_left[j], c) * omega[j] for j in range(a))
-    rhs = (h_prod(z, u_right, c) * inv_h_prod(z, u_left, c)
-           * (f_prod(z, u_left, c) * inv_f_prod(z, u_right, c) - 1.0))
-    out["u_row_from_right"] = (lhs, rhs, rel(lhs, rhs))
-
-    lhs = sum(t(v_right[j], z, c) * omega[a + j] for j in range(len(v_right)))
-    rhs = (h_prod(v_left, z, c) * inv_h_prod(v_right, z, c)
-           * (1.0 - f_prod(v_right, z, c) * inv_f_prod(v_left, z, c)))
-    out["v_row_from_left"] = (lhs, rhs, rel(lhs, rhs))
-
-    lhs = sum(t(z, v_right[j], c) * omega[a + j] for j in range(len(v_right)))
-    rhs = (h_prod(z, v_left, c) * inv_h_prod(z, v_right, c)
-           * (f_prod(z, v_right, c) * inv_f_prod(z, v_left, c) - 1.0))
-    out["v_row_from_right"] = (lhs, rhs, rel(lhs, rhs))
+    # each colour: its rows (u_left, v_right), the other state's set of the
+    # same colour and the rows' omega weights
+    for name, rows, other, w in (("u", u_left, u_right, omega[:a]),
+                                 ("v", v_right, v_left, omega[a:])):
+        lhs = sum(t(q, z, c) * wq for q, wq in zip(rows, w))
+        rhs = (h_prod(other, z, c) * inv_h_prod(rows, z, c)
+               * (1.0 - f_prod(rows, z, c) * inv_f_prod(other, z, c)))
+        out[f"{name}_row_from_left"] = (lhs, rhs, rel(lhs, rhs))
+        lhs = sum(t(z, q, c) * wq for q, wq in zip(rows, w))
+        rhs = (h_prod(z, other, c) * inv_h_prod(z, rows, c)
+               * (f_prod(z, rows, c) * inv_f_prod(z, other, c) - 1.0))
+        out[f"{name}_row_from_right"] = (lhs, rhs, rel(lhs, rhs))
     return out
 
 

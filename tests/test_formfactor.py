@@ -253,7 +253,7 @@ def test_grid_builder_matches_per_column(monkeypatch):
 # ---------------------------------------------------------------------------
 # closing rows
 
-def test_y_row_diag_values(state_lib):
+def test_y_row_diag_values(monkeypatch, state_lib):
     left, right = state_lib[5]["m31"][0], state_lib[5]["m31"][1]
     z = 1.1 + 0.7j
     asm = ff.assemble(left, right, z)
@@ -265,14 +265,30 @@ def test_y_row_diag_values(state_lib):
     expect = tau(z, left.roots, model) * inv_f_prod(z, left.u, model.c) \
         * inv_f_prod(left.v, z, model.c)
     assert abs(total[a + b] - expect) <= 1e-12 * abs(expect)
-    asm_same = ff.assemble(left, left, z, same_state=True)
-    same = {s: ff.y_row_diag(asm_same, s, same_state=True) for s in (1, 2, 3)}
-    assert np.all(same[2][:a + b] == 1.0)
-    assert same[2][a + b] == 1.0
-    assert np.all(same[1][:a] == -1.0)
-    assert np.all(same[1][a:a + b] == 0.0)
-    assert np.all(same[3][:a] == 0.0)
-    assert np.all(same[3][a:a + b] == -1.0)
+    # the same-state row is the Kronecker pattern, and the same-state matrix
+    # closes with it, also at grid size: built whole, and on the element
+    # kept from the colour before
+    rng = np.random.default_rng(5)
+    _, big, big_z = _pair(rng, _polynomial_model(rng), (1, 1), 3, 3)
+    for st, w in ((left, z), (big, big_z)):
+        asm_same = ff.assemble(st, st, w, same_state=True)
+        a, b = st.a, st.b
+        same = {s: ff.y_row_diag(asm_same, s, same_state=True)
+                for s in (1, 2, 3)}
+        assert np.all(same[2][:a + b] == 1.0)
+        assert same[2][a + b] == 1.0
+        assert np.all(same[1][:a] == -1.0)
+        assert np.all(same[1][a:a + b] == 0.0)
+        assert np.all(same[3][:a] == 0.0)
+        assert np.all(same[3][a:a + b] == -1.0)
+        for whole in (True, False):
+            for s in (1, 2, 3):
+                if whole:
+                    monkeypatch.setattr(ff, "_last", None)
+                _, mat, is_same = ff.determinant_element((s, s), st, st, w)
+                assert is_same
+                assert mat[-1].tobytes() == same[s].tobytes()
+    assert len(asm_same.cols) >= ff.GRID_MIN_COLS
 
 
 # ---------------------------------------------------------------------------
@@ -749,6 +765,9 @@ def test_repeat_calls_build_only_the_z_column(monkeypatch, state_lib):
 def test_kept_part_is_read_only_and_keeps_no_model(state_lib):
     spec = state_lib[3]["spec"]
     model = spec.model()
+    # a model that only the collector frees would otherwise be dropped
+    # inside the test and take the counts below their start
+    gc.collect()
     solved, extracted = len(solver._SOLVED), len(orc._EXTRACTED)
     states = solver.distinct_states(model, 1, 0, rng_seed=7)
     orc.eigenvector_for_state(states[0], "left", spec)
