@@ -50,13 +50,13 @@ KINDS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3))
 SAME_STATE_TOL = 1e-9
 NEAR_DEGENERATE_TOL = 1e-5
 
-# Determinant columns from which the grid builder takes over.  In a size
-# sweep of all kinds and the norm at 3-12 columns (2 vCPUs, numpy 2.4), on an
-# L=8 chain and on a generalized model with interpolated r1, r3, the builders
-# tie at 6 columns (grid/per-column time 1.03 and 1.00) and the grid is
-# faster from 7 on (0.87 and 0.86; 0.48 and 0.53 at 12).  The L<=5 chains of
-# the suites and the `gl3ff ff` table reach at most 5 columns, so they keep
-# the per-column code.
+# Determinant columns from which the grid builder takes over.  In four size
+# sweeps of all kinds and the norm at 3-12 columns (2 vCPUs, numpy 2.4), on
+# an L=8 chain and on a generalized model with interpolated r1, r3, the
+# builders tie at 6 columns (grid/per-column time 0.99-1.02 and 0.97-1.00)
+# and the grid is faster from 7 on (0.81-0.83 and 0.82-0.84; 0.40 and 0.42
+# at 12).  The L<=5 chains of the suites and the `gl3ff ff` table reach at
+# most 5 columns, so they keep the per-column code.
 GRID_MIN_COLS = 7
 
 
@@ -136,6 +136,10 @@ class _Grid:
     every product over a root set is a product along the row axis of one
     block.  Each piece returns None when a mask finds a pole in a term it
     uses; its per-column builder then raises that pole's error.
+
+    r1 is taken only at the right u-roots and z, r3 only at the left v-roots
+    and z (see :func:`n_column`); the columns are ``u_right + v_left +
+    (z,)``, so the others are known by index.
     """
 
     def __init__(self, asm: FFAssembly):
@@ -164,8 +168,11 @@ class _Grid:
                     or (not same_state and self.zero[:n].any())
                     or self.plus[self.VL, :self.a].any())
 
-    def _at_cols(self, r) -> np.ndarray:
-        return np.array([r(x) for x in self.cols], dtype=complex)
+    def _at_cols(self, r, killed: range) -> np.ndarray:
+        """The ratio ``r`` at the column points in column order, with 0 at
+        the ``killed`` columns in place of a call."""
+        return np.array([0j if k in killed else r(x)
+                         for k, x in enumerate(self.cols)], dtype=complex)
 
     @cached_property
     def v_factors(self) -> tuple:
@@ -173,7 +180,7 @@ class _Grid:
         c, d = self.c, self.d
         vr, ur, vl = d[self.VR], d[self.UR], d[self.VL]
         sign = -1.0 if (vr.shape[0] - 1) % 2 else 1.0
-        r3 = self._at_cols(self.model.r3)
+        r3 = self._at_cols(self.model.r3, range(self.a))
         with np.errstate(over="ignore", invalid="ignore"):
             return (sign, r3, ((c - vr) / c).prod(axis=0),
                     (-ur / (c - ur)).prod(axis=0),
@@ -190,7 +197,8 @@ class _Grid:
         out = np.empty(d[rows].shape, dtype=complex)
         if u.size:
             sign = -1.0 if (u.shape[0] - 1) % 2 else 1.0
-            r1 = self._at_cols(self.model.r1)
+            r1 = self._at_cols(self.model.r1,
+                               range(self.a, len(self.cols) - 1))
             ur, vl = d[self.UR], d[self.VL]
             with np.errstate(over="ignore", invalid="ignore"):
                 if_vx = (vl / (vl + c)).prod(axis=0)
@@ -396,11 +404,13 @@ def _grid_prefactor(u_left: tuple, v_left: tuple, u_right: tuple,
 def _v_factors(asm: FFAssembly, x: complex) -> tuple:
     """Row-independent factors of the v-rows at column point ``x``: the
     parity sign, r3(x), h(x, v_right), 1/f(x, u_right), h(v_right, x) and
-    1/h(v_left, x)."""
+    1/h(v_left, x).  At a right u-root 1/f(x, u_right) is 0, and 0 stands
+    in for r3(x), which is not called."""
     m = asm.model
     c = m.c
     sign = -1.0 if (len(asm.v_right) - 1) % 2 else 1.0
-    return (sign, m.r3(x), h_prod(x, asm.v_right, c),
+    r3 = 0j if x in asm.u_right else m.r3(x)
+    return (sign, r3, h_prod(x, asm.v_right, c),
             inv_f_prod(x, asm.u_right, c), h_prod(asm.v_right, x, c),
             inv_h_prod(asm.v_left, x, c))
 
@@ -411,15 +421,18 @@ def n_column(asm: FFAssembly, x: complex) -> list:
     Rows 0..len(u_left)-1 are u-type, the rest v-type.  Each entry is a row
     factor t(u_j, x) or t(x, v_j) times products that depend on ``x`` alone,
     which are built once per column.  The closed form uses only t/h ratios,
-    so it stays finite at columns equal to right u-roots or left v-roots
-    (where the respective r-term is killed by an inverse-f zero).
+    so it stays finite at columns equal to right u-roots or left v-roots,
+    where the r3 term of a v-row (the r1 term of a u-row) is killed by a
+    zero of 1/f(x, u_right) (of 1/f(v_left, x)).  There 0 stands in for the
+    ratio, which is not called, so a pole of the ratio at such a root does
+    not end the entry.
     """
     m = asm.model
     c = m.c
     out = []
     if asm.u_left:
         sign = -1.0 if (len(asm.u_left) - 1) % 2 else 1.0
-        r1 = m.r1(x)
+        r1 = 0j if x in asm.v_left else m.r1(x)
         h_ux = h_prod(asm.u_left, x, c)
         if_vx = inv_f_prod(asm.v_left, x, c)
         ih_xu = inv_h_prod(x, asm.u_right, c)

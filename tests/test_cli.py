@@ -4,7 +4,6 @@ import hashlib
 import json
 import pathlib
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ import gl3ff.checks as checks
 import gl3ff.cli as cli
 import gl3ff.formfactor as ff
 from gl3ff.model import xxx_chain
+from conftest import require_pinned_build
 
 
 def run(args):
@@ -372,11 +372,10 @@ def test_check_records_do_not_depend_on_other_checks(lib_seed7, suite):
 
 
 # sha256 of json.dumps(report.to_json(), sort_keys=True) for the seed-7
-# reports.  The digests pin the Python and numpy of PINNED_BUILD: another
-# build may round a residual differently, so there the comparison is skipped.
-# They may change only in a change whose CHANGES.md entry says why the report
-# bytes moved.
-PINNED_BUILD = ((3, 11), (2, 4))
+# reports.  The digests pin the Python and numpy of conftest.PINNED_BUILD:
+# another build may round a residual differently, so there the comparison is
+# skipped.  They may change only in a change whose CHANGES.md entry says why
+# the report bytes moved.
 REPORT_SHA256 = {
     "verification":
         "cda5394f20eb8a10ed802c53c73f743df605acd1be0f0f2cb0e40b704aaf0477",
@@ -388,11 +387,7 @@ REPORT_SHA256 = {
 def assert_report_bytes_pinned(out):
     """The --out file holds report.to_json(); a JSON round trip restores the
     pinned text exactly.  Call it last: off the pinned build it skips."""
-    build = (sys.version_info[:2],
-             tuple(int(p) for p in np.__version__.split(".")[:2]))
-    if build != PINNED_BUILD:
-        pytest.skip(f"report digests pin Python/numpy {PINNED_BUILD}, "
-                    f"this build is {build}")
+    require_pinned_build()
     blob = json.loads(out.read_text())
     text = json.dumps(blob, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \

@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import hashlib
 import warnings
 import weakref
 
@@ -8,13 +10,13 @@ import pytest
 import gl3ff.formfactor as ff
 import gl3ff.oracle as orc
 import gl3ff.solver as solver
-from gl3ff.errors import (DegeneracyWarning, NonFiniteResult, PoleError,
-                          SectorMismatch)
+from gl3ff.errors import (DegeneracyWarning, Gl3Error, NonFiniteResult,
+                          PoleError, SectorMismatch)
 from gl3ff.kernel import (delta, delta_prime, h_prod, inv_f_prod,
                           inv_h_prod, t)
 from gl3ff.model import (ModelFunctions, Twist, dtau_dkappa,
                          dtau_dkappa_onshell, mirror_model, tau, xxx_chain)
-from conftest import make_state, vacuum_state
+from conftest import make_state, require_pinned_build, vacuum_state
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +129,57 @@ def test_n_entry_term_structure(state_lib):
     uj = left.u[0]
     term2 = (t(x, uj, c) * h_prod(x, left.u, c) / h_prod(x, right.u, c))
     assert abs(ff.n_column(asm, x)[0] - term2) <= 1e-12 * abs(term2)
+
+
+def test_killed_terms_at_grid_size(monkeypatch):
+    # the same term structure on an assembly of GRID_MIN_COLS columns and
+    # more, in both builders, and the ratio of a killed term is not called
+    rng = np.random.default_rng(4)
+    calls = {"r1": [], "r3": []}
+
+    def counted(name, ratio):
+        def call(w):
+            calls[name].append(w)
+            return ratio(w)
+        return call
+
+    model = _polynomial_model(rng)
+    model = dataclasses.replace(model, r1=counted("r1", model.r1),
+                                r3=counted("r3", model.r3))
+    left, right, z = _pair(rng, model, (1, 3), 3, 3)
+    c = model.c
+    ncols = len(right.u) + len(left.v) + 1
+    assert ncols >= ff.GRID_MIN_COLS
+
+    def build():
+        for seen in calls.values():
+            seen.clear()
+        asm = ff.assemble(left, right, z)
+        out = ff.n_matrix(asm), ff.y_row_13(asm)
+        return out, {name: list(seen) for name, seen in calls.items()}
+
+    # the per-column y_row_13 takes r3 again; the grid's n_matrix and
+    # y_row_13 share one v_factors
+    for ((mat, row13), seen), r3_passes in zip(
+            _both_builders(monkeypatch, build), (2, 1)):
+        assert mat.shape[1] == ncols
+        for k, x in enumerate(right.u):  # r3 terms of the v-rows killed
+            for j, vj in enumerate(right.v):
+                term = (t(vj, x, c) * h_prod(right.v, x, c)
+                        / h_prod(left.v, x, c))
+                entry = mat[len(left.u) + j, k]
+                assert abs(entry - term) <= 1e-12 * abs(term)
+            term = h_prod(right.v, x, c) / h_prod(left.v, x, c)
+            assert abs(row13[k] - term) <= 1e-12 * abs(term)
+        for k, x in enumerate(left.v, len(right.u)):  # r1 terms killed
+            for j, uj in enumerate(left.u):
+                term = (t(x, uj, c) * h_prod(x, left.u, c)
+                        / h_prod(x, right.u, c))
+                assert abs(mat[j, k] - term) <= 1e-12 * abs(term)
+        # r1 at the right u-roots and z, r3 at the left v-roots and z, in
+        # column order
+        assert seen["r1"] == [*right.u, z]
+        assert seen["r3"] == r3_passes * [*left.v, z]
 
 
 def test_n_matrix_builds_column_products_once(monkeypatch, state_lib):
@@ -248,6 +301,38 @@ def test_grid_builder_matches_per_column(monkeypatch):
                     assert np.max(np.abs(r_grid - r_col)) <= 1e-13 * scale
     assert min(seen) <= 3 and max(seen) >= ff.GRID_MIN_COLS + 6
     assert kinds == set(ff.KINDS)
+
+
+# sha256 of the values and matrices of test_grid_elements_are_pinned's
+# table.  It pins the Python and numpy of conftest.PINNED_BUILD, and may
+# change only in a change whose CHANGES.md entry says why the element bytes
+# moved.
+GRID_SHA256 = \
+    "3be41b737b9972fc9c8f42e15db7e045d8774d36216c6c915ba9f3afe9c033d6"
+
+
+def test_grid_elements_are_pinned(monkeypatch):
+    # the reports and the `gl3ff ff` table reach only the per-column sizes;
+    # this pins the grid builder's elements, bit for bit, for every kind on
+    # generalized pairs of 7-24 columns
+    monkeypatch.setattr(ff, "_last", None)
+    rng = np.random.default_rng(30)
+    model = _polynomial_model(rng)
+    digest, cols = hashlib.sha256(), set()
+    for n in range(7, 23):
+        a, b = n - n // 2, n // 2
+        for kind in ff.KINDS:
+            left, right, z = _pair(rng, model, kind, a, b)
+            try:
+                value, mat, _ = ff.determinant_element(kind, left, right, z)
+            except Gl3Error as exc:
+                digest.update(f"{kind}: {type(exc).__name__}: {exc}".encode())
+                continue
+            digest.update(np.complex128(value).tobytes() + mat.tobytes())
+            cols.add(mat.shape[1])
+    assert min(cols) == ff.GRID_MIN_COLS and max(cols) == 24
+    require_pinned_build()
+    assert digest.hexdigest() == GRID_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +557,8 @@ def test_assemble_validation(state_lib):
 
 def test_grid_guards_raise_the_per_column_error(monkeypatch):
     # above GRID_MIN_COLS each pole is found by a mask on the difference
-    # array; the error, and the first pair it names, are the per-column ones
+    # array; the error, and the first pair it names, are the per-column ones.
+    # A pole of r1 or r3 raises where its term survives and nowhere else.
     rng = np.random.default_rng(21)
     model = xxx_chain(4, tuple(_clear_points(rng, 4)), 1.0)
     c = model.c
@@ -490,22 +576,67 @@ def test_grid_guards_raise_the_per_column_error(monkeypatch):
             lv[k] = w
         return make_state(model, lu, lv)
 
+    site = model.inhomogeneities[0]
     cases = {
-        "row on a column": shifted(u={2: ur[3], 0: ur[1]}),
-        "h(v_left, u_right) = 0": shifted(v={1: ur[0] - c, 0: ur[2] - c}),
-        "equal column labels": shifted(v={1: ur[0], 0: ur[1]}),
-        "t pole at u_j - x = -c": shifted(u={1: ur[3] - c, 0: ur[1] - c}),
+        "row on a column": (shifted(u={2: ur[3], 0: ur[1]}), z),
+        "h(v_left, u_right) = 0": (shifted(v={1: ur[0] - c, 0: ur[2] - c}),
+                                   z),
+        "equal column labels": (shifted(v={1: ur[0], 0: ur[1]}), z),
+        "t pole at u_j - x = -c": (shifted(u={1: ur[3] - c, 0: ur[1] - c}),
+                                   z),
+        # r1 has a pole at each site, and its term survives at z
+        "r1 pole at the probe point": (left, site),
     }
-    for what, bad_left in cases.items():
-        assert len(ff.assemble(left, right, z).cols) >= ff.GRID_MIN_COLS
+    for what, (bad_left, w) in cases.items():
+        assert len(ff.assemble(left, right, w).cols) >= ff.GRID_MIN_COLS
 
         def error():
             with pytest.raises(PoleError) as info:
-                ff.form_factor((1, 2), bad_left, right, z)
+                ff.form_factor((1, 2), bad_left, right, w)
             return str(info.value)
 
         per_column, grid = _both_builders(monkeypatch, error)
         assert grid == per_column, what
+    assert grid == f"f(x, y) pole: x={site} collides with y={site}"
+
+    # at a left v-root the r1 term of every u-row is killed, so a left
+    # v-root on a site gives the continuous extension of the element
+    def near_site(eps):
+        on = shifted(v={0: site + eps})
+        return _both_builders(
+            monkeypatch, lambda: ff.form_factor((1, 2), on, right, z))
+
+    for on, near in zip(near_site(0.0), near_site(1e-9)):
+        assert np.isfinite(on) and abs(on - near) <= 1e-6 * abs(on)
+
+    # a ratio that raises at every killed column, r1 at the left v-roots and
+    # r3 at the right u-roots, gives every kind at 3-12 columns, in both
+    # builders, bit for bit the element of the same ratios without a raise
+    plain = _polynomial_model(rng)
+
+    def raising(ratio, poles):
+        def call(w):
+            if w in poles:
+                raise PoleError(f"ratio pole at {w}")
+            return ratio(w)
+        return call
+
+    cols = set()
+    for n in range(3, 11):
+        a, b = n - n // 2, n // 2
+        for kind in ff.KINDS:
+            left, right, z = _pair(rng, plain, kind, a, b)
+            poles = dataclasses.replace(
+                plain, r1=raising(plain.r1, left.v + right.v),
+                r3=raising(plain.r3, left.u + right.u))
+            pairs = ((left, right), tuple(make_state(poles, st.u, st.v)
+                                          for st in (left, right)))
+            for (v0, m0), (v1, m1) in _both_builders(monkeypatch, lambda: [
+                    ff.determinant_element(kind, *pair, z)[:2]
+                    for pair in pairs]):
+                assert v1 == v0 and m1.tobytes() == m0.tobytes(), kind
+                cols.add(m0.shape[1])
+    assert min(cols) == 3 and max(cols) == 12
 
 
 # ---------------------------------------------------------------------------
