@@ -23,6 +23,16 @@ a product along one axis of an array of differences between the roots and
 the column points (:class:`_Grid`), with the kernel's pole guards as masks
 on the same array.  A piece whose mask finds a pole is handed to the
 per-column code, which raises the error of its first pole.
+
+Every element is the sign of its kind times its prefactor times
+det(matrix), taken from the z-free part (:class:`_Part`) of its assembly.
+Only the last column of the matrix, the closing row's last entry and the
+prefactor's factors p(z) involve the probe point z.  Below
+``GRID_MIN_COLS`` columns the prefactor is P0 * p(z), P0 being the
+prefactor over the other columns, and a part serves every z.  From there on
+a part serves its first z only, with the grid's prefactor over all columns:
+the grid builds the z column in one array pass with the others, and a
+column built on its own does not match it in every bit.
 """
 
 from __future__ import annotations
@@ -38,9 +48,8 @@ import numpy as np
 
 from .errors import (DegeneracyWarning, NonFiniteResult, PoleError,
                      SectorMismatch)
-from .kernel import (collision, delta, delta_extend, delta_prime, exclude,
-                     f_prod, g_prod, h_prod, h_prod_extend, inv_f_prod,
-                     inv_g_prod, inv_h_prod, pole_tol, t)
+from .kernel import (collision, delta, delta_prime, exclude, f_prod, g_prod,
+                     h_prod, inv_f_prod, inv_g_prod, inv_h_prod, pole_tol, t)
 from .model import (BetheState, ModelFunctions, RootConfig, dtau_du,
                     dtau_dv, gaudin_matrix, tau)
 from .solver import states_equal
@@ -319,61 +328,20 @@ def prefactor_H(u_left: Sequence[complex], v_left: Sequence[complex],
             * Delta'(u_left) Delta'(v_right) Delta(cols)
 
     shared by every determinant representation.  Passing ``cols`` without the
-    probe point (only the merged root sets) yields the norm prefactor.
-    Below ``GRID_MIN_COLS`` columns it is a :class:`_PrefactorHead` over the
-    columns but the last, closed by the last; that head is kept in
-    ``_last_head`` (None after a grid build) for :func:`determinant_element`.
+    probe point (only the merged root sets) yields the norm prefactor.  An
+    element below ``GRID_MIN_COLS`` columns takes it over its columns but
+    the probe point, times :func:`_probe_factor`.
     """
-    global _last_head
     u_left, v_left = tuple(u_left), tuple(v_left)
     u_right, v_right = tuple(u_right), tuple(v_right)
     cols = tuple(cols)
     if len(cols) >= GRID_MIN_COLS:
         pref = _grid_prefactor(u_left, v_left, u_right, v_right, cols, c)
         if pref is not None:
-            _last_head = None
             return pref
-    _last_head = _PrefactorHead(u_left, v_left, u_right, v_right, cols[:-1], c)
-    return _last_head.close(cols[-1:])
-
-
-class _PrefactorHead:
-    """The factors of :func:`prefactor_H` that do not involve its last
-    column point: h(cols, u_right) and Delta(cols) over the other columns,
-    1/h(v_left, u_right), Delta'(u_left) and Delta'(v_right).
-
-    The kernel's products take the terms of a last ``lhs`` point last, so
-    :meth:`close` extends the kept h(cols, u_right) and Delta(cols) by the
-    last column in the order of a build over all columns, and its value is
-    that build's, bit for bit.  Only h(v_left, cols) interleaves the last
-    column's terms (for two or more left v-roots), so it is built whole on
-    every close.
-    """
-
-    def __init__(self, u_left: tuple, v_left: tuple, u_right: tuple,
-                 v_right: tuple, cols: tuple, c: complex):
-        self.v_left, self.u_right, self.cols, self.c = v_left, u_right, cols, c
-        self.h_cu = h_prod(cols, u_right, c)
-        self.ih_vu = inv_h_prod(v_left, u_right, c)
-        self.dp_u = delta_prime(u_left, c)
-        self.dp_v = delta_prime(v_right, c)
-        self.d_c = delta(cols, c)
-
-    def close(self, last: tuple) -> complex:
-        """The prefactor over the head's columns and ``last``, which holds
-        the last column point or nothing."""
-        c = self.c
-        h_cu, d_c = self.h_cu, self.d_c
-        for x in last:
-            h_cu = h_prod_extend(h_cu, x, self.u_right, c)
-            d_c = delta_extend(d_c, x, self.cols, c)
-        return (h_cu * h_prod(self.v_left, self.cols + last, c) * self.ih_vu
-                * self.dp_u * self.dp_v * d_c)
-
-
-# the head of the most recent per-column prefactor_H build (see
-# determinant_element)
-_last_head = None
+    return (h_prod(cols, u_right, c) * h_prod(v_left, cols, c)
+            * inv_h_prod(v_left, u_right, c) * delta_prime(u_left, c)
+            * delta_prime(v_right, c) * delta(cols, c))
 
 
 def _grid_prefactor(u_left: tuple, v_left: tuple, u_right: tuple,
@@ -399,6 +367,18 @@ def _grid_prefactor(u_left: tuple, v_left: tuple, u_right: tuple,
             (np.subtract.outer(vl, xs) + c) / c,
             c / h_vu, *(c / d for d in g_args)))
     return h_cu * h_vc * ih_vu * dp_u * dp_v * d_c
+
+
+def _probe_factor(asm: FFAssembly) -> complex:
+    """p(z), the factors of :func:`prefactor_H` over ``asm.cols`` in the
+    probe point z: h(z, u_right) h(v_left, z) and the pairs g(z, x) of
+    Delta(cols), x over the other columns ``u_right + v_left``.  The
+    prefactor over the other columns times p(z) is the element's prefactor.
+    Since h(z, u) g(z, u) = f(z, u) and h(v, z) g(z, v) = -f(v, z),
+    p(z) = (-1)^b_left f(z, u_right) f(v_left, z)."""
+    c, z = asm.model.c, asm.z
+    sign = -1.0 if len(asm.v_left) % 2 else 1.0
+    return sign * f_prod(z, asm.u_right, c) * f_prod(asm.v_left, z, c)
 
 
 def _v_factors(asm: FFAssembly, x: complex) -> tuple:
@@ -508,13 +488,13 @@ def y_row_diag(asm: FFAssembly, s: int, same_state: bool) -> np.ndarray:
 def _y_diag_entry(asm: FFAssembly, s: int) -> complex:
     """The last component of :func:`y_row_diag`, the only one that depends
     on the probe point."""
+    if s == 2:
+        return 1.0
     m = asm.model
     c, z = m.c, asm.z
     denom = inv_f_prod(asm.v_left, z, c) * inv_f_prod(z, asm.u_left, c)
     if s == 1:
         return m.r1(z) * f_prod(asm.u_left, z, c) * denom
-    if s == 2:
-        return 1.0
     return m.r3(z) * f_prod(z, asm.v_left, c) * denom
 
 
@@ -578,20 +558,20 @@ def _check_sector(kind: tuple, left: BetheState, right: BetheState) -> None:
             f"entry {kind}: left sector ({left.a}, {left.b}) != required ({ap}, {bp})")
 
 
-def _same_state_matrix(asm: FFAssembly, s: int) -> np.ndarray:
-    """Regularised diagonal-entry matrix for coinciding root sets.
+def _same_state_rows(asm: FFAssembly) -> np.ndarray:
+    """The rows above the closing row of the regularised diagonal-entry
+    matrix for coinciding root sets.
 
-    The naive entries develop cancelling poles there, so the top-left block
-    is the Gaudin matrix, the last column carries the scaled tau derivatives
-    and the closing row collapses to its Kronecker pattern.
+    The naive entries develop cancelling poles there, so the first columns
+    are the Gaudin matrix, the last column carries the scaled tau
+    derivatives and the closing row collapses to its Kronecker pattern.
     """
     roots = RootConfig(u=asm.u_left, v=asm.v_left)
     n = roots.a + roots.b
-    mat = np.empty((n + 1, n + 1), dtype=complex)
-    mat[:n, :n] = gaudin_matrix(roots, asm.model)
-    mat[:n, n] = _tau_column(asm)
-    mat[n] = y_row_diag(asm, s, same_state=True)
-    return mat
+    rows = np.empty((n, n + 1), dtype=complex)
+    rows[:, :n] = gaudin_matrix(roots, asm.model)
+    rows[:, n] = _tau_column(asm)
+    return rows
 
 
 def _tau_column(asm: FFAssembly) -> list:
@@ -605,99 +585,103 @@ def _tau_column(asm: FFAssembly) -> list:
             + [-c * dtau_dv(z, roots, m, j) * scale for j in range(roots.b)])
 
 
-def _closing(kind: tuple):
-    """What closes the matrix of ``kind`` below its N rows: the colour of a
-    diagonal entry's row, the one row of the (1,3)/(3,1) pair, or nothing.
-    Two kinds on one assembly with the same closing have the same matrix."""
+def _row_keys(kind: tuple) -> tuple:
+    """The rows of the matrix of ``kind`` (see :func:`_rows`): the N rows,
+    then the closing row of a diagonal entry's colour or of the (1,3)/(3,1)
+    pair.  Two kinds on one assembly with the same keys have the same
+    matrix."""
     i, j = kind
     if i == j:
-        return i
-    return (1, 3) if kind in ((1, 3), (3, 1)) else None
+        return None, i
+    return (None, (1, 3)) if kind in ((1, 3), (3, 1)) else (None,)
 
 
-def _closing_row(asm: FFAssembly, kind: tuple, same: bool):
-    """The closing row of the entry ``kind``, or None."""
-    i, j = kind
-    if i == j:
-        return y_row_diag(asm, i, same)
-    if kind in ((1, 3), (3, 1)):
-        return y_row_13(asm)
-    return None
+def _rows(asm: FFAssembly, key, same: bool) -> np.ndarray:
+    """Rows of the matrices on ``asm`` over all columns: for ``key`` None
+    the N rows (in the same-state branch the Gaudin block and tau column),
+    else the closing row of a diagonal colour or of (1,3)."""
+    if key is None:
+        return _same_state_rows(asm) if same else n_matrix(asm)
+    if key == (1, 3):
+        return y_row_13(asm)[None]
+    return y_row_diag(asm, key, same)[None]
 
 
-def _matrix(asm: FFAssembly, kind: tuple, same: bool,
-            part: "_ZFreePart | None" = None) -> np.ndarray:
-    """The determinant matrix of the entry ``kind`` on an assembly.
-
-    ``part``, kept from an earlier element on the same assembly, supplies
-    the N rows (the Gaudin block and tau column in the same-state branch)
-    and, for a kind with the same closing, the closing row.  At a new probe
-    point the last column and the closing entry are then built alone, by
-    the code and in the order of a full build, so the matrix and any error
-    are the same.
-    """
-    if part is None:
-        if same:
-            return _same_state_matrix(asm, kind[0])
-        rows = n_matrix(asm)
-        row = _closing_row(asm, kind, False)
-        return rows if row is None else np.vstack([rows, row])
-    mat = part.mat.copy()
-    new_z = asm.z != part.z
-    if new_z:
-        mat[:asm.n_rows, -1] = (_tau_column(asm) if same
-                                else n_column(asm, asm.z))
-    closing = _closing(kind)
-    if closing != part.closing:
-        mat[-1] = _closing_row(asm, kind, same)
-    elif new_z and closing is not None:
-        mat[-1, -1] = (_y_diag_entry(asm, kind[0]) if kind[0] == kind[1]
-                       else _y13_entry(asm, asm.z))
-    return mat
+def _last_column(asm: FFAssembly, key, same: bool):
+    """The last column of :func:`_rows`, the only one that involves the
+    probe point."""
+    if key is None:
+        return _tau_column(asm) if same else n_column(asm, asm.z)
+    if key == (1, 3):
+        return _y13_entry(asm, asm.z)
+    return _y_diag_entry(asm, key)
 
 
-class _ZFreePart:
-    """What one element keeps for the next call on the same assembly (its
-    two states after the exchange of the (2,3), (2,1) and (3,1) entries):
-    the assembly's roots and branch, its probe point, its prefactor before
-    the sign of the kind, the prefactor's :class:`_PrefactorHead`, and its
-    matrix.  The first ``n_rows`` rows of the matrix (the Gaudin block and
-    tau column in the same-state branch) are the same for every kind the
-    two states' sectors admit, and every column but the last is free of the
-    probe point.  A new probe point thus builds only what involves it: the
-    prefactor's terms in it, the last column and the closing entry.  States
-    and model are held by weak reference, so the part keeps no model alive;
-    the matrix is read-only."""
+class _Part:
+    """The z-free part of the elements on one assembly (its two states
+    after the exchange of the (2,3), (2,1) and (3,1) entries).  The first
+    call on the assembly builds it at its probe point z0, and every call,
+    that one included, takes its element from it.
 
-    def __init__(self, kind: tuple, left: BetheState, right: BetheState,
-                 asm: FFAssembly, same: bool, near: bool, pref: complex,
-                 head: _PrefactorHead, mat: np.ndarray):
-        self.closing = _closing(kind)
+    It holds the validated roots and branch, P0 (:func:`prefactor_H` over
+    every column but the probe point), the prefactor P0 * p(z0) (see
+    :func:`_probe_factor`), and the rows of the matrix (:func:`_rows`), each
+    built whole by the first call that needs it and kept with its probe
+    point: the N rows and each closing row some kind needed.  Only their
+    last column involves z.  Below ``GRID_MIN_COLS`` columns every entry is
+    built from its own column point, so at another z a call runs the guards
+    that involve z and builds only the last column and p(z), and no value or
+    error depends on the order of the calls.  From ``GRID_MIN_COLS`` on the
+    grid builds the z column in the same array pass as the others, and a
+    column built on its own does not match it in every bit, so a part there
+    serves its z0 only; its prefactor is the grid's over all columns, and it
+    needs no P0.  States and model are held by weak reference, so the part
+    keeps no model alive; its rows are read-only."""
+
+    def __init__(self, left: BetheState, right: BetheState, asm: FFAssembly,
+                 same: bool, near: bool):
         self.left, self.right = weakref.ref(left), weakref.ref(right)
         self.model = weakref.ref(asm.model)
         self.roots = (asm.u_left, asm.v_left, asm.u_right, asm.v_right)
-        self.same, self.near = same, near
-        self.z, self.pref, self.head = asm.z, pref, head
-        self.mat = mat.copy()
-        self.mat.flags.writeable = False
+        self.same, self.near, self.z0 = same, near, asm.z
+        self.grid = len(asm.cols) >= GRID_MIN_COLS
+        if self.grid:  # serves z0 only, so it needs no P0
+            self.pref0 = prefactor_H(*self.roots, asm.cols, asm.model.c)
+        else:
+            self.p0 = prefactor_H(*self.roots, asm.cols[:-1], asm.model.c)
+            self.pref0 = self.p0 * _probe_factor(asm)
+        self.kept = {}
 
     def serves(self, left: BetheState, right: BetheState, z: complex) -> bool:
-        # at GRID_MIN_COLS columns and more the grid builds a matrix as one
-        # array, whose last column a per-column build need not match in
-        # every bit (and its prefactor too, so no head is kept there)
         return (self.left() is left and self.right() is right
-                and (self.mat.shape[1] < GRID_MIN_COLS or z == self.z))
+                and (not self.grid or z == self.z0))
 
     def assembly(self, z: complex) -> FFAssembly:
         """The assembly at the probe point ``z``, after the guards that
         involve it if it is new."""
         asm = FFAssembly(*self.roots, z=z, model=self.model())
-        if z != self.z:
+        if z != self.z0:
             _probe_guards(asm, self.same)
         return asm
 
+    def rows(self, asm: FFAssembly, key) -> np.ndarray:
+        """The rows ``key`` at the assembly's probe point: built whole and
+        kept on first need, else the kept rows, with their last column
+        rebuilt if they were built at another z."""
+        kept = self.kept.get(key)
+        if kept is None:
+            rows = _rows(asm, key, self.same)
+            rows.flags.writeable = False
+            self.kept[key] = rows, asm.z
+            return rows
+        rows, z = kept
+        if asm.z != z:
+            rows = rows.copy()
+            rows[:, -1] = _last_column(asm, key, self.same)
+        return rows
 
-# the kept part of the most recent element (see determinant_element)
+
+# the part of the most recent assembly (see determinant_element)
 _last = None
 
 
@@ -713,16 +697,15 @@ def determinant_element(kind: tuple, left: BetheState, right: BetheState,
     the exchange), the prefactor and the N rows; they differ only in the
     closing row.  Only the last column of the matrix, the closing row's
     last entry and the prefactor's factors h(z, u_right), h(v_left, z) and
-    the pairs of Delta(cols) with z depend on ``z``.  The element keeps its
-    assembly, branch, prefactor (with the head of its z-free products) and
-    matrix until the next full build.  A call on the same assembly at the
-    same ``z`` (any kind, any size) reuses the prefactor and the N rows and
-    builds only its own closing row.  At a new ``z`` below
-    ``GRID_MIN_COLS`` columns it runs only the guards that involve ``z``
-    and builds only the prefactor's z factors, the last column and the
-    closing entry (and its own closing row, if its kind's differs).  The
-    sector, twist and near-degeneracy checks run on every call.  Value, matrix and errors are
-    those of a full build, bit for bit.
+    the pairs of Delta(cols) with z depend on ``z``.  Every element is taken
+    from the :class:`_Part` of its assembly, which the first call on the
+    assembly builds and which is kept until a call on another assembly.  A
+    call at the part's z0 builds at most its own closing row; a call at
+    another z below ``GRID_MIN_COLS`` columns runs the guards that involve
+    z and builds the last column, the closing entry and p(z); from
+    ``GRID_MIN_COLS`` columns on, a call at another z builds a new part.
+    The sector, twist and near-degeneracy checks run on every call.  No
+    value, matrix or error depends on the order of the calls.
     """
     global _last
     kind = (int(kind[0]), int(kind[1]))
@@ -750,15 +733,11 @@ def determinant_element(kind: tuple, left: BetheState, right: BetheState,
             DegeneracyWarning, stacklevel=3)
     if part is None:
         asm = assemble(left, right, z, same_state=same)
-        pref = prefactor_H(asm.u_left, asm.v_left, asm.u_right, asm.v_right,
-                           asm.cols, asm.model.c)
+        part = _last = _Part(left, right, asm, same, near)
     else:
         asm = part.assembly(z)
-        pref = part.pref if z == part.z else part.head.close((z,))
-    mat = _matrix(asm, kind, same, part)
-    if part is None:
-        _last = _ZFreePart(kind, left, right, asm, same, near, pref,
-                           _last_head, mat)
+    pref = part.pref0 if z == part.z0 else part.p0 * _probe_factor(asm)
+    mat = np.concatenate([part.rows(asm, key) for key in _row_keys(kind)])
     if i == j:
         pref = (-1.0 if len(asm.v_right) % 2 else 1.0) * pref
     elif kind in ((1, 3), (3, 1)):
@@ -769,8 +748,8 @@ def determinant_element(kind: tuple, left: BetheState, right: BetheState,
 def form_factor(kind: tuple, left: BetheState, right: BetheState,
                 z: complex) -> complex:
     """Matrix element of any of the nine entries T(i,j) between two on-shell
-    states (see :func:`determinant_element`; the kinds of one sector pair
-    at one z share one build, and a run of z on one pair builds the z-free
+    states (see :func:`determinant_element`; the calls on one assembly share
+    its z-free part, so a run of kinds and z on one pair builds the z-free
     columns once)."""
     return determinant_element(kind, left, right, z)[0]
 

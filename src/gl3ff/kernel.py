@@ -173,27 +173,6 @@ def delta(xs: Sequence[complex], c: complex) -> complex:
     return _prod(_g, xs, xs, c, pole_tol(c), operator.gt)
 
 
-# _prod takes the pairs of a last lhs point last, so a product over lhs + (x,)
-# is the product over lhs continued by the terms of x, in the same order of
-# multiplications: these extend a kept product by one lhs point, bit for bit.
-
-def h_prod_extend(out: complex, x: complex, rhs: Sequence[complex],
-                  c: complex) -> complex:
-    """``h_prod(xs + (x,), rhs, c)`` from ``out = h_prod(xs, rhs, c)``."""
-    for y in rhs:
-        out *= _h(x, y, c, 0.0)
-    return out
-
-
-def delta_extend(out: complex, x: complex, xs: Sequence[complex],
-                 c: complex) -> complex:
-    """``delta(xs + (x,), c)`` from ``out = delta(xs, c)``."""
-    tol = pole_tol(c)
-    for y in xs:
-        out *= _g(x, y, c, tol)
-    return out
-
-
 def exclude(xs: Sequence[complex], i: int) -> tuple:
     """The sequence with entry ``i`` removed (the bar-minus-one convention)."""
     xs = _as_tuple(xs)

@@ -2,7 +2,8 @@
 tracer wraps functions by module and name, and the workloads call module
 attributes.  These tests resolve every such name, and bind every such call
 to the signature it reaches, so that a rename or a deleted parameter fails
-here instead of in a benchmark run.  bench/selftest.py is not covered."""
+here instead of in a benchmark run.  Of bench/selftest.py they resolve the
+(module, name) pairs whose rebinding ``test_rebinding`` checks."""
 
 import ast
 import importlib
@@ -73,3 +74,40 @@ def test_workload_reads_resolve(script):
             signature.bind(*call.args, **{k.arg: k for k in call.keywords})
         except TypeError as exc:
             pytest.fail(f"{where}: {exc}")
+
+
+def _rebound_names() -> list:
+    """``(module name, attribute)`` for every pair that
+    ``bench/selftest.py::test_rebinding`` reads as ``(module, "name")``."""
+    tree = ast.parse((BENCH / "selftest.py").read_text())
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "test_rebinding")
+    modules = {}
+    for node in ast.walk(func):
+        if isinstance(node, ast.ImportFrom) and node.module == "gl3ff":
+            modules.update((a.asname or a.name, f"gl3ff.{a.name}")
+                           for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+    pairs = [(modules[mod.id], name.value) for node in ast.walk(func)
+             if isinstance(node, ast.Tuple) and len(node.elts) == 2
+             for mod, name in [node.elts]
+             if isinstance(mod, ast.Name) and mod.id in modules
+             and isinstance(name, ast.Constant)]
+    return list(dict.fromkeys(pairs))
+
+
+# rebinding pairs of bench/selftest.py that name a function the package no
+# longer has (ROADMAP item 1: gaudin_matrix moved from solver to model)
+STALE_REBINDINGS = {("gl3ff.solver", "gaudin_matrix")}
+
+
+@pytest.mark.parametrize("module, attr", [
+    pytest.param(module, attr, marks=pytest.mark.xfail(
+        strict=True, reason="stale pair in bench/selftest.py, ROADMAP item 1"))
+    if (module, attr) in STALE_REBINDINGS else (module, attr)
+    for module, attr in _rebound_names()])
+def test_selftest_rebindings_resolve(module, attr):
+    assert callable(getattr(importlib.import_module(module), attr, None)), \
+        f"bench/selftest.py rebinds {module}.{attr}"

@@ -12,8 +12,7 @@ import gl3ff.oracle as orc
 import gl3ff.solver as solver
 from gl3ff.errors import (DegeneracyWarning, Gl3Error, NonFiniteResult,
                           PoleError, SectorMismatch)
-from gl3ff.kernel import (delta, delta_prime, h_prod, inv_f_prod,
-                          inv_h_prod, t)
+from gl3ff.kernel import delta, delta_prime, h_prod, inv_f_prod, t
 from gl3ff.model import (ModelFunctions, Twist, dtau_dkappa,
                          dtau_dkappa_onshell, mirror_model, tau, xxx_chain)
 from conftest import make_state, require_pinned_build, vacuum_state
@@ -73,13 +72,20 @@ def test_overflow_raises_nonfinite_result():
         ff.form_factor((1, 2), make_state(model, pts(25), pts(24)), right, z)
     with pytest.raises(NonFiniteResult):
         ff.norm_squared(right)
-    # an overflowing matrix entry keeps the element's own message
+    # a real overflow: on the homogeneous L=80 chain the vacuum's closing
+    # entry r1(z) = f(z, 0)^80 is about 1e320 at z = +-1e-4, beyond the
+    # double range, and the element keeps its own message; the second z
+    # goes through the part kept from the first
     chain = xxx_chain(80, (0.0,) * 80, 1.0)
     vac = vacuum_state(chain)
-    with pytest.raises(NonFiniteResult,
-                       match=r"T\(1, 1\): determinant matrix has non-finite"):
-        ff.form_factor((1, 1), vac, vac, 1e-4)
-    assert ff.form_factor((2, 2), vac, vac, 1e-4) == 1.0
+    parts = []
+    for z in (1e-4, -1e-4):
+        with pytest.raises(NonFiniteResult, match=r"T\(1, 1\): "
+                           "determinant matrix has non-finite"):
+            ff.form_factor((1, 1), vac, vac, z)
+        assert ff.form_factor((2, 2), vac, vac, z) == 1.0
+        parts.append(ff._last)
+    assert parts[0] is parts[1] and parts[0].z0 == 1e-4
 
 
 def test_sector_shift_table():
@@ -428,6 +434,36 @@ def test_diag_near_degenerate_warning(state_lib):
     for z in (0.9 + 0.4j, -0.6 + 0.8j, 1.1 - 0.3j):  # on every call
         with pytest.warns(DegeneracyWarning):
             ff.ff_diag(2, shifted, st, z)
+
+
+def test_third_colour_decouples_between_distinct_b0_states(state_lib):
+    # on a chain r3 = 1, and a b = 0 vector has no colour-3 site, so the
+    # auxiliary colour 3 never returns: T33(z) B = B, and F33 = C'.B = 0
+    # between distinct b = 0 states.  Measured on the scale of the ff-table
+    # sum rule, unit(l, r) * max_s |dtau_dkappa(s)|, on which F11 between
+    # the same states is not small
+    z_points = Z_POINTS[:3]
+    checked = set()
+    for L in (4, 5):
+        for sector in ("m10", "m20"):
+            states = state_lib[L][sector]
+            for left in states:
+                for right in states:
+                    if left is right:
+                        continue
+                    checked.add((L, sector))
+                    unit = abs(ff.norm_squared(left)
+                               * ff.norm_squared(right)) ** 0.5
+                    for z in z_points:
+                        scale = unit * max(
+                            abs(dtau_dkappa(s, z, left.roots, left.model))
+                            for s in (1, 2, 3))
+                        f33 = ff.form_factor((3, 3), left, right, z)
+                        assert abs(f33) <= 1e-10 * scale, (L, sector, z)
+                        f11 = ff.form_factor((1, 1), left, right, z)
+                        assert abs(f11) > 1e-3 * scale, (L, sector, z)
+    # the library holds one L=4 (2,0) state at its seed
+    assert checked >= {(4, "m10"), (5, "m10"), (5, "m20")}
 
 
 # ---------------------------------------------------------------------------
@@ -907,12 +943,16 @@ def test_kept_part_is_read_only_and_keeps_no_model(state_lib):
     z1, z2 = Z_POINTS[:2]
     _, first, _ = ff.determinant_element((1, 1), states[0], states[1], z1)
     _, second, _ = ff.determinant_element((1, 1), states[0], states[1], z2)
-    kept = ff._last.mat
-    with pytest.raises(ValueError):
-        kept[0, 0] = 0.0
+    kept = [rows for rows, _ in ff._last.kept.values()]
+    assert len(kept) == 2  # the N rows and the closing row of colour 1
+    for rows in kept:
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
     _, third, _ = ff.determinant_element((1, 1), states[0], states[1], z2)
     assert not any(np.shares_memory(p, q) for p, q in
-                   ((first, second), (second, third), (third, kept)))
+                   ((first, second), (second, third),
+                    *((mat, rows) for mat in (first, second, third)
+                      for rows in kept)))
     third[:] = 0.0  # the caller's matrix is its own
     again = ff.determinant_element((1, 1), states[0], states[1], z2)[1]
     assert np.array_equal(again, second)
@@ -928,12 +968,12 @@ def test_kept_part_is_read_only_and_keeps_no_model(state_lib):
     n = ff.GRID_MIN_COLS - 1
     left, right, z = _pair(rng, model, (1, 1), n - n // 2, n // 2)
     _, first, _ = ff.determinant_element((1, 1), left, right, z)
-    kept = ff._last.mat
+    kept, _ = ff._last.kept[None]
     assert kept.shape[1] >= ff.GRID_MIN_COLS
     with pytest.raises(ValueError):
         kept[0, 0] = 0.0
     _, second, _ = ff.determinant_element((2, 2), left, right, z)
-    assert ff._last.mat is kept
+    assert ff._last.kept[None][0] is kept
     assert not any(np.shares_memory(p, q) for p, q in
                    ((first, second), (first, kept), (second, kept)))
     ref = weakref.ref(model)
@@ -997,6 +1037,47 @@ def test_kept_part_serves_every_kind_of_its_assembly_bit_for_bit(state_lib):
                     assert np.array_equal(warm[0][1], warm[1][1])
                 assert all(got[2] == same_state for got in warm)
     assert min(cols) < ff.GRID_MIN_COLS <= max(cols)
+
+
+def test_values_do_not_depend_on_the_call_order(state_lib):
+    # each group's z list in two orders: z-major, then kind-major with the
+    # group and the z list reversed, so that the parts are built at other
+    # probe points and by other kinds; every value and matrix has the same
+    # bytes.  The groups: the library pairs of every kind and the same-state
+    # triple, polynomial-model pairs with up to three left v-roots below
+    # GRID_MIN_COLS columns, and one grid-size pair at one z
+    lib = _library_pairs(state_lib)
+    groups = [(_group(kind, left, right), Z_POINTS)
+              for kind, left, right in lib[:9]]
+    st = lib[-1][1]
+    groups.append((_group((1, 1), st, st), Z_POINTS))
+    rng = np.random.default_rng(29)
+    model = _polynomial_model(rng)
+    for kind, a, b in (((1, 3), 2, 1), ((1, 3), 1, 2), ((1, 1), 2, 2),
+                       ((1, 2), 1, 2), ((2, 3), 1, 2), ((3, 3), 1, 3)):
+        for _ in range(3):
+            left, right, _ = _pair(rng, model, kind, a, b)
+            groups.append((_group(kind, left, right), Z_POINTS))
+    left, right, z = _pair(rng, model, (1, 1), 3, 3)
+    groups.append((_group((1, 1), left, right), (z,)))
+    cols, v_left = set(), set()
+    for group, zs in groups:
+        orders = ([(call, z) for z in zs for call in group],
+                  [(call, z) for call in group[::-1] for z in zs[::-1]])
+        got = []
+        for order in orders:
+            _forget()
+            out = {}
+            for call, z in order:
+                value, mat, same = ff.determinant_element(*call, z)
+                out[call[0], z] = (np.complex128(value).tobytes(),
+                                   mat.tobytes(), same)
+                cols.add(mat.shape[1])
+            got.append(out)
+            v_left.add(len(ff._last.roots[1]))
+        assert got[0] == got[1], group[0][0]
+    assert min(cols) < ff.GRID_MIN_COLS <= max(cols)
+    assert max(v_left) >= 2
 
 
 def test_kept_part_raises_what_a_cold_call_raises(state_lib):
@@ -1064,48 +1145,6 @@ def test_kept_part_builds_rows_and_prefactor_once(monkeypatch, state_lib):
     ff.form_factor((3, 3), left, right, z2)
     assert calls == {"n_matrix": 0, "prefactor_H": 0, "n_column": 1,
                      "delta_prime": 0, "inv_h_vu": 0}
-
-
-def _whole_prefactor(asm):
-    """:func:`prefactor_H` as one product of its six factors over all
-    columns, each built whole."""
-    c, cols = asm.model.c, asm.cols
-    return (h_prod(cols, asm.u_right, c) * h_prod(asm.v_left, cols, c)
-            * inv_h_prod(asm.v_left, asm.u_right, c)
-            * delta_prime(asm.u_left, c) * delta_prime(asm.v_right, c)
-            * delta(cols, c))
-
-
-def test_new_probe_point_is_bit_identical_with_two_left_v_roots():
-    # with two or more left v-roots the probe point's terms interleave in
-    # h(v_left, cols), the one prefactor product a new z builds whole; the
-    # polynomial model reaches these sectors below GRID_MIN_COLS columns
-    rng = np.random.default_rng(29)
-    model = _polynomial_model(rng)
-    seen = set()
-    for kind, a, b in (((1, 3), 2, 1), ((1, 3), 1, 2), ((1, 1), 2, 2),
-                       ((1, 2), 1, 2), ((2, 3), 1, 2), ((3, 3), 1, 3)):
-        for _ in range(3):
-            left, right, _ = _pair(rng, model, kind, a, b)
-            group = _group(kind, left, right)
-            for first in group:
-                ff.determinant_element(*first, Z_POINTS[0])
-                for z in Z_POINTS[1:]:
-                    warm = [ff.determinant_element(*call, z)
-                            for call in group]
-                    for call, got in zip(group, warm):
-                        _forget()
-                        cold = ff.determinant_element(*call, z)
-                        assert got[0] == cold[0], (call[0], z)
-                        assert np.array_equal(got[1], cold[1]), call[0]
-                        asm = ff.FFAssembly(*ff._last.roots, z=z,
-                                            model=model)
-                        assert (ff.prefactor_H(
-                            asm.u_left, asm.v_left, asm.u_right, asm.v_right,
-                            asm.cols, model.c) == _whole_prefactor(asm))
-                        seen.add((len(asm.v_left), got[1].shape[1]))
-    assert all(n < ff.GRID_MIN_COLS for _, n in seen)
-    assert max(v for v, _ in seen) >= 2
 
 
 def test_kept_part_keeps_the_per_call_checks(state_lib):
