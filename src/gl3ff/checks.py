@@ -350,8 +350,11 @@ def check_norms(report: Report, lib: dict, rng: np.random.Generator) -> None:
 def _diag_identity_block(report: Report, tag: str, left: BetheState,
                          right: BetheState, model: ModelFunctions,
                          z: complex, s_values: Sequence[int]) -> None:
-    """Sum rule and cofactor identity for one distinct pair."""
-    vals = [ff.ff_diag(s, left, right, z) for s in (1, 2, 3)]
+    """Sum rule and cofactor identity for one distinct pair, on the values
+    and matrices of the elements themselves."""
+    elements = [ff.determinant_element((s, s), left, right, z)
+                for s in (1, 2, 3)]
+    vals = [value for value, _, _ in elements]
     scale = max(abs(v) for v in vals)
     report.add(f"diag_sum_rule_{tag}", abs(sum(vals)) / scale, 1e-10,
                inputs=[state_to_json(left), state_to_json(right), pair(z)])
@@ -361,8 +364,7 @@ def _diag_identity_block(report: Report, tag: str, left: BetheState,
     s_z = ff.s_function(z, omega, asm)
     worst = 0.0
     for s in s_values:
-        mat = np.vstack([ff.n_matrix(asm),
-                         ff.y_row_diag(asm, s, same_state=False)])
+        mat = elements[s - 1][1]
         full = ff.det_lu(mat)
         minor = np.delete(np.delete(mat, nrows - 1, axis=0), nrows, axis=1)
         rhs = s_z / omega[nrows - 1] * (-ff.det_lu(minor))

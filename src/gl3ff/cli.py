@@ -20,6 +20,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -62,9 +63,11 @@ def _as_int(node, what: str) -> int:
 
 
 def _is_number(node) -> bool:
-    """Whether ``node`` is a JSON number; a boolean is an ``int`` to
-    ``isinstance``, but no number here."""
-    return isinstance(node, (int, float)) and not isinstance(node, bool)
+    """Whether ``node`` is a JSON number that a float holds; a boolean is an
+    ``int`` to ``isinstance``, but no number here, and neither is an integer
+    beyond the float range."""
+    return (isinstance(node, (int, float)) and not isinstance(node, bool)
+            and abs(node) <= sys.float_info.max)
 
 
 def _as_complex(node, what: str) -> complex:
@@ -124,14 +127,30 @@ def roots_from_node(node, what: str) -> RootConfig:
                       v=_as_complex_list(node["v"], what))
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is no finite JSON number")
+    return value
+
+
+def _read_json(path: str, what: str):
+    """The JSON document at ``path``.  Python's json reads the literals
+    NaN, Infinity and -Infinity, which are no JSON numbers, and a number
+    such as 1e400 as an infinite float; both are config errors, as is a file
+    that cannot be read or parsed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, parse_float=_finite_float,
+                             parse_constant=_finite_float)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
+
+
 def load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+    cfg = _read_json(path, "config")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
@@ -142,7 +161,7 @@ def state_from_json(node: dict, model: ModelFunctions, tol: float) -> BetheState
     twist = twist_from_config(node.get("twist"))
     defect = bethe_defect(roots, twist, model)
     residual = float(np.max(np.abs(defect))) if defect.size else 0.0
-    if residual > tol:
+    if not residual <= tol:  # a nan defect is not on shell either
         raise ConfigError(
             f"roots are not on shell for this model (defect {residual:.3e})")
     with _config_values("state.mode_numbers"):
@@ -176,16 +195,17 @@ def _section(cfg: dict, key: str) -> dict:
 
 def _task_tol(args, cfg: dict) -> float:
     """``--tol``, else the config's ``task.tol``, else 1e-12; a tolerance
-    that is not positive is a config error."""
+    that is no positive finite number is a config error."""
     if args.tol is not None:
         tol = args.tol
     else:
-        with _config_values("task.tol"):
-            tol = float(_section(cfg, "task").get("tol", 1e-12))
-    if not tol > 0:
-        raise ConfigError(f"tolerance (--tol or task.tol) must be positive, "
-                          f"got {tol!r}")
-    return tol
+        tol = _section(cfg, "task").get("tol", 1e-12)
+        if not _is_number(tol):
+            raise ConfigError(f"task.tol must be a number, got {tol!r}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ConfigError("tolerance (--tol or task.tol) must be a positive "
+                          f"finite number, got {tol!r}")
+    return float(tol)
 
 
 def cmd_solve(args, cfg: dict, rng_seed: int) -> int:
@@ -237,11 +257,7 @@ def cmd_solve(args, cfg: dict, rng_seed: int) -> int:
 
 def _load_state_file(path: str, model: ModelFunctions, tol: float,
                      index: int) -> BetheState:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            blob = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read roots file {path}: {exc}")
+    blob = _read_json(path, "roots file")
     states = blob.get("states") if isinstance(blob, dict) else None
     if not isinstance(states, list) or not states:
         raise ConfigError(f"roots file {path} has no states")

@@ -22,7 +22,9 @@ built column by column from the scalar kernel products; from there on it is
 a product along one axis of an array of differences between the roots and
 the column points (:class:`_Grid`), with the kernel's pole guards as masks
 on the same array.  A piece whose mask finds a pole is handed to the
-per-column code, which raises the error of its first pole.
+per-column code, which raises the error of its first pole.  A diagonal
+closing row is its colour's Kronecker pattern plus (colour 1) or minus
+(colour 3) one bracket row, and only the bracket has two builders.
 
 Every element is the sign of its kind times its prefactor times
 det(matrix), taken from the z-free part (:class:`_Part`) of its assembly.
@@ -224,30 +226,24 @@ class _Grid:
                                 + (c * c / (v * (v + c))) * h_vx * ih_vx)
         return out
 
-    def y_row_diag(self, s: int):
-        """The closing row of :func:`y_row_diag` between distinct states but
-        its last component."""
+    def diag_bracket(self):
+        """The bracket row of :func:`y_row_diag` over the z-free columns."""
         c, d = self.c, self.d
         cu, cv = slice(0, self.a), slice(self.a, -1)
-        out = np.empty(len(self.cols), dtype=complex)
-        out[cu] = (s == 2) - (s == 1)
-        out[cv] = (s == 2) - (s == 3)
-        if s == 2:
-            return out
         if (self.zero[self.VR, cu].any() or self.plus[self.VL, cu].any()
                 or self.zero[self.U, cv].any()
                 or self.minus[self.UR, cv].any()):
             return None
-        sign = 1 if s == 1 else -1
         vr, vl = d[self.VR, cu], d[self.VL, cu]
         u, ur = d[self.U, cv], d[self.UR, cv]
+        out = np.empty(len(self.cols) - 1, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            bracket = (((vr + c) / vr).prod(axis=0)
-                       * (vl / (vl + c)).prod(axis=0) - 1.0)
-            out[cu] += (self.x[cu] / c) * sign * bracket
-            bracket = (((c - u) / -u).prod(axis=0)
-                       * (-ur / (c - ur)).prod(axis=0) - 1.0)
-            out[cv] += ((self.x[cv] + c) / c) * sign * bracket
+            out[:self.a] = (self.x[cu] / c) * (
+                ((vr + c) / vr).prod(axis=0) * (vl / (vl + c)).prod(axis=0)
+                - 1.0)
+            out[self.a:] = ((self.x[cv] + c) / c) * (
+                ((c - u) / -u).prod(axis=0) * (-ur / (c - ur)).prod(axis=0)
+                - 1.0)
         return out
 
     def y_row_13(self):
@@ -468,19 +464,28 @@ def n_matrix(asm: FFAssembly) -> np.ndarray:
 def y_row_diag(asm: FFAssembly, s: int, same_state: bool) -> np.ndarray:
     """Closing row for the diagonal entries, one component per column.
 
-    The first a components carry the Kronecker pattern of the colour ``s``
-    plus a bracket that vanishes when the two v-sets coincide; the next b
-    components mirror it for the u-sets; the final component only matters in
-    the same-state case and is built from the left state's roots.  With
-    ``same_state`` the other components are the Kronecker pattern alone,
-    built per column at any size.
+    Its z-free components are the Kronecker pattern of the colour ``s``
+    (d_s2 - d_s1 at the a right u-roots, d_s2 - d_s3 at the b left v-roots)
+    plus (d_s1 - d_s3) times a bracket row that does not depend on ``s``
+    (:func:`_column_diag_bracket`), so the three rows sum to zero there.
+    Colour 2 and the ``same_state`` rows are the pattern alone.  The final
+    component is built from the left state's roots.
     """
     if s not in (1, 2, 3):
         raise ValueError(f"s must be 1, 2 or 3, got {s}")
-    out = (asm._grid.y_row_diag(s)
-           if len(asm.cols) >= GRID_MIN_COLS and not same_state else None)
-    if out is None:
-        out = _column_y_diag(asm, s, same_state)
+    a = len(asm.u_right)
+    out = np.empty(len(asm.cols), dtype=complex)
+    out[:a] = (s == 2) - (s == 1)
+    out[a:-1] = (s == 2) - (s == 3)
+    if s != 2 and not same_state:
+        bracket = (asm._grid.diag_bracket()
+                   if len(asm.cols) >= GRID_MIN_COLS else None)
+        if bracket is None:
+            bracket = _column_diag_bracket(asm)
+        if s == 1:
+            out[:-1] += bracket
+        else:
+            out[:-1] -= bracket
     out[-1] = _y_diag_entry(asm, s)
     return out
 
@@ -498,27 +503,20 @@ def _y_diag_entry(asm: FFAssembly, s: int) -> complex:
     return m.r3(z) * f_prod(z, asm.v_left, c) * denom
 
 
-def _column_y_diag(asm: FFAssembly, s: int, same_state: bool) -> np.ndarray:
-    """The per-column builder of :func:`y_row_diag`, its last component
-    left unset."""
+def _column_diag_bracket(asm: FFAssembly) -> np.ndarray:
+    """The bracket row of :func:`y_row_diag` over the z-free columns, built
+    per column: (x/c) [f(v_right, x) / f(v_left, x) - 1] at a right u-root
+    x, ((x + c)/c) [f(x, u_left) / f(x, u_right) - 1] at a left v-root x.
+    It vanishes when the two states coincide."""
     c = asm.model.c
-    d1, d2, d3 = (s == 1), (s == 2), (s == 3)
-    out = np.empty(len(asm.cols), dtype=complex)
+    out = np.empty(len(asm.cols) - 1, dtype=complex)
     a = len(asm.u_right)
     for k, ub in enumerate(asm.u_right):
-        val = complex(d2 - d1)
-        if not same_state and (d1 or d3):
-            bracket = (f_prod(asm.v_right, ub, c)
-                       * inv_f_prod(asm.v_left, ub, c) - 1.0)
-            val += (ub / c) * (d1 - d3) * bracket
-        out[k] = val
+        out[k] = (ub / c) * (f_prod(asm.v_right, ub, c)
+                             * inv_f_prod(asm.v_left, ub, c) - 1.0)
     for k, vc in enumerate(asm.v_left):
-        val = complex(d2 - d3)
-        if not same_state and (d1 or d3):
-            bracket = (f_prod(vc, asm.u_left, c)
-                       * inv_f_prod(vc, asm.u_right, c) - 1.0)
-            val += ((vc + c) / c) * (d1 - d3) * bracket
-        out[a + k] = val
+        out[a + k] = ((vc + c) / c) * (f_prod(vc, asm.u_left, c)
+                                       * inv_f_prod(vc, asm.u_right, c) - 1.0)
     return out
 
 

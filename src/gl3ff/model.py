@@ -236,10 +236,18 @@ def bethe_defect(roots: RootConfig, twist: Twist,
     Entry j < a:   (k1/k2) r1(u_j) f(u_j-bar, u_j) / (f(u_j, u_j-bar) f(v, u_j)) - 1
     Entry a + j:   (k3/k2) r3(v_j) f(v_j, v_j-bar) / (f(v_j-bar, v_j) f(v_j, u)) - 1
 
-    All entries vanish exactly on shell.
+    All entries vanish exactly on shell.  Two roots x, y of the pairs (u, u),
+    (v, u) or (v, v) with x - y = -c put f(x, y) = 0 into a denominator;
+    they raise a ``PoleError`` that names the pair.
     """
     assert_regular(roots, model.c)
     u, v, c = roots.u, roots.v, model.c
+    for x, y, (xn, yn) in ((u, u, "uu"), (v, u, "vu"), (v, v, "vv")):
+        hit = collision(x, y, c, shift=-c)
+        if hit is not None:
+            i, j = hit
+            raise PoleError(f"Bethe defect denominator f({xn}_{i}, {yn}_{j}) "
+                            f"~ 0: {xn}_{i} = {x[i]}, {yn}_{j} = {y[j]}")
     out = np.empty(roots.a + roots.b, dtype=complex)
     for j in range(roots.a):
         rest = exclude(u, j)
@@ -517,7 +525,9 @@ class _ChainRatio(staticmethod):
     wraps (``kernel.f_prod(w, xi, c)`` written out, with the kernel's error
     at a pole).  A staticmethod calls what it wraps from C, so a point costs
     what a plain function call does; a Python ``__call__`` would add about
-    15 % at L=5, which the form-factor builders pay at every column.
+    15 % at L=5, which the form-factor builders pay at every column whose
+    r1 or r3 term survives (r1 at the right u-roots and z, r3 at the left
+    v-roots and z).
     ``stacked`` takes an array of points at once, for ``_root_values``."""
 
     def __init__(self, xi: tuple, c: complex, dlog: bool):

@@ -87,15 +87,24 @@ def test_solve_negative_sector_exits_3(tmp_path):
     ({"c": True}, {}, {}),
     ({"c": [True, 0]}, {}, {}),
     ({"xi": "seeded", "xi_radius": True}, {}, {}),
+    ({}, {}, {"tol": True}),
+    ({}, {}, {"tol": "1e-3"}),
+    ({"c": float("nan")}, {}, {}),
+    ({"xi": [float("inf"), 0.0]}, {}, {}),
+    ({"c": 10 ** 400}, {}, {}),
 ], ids=["L0", "zero_twist", "n_seeds_x", "n_seeds_0", "xi_radius_big",
         "mode_numbers_length", "negative_tol", "c0", "L_float", "a_float",
         "b_false", "n_seeds_float", "mode_numbers_float", "c_true",
-        "c_true_pair", "xi_radius_true"])
+        "c_true_pair", "xi_radius_true", "tol_true", "tol_string", "c_nan",
+        "xi_infinity", "c_beyond_float"])
 def test_solve_malformed_config_exits_3(tmp_path, model, sector, task):
     # values that the library's constructors and argument checks reject are
     # config errors, not tracebacks, "no states" or a spurious solution; so
     # are integers given as floats or booleans, which int() would truncate,
-    # and booleans given as numbers, which complex() and float() would take
+    # booleans or strings given as numbers, which complex() and float()
+    # would take, and numbers that are not finite: the NaN and Infinity
+    # literals (json.dumps writes them, Python's json reads them) and an
+    # integer beyond the float range
     cfg = write_cfg(tmp_path, "cfg.json", {
         "model": {"L": 2, "xi": "homogeneous", **model},
         "sector": {"a": 1, "b": 0, **sector},
@@ -195,6 +204,59 @@ def test_ff_nonfinite_element_is_row_error(tmp_path):
     assert rows[(1, 1)]["error"].startswith("NonFiniteResult")
     assert rows[(1, 1)]["f_re"] == ""
     assert float(rows[(2, 2)]["f_re"]) == 1.0 and rows[(2, 2)]["error"] == ""
+
+
+def _ff_vacuum_setup(tmp_path):
+    """A config of the L=2 chain with one (2,2) probe point and a roots
+    file of its vacuum, the state that the other roots files replace."""
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "model": {"L": 2, "xi": [[0.05, 0.0], [-0.03, 0.0]]},
+        "sector": {"a": 0, "b": 0},
+        "task": {"kinds": [[2, 2]], "z_points": [[0.6, 0.4]]},
+    })
+    roots = tmp_path / "vac.json"
+    assert run(["solve", "--config", cfg, "--out", roots]) == 0
+    return cfg, roots
+
+
+def test_ff_non_finite_root_exits_3(tmp_path, capsys):
+    # a NaN root gives a nan defect, which "defect > tol" let through as on
+    # shell; the literal is no JSON number, and a nan defect is off shell
+    # (finite roots 2e308 apart overflow to one), so both are config errors
+    # and no table is written
+    cfg, roots = _ff_vacuum_setup(tmp_path)
+    nan = write_cfg(tmp_path, "nan.json", {
+        "states": [{"u": [[float("nan"), 0.0]], "v": []}]})
+    big = tmp_path / "big.json"  # json.dumps would write it as Infinity
+    big.write_text('{"states": [{"u": [[1e400, 0.0]], "v": []}]}')
+    table = tmp_path / "table.csv"
+    for bad, text in ((nan, "NaN"), (big, "1e400")):
+        capsys.readouterr()
+        assert run(["ff", "--config", cfg, "--left", bad, "--right", roots,
+                    "--out", table]) == 3
+        assert f"{text} is no finite JSON number" in capsys.readouterr().err
+        assert not table.exists()
+    model = xxx_chain(2, (0.05, -0.03), 1.0)
+    with pytest.raises(cli.ConfigError, match=r"not on shell.*defect nan"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        cli.state_from_json({"u": [1e308, -1e308], "v": []}, model, 1e-8)
+
+
+def test_ff_roots_c_apart_exit_2(tmp_path, capsys):
+    # two roots c apart put f(u_0, u_1) = 0 into a denominator of the
+    # on-shell test: a numerical failure, as colliding roots are
+    cfg, roots = _ff_vacuum_setup(tmp_path)
+    for u, named in (([[0.0, 0.0], [1.0, 0.0]], "f(u_0, u_1)"),
+                     ([[0.3, 0.0], [0.3, 0.0]], "collide")):
+        pair = write_cfg(tmp_path, "pair.json",
+                         {"states": [{"u": u, "v": []}]})
+        capsys.readouterr()
+        assert run(["ff", "--config", cfg, "--left", pair,
+                    "--right", roots]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "numerical failure: PoleError:"), err
+        assert named in err[0]
 
 
 def test_ff_lu_cond_of_determinant_matrix(tmp_path, state_lib):
@@ -434,7 +496,7 @@ def test_identities_tightened_tolerance_fails(tmp_path, lib_seed7):
     assert blob["n_failures"] > 0
 
 
-@pytest.mark.parametrize("tol", [-1, 0])
+@pytest.mark.parametrize("tol", [-1, 0, float("inf"), float("nan")])
 @pytest.mark.parametrize("command, source", [
     ("ff", "flag"), ("ff", "config"), ("verify", "flag"),
     ("identities", "flag")])

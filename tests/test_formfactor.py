@@ -382,6 +382,71 @@ def test_y_row_diag_values(monkeypatch, state_lib):
     assert len(asm_same.cols) >= ff.GRID_MIN_COLS
 
 
+def test_diag_closing_rows_are_pattern_plus_minus_one_bracket(monkeypatch,
+                                                              state_lib):
+    # the closing rows of colours 1, 2, 3 are their Kronecker patterns plus,
+    # nothing and minus one bracket row, in both builders: they sum to zero
+    # on the z-free columns up to the rounding of the two additions, and
+    # their last entries sum to tau_left(z) / (f(v_left, z) f(z, u_left))
+    rng = np.random.default_rng(9)
+    # the library's (2,1) states at L=5 share u-roots but for a few pairs
+    pairs = [(state_lib[L][key][i], state_lib[L][key][j], 1.1 + 0.7j)
+             for L, key, i, j in ((3, "m10", 0, 1), (5, "m20", 0, 1),
+                                  (5, "m21", 0, 5), (5, "m31", 0, 1))]
+    pairs.append(_pair(rng, _polynomial_model(rng), (1, 1), 4, 3))
+    eps, largest = np.finfo(float).eps, {}
+    for left, right, z in pairs:
+        asm = ff.assemble(left, right, z)
+        model = left.model
+        expect = (tau(z, left.roots, model) * inv_f_prod(left.v, z, model.c)
+                  * inv_f_prod(z, left.u, model.c))
+        bracket = np.abs(ff._column_diag_bracket(asm))
+        largest[left.b] = max(largest.get(left.b, 0.0), np.max(bracket))
+        for threshold in (PER_COLUMN, GRID):
+            monkeypatch.setattr(ff, "GRID_MIN_COLS", threshold)
+            total = sum(ff.y_row_diag(asm, s, False) for s in (1, 2, 3))
+            assert np.all(np.abs(total[:-1])
+                          <= 4 * eps * np.maximum(1.0, bracket))
+            assert abs(total[-1] - expect) <= 1e-12 * abs(expect)
+        assert asm._grid.diag_bracket() is not None  # no mask sent it back
+    assert len(asm.cols) >= ff.GRID_MIN_COLS
+    # between b=0 states both v-sets are empty and the bracket is 0 (the
+    # third colour decouples); from b=1 on the rows carry one
+    assert largest[0] == 0.0 and largest[1] > 1e-2 and largest[3] > 1e-2
+
+
+def test_pattern_rows_build_no_grid(monkeypatch):
+    # colour 2 and the same-state rows are the Kronecker pattern alone: at
+    # grid size they form no difference array, on a fresh assembly or
+    # through the part that colour 1 left
+    built = []
+
+    class Counted(ff._Grid):
+        def __init__(self, asm):
+            built.append(asm)
+            super().__init__(asm)
+
+    monkeypatch.setattr(ff, "_Grid", Counted)
+    monkeypatch.setattr(ff, "_last", None)
+    rng = np.random.default_rng(11)
+    left, right, z = _pair(rng, _polynomial_model(rng), (1, 1), 4, 3)
+    fresh = dataclasses.replace(ff.assemble(left, right, z))
+    same = dataclasses.replace(ff.assemble(right, right, z, same_state=True))
+    assert len(fresh.cols) >= ff.GRID_MIN_COLS
+    assert len(same.cols) >= ff.GRID_MIN_COLS
+    built.clear()
+    ff.y_row_diag(fresh, 2, False)
+    for s in (1, 2, 3):
+        ff.y_row_diag(same, s, True)
+    assert built == []
+    ff.y_row_diag(fresh, 1, False)  # a bracket row forms one
+    assert built == [fresh]
+    ff.determinant_element((1, 1), left, right, z)
+    built.clear()
+    ff.determinant_element((2, 2), left, right, z)
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # diagonal entries
 

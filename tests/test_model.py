@@ -274,6 +274,23 @@ def test_bethe_defect_empty_and_offshell():
     assert abs(d[0]) > 1e-3
 
 
+@pytest.mark.parametrize("u, v, pair", [
+    ((0.0, 1.0), (), r"f\(u_0, u_1\)"),
+    ((0.3 + 0.2j,), (-0.7 + 0.2j,), r"f\(v_0, u_0\)"),
+    ((0.3, 0.9), (0.5j, 1.0 + 0.5j), r"f\(v_0, v_1\)"),
+], ids=["u_u", "v_u", "v_v"])
+def test_bethe_defect_zero_denominator_is_a_pole_error(u, v, pair):
+    # two roots -c apart put f(x, y) = 0 into a denominator: a typed error
+    # that names the pair, not a ZeroDivisionError; just off that point the
+    # defect is finite
+    model = xxx_chain(2, (0.05, -0.03), 1.0)
+    with pytest.raises(PoleError, match=pair):
+        bethe_defect(RootConfig(u, v), Twist.identity(), model)
+    off = RootConfig(u[:-1] + (u[-1] + 1e-6,), v) if not v else \
+        RootConfig(u, v[:-1] + (v[-1] + 1e-6,))
+    assert np.isfinite(bethe_defect(off, Twist.identity(), model)).all()
+
+
 def test_phi_log_on_shell_and_exp_consistency(state_lib):
     st = state_lib[3]["m21"][0]
     model = state_lib[3]["model"]
