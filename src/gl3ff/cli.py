@@ -164,9 +164,13 @@ def state_from_json(node: dict, model: ModelFunctions, tol: float) -> BetheState
     if not residual <= tol:  # a nan defect is not on shell either
         raise ConfigError(
             f"roots are not on shell for this model (defect {residual:.3e})")
+    n = roots.a + roots.b
     with _config_values("state.mode_numbers"):
-        modes = tuple(_as_int(n, "state.mode_numbers") for n in
-                      node.get("mode_numbers", [0] * (roots.a + roots.b)))
+        modes = tuple(_as_int(k, "state.mode_numbers") for k in
+                      node.get("mode_numbers", [0] * n))
+    if len(modes) != n:
+        raise ConfigError(f"state.mode_numbers must have length a + b = {n}, "
+                          f"got {len(modes)}")
     return BetheState(roots, twist, modes, residual, model)
 
 
@@ -176,8 +180,11 @@ def _write_output(payload, path: Optional[str], fmt: str) -> None:
     else:
         text = payload  # callers pass pre-rendered CSV text
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {path}: {exc}")
     else:
         sys.stdout.write(text)
 

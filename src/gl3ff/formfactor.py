@@ -32,9 +32,9 @@ Only the last column of the matrix, the closing row's last entry and the
 prefactor's factors p(z) involve the probe point z.  Below
 ``GRID_MIN_COLS`` columns the prefactor is P0 * p(z), P0 being the
 prefactor over the other columns, and a part serves every z.  From there on
-a part serves its first z only, with the grid's prefactor over all columns:
-the grid builds the z column in one array pass with the others, and a
-column built on its own does not match it in every bit.
+a part serves its first z only, and the grid it keeps gives the prefactor
+over all columns and every row: the grid builds the z column in one array
+pass with the others, and a column built on its own differs in some bits.
 """
 
 from __future__ import annotations
@@ -130,7 +130,8 @@ class FFAssembly:
 
     @cached_property
     def _grid(self) -> "_Grid":
-        """Difference arrays of the grid builder, formed once per assembly."""
+        """Difference arrays of the grid builder, formed once per assembly
+        (the assemblies of a grid-size :class:`_Part` share its grid)."""
         return _Grid(self)
 
 
@@ -154,7 +155,7 @@ class _Grid:
     """
 
     def __init__(self, asm: FFAssembly):
-        self.model = asm.model
+        self.model = weakref.ref(asm.model)  # for r1 and r3 alone
         c = self.c = asm.model.c
         nu, nr, a = len(asm.u_left), asm.n_rows, len(asm.u_right)
         self.a = a
@@ -162,8 +163,8 @@ class _Grid:
         self.UR, self.VL = slice(nr, nr + a), slice(nr + a, None)
         self.cols = asm.cols
         self.x = np.array(asm.cols, dtype=complex)
-        q = np.array(asm.u_left + asm.v_right + asm.u_right + asm.v_left,
-                     dtype=complex)
+        q = self.q = np.array(asm.u_left + asm.v_right + asm.u_right
+                              + asm.v_left, dtype=complex)
         d = self.d = q[:, None] - self.x
         tol = pole_tol(c)
         self.zero = np.abs(d) <= tol
@@ -179,6 +180,27 @@ class _Grid:
                     or (not same_state and self.zero[:n].any())
                     or self.plus[self.VL, :self.a].any())
 
+    def prefactor(self):
+        """:func:`prefactor_H`: its six partial products, each over a
+        C-contiguous array of the per-column builder's terms in its order
+        (Delta(cols): the lower triangle of rows UR and VL, then z's row),
+        multiplied in its order, so that the same ones overflow."""
+        c, d, q, n, a = self.c, self.d, self.q, self.VR.stop, self.a
+        g_args = [np.subtract.outer(p, p)[~np.tri(len(p), dtype=bool)]
+                  for p in (q[self.U], q[self.VR])]  # Delta' pairs j < k
+        g_args.append(np.concatenate((
+            d[n:, :-1][np.tri(len(q) - n, k=-1, dtype=bool)],
+            self.x[-1] - self.x[:-1])))
+        if self.plus[self.VL, :a].any() or any(
+                (np.abs(g) <= pole_tol(c)).any() for g in g_args):
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            h_cu, h_vc, ih_vu, dp_u, dp_v, d_c = (complex(p.prod()) for p in (
+                np.ascontiguousarray(((c - d[self.UR]) / c).T),
+                (d[self.VL] + c) / c, c / (d[self.VL, :a] + c),
+                *(c / g for g in g_args)))
+        return h_cu * h_vc * ih_vu * dp_u * dp_v * d_c
+
     def _at_cols(self, r, killed: range) -> np.ndarray:
         """The ratio ``r`` at the column points in column order, with 0 at
         the ``killed`` columns in place of a call."""
@@ -191,7 +213,7 @@ class _Grid:
         c, d = self.c, self.d
         vr, ur, vl = d[self.VR], d[self.UR], d[self.VL]
         sign = -1.0 if (vr.shape[0] - 1) % 2 else 1.0
-        r3 = self._at_cols(self.model.r3, range(self.a))
+        r3 = self._at_cols(self.model().r3, range(self.a))
         with np.errstate(over="ignore", invalid="ignore"):
             return (sign, r3, ((c - vr) / c).prod(axis=0),
                     (-ur / (c - ur)).prod(axis=0),
@@ -208,7 +230,7 @@ class _Grid:
         out = np.empty(d[rows].shape, dtype=complex)
         if u.size:
             sign = -1.0 if (u.shape[0] - 1) % 2 else 1.0
-            r1 = self._at_cols(self.model.r1,
+            r1 = self._at_cols(self.model().r1,
                                range(self.a, len(self.cols) - 1))
             ur, vl = d[self.UR], d[self.VL]
             with np.errstate(over="ignore", invalid="ignore"):
@@ -323,46 +345,18 @@ def prefactor_H(u_left: Sequence[complex], v_left: Sequence[complex],
         h(cols, u_right) h(v_left, cols) / h(v_left, u_right)
             * Delta'(u_left) Delta'(v_right) Delta(cols)
 
-    shared by every determinant representation.  Passing ``cols`` without the
-    probe point (only the merged root sets) yields the norm prefactor.  An
-    element below ``GRID_MIN_COLS`` columns takes it over its columns but
-    the probe point, times :func:`_probe_factor`.
-    """
+    shared by every determinant representation, from the scalar kernel
+    products.  Passing ``cols`` without the probe point (only the merged
+    root sets) yields the norm prefactor.  An element below
+    ``GRID_MIN_COLS`` columns takes it over its columns but the probe point,
+    times :func:`_probe_factor`; from there on :meth:`_Grid.prefactor`,
+    unless that finds a pole."""
     u_left, v_left = tuple(u_left), tuple(v_left)
     u_right, v_right = tuple(u_right), tuple(v_right)
     cols = tuple(cols)
-    if len(cols) >= GRID_MIN_COLS:
-        pref = _grid_prefactor(u_left, v_left, u_right, v_right, cols, c)
-        if pref is not None:
-            return pref
     return (h_prod(cols, u_right, c) * h_prod(v_left, cols, c)
             * inv_h_prod(v_left, u_right, c) * delta_prime(u_left, c)
             * delta_prime(v_right, c) * delta(cols, c))
-
-
-def _grid_prefactor(u_left: tuple, v_left: tuple, u_right: tuple,
-                    v_right: tuple, cols: tuple, c: complex):
-    """:func:`prefactor_H` from arrays of differences: each of its six
-    partial products is one array product, and they are multiplied in the
-    order of the per-column builder, so that the same ones overflow.  None
-    when a denominator is within ``pole_tol`` of zero."""
-    ul, vl, ur, vr, xs = (np.array(p, dtype=complex)
-                          for p in (u_left, v_left, u_right, v_right, cols))
-    h_vu = np.subtract.outer(vl, ur) + c
-    # the ordered pairs j < k of u_left and v_right, j > k of cols
-    g_args = [np.subtract.outer(p, p)[~np.tri(len(p), dtype=bool)]
-              for p in (ul, vr)]
-    g_args.append(np.subtract.outer(xs, xs)[np.tri(len(xs), k=-1,
-                                                   dtype=bool)])
-    tol = pole_tol(c)
-    if any((np.abs(d) <= tol).any() for d in (h_vu, *g_args)):
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        h_cu, h_vc, ih_vu, dp_u, dp_v, d_c = (complex(p.prod()) for p in (
-            (np.subtract.outer(xs, ur) + c) / c,
-            (np.subtract.outer(vl, xs) + c) / c,
-            c / h_vu, *(c / d for d in g_args)))
-    return h_cu * h_vc * ih_vu * dp_u * dp_v * d_c
 
 
 def _probe_factor(asm: FFAssembly) -> complex:
@@ -632,9 +626,10 @@ class _Part:
     error depends on the order of the calls.  From ``GRID_MIN_COLS`` on the
     grid builds the z column in the same array pass as the others, and a
     column built on its own does not match it in every bit, so a part there
-    serves its z0 only; its prefactor is the grid's over all columns, and it
-    needs no P0.  States and model are held by weak reference, so the part
-    keeps no model alive; its rows are read-only."""
+    serves its z0 only, and its prefactor (over all columns; no P0) and
+    rows come from the one :class:`_Grid` it keeps.  States and model are
+    held by weak reference, as in the grid, so the part keeps no model
+    alive; its rows are read-only."""
 
     def __init__(self, left: BetheState, right: BetheState, asm: FFAssembly,
                  same: bool, near: bool):
@@ -642,9 +637,11 @@ class _Part:
         self.model = weakref.ref(asm.model)
         self.roots = (asm.u_left, asm.v_left, asm.u_right, asm.v_right)
         self.same, self.near, self.z0 = same, near, asm.z
-        self.grid = len(asm.cols) >= GRID_MIN_COLS
-        if self.grid:  # serves z0 only, so it needs no P0
-            self.pref0 = prefactor_H(*self.roots, asm.cols, asm.model.c)
+        self.grid = asm._grid if len(asm.cols) >= GRID_MIN_COLS else None
+        if self.grid is not None:
+            self.pref0 = self.grid.prefactor()
+            if self.pref0 is None:  # raises the error of its pole
+                self.pref0 = prefactor_H(*self.roots, asm.cols, asm.model.c)
         else:
             self.p0 = prefactor_H(*self.roots, asm.cols[:-1], asm.model.c)
             self.pref0 = self.p0 * _probe_factor(asm)
@@ -652,14 +649,16 @@ class _Part:
 
     def serves(self, left: BetheState, right: BetheState, z: complex) -> bool:
         return (self.left() is left and self.right() is right
-                and (not self.grid or z == self.z0))
+                and (self.grid is None or z == self.z0))
 
     def assembly(self, z: complex) -> FFAssembly:
         """The assembly at the probe point ``z``, after the guards that
-        involve it if it is new."""
+        involve it if it is new, else on the part's grid if it keeps one."""
         asm = FFAssembly(*self.roots, z=z, model=self.model())
         if z != self.z0:
             _probe_guards(asm, self.same)
+        elif self.grid is not None:
+            asm.__dict__["_grid"] = self.grid  # the cached_property's slot
         return asm
 
     def rows(self, asm: FFAssembly, key) -> np.ndarray:

@@ -142,8 +142,10 @@ def assert_regular(roots: RootConfig, c: complex) -> None:
     raise PoleError naming the first pair of roots (u then v) closer than
     the collision tolerance."""
     x, a = _rows(roots)
+    with np.errstate(over="ignore"):  # an overflowed difference is no pole
+        diff = x[:, :, None] - x[:, None, :]
     # the first test of every guard: x_j ~ x_k at j < k
-    err, = _guard_errors((x[:, :, None] - x[:, None, :],), pole_tol(c),
+    err, = _guard_errors((diff,), pole_tol(c),
                          _pair_blocks(a, x.shape[1]).phi_guard[:1], {},
                          lambda row, test, j, k: _collided(x, row, j, k))
     if err is not None:

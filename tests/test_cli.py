@@ -4,6 +4,7 @@ import hashlib
 import json
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,37 @@ def test_ff_non_finite_root_exits_3(tmp_path, capsys):
         cli.state_from_json({"u": [1e308, -1e308], "v": []}, model, 1e-8)
 
 
+def test_ff_overflowing_root_differences_exit_3_quietly(tmp_path, capsys):
+    # roots 2e308 apart overflow their difference, which is no collision:
+    # the only line on stderr is the config error of the nan defect, and no
+    # numpy warning is raised on the way
+    warnings.simplefilter("error", RuntimeWarning)
+    cfg, roots = _ff_vacuum_setup(tmp_path)
+    big = write_cfg(tmp_path, "big.json", {
+        "states": [{"u": [[1e308, 0.0], [-1e308, 0.0]], "v": []}]})
+    capsys.readouterr()
+    assert run(["ff", "--config", cfg, "--left", big, "--right", roots]) == 3
+    assert capsys.readouterr().err == (
+        "config error: roots are not on shell for this model (defect nan)\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "ff", "verify"])
+def test_unwritable_output_exits_3(tmp_path, capsys, command):
+    # an output path that cannot be opened is a config error that names
+    # it, not a traceback with exit 1, which verify means for a failed record
+    cfg, roots = _ff_vacuum_setup(tmp_path)
+    out = tmp_path / "missing" / "out.json"
+    args = {"solve": ["--config", cfg],
+            "ff": ["--config", cfg, "--left", roots, "--right", roots],
+            "verify": ["--seed", 7]}[command]
+    capsys.readouterr()
+    assert run([command, *args, "--out", out]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"config error: cannot write output {out}: ")
+    assert not out.parent.exists()
+
+
 def test_ff_roots_c_apart_exit_2(tmp_path, capsys):
     # two roots c apart put f(u_0, u_1) = 0 into a denominator of the
     # on-shell test: a numerical failure, as colliding roots are
@@ -331,9 +363,11 @@ def test_ff_malformed_inputs_exit_3(tmp_path):
     listed = write_cfg(tmp_path, "list.json", [])
     assert run(["ff", "--config", cfg, "--left", listed, "--right", roots]) == 3
     blob = json.loads(roots.read_text())
-    blob["states"][0]["mode_numbers"] = [1.5]
-    modes = write_cfg(tmp_path, "modes.json", blob)
-    assert run(["ff", "--config", cfg, "--left", modes, "--right", roots]) == 3
+    for bad in ([1.5], [1, 2, 3]):  # the vacuum has a + b = 0 roots
+        blob["states"][0]["mode_numbers"] = bad
+        modes = write_cfg(tmp_path, "modes.json", blob)
+        assert run(["ff", "--config", cfg, "--left", modes,
+                    "--right", roots]) == 3
     bad_task = write_cfg(tmp_path, "bad.json", {"model": model, "task": [1]})
     assert run(["ff", "--config", bad_task, "--left", roots,
                 "--right", roots]) == 3

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import re
 import warnings
 import weakref
 
@@ -293,10 +294,9 @@ def test_grid_builder_matches_per_column(monkeypatch):
                     left, right = right, left
                 asm = ff.assemble(left, right, z)
                 seen.add(len(asm.cols))
-                pref_col, pref_grid = _both_builders(
-                    monkeypatch, lambda: ff.prefactor_H(
-                        asm.u_left, asm.v_left, asm.u_right, asm.v_right,
-                        asm.cols, model.c))
+                pref_col = ff.prefactor_H(asm.u_left, asm.v_left, asm.u_right,
+                                          asm.v_right, asm.cols, model.c)
+                pref_grid = asm._grid.prefactor()
                 assert abs(pref_grid - pref_col) <= 1e-13 * abs(pref_col)
                 rows_col, rows_grid = _both_builders(monkeypatch, lambda: [
                     *ff.n_matrix(ff.assemble(left, right, z)),
@@ -307,6 +307,26 @@ def test_grid_builder_matches_per_column(monkeypatch):
                     assert np.max(np.abs(r_grid - r_col)) <= 1e-13 * scale
     assert min(seen) <= 3 and max(seen) >= ff.GRID_MIN_COLS + 6
     assert kinds == set(ff.KINDS)
+
+
+def test_grid_prefactor_hands_poles_to_the_per_column_builder():
+    # a pole in a Delta' pair, a column label clash or a zero of
+    # h(v_left, u_right) sends the grid's prefactor back, and the per-column
+    # builder raises its error
+    rng = np.random.default_rng(17)
+    model = _polynomial_model(rng)
+    p = tuple(_clear_points(rng, 9))
+    c = model.c
+    for roots, what in (((p[:2] + p[:1], p[3:5], p[5:8], p[8:]), "g(x, y)"),
+                        ((p[:3], p[3:5], p[5:8], p[8:] + p[8:]), "g(x, y)"),
+                        ((p[:3], p[3:4] + p[5:6], p[5:8], p[8:]), "g(x, y)"),
+                        ((p[:3], (p[5] - c,), p[5:8], p[8:]), "1/h")):
+        asm = ff.FFAssembly(*roots, z=p[2] + 0.5, model=model)
+        assert asm._grid.prefactor() is None
+        with pytest.raises(PoleError, match=re.escape(what)):
+            ff.prefactor_H(*roots, asm.cols, c)
+    asm = ff.FFAssembly(p[:3], p[3:5], p[5:8], p[8:], z=0.1j, model=model)
+    assert asm._grid.prefactor() is not None
 
 
 # sha256 of the values and matrices of test_grid_elements_are_pinned's
@@ -415,10 +435,8 @@ def test_diag_closing_rows_are_pattern_plus_minus_one_bracket(monkeypatch,
     assert largest[0] == 0.0 and largest[1] > 1e-2 and largest[3] > 1e-2
 
 
-def test_pattern_rows_build_no_grid(monkeypatch):
-    # colour 2 and the same-state rows are the Kronecker pattern alone: at
-    # grid size they form no difference array, on a fresh assembly or
-    # through the part that colour 1 left
+def _count_grids(monkeypatch) -> list:
+    """The assemblies that form a :class:`ff._Grid` from now on, in order."""
     built = []
 
     class Counted(ff._Grid):
@@ -427,6 +445,14 @@ def test_pattern_rows_build_no_grid(monkeypatch):
             super().__init__(asm)
 
     monkeypatch.setattr(ff, "_Grid", Counted)
+    return built
+
+
+def test_pattern_rows_build_no_grid(monkeypatch):
+    # colour 2 and the same-state rows are the Kronecker pattern alone: at
+    # grid size they form no difference array, on a fresh assembly or
+    # through the part that colour 1 left
+    built = _count_grids(monkeypatch)
     monkeypatch.setattr(ff, "_last", None)
     rng = np.random.default_rng(11)
     left, right, z = _pair(rng, _polynomial_model(rng), (1, 1), 4, 3)
@@ -444,7 +470,30 @@ def test_pattern_rows_build_no_grid(monkeypatch):
     ff.determinant_element((1, 1), left, right, z)
     built.clear()
     ff.determinant_element((2, 2), left, right, z)
+    ff.determinant_element((3, 3), left, right, z)  # a bracket on its grid
     assert built == []
+
+
+def test_grid_size_part_forms_one_grid(monkeypatch):
+    # a part of GRID_MIN_COLS columns and more keeps the grid of its first
+    # assembly: its prefactor and every row of each kind of its group, in
+    # either order, come from that one grid
+    built = _count_grids(monkeypatch)
+    rng = np.random.default_rng(11)
+    model = _polynomial_model(rng)
+    for kind in ((1, 1), (1, 2), (1, 3)):
+        left, right, z = _pair(rng, model, kind, 4, 3)
+        for group in (_group(kind, left, right),
+                      _group(kind, left, right)[::-1]):
+            monkeypatch.setattr(ff, "_last", None)
+            built.clear()
+            for call in group:
+                _, mat, _ = ff.determinant_element(*call, z)
+                assert mat.shape[1] >= ff.GRID_MIN_COLS
+            assert len(built) == 1, group
+            grid = ff._last.grid
+            assert built[0]._grid is grid
+            assert ff._last.pref0 == grid.prefactor()
 
 
 # ---------------------------------------------------------------------------
@@ -1180,14 +1229,23 @@ def test_kept_part_builds_rows_and_prefactor_once(monkeypatch, state_lib):
             calls[_name] += 1
             return _build(*args)
         monkeypatch.setattr(ff, name, counted)
+
+    def grid_prefactor(grid, _build=ff._Grid.prefactor):
+        calls["grid_prefactor"] += 1
+        return _build(grid)
+
+    monkeypatch.setattr(ff._Grid, "prefactor", grid_prefactor)
     for threshold in (PER_COLUMN, GRID):
         monkeypatch.setattr(ff, "GRID_MIN_COLS", threshold)
         for group in (_group((1, 1), left, right), _group((1, 2), *lib[1, 2])):
             monkeypatch.setattr(ff, "_last", None)
-            calls.update(n_matrix=0, prefactor_H=0)
+            calls.update(n_matrix=0, prefactor_H=0, grid_prefactor=0)
             for call in group:  # one assembly, one z
                 ff.form_factor(*call, z1)
-            assert calls["n_matrix"] == calls["prefactor_H"] == 1, threshold
+            # one prefactor, from the per-column builder or from the grid
+            assert calls["n_matrix"] == 1, threshold
+            assert calls["prefactor_H"] == (threshold == PER_COLUMN)
+            assert calls["grid_prefactor"] == (threshold == GRID)
     # a kind switch at a new probe point builds the z column alone, and of
     # the prefactor only its factors in z: neither the prefactor whole nor
     # its z-free products Delta'(u_left), Delta'(v_right), 1/h(v_left,
@@ -1209,7 +1267,7 @@ def test_kept_part_builds_rows_and_prefactor_once(monkeypatch, state_lib):
     calls.update(dict.fromkeys(calls, 0))
     ff.form_factor((3, 3), left, right, z2)
     assert calls == {"n_matrix": 0, "prefactor_H": 0, "n_column": 1,
-                     "delta_prime": 0, "inv_h_vu": 0}
+                     "grid_prefactor": 0, "delta_prime": 0, "inv_h_vu": 0}
 
 
 def test_kept_part_keeps_the_per_call_checks(state_lib):

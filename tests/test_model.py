@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 import gl3ff.oracle as orc
 from gl3ff.errors import PoleError, ZeroArgError
 from gl3ff.kernel import f_prod, pole_tol
-from gl3ff.model import (RootConfig, RootStack, Twist, bethe_defect,
+from gl3ff.model import (RootConfig, RootStack, Twist, assert_regular,
+                         bethe_defect,
                          dtau_dkappa, dtau_dkappa_onshell, dtau_du, dtau_dv,
                          gaudin_matrix, mirror_model, phi_log, tau,
                          tau_twisted, xxx_chain)
@@ -289,6 +291,18 @@ def test_bethe_defect_zero_denominator_is_a_pole_error(u, v, pair):
     off = RootConfig(u[:-1] + (u[-1] + 1e-6,), v) if not v else \
         RootConfig(u, v[:-1] + (v[-1] + 1e-6,))
     assert np.isfinite(bethe_defect(off, Twist.identity(), model)).all()
+
+
+def test_assert_regular_takes_overflowing_differences_silently():
+    # roots 2e308 apart overflow their difference to inf, which is no
+    # collision: no PoleError and no numpy warning; a collision next to
+    # such a pair is still found and named
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_regular(RootConfig((1e308, -1e308), ()), 1.0)
+        assert_regular(RootConfig((1e308,), (-1e308 + 1e308j,)), 1.0)
+        with pytest.raises(PoleError, match="entries 0 and 2 collide"):
+            assert_regular(RootConfig((1e308, -1e308, 1e308), ()), 1.0)
 
 
 def test_phi_log_on_shell_and_exp_consistency(state_lib):
