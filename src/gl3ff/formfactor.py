@@ -39,6 +39,7 @@ pass with the others, and a column built on its own differs in some bits.
 
 from __future__ import annotations
 
+import cmath
 import operator
 import warnings
 import weakref
@@ -52,9 +53,10 @@ from .errors import (DegeneracyWarning, NonFiniteResult, PoleError,
                      SectorMismatch)
 from .kernel import (collision, delta, delta_prime, exclude, f_prod, g_prod,
                      h_prod, inv_f_prod, inv_g_prod, inv_h_prod, pole_tol, t)
-from .model import (BetheState, ModelFunctions, RootConfig, dtau_du,
-                    dtau_dv, gaudin_matrix, tau)
-from .solver import states_equal
+from .model import (BetheState, ModelFunctions, RootConfig, dtau_droots,
+                    gaudin_matrix, tau)
+from .solver import states_distance
+from .solver import states_equal  # noqa: F401  (bench/selftest.py rebinds it)
 
 KINDS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3))
 
@@ -96,7 +98,7 @@ def _element(pref: complex, m: np.ndarray, what: str) -> complex:
     except NonFiniteResult:
         raise NonFiniteResult(
             f"{what}: determinant matrix has non-finite entries") from None
-    if not np.isfinite(value):
+    if not cmath.isfinite(value):
         raise NonFiniteResult(f"{what} is not finite: {value}")
     return value
 
@@ -424,7 +426,10 @@ def n_entry_tau_form(asm: FFAssembly, row: int, x: complex) -> complex:
     The only algebraic preparation is the pairing g/f = 1/h on the right
     u-set, needed for the expression to stay finite at those columns; at
     columns equal to left v-roots this form is structurally 0 * inf and
-    cannot be evaluated.
+    cannot be evaluated.  The derivatives come from
+    :func:`~gl3ff.model.dtau_droots`, in every root of the state at once,
+    so a point at a pole of t(x, q) or t(q, x) for any root q of that state
+    raises its ``PoleError``.
     """
     m = asm.model
     c = m.c
@@ -435,12 +440,11 @@ def n_entry_tau_form(asm: FFAssembly, row: int, x: complex) -> complex:
         coef = (c * inv_h_prod(x, asm.u_right, c)
                 * inv_f_prod(asm.v_left, x, c)
                 * inv_g_prod(x, asm.u_left, c))
-        return coef * dtau_du(x, left_roots, m, row)
-    j = row - n_u
+        return coef * dtau_droots(x, left_roots, m)[0][row]
     coef = (-c * inv_h_prod(asm.v_left, x, c)
             * inv_f_prod(x, asm.u_right, c)
             * inv_g_prod(asm.v_right, x, c))
-    return coef * dtau_dv(x, right_roots, m, j)
+    return coef * dtau_droots(x, right_roots, m)[1][row - n_u]
 
 
 def n_matrix(asm: FFAssembly) -> np.ndarray:
@@ -572,9 +576,8 @@ def _tau_column(asm: FFAssembly) -> list:
     m = asm.model
     c, z = m.c, asm.z
     scale = inv_f_prod(z, asm.u_left, c) * inv_f_prod(asm.v_left, z, c)
-    roots = RootConfig(u=asm.u_left, v=asm.v_left)
-    return ([c * dtau_du(z, roots, m, j) * scale for j in range(roots.a)]
-            + [-c * dtau_dv(z, roots, m, j) * scale for j in range(roots.b)])
+    du, dv = dtau_droots(z, RootConfig(u=asm.u_left, v=asm.v_left), m)
+    return [c * d * scale for d in du] + [-c * d * scale for d in dv]
 
 
 def _row_keys(kind: tuple) -> tuple:
@@ -615,7 +618,8 @@ class _Part:
     call on the assembly builds it at its probe point z0, and every call,
     that one included, takes its element from it.
 
-    It holds the validated roots and branch, P0 (:func:`prefactor_H` over
+    It holds the validated roots and branch, the kinds whose twist and
+    sector checks passed on its states, P0 (:func:`prefactor_H` over
     every column but the probe point), the prefactor P0 * p(z0) (see
     :func:`_probe_factor`), and the rows of the matrix (:func:`_rows`), each
     built whole by the first call that needs it and kept with its probe
@@ -638,6 +642,7 @@ class _Part:
         self.roots = (asm.u_left, asm.v_left, asm.u_right, asm.v_right)
         self.same, self.near, self.z0 = same, near, asm.z
         self.grid = asm._grid if len(asm.cols) >= GRID_MIN_COLS else None
+        self.checked = set()
         if self.grid is not None:
             self.pref0 = self.grid.prefactor()
             if self.pref0 is None:  # raises the error of its pole
@@ -647,9 +652,11 @@ class _Part:
             self.pref0 = self.p0 * _probe_factor(asm)
         self.kept = {}
 
-    def serves(self, left: BetheState, right: BetheState, z: complex) -> bool:
-        return (self.left() is left and self.right() is right
-                and (self.grid is None or z == self.z0))
+    def holds(self, left: BetheState, right: BetheState) -> bool:
+        return self.left() is left and self.right() is right
+
+    def serves(self, z: complex) -> bool:
+        return self.grid is None or z == self.z0
 
     def assembly(self, z: complex) -> FFAssembly:
         """The assembly at the probe point ``z``, after the guards that
@@ -701,28 +708,33 @@ def determinant_element(kind: tuple, left: BetheState, right: BetheState,
     another z below ``GRID_MIN_COLS`` columns runs the guards that involve
     z and builds the last column, the closing entry and p(z); from
     ``GRID_MIN_COLS`` columns on, a call at another z builds a new part.
-    The sector, twist and near-degeneracy checks run on every call.  No
-    value, matrix or error depends on the order of the calls.
+    The twist and sector checks run once for each kind a part serves: its
+    states are immutable and held by identity, so a repeat call of a kind
+    cannot fail them.  The near-degeneracy warning is issued on every call.
+    No value, matrix or error depends on the order of the calls.
     """
     global _last
     kind = (int(kind[0]), int(kind[1]))
     if kind not in KINDS:
         raise ValueError(f"unknown entry {kind}")
     i, j = kind
-    _require_untwisted(left, right)
-    _check_sector(kind, left, right)
+    states = ((right, left) if kind in ((2, 3), (2, 1), (3, 1))
+              else (left, right))
+    part = _last if _last is not None and _last.holds(*states) else None
+    if part is None or kind not in part.checked:
+        _require_untwisted(left, right)
+        _check_sector(kind, left, right)
+    left, right = states
     z = complex(z)
-    if kind in ((2, 3), (2, 1), (3, 1)):
-        left, right = right, left
-    part = _last
-    if part is not None and part.serves(left, right, z):
+    if part is not None and part.serves(z):
         same, near = part.same, part.near
     else:
         part = None
-        same = i == j and states_equal(left.roots, right.roots,
-                                       SAME_STATE_TOL)
-        near = i == j and not same and states_equal(
-            left.roots, right.roots, NEAR_DEGENERATE_TOL)
+        # one matching decides both branches (SAME_STATE_TOL is the smaller)
+        dist = (states_distance(left.roots, right.roots, NEAR_DEGENERATE_TOL)
+                if i == j else np.inf)
+        same = dist < SAME_STATE_TOL
+        near = not same and dist < NEAR_DEGENERATE_TOL
     if near:
         warnings.warn(
             "root multisets nearly coincide; both evaluation branches of "
@@ -733,6 +745,7 @@ def determinant_element(kind: tuple, left: BetheState, right: BetheState,
         part = _last = _Part(left, right, asm, same, near)
     else:
         asm = part.assembly(z)
+    part.checked.add(kind)
     pref = part.pref0 if z == part.z0 else part.p0 * _probe_factor(asm)
     mat = np.concatenate([part.rows(asm, key) for key in _row_keys(kind)])
     if i == j:
@@ -862,9 +875,9 @@ def gl2_ff(kind: tuple, u_left: Sequence[complex], u_right: Sequence[complex],
     cols = u_right + (z,)
     roots = RootConfig(u=u_left, v=())
     mat = np.empty((len(cols), len(cols)), dtype=complex)
-    for j in range(a):
-        for k, x in enumerate(cols):
-            mat[j, k] = c * inv_g_prod(x, u_left, c) * dtau_du(x, roots, model, j)
+    for k, x in enumerate(cols):
+        coef = c * inv_g_prod(x, u_left, c)
+        mat[:a, k] = [coef * d for d in dtau_droots(x, roots, model)[0]]
     if kind == (1, 1):
         sign = -1.0 if a % 2 else 1.0
         mat[a] = [sign * model.r1(x) * h_prod(u_right, x, c) for x in cols]

@@ -8,15 +8,23 @@ nonzero coupling constant ``c``:
     h(x, y) = f / g = (x - y + c) / c
     t(x, y) = g / h = c**2 / ((x - y) * (x - y + c))
 
-Rapidity sets are plain sequences of complex numbers.  Order is significant
-and always preserved: the ordered antisymmetric products and the determinant
-row/column conventions downstream depend on it.
+Rapidity sets are plain sequences of complex numbers: a tuple is taken as it
+is, a list or a one-dimensional numpy array as the tuple of its elements, and
+any other value as a one-point set.  Order is significant and always
+preserved: the ordered antisymmetric products and the determinant row/column
+conventions downstream depend on it.
+
+The collision tolerance :func:`pole_tol` is a pure function of ``c``,
+computed once per coupling value and then looked up.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Callable, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import PoleError
 
@@ -27,14 +35,15 @@ SetOrScalar = Union[complex, Sequence[complex]]
 COLLISION_SCALE = 1e-10
 
 
+@functools.lru_cache(maxsize=128)
 def pole_tol(c: complex) -> float:
     """Absolute collision tolerance for coupling ``c``."""
     return COLLISION_SCALE * max(1.0, abs(c))
 
 
 # Each rational term has a private form that takes the tolerance pole_tol(c)
-# as an argument, so that a loop over many terms at one c computes it once;
-# the public form computes it per call.  h and 1/g are entire and ignore it.
+# as an argument, so that a loop over many terms at one c looks it up once;
+# the public form looks it up per call.  h and 1/g are entire and ignore it.
 
 def _g(x: complex, y: complex, c: complex, tol: float) -> complex:
     d = x - y
@@ -106,8 +115,19 @@ def t(x: complex, y: complex, c: complex) -> complex:
 
 
 def _as_tuple(v: SetOrScalar) -> tuple:
+    """The rapidity set ``v`` as a tuple (see the module docstring); the
+    tuples and complex points of the determinant builders come first."""
+    if type(v) is tuple:
+        return v
+    if type(v) is complex:
+        return (v,)
     if isinstance(v, (list, tuple)):
         return tuple(v)
+    if isinstance(v, np.ndarray) and v.ndim:
+        if v.ndim > 1:
+            raise TypeError("a rapidity set is one-dimensional, got an array "
+                            f"of shape {v.shape}")
+        return tuple(v.tolist())
     return (v,)
 
 
@@ -121,14 +141,14 @@ def _prod(term: Callable[[complex, complex, complex, float], complex],
     product: ``operator.lt`` gives the ordered products over a set against
     itself.
     """
-    ys = _as_tuple(rhs)
+    xs, ys = _as_tuple(lhs), _as_tuple(rhs)
     out = 1.0 + 0.0j
     if keep is None:
-        for x in _as_tuple(lhs):
+        for x in xs:
             for y in ys:
                 out *= term(x, y, c, tol)
         return out
-    for i, x in enumerate(_as_tuple(lhs)):
+    for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             if keep(i, j):
                 out *= term(x, y, c, tol)
@@ -191,8 +211,8 @@ def collision(lhs: SetOrScalar, rhs: SetOrScalar, c: complex,
     ``1/h`` and ``1/f``.  Callers raise their own error from the pair.
     """
     tol = pole_tol(c)
-    ys = _as_tuple(rhs)
-    for i, x in enumerate(_as_tuple(lhs)):
+    xs, ys = _as_tuple(lhs), _as_tuple(rhs)
+    for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             if (keep is None or keep(i, j)) and abs(x - y - shift) <= tol:
                 return i, j

@@ -189,20 +189,34 @@ def dtau_dkappa(s: int, w: complex, roots: RootConfig,
     raise ValueError(f"s must be 1, 2 or 3, got {s}")
 
 
-def dtau_du(w: complex, roots: RootConfig, model: ModelFunctions,
-            j: int) -> complex:
-    """Analytic derivative of tau(w | u, v) in the j-th u-root."""
-    u, v, c = roots.u, roots.v, model.c
-    return (-model.r1(w) * f_prod(u, w, c) * t(u[j], w, c)
-            + f_prod(w, u, c) * f_prod(v, w, c) * t(w, u[j], c)) / c
+def dtau_droots(w: complex, roots: RootConfig,
+                model: ModelFunctions) -> tuple:
+    """Analytic derivatives of tau(w | u, v) in every root at one point
+    ``w``: the lists (d tau / d u_j over j, d tau / d v_j over j), with
 
+        d tau / d u_j = (-r1(w) f(u, w) t(u_j, w)
+                         + f(w, u) f(v, w) t(w, u_j)) / c,
+        d tau / d v_j = (-f(w, u) f(v, w) t(v_j, w)
+                         + r3(w) f(w, v) t(w, v_j)) / c.
 
-def dtau_dv(w: complex, roots: RootConfig, model: ModelFunctions,
-            j: int) -> complex:
-    """Analytic derivative of tau(w | u, v) in the j-th v-root."""
+    The set products are taken once for all roots, r1 only if there are
+    u-roots and r3 only if there are v-roots, in the order of the formulas.
+    """
     u, v, c = roots.u, roots.v, model.c
-    return (-f_prod(w, u, c) * f_prod(v, w, c) * t(v[j], w, c)
-            + model.r3(w) * f_prod(w, v, c) * t(w, v[j], c)) / c
+    du, dv = [], []
+    if not (u or v):
+        return du, dv
+    if u:
+        r1_term = -model.r1(w) * f_prod(u, w, c)
+    f_wu, f_vw = f_prod(w, u, c), f_prod(v, w, c)
+    if u:
+        mid = f_wu * f_vw
+        du = [(r1_term * t(uj, w, c) + mid * t(w, uj, c)) / c for uj in u]
+    if v:
+        mid = -f_wu * f_vw
+        r3_term = model.r3(w) * f_prod(w, v, c)
+        dv = [(mid * t(vj, w, c) + r3_term * t(w, vj, c)) / c for vj in v]
+    return du, dv
 
 
 def dtau_dkappa_onshell(s: int, w: complex, roots: RootConfig,
@@ -224,10 +238,9 @@ def dtau_dkappa_onshell(s: int, w: complex, roots: RootConfig,
     dtarget = np.array([(s == 2) - (s == 1)] * a
                        + [(s == 2) - (s == 3)] * b, dtype=complex)
     motion = np.linalg.solve(jac, dtarget)
-    for j in range(a):
-        value += dtau_du(w, roots, model, j) * motion[j]
-    for j in range(b):
-        value += dtau_dv(w, roots, model, j) * motion[a + j]
+    du, dv = dtau_droots(w, roots, model)
+    for j, d in enumerate(du + dv):
+        value += d * motion[j]
     return value
 
 

@@ -534,26 +534,39 @@ def _sorted_roots(values: Sequence[complex]) -> np.ndarray:
     return arr[order]
 
 
-def _same_multiset(xs: Sequence[complex], ys: Sequence[complex],
-                   tol: float) -> bool:
+def _match_distance(xs: Sequence[complex], ys: Sequence[complex],
+                    cap: float) -> float:
     """Greedy nearest-partner matching: each x takes the closest y not yet
-    taken, and the multisets differ as soon as that pair is tol apart."""
+    taken.  The largest distance of a matched pair, or inf as soon as a
+    pair is not closer than ``cap`` (a NaN distance included) and for sets
+    of unequal length; -inf for two empty sets."""
     if len(xs) != len(ys):
-        return False
+        return math.inf
     dist = np.abs(np.subtract.outer(np.asarray(xs, dtype=complex),
                                     np.asarray(ys, dtype=complex)))
+    worst = -math.inf
     for row in dist:
         j = int(np.argmin(row))
-        if not row[j] < tol:
-            return False
+        if not row[j] < cap:
+            return math.inf
+        worst = max(worst, float(row[j]))
         dist[:, j] = np.inf
-    return True
+    return worst
+
+
+def states_distance(s1: RootConfig, s2: RootConfig, cap: float) -> float:
+    """Largest distance of the unordered-multiset matching of two root
+    configurations (u with u, v with v) if every pair is closer than
+    ``cap``, else inf.  The matching does not depend on ``cap``, so for
+    every ``tol <= cap`` the configurations are equal within ``tol``
+    exactly when this distance is below ``tol``."""
+    d = _match_distance(s1.u, s2.u, cap)
+    return d if d == math.inf else max(d, _match_distance(s1.v, s2.v, cap))
 
 
 def states_equal(s1: RootConfig, s2: RootConfig, tol: float = 1e-6) -> bool:
     """Unordered-multiset comparison of two root configurations."""
-    return (_same_multiset(s1.u, s2.u, tol)
-            and _same_multiset(s1.v, s2.v, tol))
+    return states_distance(s1, s2, tol) < tol
 
 
 # model -> {(a, b, twist, n_seeds, tol, rng_seed): ((roots, modes, residual),

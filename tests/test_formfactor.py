@@ -1270,7 +1270,7 @@ def test_kept_part_builds_rows_and_prefactor_once(monkeypatch, state_lib):
                      "grid_prefactor": 0, "delta_prime": 0, "inv_h_vu": 0}
 
 
-def test_kept_part_keeps_the_per_call_checks(state_lib):
+def test_kept_part_keeps_the_per_call_checks(state_lib, monkeypatch):
     z = Z_POINTS[0]
     l5 = state_lib[5]
     left, right = l5["m31"][0], l5["m31"][1]
@@ -1290,3 +1290,43 @@ def test_kept_part_keeps_the_per_call_checks(state_lib):
     for s in (1, 2, 3):
         with pytest.warns(DegeneracyWarning):
             ff.ff_diag(s, shifted, st, z)
+    # the twist and sector checks run once for each kind a part serves: a
+    # repeat call of a checked kind, at its z or another, runs neither, a
+    # new kind on the part runs both once, and a failing kind fails again,
+    # whether it comes before the part is built or after
+    runs = dict.fromkeys(("_require_untwisted", "_check_sector"), 0)
+    for name in runs:
+        def counted(*args, _name=name, _check=getattr(ff, name)):
+            runs[_name] += 1
+            return _check(*args)
+        monkeypatch.setattr(ff, name, counted)
+
+    def checks_run(*calls):
+        runs.update(dict.fromkeys(runs, 0))
+        for kind, l, r, zk in calls:
+            ff.form_factor(kind, l, r, zk)
+        return tuple(runs.values())
+
+    def mismatches():
+        for kind, l, r in (((1, 2), left, right), ((2, 1), right, left)):
+            with pytest.raises(SectorMismatch):
+                checks_run((kind, l, r, z))
+            assert tuple(runs.values()) == (1, 1)
+
+    for mismatch_first in (True, False):
+        monkeypatch.setattr(ff, "_last", None)
+        if mismatch_first:
+            mismatches()
+        assert checks_run(((1, 1), left, right, z)) == (1, 1)
+        assert checks_run(((1, 1), left, right, z),
+                          ((1, 1), left, right, Z_POINTS[1])) == (0, 0)
+        assert checks_run(((3, 3), left, right, Z_POINTS[2])) == (1, 1)
+        assert checks_run(((3, 3), left, right, z),
+                          ((1, 1), left, right, Z_POINTS[3])) == (0, 0)
+        mismatches()
+        mismatches()
+    # an exchanged kind is a kind of the part of its exchanged states
+    assert checks_run(((1, 2), l12, r12, z)) == (1, 1)
+    assert checks_run(((2, 1), r12, l12, Z_POINTS[1])) == (1, 1)
+    assert checks_run(((1, 2), l12, r12, Z_POINTS[2]),
+                      ((2, 1), r12, l12, z)) == (0, 0)

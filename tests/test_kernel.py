@@ -137,3 +137,28 @@ def test_check_distinct():
     with pytest.raises(PoleError, match="entries 0 and 1 collide"):
         assert_regular(RootConfig((0.1,), (0.1 + 1e-12,)), 1.0)
     assert_regular(RootConfig((0.1,), (0.2,)), 1.0)
+
+
+def test_numpy_arrays_are_rapidity_sets():
+    # a 1-D array is the set of its elements, as the list of them is
+    u, w = [0.2 + 0.1j, -0.3 + 0.4j], [0.7 - 0.2j, 0.1j, -0.5]
+    z, c = 0.4 + 0.2j, 1.0
+    for prod in (K.h_prod, K.inv_g_prod, K.f_prod, K.inv_f_prod, K.g_prod,
+                 K.t_prod, K.inv_h_prod):
+        for lhs, rhs in ((u, z), (z, u), (u, w)):
+            ref = prod(lhs, rhs, c)
+            got = prod(*(np.array(s) if isinstance(s, list) else s
+                         for s in (lhs, rhs)), c)
+            assert type(got) is complex and got == ref
+    assert K.delta_prime(np.array(u), c) == K.delta_prime(u, c)
+    assert K.collision(np.array(u), np.array(u), c) == (0, 0)
+    assert K.exclude(np.array(u), 0) == (u[1],)
+    # a guarded product finds the pole of an array entry
+    with pytest.raises(PoleError):
+        K.f_prod(np.array(u), u[1], c)
+    # a 0-d array is one point; an array of more dimensions is refused
+    assert K.h_prod(np.array(z), u, c) == K.h_prod(z, u, c)
+    with pytest.raises(TypeError, match="one-dimensional"):
+        K.h_prod(np.array([u, u]), z, c)
+    with pytest.raises(TypeError, match="one-dimensional"):
+        K.collision(u, np.array([u]), c)

@@ -6,10 +6,10 @@ import pytest
 
 import gl3ff.oracle as orc
 from gl3ff.errors import PoleError, ZeroArgError
-from gl3ff.kernel import f_prod, pole_tol
+from gl3ff.kernel import f_prod, pole_tol, t
 from gl3ff.model import (RootConfig, RootStack, Twist, assert_regular,
                          bethe_defect,
-                         dtau_dkappa, dtau_dkappa_onshell, dtau_du, dtau_dv,
+                         dtau_dkappa, dtau_dkappa_onshell, dtau_droots,
                          gaudin_matrix, mirror_model, phi_log, tau,
                          tau_twisted, xxx_chain)
 
@@ -246,6 +246,8 @@ def test_dtau_root_derivatives_finite_difference(state_lib):
     model = state_lib[3]["model"]
     w = 1.1 + 0.3j
     eps = 1e-6
+    du, dv = dtau_droots(w, st.roots, model)
+    assert (len(du), len(dv)) == (st.a, st.b)
     for j in range(st.a):
         u = list(st.u)
         u[j] += eps
@@ -253,14 +255,63 @@ def test_dtau_root_derivatives_finite_difference(state_lib):
         u[j] -= 2 * eps
         dn = tau(w, RootConfig(tuple(u), st.v), model)
         fd = (up - dn) / (2 * eps)
-        assert abs(fd - dtau_du(w, st.roots, model, j)) < 1e-7 * abs(fd)
+        assert abs(fd - du[j]) < 1e-7 * abs(fd)
     v = list(st.v)
     v[0] += eps
     up = tau(w, RootConfig(st.u, tuple(v)), model)
     v[0] -= 2 * eps
     dn = tau(w, RootConfig(st.u, tuple(v)), model)
     fd = (up - dn) / (2 * eps)
-    assert abs(fd - dtau_dv(w, st.roots, model, 0)) < 1e-7 * abs(fd)
+    assert abs(fd - dv[0]) < 1e-7 * abs(fd)
+
+
+def _dtau_du_per_root(w, roots, model, j):
+    """d tau / d u_j on its own, each set product taken for this root."""
+    u, v, c = roots.u, roots.v, model.c
+    return (-model.r1(w) * f_prod(u, w, c) * t(u[j], w, c)
+            + f_prod(w, u, c) * f_prod(v, w, c) * t(w, u[j], c)) / c
+
+
+def _dtau_dv_per_root(w, roots, model, j):
+    """d tau / d v_j on its own, each set product taken for this root."""
+    u, v, c = roots.u, roots.v, model.c
+    return (-f_prod(w, u, c) * f_prod(v, w, c) * t(v[j], w, c)
+            + model.r3(w) * f_prod(w, v, c) * t(w, v[j], c)) / c
+
+
+def _bits(values):
+    return np.array(values, dtype=complex).tobytes()
+
+
+def _assert_per_root_bits(w, roots, model):
+    du, dv = dtau_droots(w, roots, model)
+    assert _bits(du) == _bits([_dtau_du_per_root(w, roots, model, j)
+                               for j in range(roots.a)])
+    assert _bits(dv) == _bits([_dtau_dv_per_root(w, roots, model, j)
+                               for j in range(roots.b)])
+
+
+def test_dtau_droots_equals_the_per_root_formulas_bit_for_bit(state_lib):
+    # the set products shared by all roots change no bit of any derivative:
+    # library states, and random sets at couplings with signed zeros
+    for L in (2, 3, 4, 5):
+        model = state_lib[L]["model"]
+        for key in ("m10", "m21", "m20", "m31"):
+            for st in state_lib[L].get(key, ()):
+                for w in (1.1 + 0.3j, -0.7 - 0.45j):
+                    _assert_per_root_bits(w, st.roots, model)
+    rng = np.random.default_rng(17)
+    for c in (1.0 + 0j, 1j, -1j, complex(-0.0, -1.0), 0.5 - 0.3j):
+        chain = xxx_chain(3, (0.1, -0.25 + 0.1j, 0.4j), c)
+        for model in (chain, mirror_model(chain)):
+            for a, b in ((0, 0), (1, 0), (0, 2), (2, 1), (3, 3)):
+                for _ in range(4):
+                    pts = rng.normal(size=(a + b + 1, 2)) @ (1, 1j)
+                    # real and imaginary points: exact zero parts
+                    for p in (pts, pts.real + 0j, 1j * pts.imag):
+                        roots = RootConfig(tuple(p[:a].tolist()),
+                                           tuple(p[a:-1].tolist()))
+                        _assert_per_root_bits(complex(p[-1]), roots, model)
 
 
 def test_bethe_defect_closed_form_root():
