@@ -431,16 +431,15 @@ def check_sfunction_and_forms(report: Report, lib: dict,
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
         report.add("s_function_closed_form", worst, 1e-10, inputs=pair(pts[0]))
         # explicit entries against the eigenvalue-derivative form; left
-        # v-columns excluded (structurally 0 * inf in the derivative form)
+        # v-columns excluded (structurally 0 * inf in the derivative form),
+        # and the v-entries at right u-roots, which that form leaves None
         probes = list(b.u) + [z] + pts[:3]
         worst = 0.0
         for x in probes:
-            at_right_u = any(abs(x - ub) < 1e-6 for ub in b.u)
-            for r, e1 in enumerate(ff.n_column(asm, x)):
-                if r >= len(asm.u_left) and at_right_u:
-                    continue
-                e2 = ff.n_entry_tau_form(asm, r, x)
-                worst = max(worst, abs(e1 - e2) / max(abs(e1), 1e-30))
+            for e1, e2 in zip(ff.n_column(asm, x),
+                              ff.n_column_tau_form(asm, x)):
+                if e2 is not None:
+                    worst = max(worst, abs(e1 - e2) / max(abs(e1), 1e-30))
         report.add("n_matrix_two_forms", worst, 1e-10, inputs=pair(z))
 
 

@@ -17,24 +17,25 @@ exchanged, which realises the transposition antimorphism.  Diagonal entries
 and the (1,3)/(3,1) pair append one extra row to the same matrix.
 
 Every piece of an element (the prefactor, the matrix entries, the closing
-rows) has two builders.  Below ``GRID_MIN_COLS`` determinant columns it is
-built column by column from the scalar kernel products; from there on it is
-a product along one axis of an array of differences between the roots and
-the column points (:class:`_Grid`), with the kernel's pole guards as masks
-on the same array.  A piece whose mask finds a pole is handed to the
-per-column code, which raises the error of its first pole.  A diagonal
-closing row is its colour's Kronecker pattern plus (colour 1) or minus
-(colour 3) one bracket row, and only the bracket has two builders.
+rows) has two builders: column by column from the scalar kernel products,
+or as a product along one axis of an array of differences between the roots
+and the column points (:class:`_Grid`).  The pole test is made once per
+assembly (:func:`_grid_of`): from ``GRID_MIN_COLS`` determinant columns on,
+the kernel's pole guards are masks on the difference array, and if none of
+them fires the grid builds every piece of the assembly.  Otherwise the
+per-column code builds every piece and raises the error of the first pole.
+A diagonal closing row is its colour's Kronecker pattern plus (colour 1) or
+minus (colour 3) one bracket row, and only the bracket has two builders.
 
 Every element is the sign of its kind times its prefactor times
 det(matrix), taken from the z-free part (:class:`_Part`) of its assembly.
 Only the last column of the matrix, the closing row's last entry and the
-prefactor's factors p(z) involve the probe point z.  Below
-``GRID_MIN_COLS`` columns the prefactor is P0 * p(z), P0 being the
-prefactor over the other columns, and a part serves every z.  From there on
-a part serves its first z only, and the grid it keeps gives the prefactor
-over all columns and every row: the grid builds the z column in one array
-pass with the others, and a column built on its own differs in some bits.
+prefactor's factors p(z) involve the probe point z.  A part without a grid
+takes the prefactor as P0 * p(z), P0 being the prefactor over the other
+columns, and serves every z.  A part with a grid serves its first z only,
+and the grid gives the prefactor over all columns and every row: it builds
+the z column in one array pass with the others, and a column built on its
+own differs in some bits.
 """
 
 from __future__ import annotations
@@ -131,25 +132,25 @@ class FFAssembly:
         return len(self.u_left) + len(self.v_right)
 
     @cached_property
-    def _grid(self) -> "_Grid":
-        """Difference arrays of the grid builder, formed once per assembly
-        (the assemblies of a grid-size :class:`_Part` share its grid)."""
-        return _Grid(self)
+    def _grid(self) -> "_Grid | None":
+        """:func:`_grid_of`; :func:`assemble` and a part with a grid set it
+        with ``object.__setattr__``, as a ``__dict__`` write would give the
+        assembly a dict and slow down its attribute reads."""
+        return _grid_of(self)
 
 
 class _Grid:
     """Differences ``d = q - x`` between every root ``q`` of ``u_left +
     v_right + u_right + v_left`` (row blocks ``U``, ``VR``, ``UR``, ``VL``)
-    and every column point ``x``, with the kernel's pole masks ``zero``
-    (``|d| <= tol``), ``plus`` (``|d + c| <= tol``) and ``minus``
-    (``|c - d| <= tol``).
+    and every column point ``x``, and the differences ``pairs`` of the
+    Delta' pairs j < k of ``u_left`` and of ``v_right``.
 
     A kernel term of a column point and a root is a function of ``d``:
     ``t(q, x) = c^2 / (d (d + c))``, ``t(x, q) = c^2 / (-d (c - d))``,
     ``h(q, x) = (d + c) / c``, ``1/f(x, q) = -d / (c - d)`` and so on, so
     every product over a root set is a product along the row axis of one
-    block.  Each piece returns None when a mask finds a pole in a term it
-    uses; its per-column builder then raises that pole's error.
+    block.  Only an assembly with no pole in any of these terms has a grid
+    (:func:`_grid_of`).
 
     r1 is taken only at the right u-roots and z, r3 only at the left v-roots
     and z (see :func:`n_column`); the columns are ``u_right + v_left +
@@ -158,49 +159,33 @@ class _Grid:
 
     def __init__(self, asm: FFAssembly):
         self.model = weakref.ref(asm.model)  # for r1 and r3 alone
-        c = self.c = asm.model.c
+        self.c = asm.model.c
         nu, nr, a = len(asm.u_left), asm.n_rows, len(asm.u_right)
         self.a = a
         self.U, self.VR = slice(0, nu), slice(nu, nr)
         self.UR, self.VL = slice(nr, nr + a), slice(nr + a, None)
         self.cols = asm.cols
         self.x = np.array(asm.cols, dtype=complex)
-        q = self.q = np.array(asm.u_left + asm.v_right + asm.u_right
-                              + asm.v_left, dtype=complex)
-        d = self.d = q[:, None] - self.x
-        tol = pole_tol(c)
-        self.zero = np.abs(d) <= tol
-        self.plus = np.abs(d + c) <= tol
-        self.minus = np.abs(c - d) <= tol
+        q = np.array(asm.u_left + asm.v_right + asm.u_right + asm.v_left,
+                     dtype=complex)
+        self.d = q[:, None] - self.x
+        self.pairs = [np.subtract.outer(p, p)[~np.tri(len(p), dtype=bool)]
+                      for p in (q[self.U], q[self.VR])]
 
-    def clear(self, same_state: bool) -> bool:
-        """Whether every guard of :func:`assemble` passes: distinct column
-        labels (rows UR and VL are the columns but the last), rows apart
-        from columns, and h(v_left, u_right) != 0."""
-        n = self.VR.stop
-        return not (np.triu(self.zero[n:], 1).any()
-                    or (not same_state and self.zero[:n].any())
-                    or self.plus[self.VL, :self.a].any())
-
-    def prefactor(self):
+    def prefactor(self) -> complex:
         """:func:`prefactor_H`: its six partial products, each over a
         C-contiguous array of the per-column builder's terms in its order
         (Delta(cols): the lower triangle of rows UR and VL, then z's row),
         multiplied in its order, so that the same ones overflow."""
-        c, d, q, n, a = self.c, self.d, self.q, self.VR.stop, self.a
-        g_args = [np.subtract.outer(p, p)[~np.tri(len(p), dtype=bool)]
-                  for p in (q[self.U], q[self.VR])]  # Delta' pairs j < k
-        g_args.append(np.concatenate((
-            d[n:, :-1][np.tri(len(q) - n, k=-1, dtype=bool)],
-            self.x[-1] - self.x[:-1])))
-        if self.plus[self.VL, :a].any() or any(
-                (np.abs(g) <= pole_tol(c)).any() for g in g_args):
-            return None
+        c, d, n, a = self.c, self.d, self.VR.stop, self.a
+        d_cols = np.concatenate((
+            d[n:, :-1][np.tri(len(self.x) - 1, k=-1, dtype=bool)],
+            self.x[-1] - self.x[:-1]))
         with np.errstate(over="ignore", invalid="ignore"):
             h_cu, h_vc, ih_vu, dp_u, dp_v, d_c = (complex(p.prod()) for p in (
                 np.ascontiguousarray(((c - d[self.UR]) / c).T),
                 (d[self.VL] + c) / c, c / (d[self.VL, :a] + c),
-                *(c / g for g in g_args)))
+                *(c / g for g in (*self.pairs, d_cols))))
         return h_cu * h_vc * ih_vu * dp_u * dp_v * d_c
 
     def _at_cols(self, r, killed: range) -> np.ndarray:
@@ -222,14 +207,10 @@ class _Grid:
                     ((vr + c) / c).prod(axis=0),
                     (c / (vl + c)).prod(axis=0))
 
-    def n_matrix(self):
-        rows = slice(0, self.VR.stop)
-        if ((self.zero[rows] | self.plus[rows] | self.minus[rows]).any()
-                or self.minus[self.UR].any() or self.plus[self.VL].any()):
-            return None
+    def n_matrix(self) -> np.ndarray:
         c, d = self.c, self.d
         u, v = d[self.U], d[self.VR]
-        out = np.empty(d[rows].shape, dtype=complex)
+        out = np.empty((self.VR.stop, d.shape[1]), dtype=complex)
         if u.size:
             sign = -1.0 if (u.shape[0] - 1) % 2 else 1.0
             r1 = self._at_cols(self.model().r1,
@@ -250,14 +231,10 @@ class _Grid:
                                 + (c * c / (v * (v + c))) * h_vx * ih_vx)
         return out
 
-    def diag_bracket(self):
+    def diag_bracket(self) -> np.ndarray:
         """The bracket row of :func:`y_row_diag` over the z-free columns."""
         c, d = self.c, self.d
         cu, cv = slice(0, self.a), slice(self.a, -1)
-        if (self.zero[self.VR, cu].any() or self.plus[self.VL, cu].any()
-                or self.zero[self.U, cv].any()
-                or self.minus[self.UR, cv].any()):
-            return None
         vr, vl = d[self.VR, cu], d[self.VL, cu]
         u, ur = d[self.U, cv], d[self.UR, cv]
         out = np.empty(len(self.cols) - 1, dtype=complex)
@@ -270,9 +247,7 @@ class _Grid:
                 - 1.0)
         return out
 
-    def y_row_13(self):
-        if self.minus[self.UR].any() or self.plus[self.VL].any():
-            return None
+    def y_row_13(self) -> np.ndarray:
         sign, r3, h_xv, if_xu, h_vx, ih_vx = self.v_factors
         with np.errstate(over="ignore", invalid="ignore"):
             return sign * r3 * h_xv * if_xu * ih_vx + h_vx * ih_vx
@@ -290,12 +265,34 @@ def assemble(left: BetheState, right: BetheState, z: complex,
         raise ValueError("left and right states use different couplings")
     asm = FFAssembly(u_left=left.u, v_left=left.v, u_right=right.u,
                      v_right=right.v, z=complex(z), model=model)
-    if len(asm.cols) >= GRID_MIN_COLS and asm._grid.clear(same_state):
-        return asm
-    _label_guards(asm, same_state)
-    if collision(asm.v_left, asm.u_right, model.c, -model.c) is not None:
-        raise PoleError("prefactor denominator h(v_left, u_right) ~ 0")
+    grid = _grid_of(asm)
+    object.__setattr__(asm, "_grid", grid)
+    if grid is None:
+        _label_guards(asm, same_state)
+        if collision(asm.v_left, asm.u_right, model.c, -model.c) is not None:
+            raise PoleError("prefactor denominator h(v_left, u_right) ~ 0")
     return asm
+
+
+def _grid_of(asm: FFAssembly) -> "_Grid | None":
+    """The one pole test of an assembly: its :class:`_Grid` from
+    ``GRID_MIN_COLS`` columns on if no mask that a piece reads fires, else
+    None.  The masks: equal column labels (rows UR and VL are the columns
+    but the last), a row on a column (so a same-state assembly has no grid),
+    the t, 1/h and 1/f poles of the N entries (h(v_left, u_right) = 0 among
+    them) and the Delta' pairs; the per-column code raises their errors."""
+    if len(asm.cols) < GRID_MIN_COLS:
+        return None
+    grid = _Grid(asm)
+    c, d, n = grid.c, grid.d, grid.VR.stop
+    tol = pole_tol(c)
+    zero, plus, minus = (np.abs(e) <= tol for e in (d, d + c, c - d))
+    if ((zero[:n] | plus[:n] | minus[:n]).any()
+            or np.triu(zero[n:], 1).any()
+            or minus[grid.UR].any() or plus[grid.VL].any()
+            or any((np.abs(g) <= tol).any() for g in grid.pairs)):
+        return None
+    return grid
 
 
 def _label_guards(asm: FFAssembly, same_state: bool) -> None:
@@ -349,10 +346,9 @@ def prefactor_H(u_left: Sequence[complex], v_left: Sequence[complex],
 
     shared by every determinant representation, from the scalar kernel
     products.  Passing ``cols`` without the probe point (only the merged
-    root sets) yields the norm prefactor.  An element below
-    ``GRID_MIN_COLS`` columns takes it over its columns but the probe point,
-    times :func:`_probe_factor`; from there on :meth:`_Grid.prefactor`,
-    unless that finds a pole."""
+    root sets) yields the norm prefactor.  An element whose assembly has no
+    grid takes it over its columns but the probe point, times
+    :func:`_probe_factor`; one with a grid takes :meth:`_Grid.prefactor`."""
     u_left, v_left = tuple(u_left), tuple(v_left)
     u_right, v_right = tuple(u_right), tuple(v_right)
     cols = tuple(cols)
@@ -418,41 +414,43 @@ def n_column(asm: FFAssembly, x: complex) -> list:
     return out
 
 
-def n_entry_tau_form(asm: FFAssembly, row: int, x: complex) -> complex:
-    """Cross-check form of the entry ``n_column(asm, x)[row]``, built from the
-    analytic derivative of the eigenvalue tau instead of the explicit t/h
-    expression.
+def n_column_tau_form(asm: FFAssembly, x: complex) -> list:
+    """Cross-check form of ``n_column(asm, x)``, built from the analytic
+    derivatives of the eigenvalue tau instead of the explicit t/h
+    expression: the u-rows from the left state's, the v-rows from the right
+    state's, each from one call of :func:`~gl3ff.model.dtau_droots`.
 
     The only algebraic preparation is the pairing g/f = 1/h on the right
-    u-set, needed for the expression to stay finite at those columns; at
-    columns equal to left v-roots this form is structurally 0 * inf and
-    cannot be evaluated.  The derivatives come from
-    :func:`~gl3ff.model.dtau_droots`, in every root of the state at once,
-    so a point at a pole of t(x, q) or t(q, x) for any root q of that state
-    raises its ``PoleError``.
+    u-set, needed for the expression to stay finite at those columns.  A
+    point at a pole of t(x, q) or t(q, x), q a root of the state, raises
+    its ``PoleError``: at a left v-root (structurally 0 * inf here) the
+    u-rows do, and at a right u-root the v-entries are None, not evaluated.
     """
     m = asm.model
     c = m.c
-    n_u = len(asm.u_left)
-    left_roots = RootConfig(u=asm.u_left, v=asm.v_left)
-    right_roots = RootConfig(u=asm.u_right, v=asm.v_right)
-    if row < n_u:
+    out = []
+    if asm.u_left:
         coef = (c * inv_h_prod(x, asm.u_right, c)
                 * inv_f_prod(asm.v_left, x, c)
                 * inv_g_prod(x, asm.u_left, c))
-        return coef * dtau_droots(x, left_roots, m)[0][row]
-    coef = (-c * inv_h_prod(asm.v_left, x, c)
-            * inv_f_prod(x, asm.u_right, c)
-            * inv_g_prod(asm.v_right, x, c))
-    return coef * dtau_droots(x, right_roots, m)[1][row - n_u]
+        du = dtau_droots(x, RootConfig(u=asm.u_left, v=asm.v_left), m)[0]
+        out += [coef * d for d in du]
+    if x in asm.u_right:
+        return out + [None] * len(asm.v_right)
+    if asm.v_right:
+        coef = (-c * inv_h_prod(asm.v_left, x, c)
+                * inv_f_prod(x, asm.u_right, c)
+                * inv_g_prod(asm.v_right, x, c))
+        dv = dtau_droots(x, RootConfig(u=asm.u_right, v=asm.v_right), m)[1]
+        out += [coef * d for d in dv]
+    return out
 
 
 def n_matrix(asm: FFAssembly) -> np.ndarray:
+    grid = asm._grid
+    if grid is not None:
+        return grid.n_matrix()
     cols = asm.cols
-    if len(cols) >= GRID_MIN_COLS:
-        out = asm._grid.n_matrix()
-        if out is not None:
-            return out
     out = np.empty((asm.n_rows, len(cols)), dtype=complex)
     for k, x in enumerate(cols):
         out[:, k] = n_column(asm, x)
@@ -476,10 +474,9 @@ def y_row_diag(asm: FFAssembly, s: int, same_state: bool) -> np.ndarray:
     out[:a] = (s == 2) - (s == 1)
     out[a:-1] = (s == 2) - (s == 3)
     if s != 2 and not same_state:
-        bracket = (asm._grid.diag_bracket()
-                   if len(asm.cols) >= GRID_MIN_COLS else None)
-        if bracket is None:
-            bracket = _column_diag_bracket(asm)
+        grid = asm._grid
+        bracket = (_column_diag_bracket(asm) if grid is None
+                   else grid.diag_bracket())
         if s == 1:
             out[:-1] += bracket
         else:
@@ -505,7 +502,8 @@ def _column_diag_bracket(asm: FFAssembly) -> np.ndarray:
     """The bracket row of :func:`y_row_diag` over the z-free columns, built
     per column: (x/c) [f(v_right, x) / f(v_left, x) - 1] at a right u-root
     x, ((x + c)/c) [f(x, u_left) / f(x, u_right) - 1] at a left v-root x.
-    It vanishes when the two states coincide."""
+    It vanishes when the two states coincide.  An assembly with a grid
+    takes :meth:`_Grid.diag_bracket` instead."""
     c = asm.model.c
     out = np.empty(len(asm.cols) - 1, dtype=complex)
     a = len(asm.u_right)
@@ -522,10 +520,9 @@ def y_row_13(asm: FFAssembly) -> np.ndarray:
     """Closing row for the (1,3) entry over the full column set: the v-row
     entry without its row factors.  Its sign (-1)^b_left equals the v-row
     sign, b_left being one more than the number of v-rows."""
-    if len(asm.cols) >= GRID_MIN_COLS:
-        out = asm._grid.y_row_13()
-        if out is not None:
-            return out
+    grid = asm._grid
+    if grid is not None:
+        return grid.y_row_13()
     out = np.empty(len(asm.cols), dtype=complex)
     for k, x in enumerate(asm.cols):
         out[k] = _y13_entry(asm, x)
@@ -618,22 +615,21 @@ class _Part:
     call on the assembly builds it at its probe point z0, and every call,
     that one included, takes its element from it.
 
-    It holds the validated roots and branch, the kinds whose twist and
-    sector checks passed on its states, P0 (:func:`prefactor_H` over
-    every column but the probe point), the prefactor P0 * p(z0) (see
-    :func:`_probe_factor`), and the rows of the matrix (:func:`_rows`), each
-    built whole by the first call that needs it and kept with its probe
-    point: the N rows and each closing row some kind needed.  Only their
-    last column involves z.  Below ``GRID_MIN_COLS`` columns every entry is
-    built from its own column point, so at another z a call runs the guards
-    that involve z and builds only the last column and p(z), and no value or
-    error depends on the order of the calls.  From ``GRID_MIN_COLS`` on the
-    grid builds the z column in the same array pass as the others, and a
-    column built on its own does not match it in every bit, so a part there
-    serves its z0 only, and its prefactor (over all columns; no P0) and
-    rows come from the one :class:`_Grid` it keeps.  States and model are
-    held by weak reference, as in the grid, so the part keeps no model
-    alive; its rows are read-only."""
+    It holds the validated roots and branch, the kinds whose twist and sector
+    checks passed on its states, P0 (:func:`prefactor_H` over every column but
+    the probe point), the prefactor P0 * p(z0) (see :func:`_probe_factor`), and
+    the rows of the matrix (:func:`_rows`), each built whole and kept with its
+    probe point: the N rows, which every kind needs, by the build (so a pole in
+    them ends it), and each closing row by the first call that needs it.  Only
+    their last column involves z.  A part without a grid (:func:`_grid_of`)
+    builds every entry from its own column point, so at another z a call runs
+    the guards that involve z and builds only the last column and p(z), and no
+    value or error depends on the order of the calls.  A grid builds the z
+    column in the same array pass as the others, and a column built on its own
+    does not match it in every bit, so a part with a grid serves its z0 only,
+    and its prefactor (over all columns; no P0) and rows come from that one
+    :class:`_Grid`.  States and model are held by weak reference, as in the
+    grid, so the part keeps no model alive; its rows are read-only."""
 
     def __init__(self, left: BetheState, right: BetheState, asm: FFAssembly,
                  same: bool, near: bool):
@@ -641,16 +637,15 @@ class _Part:
         self.model = weakref.ref(asm.model)
         self.roots = (asm.u_left, asm.v_left, asm.u_right, asm.v_right)
         self.same, self.near, self.z0 = same, near, asm.z
-        self.grid = asm._grid if len(asm.cols) >= GRID_MIN_COLS else None
+        self.grid = asm._grid
         self.checked = set()
         if self.grid is not None:
             self.pref0 = self.grid.prefactor()
-            if self.pref0 is None:  # raises the error of its pole
-                self.pref0 = prefactor_H(*self.roots, asm.cols, asm.model.c)
         else:
             self.p0 = prefactor_H(*self.roots, asm.cols[:-1], asm.model.c)
             self.pref0 = self.p0 * _probe_factor(asm)
         self.kept = {}
+        self.rows(asm, None)
 
     def holds(self, left: BetheState, right: BetheState) -> bool:
         return self.left() is left and self.right() is right
@@ -665,7 +660,7 @@ class _Part:
         if z != self.z0:
             _probe_guards(asm, self.same)
         elif self.grid is not None:
-            asm.__dict__["_grid"] = self.grid  # the cached_property's slot
+            object.__setattr__(asm, "_grid", self.grid)
         return asm
 
     def rows(self, asm: FFAssembly, key) -> np.ndarray:
@@ -704,20 +699,24 @@ def determinant_element(kind: tuple, left: BetheState, right: BetheState,
     the pairs of Delta(cols) with z depend on ``z``.  Every element is taken
     from the :class:`_Part` of its assembly, which the first call on the
     assembly builds and which is kept until a call on another assembly.  A
-    call at the part's z0 builds at most its own closing row; a call at
-    another z below ``GRID_MIN_COLS`` columns runs the guards that involve
-    z and builds the last column, the closing entry and p(z); from
-    ``GRID_MIN_COLS`` columns on, a call at another z builds a new part.
-    The twist and sector checks run once for each kind a part serves: its
-    states are immutable and held by identity, so a repeat call of a kind
-    cannot fail them.  The near-degeneracy warning is issued on every call.
-    No value, matrix or error depends on the order of the calls.
+    call at the part's z0 builds at most its own closing row.  On a part
+    without a grid (:func:`_grid_of`) a call at another z runs the guards
+    that involve z and builds the last column, the closing entry and p(z);
+    on a part with a grid it builds a new part.  The twist and sector
+    checks run once for each kind a part serves: its states are immutable
+    and held by identity, so a repeat call of a kind cannot fail them.  The
+    near-degeneracy warning is issued on every call.  No value, matrix or
+    error depends on the order of the calls.  ``kind`` is a pair of
+    integers (numpy's included); anything else raises ``ValueError``.
     """
     global _last
-    kind = (int(kind[0]), int(kind[1]))
+    try:
+        i, j = kind
+        kind = i, j = operator.index(i), operator.index(j)
+    except (TypeError, ValueError):
+        raise ValueError(f"unknown entry {kind!r}") from None
     if kind not in KINDS:
         raise ValueError(f"unknown entry {kind}")
-    i, j = kind
     states = ((right, left) if kind in ((2, 3), (2, 1), (3, 1))
               else (left, right))
     part = _last if _last is not None and _last.holds(*states) else None

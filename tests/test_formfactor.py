@@ -212,12 +212,15 @@ def test_n_entry_matches_tau_form(state_lib):
     z = 0.9 + 0.8j
     asm = ff.assemble(left, right, z)
     probes = list(right.u) + [z, 1.3 - 0.4j, -1.2 + 0.9j]
-    for r in range(asm.n_rows):
-        for x in probes:
-            if r >= len(asm.u_left) and any(abs(x - ub) < 1e-9 for ub in right.u):
-                continue  # derivative form is 0 * inf at those points
-            e1 = ff.n_column(asm, x)[r]
-            e2 = ff.n_entry_tau_form(asm, r, x)
+    for x in probes:
+        col = ff.n_column_tau_form(asm, x)
+        assert len(col) == asm.n_rows
+        for r, (e1, e2) in enumerate(zip(ff.n_column(asm, x), col)):
+            # the derivative form has t(u_j, x) poles at the right u-roots,
+            # so it leaves the v-entries there unevaluated
+            if r >= len(asm.u_left) and x in right.u:
+                assert e2 is None
+                continue
             assert abs(e1 - e2) <= 1e-10 * max(abs(e1), 1e-30)
 
 
@@ -298,10 +301,15 @@ def test_grid_builder_matches_per_column(monkeypatch):
                                           asm.v_right, asm.cols, model.c)
                 pref_grid = asm._grid.prefactor()
                 assert abs(pref_grid - pref_col) <= 1e-13 * abs(pref_col)
-                rows_col, rows_grid = _both_builders(monkeypatch, lambda: [
-                    *ff.n_matrix(ff.assemble(left, right, z)),
-                    *(ff.y_row_diag(asm, s, False) for s in (1, 2, 3)),
-                    ff.y_row_13(ff.assemble(left, right, z))])
+
+                def rows():
+                    # the builder is chosen once per assembly
+                    asm = ff.assemble(left, right, z)
+                    return [*ff.n_matrix(asm),
+                            *(ff.y_row_diag(asm, s, False) for s in (1, 2, 3)),
+                            ff.y_row_13(asm)]
+
+                rows_col, rows_grid = _both_builders(monkeypatch, rows)
                 for r_col, r_grid in zip(rows_col, rows_grid):
                     scale = np.max(np.abs(r_col))
                     assert np.max(np.abs(r_grid - r_col)) <= 1e-13 * scale
@@ -309,10 +317,11 @@ def test_grid_builder_matches_per_column(monkeypatch):
     assert kinds == set(ff.KINDS)
 
 
-def test_grid_prefactor_hands_poles_to_the_per_column_builder():
+def test_grid_prefactor_hands_poles_to_the_per_column_builder(monkeypatch):
     # a pole in a Delta' pair, a column label clash or a zero of
-    # h(v_left, u_right) sends the grid's prefactor back, and the per-column
-    # builder raises its error
+    # h(v_left, u_right) leaves the assembly without a grid, and the
+    # per-column prefactor raises its error (6 columns: the grid is forced)
+    monkeypatch.setattr(ff, "GRID_MIN_COLS", GRID)
     rng = np.random.default_rng(17)
     model = _polynomial_model(rng)
     p = tuple(_clear_points(rng, 9))
@@ -322,11 +331,11 @@ def test_grid_prefactor_hands_poles_to_the_per_column_builder():
                         ((p[:3], p[3:4] + p[5:6], p[5:8], p[8:]), "g(x, y)"),
                         ((p[:3], (p[5] - c,), p[5:8], p[8:]), "1/h")):
         asm = ff.FFAssembly(*roots, z=p[2] + 0.5, model=model)
-        assert asm._grid.prefactor() is None
+        assert asm._grid is None
         with pytest.raises(PoleError, match=re.escape(what)):
             ff.prefactor_H(*roots, asm.cols, c)
     asm = ff.FFAssembly(p[:3], p[3:5], p[5:8], p[8:], z=0.1j, model=model)
-    assert asm._grid.prefactor() is not None
+    assert asm._grid is not None
 
 
 # sha256 of the values and matrices of test_grid_elements_are_pinned's
@@ -359,6 +368,27 @@ def test_grid_elements_are_pinned(monkeypatch):
     assert min(cols) == ff.GRID_MIN_COLS and max(cols) == 24
     require_pinned_build()
     assert digest.hexdigest() == GRID_SHA256
+
+
+def test_every_grid_piece_is_built_by_the_grid():
+    # the pole test is made once per assembly: on the grid-size pairs of
+    # test_grid_elements_are_pinned the grid exists and builds every piece
+    rng = np.random.default_rng(30)
+    model = _polynomial_model(rng)
+    for n in range(7, 23):
+        a, b = n - n // 2, n // 2
+        for kind in ff.KINDS:
+            left, right, z = _pair(rng, model, kind, a, b)
+            if kind in ((2, 3), (2, 1), (3, 1)):
+                left, right = right, left
+            asm = ff.assemble(left, right, z)
+            grid, ncols = asm._grid, len(asm.cols)
+            assert ncols >= ff.GRID_MIN_COLS and grid is not None
+            assert type(grid.prefactor()) is complex
+            for out, shape in ((grid.n_matrix(), (asm.n_rows, ncols)),
+                               (grid.diag_bracket(), (ncols - 1,)),
+                               (grid.y_row_13(), (ncols,))):
+                assert isinstance(out, np.ndarray) and out.shape == shape
 
 
 # ---------------------------------------------------------------------------
@@ -416,19 +446,20 @@ def test_diag_closing_rows_are_pattern_plus_minus_one_bracket(monkeypatch,
     pairs.append(_pair(rng, _polynomial_model(rng), (1, 1), 4, 3))
     eps, largest = np.finfo(float).eps, {}
     for left, right, z in pairs:
-        asm = ff.assemble(left, right, z)
         model = left.model
         expect = (tau(z, left.roots, model) * inv_f_prod(left.v, z, model.c)
                   * inv_f_prod(z, left.u, model.c))
-        bracket = np.abs(ff._column_diag_bracket(asm))
-        largest[left.b] = max(largest.get(left.b, 0.0), np.max(bracket))
         for threshold in (PER_COLUMN, GRID):
             monkeypatch.setattr(ff, "GRID_MIN_COLS", threshold)
+            # the builder is chosen once per assembly
+            asm = ff.assemble(left, right, z)
+            assert (asm._grid is None) == (threshold == PER_COLUMN)
+            bracket = np.abs(ff._column_diag_bracket(asm))
             total = sum(ff.y_row_diag(asm, s, False) for s in (1, 2, 3))
             assert np.all(np.abs(total[:-1])
                           <= 4 * eps * np.maximum(1.0, bracket))
             assert abs(total[-1] - expect) <= 1e-12 * abs(expect)
-        assert asm._grid.diag_bracket() is not None  # no mask sent it back
+        largest[left.b] = max(largest.get(left.b, 0.0), np.max(bracket))
     assert len(asm.cols) >= ff.GRID_MIN_COLS
     # between b=0 states both v-sets are empty and the bracket is 0 (the
     # third colour decouples); from b=1 on the rows carry one
@@ -644,6 +675,18 @@ def test_offdiag_sector_checks(state_lib):
                          twist=Twist(1.1, 1.0, 1.0))
     with pytest.raises(ValueError):
         ff.form_factor((2, 1), vac, twisted, 0.5)
+
+
+def test_kind_must_be_a_pair_of_integers(state_lib):
+    # a float or a longer tuple was read as its first two entries' ints,
+    # and gave the T(1,3) element
+    left, right = state_lib[5]["m31"][0], state_lib[5]["m20"][0]
+    z = 0.77 - 0.66j
+    value = ff.form_factor((1, 3), left, right, z)
+    assert ff.form_factor((np.int64(1), np.intp(3)), left, right, z) == value
+    for kind in ((1.5, 3), (1, 3.0), (1, 3, 9), (1,), 13, "13", (4, 4)):
+        with pytest.raises(ValueError, match="unknown entry"):
+            ff.form_factor(kind, left, right, z)
 
 
 def test_ff13_shape_and_sector(state_lib):
@@ -1216,6 +1259,41 @@ def test_kept_part_raises_what_a_cold_call_raises(state_lib):
                         ff.form_factor(*call, z)
                     got.append(str(info.value))
                 assert got[0] == got[1], (call[0], got)
+
+
+def test_grid_size_same_state_part_serves_every_z():
+    # a same-state assembly has its rows on its columns, so it has no grid
+    # at any size: its part takes P0 * p(z) and serves another probe point
+    rng = np.random.default_rng(5)
+    _, st, _ = _pair(rng, _polynomial_model(rng), (1, 1), 4, 3)
+    z1, z2 = Z_POINTS[:2]
+    for s in (1, 2, 3):
+        _forget()
+        ff.determinant_element((1, 1), st, st, z1)
+        part = ff._last
+        assert part.same and part.grid is None and part.serves(z2)
+        warm = ff.determinant_element((s, s), st, st, z2)
+        assert ff._last is part and warm[1].shape[1] >= ff.GRID_MIN_COLS
+        _forget()
+        cold = ff.determinant_element((s, s), st, st, z2)
+        assert warm[0] == cold[0] and warm[2] is cold[2] is True
+        assert np.array_equal(warm[1], cold[1])
+
+
+def test_a_part_whose_n_rows_raise_is_not_kept():
+    # a t pole at the probe point of a grid-size pair leaves its assembly
+    # without a grid; the part's build raises it, so a call at another
+    # probe point builds its own part, on the grid, as a cold call does
+    rng = np.random.default_rng(11)
+    left, right, z = _pair(rng, _polynomial_model(rng), (1, 2), 4, 3)
+    _forget()
+    with pytest.raises(PoleError, match=re.escape("t(x, y) pole")):
+        ff.form_factor((1, 2), left, right, left.u[0] + left.model.c)
+    warm = ff.determinant_element((1, 2), left, right, z)
+    assert ff._last.grid is not None
+    _forget()
+    cold = ff.determinant_element((1, 2), left, right, z)
+    assert warm[0] == cold[0] and np.array_equal(warm[1], cold[1])
 
 
 def test_kept_part_builds_rows_and_prefactor_once(monkeypatch, state_lib):
