@@ -16,7 +16,7 @@ from .formfactor import (FFAssembly, KINDS, appendix_identities, assemble,
                          s_function_reference, sector_shift)
 from .oracle import (SpinChainSpec, apply_monodromy, eigen_residual,
                      eigenvector_for_state, invariant_ratio, r_matrix,
-                     transfer_matrix, weight_sector_indices)
+                     transfer_matrix)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -330,10 +330,6 @@ class _PairBlocks(NamedTuple):
     # gaudin_matrix: x_j = x_k at j < k, x_j - x_k = +-c within a set at
     # j < k, then t(v_j, u_k) at v_j = u_k - c
     gaudin_guard: np.ndarray
-    # solver._check_collisions: x_j = x_k at j < k, then x_j - x_k = c at
-    # every ordered pair but a v-root j and a u-root k (v = u + c is
-    # allowed; a pair at -c is the other order's pair at +c)
-    collision_guard: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -352,8 +348,7 @@ def _pair_blocks(a: int, n: int) -> _PairBlocks:
         clt=-1.0 * (uu & off) + 1.0 * (vv & off) + vu.T,
         sign=1.0 * (vu | vu.T) - same,
         phi_guard=np.stack((upper, need)),
-        gaudin_guard=np.stack((upper, same & upper, vu)),
-        collision_guard=np.stack((upper, same | vu.T)))
+        gaudin_guard=np.stack((upper, same & upper, vu)))
     for arr in blocks:
         arr.setflags(write=False)
     return blocks

@@ -5,7 +5,7 @@ The monodromy matrix is never built as operators: ``apply_monodromy``
 applies all nine entries to a stack of vectors one site at a time, at
 O(9 L 3^L) per vector.  The dense entries (for structural checks) are that
 sweep on the identity, and the (twisted) transfer matrix is the
-twist-weighted sum of its diagonal entries on the basis columns it needs.
+twist-weighted sum of their diagonal entries.
 
 A state's vectors are its Bethe vectors, built by the same sweep from the
 explicit formulas (Belliard-Pakuliak-Ragoucy-Slavnov, "Bethe vectors of
@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -127,49 +126,12 @@ def monodromy(w: complex, spec: SpinChainSpec) -> np.ndarray:
 
 
 def transfer_matrix(w: complex, spec: SpinChainSpec,
-                    twist: Twist = Twist.identity(),
-                    sector: Optional[np.ndarray] = None) -> np.ndarray:
+                    twist: Twist = Twist.identity()) -> np.ndarray:
     """Twist-weighted trace sum_i kappa_i T(i,i)(w) of the monodromy matrix
-    over the auxiliary space, by ``apply_monodromy`` on the basis columns.
-
-    With ``sector`` (basis indices, as from ``weight_sector_indices``) only
-    the principal block on those indices is returned, in their order; the
-    transfer matrix preserves every weight sector, so the block of a whole
-    sector is its restriction.  Indices that are not a 1-D list in
-    [0, 3^L) raise ValueError.
-    """
-    if sector is None:
-        idx = np.arange(spec.dim)
-    else:
-        idx = np.asarray(sector, dtype=int)
-        if idx.ndim != 1 or (idx < 0).any() or (idx >= spec.dim).any():
-            raise ValueError(
-                f"need a 1-D list of basis indices in [0, {spec.dim})")
-    cols = np.zeros((spec.dim, len(idx)), dtype=complex)
-    cols[idx, np.arange(len(idx))] = 1.0
-    entries = apply_monodromy(w, spec, cols)
+    over the auxiliary space."""
+    entries = monodromy(w, spec)
     kappas = twist.as_tuple()
-    return sum(kappas[i] * entries[i, i, idx] for i in range(3))
-
-
-@lru_cache(maxsize=64)
-def _occupations(L: int) -> np.ndarray:
-    """Read-only colour occupation counts (n1, n2, n3) of every basis
-    state; the colours of sites 1..L are its base-3 digits, site 1 the most
-    significant as in ``apply_monodromy``'s ``(3,) * L`` reshape."""
-    digits = np.arange(3 ** L)[:, None] // 3 ** np.arange(L - 1, -1, -1) % 3
-    out = (digits[:, :, None] == np.arange(3)).sum(axis=1)
-    out.setflags(write=False)
-    return out
-
-
-def weight_sector_indices(L: int, counts: Sequence[int]) -> np.ndarray:
-    """Basis indices of the subspace with the given occupation counts."""
-    counts = tuple(int(n) for n in counts)
-    if len(counts) != 3 or any(n < 0 for n in counts) or sum(counts) != L:
-        raise ValueError(f"invalid occupation counts {counts} for L={L}")
-    occ = _occupations(L)
-    return np.nonzero((occ == np.array(counts)).all(axis=1))[0]
+    return sum(kappas[i] * entries[i, i] for i in range(3))
 
 
 def probe_points(rng: np.random.Generator, n: int, avoid: Sequence[complex],

@@ -16,12 +16,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (CollisionError, Gl3Error, JacobianSingular, NoConvergence,
-                     PathCollision, PoleError, ZeroArgError)
-from .kernel import f, pole_tol
+from .errors import (Gl3Error, JacobianSingular, NoConvergence, PathCollision,
+                     PoleError, ZeroArgError)
+from .kernel import f
 from .model import (BetheState, ModelFunctions, RootConfig, RootStack, Twist,
-                    _guard_errors, _label, _pair_blocks, gaudin_jacobian,
-                    phi_log)
+                    gaudin_jacobian, phi_log)
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,6 +75,11 @@ class SolveRequest:
             self.mode_numbers = tuple(int(n) for n in self.mode_numbers)
             if len(self.mode_numbers) != self.a + self.b:
                 raise ValueError("mode_numbers must have length a + b")
+        seed = self.seed_roots
+        if seed is not None and (seed.a, seed.b) != (self.a, self.b):
+            raise ValueError(f"seed roots of sector ({seed.a}, {seed.b}) do "
+                             f"not match the requested sector "
+                             f"({self.a}, {self.b})")
 
 
 def _check_request(a: int, b: int, tol: float) -> None:
@@ -124,17 +128,6 @@ def _twist_offsets(a: int, b: int, twist: Twist) -> np.ndarray:
     return np.array([off_u] * a + [off_v] * b, dtype=complex)
 
 
-def _check_collisions(x: np.ndarray, a: int, c: complex) -> list:
-    """For each row of the stack ``x``, the CollisionError of the first
-    coincidence that breaks the log system or its Jacobian, or None: two
-    equal roots, then u_j - u_k = +-c, v_j - v_k = +-c and v = u - c."""
-    d = x[:, :, None] - x[:, None, :]
-    return _guard_errors(
-        (d, d - c), pole_tol(c), _pair_blocks(a, x.shape[1]).collision_guard,
-        {}, lambda row, test, j, k: CollisionError(
-            f"{_label(j, a)} - {_label(k, a)} = {(0.0, c)[test]}"))
-
-
 def _residual(x: np.ndarray, a: int, b: int, model: ModelFunctions,
               offsets: np.ndarray, modes: Optional[np.ndarray]) -> tuple:
     """Residuals of the log system at each row of the stack ``x``; snaps to
@@ -155,12 +148,10 @@ def _jacobian(x: np.ndarray, a: int, model: ModelFunctions) -> tuple:
 
 def _evaluate(x: np.ndarray, a: int, b: int, model: ModelFunctions,
               offsets: np.ndarray, modes: Optional[np.ndarray]) -> tuple:
-    """The collision guard, then the residuals, at each row of the stack
-    ``x``: (residuals, mode numbers, largest residual, each row's error or
-    None)."""
-    res, used, failed = _residual(x, a, b, model, offsets, modes)
-    errors = [err if err is not None else fail for err, fail in
-              zip(_check_collisions(x, a, model.c), failed)]
+    """The residuals at each row of the stack ``x``: (residuals, mode
+    numbers, largest residual, each row's error or None, as ``phi_log``'s
+    guard names it)."""
+    res, used, errors = _residual(x, a, b, model, offsets, modes)
     return res, used, np.max(np.abs(res), axis=1), errors
 
 
@@ -239,7 +230,7 @@ def _line_search(trials: np.ndarray, inside: np.ndarray, err: np.ndarray,
                           rows[~lower].tolist()):
             fail = failed[j]
             if fail is not None and not isinstance(
-                    fail, (PoleError, ZeroArgError, CollisionError)):
+                    fail, (PoleError, ZeroArgError)):
                 errors[row] = fail
                 search[row] = False
                 continue
@@ -515,10 +506,8 @@ def solve_bethe(req: SolveRequest) -> BetheState:
     """
     model, a, b = req.model, req.a, req.b
     if req.seed_roots is not None:
-        x0 = req.seed_roots.as_array()
-        if x0.size != a + b:
-            raise ValueError("seed roots do not match the requested sector")
-        x, modes, err = _newton_one(model, a, b, req.twist, x0, req.tol,
+        x, modes, err = _newton_one(model, a, b, req.twist,
+                                    req.seed_roots.as_array(), req.tol,
                                     req.mode_numbers)
     else:
         x, modes, err = next(_converged_runs(
@@ -646,8 +635,12 @@ def continue_in_twist(state: BetheState, target: Twist,
     """Follow a state along a straight twist segment in ``steps`` equal
     steps, each polished by Newton to residual 1e-12.
 
-    Mode numbers are preserved by continuity (small steps keep the branch);
-    root coincidences at intermediate twists raise PathCollision.
+    Mode numbers are preserved by continuity (small steps keep the branch).
+    Each step starts from the roots the step before converged to, which
+    passed ``phi_log``'s twist-free guard, so a root coincidence met along
+    the path only rejects line-search trials and ends as NoConvergence.
+    Only a start state that the guard rejects, or a pole of the Jacobian,
+    raises PathCollision.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -665,7 +658,7 @@ def continue_in_twist(state: BetheState, target: Twist,
                    k3=src.k3 + lam * (target.k3 - src.k3))
         try:
             x, modes, err = _newton_one(model, a, b, tw, x, 1e-12)
-        except CollisionError as exc:
+        except (PoleError, ZeroArgError) as exc:
             raise PathCollision(f"collision at twist step {step}/{steps}: {exc}")
     return BetheState(RootConfig(tuple(x[:a]), tuple(x[a:])), target, modes,
                       err, model)

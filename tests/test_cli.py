@@ -71,6 +71,17 @@ def test_solve_negative_sector_exits_3(tmp_path):
     assert run(["solve", "--config", cfg]) == 3
 
 
+def test_solve_seed_of_another_sector_exits_3(tmp_path, capsys):
+    # three seed roots, all u, are no seed of sector (2, 1)
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "model": {"L": 3, "xi": "seeded"},
+        "sector": {"a": 2, "b": 1, "seed_roots": {
+            "u": [[0.3, 0.2], [-0.4, 0.1], [0.1, -0.5]], "v": []}},
+    })
+    assert run(["solve", "--config", cfg]) == 3
+    assert "sector" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("model, sector, task", [
     ({"L": 0}, {}, {}),
     ({}, {"twist": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]}, {}),

@@ -108,17 +108,25 @@ def test_weight_shift_structure(chain3):
 
 
 def test_transfer_preserves_sectors(chain3):
-    # structural zero blocks: no entries connect different occupation sectors
+    # the twisted transfer matrix is the kappa-weighted trace of the
+    # Kronecker-product reference, with structural zero blocks: no entries
+    # connect different occupation sectors
     spec, _ = chain3
-    m = orc.transfer_matrix(0.52 - 0.74j, spec)
+    tw = Twist(0.8 + 0.2j, 1.0, 1.3 - 0.1j)
+    w = 0.52 - 0.74j
+    m = orc.transfer_matrix(w, spec, tw)
+    ref = _kron_monodromy(w, spec)
+    trace = sum(kappa * ref[i, i] for i, kappa in enumerate(tw.as_tuple()))
+    assert np.max(np.abs(m - trace)) <= 1e-13 * np.max(np.abs(trace))
+    occ = np.array([[int(np.base_repr(idx, 3).zfill(spec.L)[k]) for k in range(spec.L)]
+                    for idx in range(spec.dim)])
+    counts = np.stack([(occ == s).sum(axis=1) for s in range(3)], axis=1)
     seen = np.zeros(spec.dim, dtype=bool)
     for n1 in range(spec.L + 1):
         for n2 in range(spec.L + 1 - n1):
-            idx = orc.weight_sector_indices(spec.L, (n1, n2, spec.L - n1 - n2))
-            seen[idx] = True
-            mask = np.zeros(spec.dim, dtype=bool)
-            mask[idx] = True
-            assert np.all(m[np.ix_(idx, ~mask)] == 0)
+            mask = (counts == (n1, n2, spec.L - n1 - n2)).all(axis=1)
+            seen |= mask
+            assert np.all(m[np.ix_(mask, ~mask)] == 0)
     assert seen.all()
 
 
@@ -134,15 +142,6 @@ def test_monodromy_pole_guard(chain2):
     spec, _ = chain2
     with pytest.raises(PoleError):
         orc.monodromy(spec.xi[0], spec)
-
-
-def test_sector_indices():
-    idx = orc.weight_sector_indices(2, (1, 1, 0))
-    assert sorted(idx) == [1, 3]  # |12> and |21>
-    with pytest.raises(ValueError):
-        orc.weight_sector_indices(2, (2, 1, 0))
-    with pytest.raises(ValueError):
-        orc.weight_sector_indices(2, (1, -1, 2))  # a=1 u-root, b=2 v-roots
 
 
 def test_eigenvector_vacuum(chain2):
@@ -459,59 +458,6 @@ def _chain4():
     return orc.SpinChainSpec(L=4, xi=xi, c=0.9 + 0.3j)
 
 
-def _chain(L):
-    rng = np.random.default_rng(200 + L)
-    xi = tuple(complex(*rng.uniform(-0.4, 0.4, 2)) for _ in range(L))
-    return orc.SpinChainSpec(L=L, xi=xi, c=0.9 + 0.3j)
-
-
-def _assert_principal_block(block, full, idx):
-    # numpy runs the sweep's elementwise steps in other loops for other
-    # column counts, which can move the last bit
-    ref = full[np.ix_(idx, idx)]
-    assert block.shape == ref.shape
-    assert np.max(np.abs(block - ref), initial=0) <= 1e-14 * np.max(np.abs(full))
-
-
-def test_sector_transfer_matrix_is_restricted_block():
-    tw = Twist(0.8 + 0.2j, 1.0, 1.3 - 0.1j)
-    kappas = tw.as_tuple()
-    w = 0.57 + 0.38j
-    for L in range(1, orc.MAX_SITES + 1):
-        spec = _chain(L)
-        full = orc.transfer_matrix(w, spec, tw)
-        if L <= 4:
-            # the kappa-weighted trace of the Kronecker-product reference
-            ref = _kron_monodromy(w, spec)
-            trace = sum(kappas[i] * ref[i, i] for i in range(3))
-            assert np.max(np.abs(full - trace)) <= 1e-13 * np.max(np.abs(trace))
-        for n1 in range(L + 1):
-            for n2 in range(L + 1 - n1):
-                idx = orc.weight_sector_indices(L, (n1, n2, L - n1 - n2))
-                _assert_principal_block(
-                    orc.transfer_matrix(w, spec, tw, idx), full, idx)
-        # a subset of one sector, in any order, gives the restricted block
-        sub = orc.weight_sector_indices(L, (L - 1, 1, 0))[::-1][:max(1, L - 1)]
-        _assert_principal_block(orc.transfer_matrix(w, spec, tw, sub), full, sub)
-
-
-def test_sector_transfer_matrix_guards_its_indices():
-    spec = _chain(3)
-    w = 0.57 + 0.38j
-    # an index that is no 1-D list, or that a -1 would wrap around, raises
-    for bad in (0, [[0, 1], [3, 9]], [-1], [0, -1], [spec.dim], [1, 40]):
-        with pytest.raises(ValueError):
-            orc.transfer_matrix(w, spec, Twist.identity(), bad)
-    # indices of two weight sectors give the principal block all the same
-    idx = np.concatenate([orc.weight_sector_indices(3, (2, 1, 0)),
-                          orc.weight_sector_indices(3, (1, 1, 1))[:2]])
-    full = orc.transfer_matrix(w, spec)
-    _assert_principal_block(orc.transfer_matrix(w, spec, Twist.identity(), idx),
-                            full, idx)
-    with pytest.raises(ValueError):
-        orc._occupations(3)[0] = 0
-
-
 def test_apply_monodromy_matvec_matches_dense():
     spec = _chain4()
     rng = np.random.default_rng(11)
@@ -533,13 +479,11 @@ def test_pole_guard_on_every_entry_point(state_lib, rng):
     spec = state_lib[3]["spec"]
     a, b = state_lib[3]["m10"][0], state_lib[3]["m10"][1]
     vec = np.ones(spec.dim, dtype=complex)
-    idx = orc.weight_sector_indices(spec.L, (spec.L - 1, 1, 0))
     for xi_k in spec.xi:
         calls = [
             lambda: orc.apply_monodromy(xi_k, spec, vec),
             lambda: orc.monodromy(xi_k, spec),
             lambda: orc.transfer_matrix(xi_k, spec),
-            lambda: orc.transfer_matrix(xi_k, spec, Twist.identity(), idx),
             lambda: orc.invariant_ratio((1, 1), xi_k, 0.9 + 0.6j, a, b, spec, rng),
         ]
         for call in calls:

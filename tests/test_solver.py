@@ -12,9 +12,9 @@ import gl3ff.cli as cli
 import gl3ff.kernel as kernel
 import gl3ff.solver as solver
 from gl3ff.checks import prepare_states, seeded_inhomogeneities
-from gl3ff.errors import (CollisionError, NoConvergence, PoleError,
+from gl3ff.errors import (NoConvergence, PathCollision, PoleError,
                           ZeroArgError)
-from gl3ff.model import (RootConfig, RootStack, Twist, bethe_defect,
+from gl3ff.model import (BetheState, RootConfig, RootStack, Twist, bethe_defect,
                          gaudin_matrix, mirror_model, phi_log, tau, xxx_chain)
 from gl3ff.oracle import SpinChainSpec
 from gl3ff.solver import (SolveRequest, continue_in_twist, distinct_states,
@@ -55,7 +55,11 @@ def test_solved_tau_is_oracle_eigenvalue(state_lib):
     import gl3ff.oracle as orc
     spec, model = state_lib[3]["spec"], state_lib[3]["model"]
     st = state_lib[3]["m21"][0]
-    idx = orc.weight_sector_indices(spec.L, (spec.L - 2, 1, 1))
+    # the basis states with occupation counts (L - 2, 1, 1): one site of
+    # colour 2 and one of colour 3 among the base-3 digits of the index
+    digits = np.arange(spec.dim)[:, None] // 3 ** np.arange(spec.L) % 3
+    idx = np.flatnonzero(((digits == 1).sum(1) == 1)
+                         & ((digits == 2).sum(1) == 1))
     for w in (0.83 + 0.62j, -1.1 - 0.4j):
         eigs = np.linalg.eigvals(orc.transfer_matrix(w, spec)[np.ix_(idx, idx)])
         tv = tau(w, st.roots, model)
@@ -182,6 +186,18 @@ def test_solve_with_explicit_seed_roots(state_lib):
     assert states_equal(st.roots, ref.roots)
 
 
+def test_seed_roots_must_match_the_sector(state_lib):
+    # the seed's own split into u and v is kept: a (3, 0) seed is no seed
+    # of sector (2, 1), though it holds three roots
+    model = state_lib[3]["model"]
+    ref = state_lib[3]["m21"][0]
+    seed = RootConfig(ref.u + ref.v, ())
+    with pytest.raises(ValueError, match="sector"):
+        SolveRequest(model=model, a=2, b=1, seed_roots=seed)
+    with pytest.raises(ValueError, match="sector"):
+        SolveRequest(model=model, a=3, b=0, seed_roots=ref.roots)
+
+
 def test_solve_with_mode_numbers(state_lib):
     model = state_lib[3]["model"]
     ref = state_lib[3]["m10"][0]
@@ -251,6 +267,18 @@ def test_continue_in_twist_round_trip(state_lib):
     assert back.mode_numbers == st.mode_numbers
 
 
+@pytest.mark.parametrize("shift", [0.0, -1.0], ids=["equal", "minus_c"])
+def test_continue_in_twist_rejects_a_colliding_start(shift):
+    # a start state with u_0 = u_1 or u_1 = u_0 - c fails phi_log's guard at
+    # the first step's seed, which ends the path there
+    model = _chain(3).model()
+    u0 = 0.3 - 0.1j
+    st = BetheState(RootConfig((u0, u0 + shift * model.c), ()), Twist(),
+                    (0, 0), 0.0, model)
+    with pytest.raises(PathCollision, match="twist step 1/3"):
+        continue_in_twist(st, Twist(1.1, 1.0, 1.0), steps=3)
+
+
 def test_no_convergence_reported():
     model = xxx_chain(2, (0.0, 0.0), 1.0)
     with pytest.raises(NoConvergence):
@@ -286,24 +314,36 @@ def _chain(L=3, seed=7):
 
 @pytest.mark.parametrize("c", [1.0, 0.6 + 0.5j])
 def test_newton_collision_guard(c):
+    # phi_log's guard is the Newton's only root guard: it rejects two equal
+    # roots and every pair at +-c whose f enters the log system, and passes
+    # v = u + c, whose f(u, v) it never takes
+    model = xxx_chain(1, (5.0 + 5.0j,), c)
+
+    def errors(x, a):
+        x = np.array(x, dtype=complex, ndmin=2)
+        b = x.shape[1] - a
+        with np.errstate(all="ignore"):     # as in the Newton
+            return solver._evaluate(x, a, b, model,
+                                    solver._twist_offsets(a, b, Twist()),
+                                    None)[3]
+
     u0, v0 = 0.3 - 0.1j, -0.4 + 0.2j
-    assert solver._check_collisions(np.array([[u0, u0 + 0.5, v0]]), 2,
-                                    c) == [None]
+    assert errors([u0, u0 + 0.5, v0], 2) == [None]
     # v = u + c is fine
-    assert solver._check_collisions(np.array([[u0, u0 + c]]), 1, c) == [None]
-    bad = [(np.array([u0, u0 + c, v0]), 2, "u_1 - u_0"),   # u_0 - u_1 = -c
-           (np.array([u0 + c, u0, v0]), 2, "u_0 - u_1"),   # u_0 - u_1 = +c
-           (np.array([u0, v0, v0 - c]), 1, "v_0 - v_1"),   # v_0 - v_1 = +c
-           (np.array([u0, u0]), 1, "u_0 - v_0 = 0.0"),     # u = v
-           (np.array([u0, u0 - c]), 1, "u_0 - v_0")]       # v = u - c
-    for x, a, name in bad:
+    assert errors([u0, u0 + c], 1) == [None]
+    bad = [([u0, u0 + c, v0], 2, ZeroArgError, "f(u_0, u_1)"),  # u_0 - u_1 = -c
+           ([u0 + c, u0, v0], 2, ZeroArgError, "f(u_1, u_0)"),  # u_0 - u_1 = +c
+           ([u0, v0, v0 - c], 1, ZeroArgError, "f(v_1, v_0)"),  # v_0 - v_1 = +c
+           ([u0, u0], 1, PoleError, "entries 0 and 1 collide"),  # u = v
+           ([u0, u0 - c], 1, ZeroArgError, "f(v_0, u_0)")]       # v = u - c
+    for x, a, kind, name in bad:
         # each row of a stack is guarded on its own: a clean row beside a
         # colliding one passes
         clean = np.arange(len(x)) * (2.0 + 3.0j)
-        errors = solver._check_collisions(np.array([clean, x, clean]), a, c)
-        assert errors[0] is None and errors[2] is None
-        assert isinstance(errors[1], CollisionError)
-        assert str(errors[1]).startswith(name)
+        found = errors([clean, x, clean], a)
+        assert found[0] is None and found[2] is None
+        assert isinstance(found[1], kind)
+        assert name in str(found[1])
 
 
 def _count_calls(monkeypatch, module, name):
@@ -587,8 +627,7 @@ def test_seed_ends_the_same_alone_and_stacked(L, a, b, twist, n_random):
              for x0 in pool]
     kinds = {ending[0] if isinstance(ending[0], type) else "converged"
              for ending in alone}
-    assert kinds >= {"converged", NoConvergence, CollisionError, PoleError,
-                     ZeroArgError}
+    assert kinds >= {"converged", NoConvergence, PoleError, ZeroArgError}
     for size in (len(pool), 13, 7):
         stacked = [_ending(run) for start in range(0, len(pool), size)
                    for run in solver._newton(model, a, b, twist,
