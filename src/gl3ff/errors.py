@@ -16,7 +16,9 @@ class ZeroArgError(Gl3Error):
 
 
 class CollisionError(Gl3Error):
-    """Root configuration drifted into a forbidden coincidence (u_i = u_j or u_i = u_j +- c)."""
+    """A point could not be placed clear of the others.  No package code
+    raises it (a coincidence of roots is a ``PoleError`` or
+    ``ZeroArgError``); the benchmark's point drawer does."""
 
 
 class NoConvergence(Gl3Error):
@@ -28,7 +30,8 @@ class JacobianSingular(Gl3Error):
 
 
 class PathCollision(Gl3Error):
-    """Roots collided at an intermediate point of a twist continuation path."""
+    """A twist continuation step met a pole: its start state is one that
+    ``phi_log``'s guard rejects, or its Jacobian has a pole."""
 
 
 class SectorMismatch(Gl3Error):

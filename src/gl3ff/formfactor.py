@@ -23,7 +23,8 @@ and the column points (:class:`_Grid`).  The pole test is made once per
 assembly (:func:`_grid_of`): from ``GRID_MIN_COLS`` determinant columns on,
 the kernel's pole guards are masks on the difference array, and if none of
 them fires the grid builds every piece of the assembly.  Otherwise the
-per-column code builds every piece and raises the error of the first pole.
+per-column code builds every piece, and the kernel term at the first pole
+raises its own error: no other pole test runs.
 A diagonal closing row is its colour's Kronecker pattern plus (colour 1) or
 minus (colour 3) one bracket row, and only the bracket has two builders.
 
@@ -50,10 +51,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (DegeneracyWarning, NonFiniteResult, PoleError,
-                     SectorMismatch)
-from .kernel import (collision, delta, delta_prime, exclude, f_prod, g_prod,
-                     h_prod, inv_f_prod, inv_g_prod, inv_h_prod, pole_tol, t)
+from .errors import DegeneracyWarning, NonFiniteResult, SectorMismatch
+from .kernel import (delta, delta_prime, exclude, f_prod, g_prod, h_prod,
+                     inv_f_prod, inv_g_prod, inv_h_prod, pole_tol, t)
 from .model import (BetheState, ModelFunctions, RootConfig, dtau_droots,
                     gaudin_matrix, tau)
 from .solver import states_distance
@@ -114,7 +114,9 @@ def lu_condition(m: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FFAssembly:
-    """Validated row/column bookkeeping for one determinant evaluation."""
+    """Row/column bookkeeping for one determinant evaluation; its pole test
+    is :func:`_grid_of` or, without a grid, the kernel terms that build its
+    pieces."""
 
     u_left: tuple
     v_left: tuple
@@ -253,34 +255,31 @@ class _Grid:
             return sign * r3 * h_xv * if_xu * ih_vx + h_vx * ih_vx
 
 
-def assemble(left: BetheState, right: BetheState, z: complex,
-             same_state: bool = False) -> FFAssembly:
-    """Build and validate the column set {u_right, v_left, z}.
+def assemble(left: BetheState, right: BetheState, z: complex) -> FFAssembly:
+    """The column set {u_right, v_left, z} with its grid (:func:`_grid_of`).
 
-    With ``same_state`` the row-versus-column distinctness check is skipped:
-    the regularised diagonal branch never evaluates the generic entries.
+    It tests no pole.  Without a grid, the kernel term that builds a piece
+    raises at its pole, in the order :class:`_Part` builds them: P0 (equal
+    column labels in Delta(cols), a zero of h(v_left, u_right) in its 1/h
+    factor), p(z) (the probe point on a column), then the N rows (a row on
+    a column, in its t factor).
     """
     model = left.model
     if abs(model.c - right.model.c) > pole_tol(model.c):
         raise ValueError("left and right states use different couplings")
     asm = FFAssembly(u_left=left.u, v_left=left.v, u_right=right.u,
                      v_right=right.v, z=complex(z), model=model)
-    grid = _grid_of(asm)
-    object.__setattr__(asm, "_grid", grid)
-    if grid is None:
-        _label_guards(asm, same_state)
-        if collision(asm.v_left, asm.u_right, model.c, -model.c) is not None:
-            raise PoleError("prefactor denominator h(v_left, u_right) ~ 0")
+    object.__setattr__(asm, "_grid", _grid_of(asm))
     return asm
 
 
 def _grid_of(asm: FFAssembly) -> "_Grid | None":
-    """The one pole test of an assembly: its :class:`_Grid` from
-    ``GRID_MIN_COLS`` columns on if no mask that a piece reads fires, else
-    None.  The masks: equal column labels (rows UR and VL are the columns
-    but the last), a row on a column (so a same-state assembly has no grid),
-    the t, 1/h and 1/f poles of the N entries (h(v_left, u_right) = 0 among
-    them) and the Delta' pairs; the per-column code raises their errors."""
+    """The pole test of an assembly from ``GRID_MIN_COLS`` columns on: its
+    :class:`_Grid` if no mask that a piece reads fires, else None.  The
+    masks: equal column labels (rows UR and VL are the columns but the
+    last), a row on a column (so a same-state assembly has no grid), the t,
+    1/h and 1/f poles of the N entries (h(v_left, u_right) = 0 among them)
+    and the Delta' pairs; the per-column code raises their errors."""
     if len(asm.cols) < GRID_MIN_COLS:
         return None
     grid = _Grid(asm)
@@ -293,47 +292,6 @@ def _grid_of(asm: FFAssembly) -> "_Grid | None":
             or any((np.abs(g) <= tol).any() for g in grid.pairs)):
         return None
     return grid
-
-
-def _label_guards(asm: FFAssembly, same_state: bool) -> None:
-    """Raise the PoleError of the first pair of coinciding column labels,
-    then, unless ``same_state``, of the first row label on a column point."""
-    cols = asm.cols
-    hit = collision(cols, cols, asm.model.c, keep=operator.lt)
-    if hit is not None:
-        raise _label_clash(cols, *hit)
-    if not same_state:
-        _row_guard(asm, cols)
-
-
-def _probe_guards(asm: FFAssembly, same_state: bool) -> None:
-    """The guards of :func:`_label_guards` that involve the probe point, on
-    an assembly whose other columns passed them: the probe point against
-    the other columns, then against the rows.  The error is the one the
-    full test would raise."""
-    cols = asm.cols
-    hit = collision(cols[:-1], cols[-1:], asm.model.c)
-    if hit is not None:
-        raise _label_clash(cols, hit[0], len(cols) - 1)
-    if not same_state:
-        _row_guard(asm, cols[-1:])
-
-
-def _label_clash(cols: tuple, j: int, k: int) -> PoleError:
-    """The error of the column labels ``j`` and ``k``."""
-    return PoleError(
-        f"column labels {j} and {k} collide ({cols[j]} ~ {cols[k]})")
-
-
-def _row_guard(asm: FFAssembly, points: tuple) -> None:
-    """Raise the PoleError of the first row label on one of ``points``."""
-    rows = asm.u_left + asm.v_right
-    hit = collision(rows, points, asm.model.c)
-    if hit is not None:
-        raise PoleError(
-            f"row label {rows[hit[0]]} collides with column point "
-            f"{points[hit[1]]}; shared roots between the two states "
-            "are outside the generic-position formulas")
 
 
 def prefactor_H(u_left: Sequence[complex], v_left: Sequence[complex],
@@ -615,21 +573,23 @@ class _Part:
     call on the assembly builds it at its probe point z0, and every call,
     that one included, takes its element from it.
 
-    It holds the validated roots and branch, the kinds whose twist and sector
-    checks passed on its states, P0 (:func:`prefactor_H` over every column but
-    the probe point), the prefactor P0 * p(z0) (see :func:`_probe_factor`), and
+    It holds the roots and branch, the kinds whose twist and sector checks
+    passed on its states, P0 (:func:`prefactor_H` over every column but the
+    probe point), the prefactor P0 * p(z0) (see :func:`_probe_factor`), and
     the rows of the matrix (:func:`_rows`), each built whole and kept with its
-    probe point: the N rows, which every kind needs, by the build (so a pole in
-    them ends it), and each closing row by the first call that needs it.  Only
-    their last column involves z.  A part without a grid (:func:`_grid_of`)
-    builds every entry from its own column point, so at another z a call runs
-    the guards that involve z and builds only the last column and p(z), and no
-    value or error depends on the order of the calls.  A grid builds the z
-    column in the same array pass as the others, and a column built on its own
-    does not match it in every bit, so a part with a grid serves its z0 only,
-    and its prefactor (over all columns; no P0) and rows come from that one
-    :class:`_Grid`.  States and model are held by weak reference, as in the
-    grid, so the part keeps no model alive; its rows are read-only."""
+    probe point: the N rows, which every kind needs, by the build, and each
+    closing row by the first call that needs it.  The build takes P0, then
+    p(z0), then the N rows, and the first pole in their kernel terms ends it.
+    Only the last column of the rows involves z.  A part without a grid
+    (:func:`_grid_of`) builds every entry from its own column point, so at
+    another z a call builds only p(z) and the last column, whose kernel terms
+    raise at a pole that involves z, and no value or error depends on the
+    order of the calls.  A grid builds the z column in the same array pass
+    as the others, and a column built on its own does not match it in every
+    bit, so a part with a grid serves its z0 only, and its prefactor (over
+    all columns; no P0) and rows come from that one :class:`_Grid`.  States
+    and model are held by weak reference, as in the grid, so the part keeps
+    no model alive; its rows are read-only."""
 
     def __init__(self, left: BetheState, right: BetheState, asm: FFAssembly,
                  same: bool, near: bool):
@@ -654,12 +614,10 @@ class _Part:
         return self.grid is None or z == self.z0
 
     def assembly(self, z: complex) -> FFAssembly:
-        """The assembly at the probe point ``z``, after the guards that
-        involve it if it is new, else on the part's grid if it keeps one."""
+        """The assembly at the probe point ``z``, on the part's grid if it
+        keeps one (then ``z`` is its z0)."""
         asm = FFAssembly(*self.roots, z=z, model=self.model())
-        if z != self.z0:
-            _probe_guards(asm, self.same)
-        elif self.grid is not None:
+        if self.grid is not None:
             object.__setattr__(asm, "_grid", self.grid)
         return asm
 
@@ -700,14 +658,15 @@ def determinant_element(kind: tuple, left: BetheState, right: BetheState,
     from the :class:`_Part` of its assembly, which the first call on the
     assembly builds and which is kept until a call on another assembly.  A
     call at the part's z0 builds at most its own closing row.  On a part
-    without a grid (:func:`_grid_of`) a call at another z runs the guards
-    that involve z and builds the last column, the closing entry and p(z);
-    on a part with a grid it builds a new part.  The twist and sector
-    checks run once for each kind a part serves: its states are immutable
-    and held by identity, so a repeat call of a kind cannot fail them.  The
-    near-degeneracy warning is issued on every call.  No value, matrix or
-    error depends on the order of the calls.  ``kind`` is a pair of
-    integers (numpy's included); anything else raises ``ValueError``.
+    without a grid (:func:`_grid_of`) a call at another z builds p(z), the
+    last column and the closing entry, and their kernel terms raise at a
+    pole that involves z; on a part with a grid it builds a new part.  The
+    twist and sector checks run once for each kind a part serves: its
+    states are immutable and held by identity, so a repeat call of a kind
+    cannot fail them.  The near-degeneracy warning is issued on every call.
+    No value, matrix or error depends on the order of the calls.  ``kind``
+    is a pair of integers (numpy's included); anything else raises
+    ``ValueError``.
     """
     global _last
     try:
@@ -740,7 +699,7 @@ def determinant_element(kind: tuple, left: BetheState, right: BetheState,
             "the diagonal form factor are ill-conditioned here",
             DegeneracyWarning, stacklevel=3)
     if part is None:
-        asm = assemble(left, right, z, same_state=same)
+        asm = assemble(left, right, z)
         part = _last = _Part(left, right, asm, same, near)
     else:
         asm = part.assembly(z)

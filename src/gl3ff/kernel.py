@@ -14,8 +14,11 @@ any other value as a one-point set.  Order is significant and always
 preserved: the ordered antisymmetric products and the determinant row/column
 conventions downstream depend on it.
 
-The collision tolerance :func:`pole_tol` is a pure function of ``c``,
-computed once per coupling value and then looked up.
+Each term raises a ``PoleError`` naming itself at its own poles, within
+the collision tolerance :func:`pole_tol`, a pure function of ``c`` computed
+once per coupling value and then looked up.  That is the one pole test of
+every scalar path: a caller reaches the term rather than testing its pole
+first.
 """
 
 from __future__ import annotations
@@ -200,20 +203,19 @@ def exclude(xs: Sequence[complex], i: int) -> tuple:
 
 
 def collision(lhs: SetOrScalar, rhs: SetOrScalar, c: complex,
-              shift: complex = 0.0,
-              keep: Optional[Callable[[int, int], bool]] = None
-              ) -> Optional[tuple]:
+              shift: complex) -> Optional[tuple]:
     """First index pair ``(i, j)``, in the order of :func:`_prod`, with
     ``|x_i - y_j - shift| <= pole_tol(c)``, or None.
 
-    This is the one pairwise guard of the package: ``shift`` 0 finds
-    coinciding points, ``shift`` -c the zeros of ``h`` and the poles of
-    ``1/h`` and ``1/f``.  Callers raise their own error from the pair.
+    Every term above raises its own ``PoleError`` at its poles.  This test
+    finds what no term guards: with ``shift`` -c, the zeros of ``f`` that
+    :func:`~gl3ff.model.bethe_defect` would divide by.  The caller raises
+    its own error from the pair.
     """
     tol = pole_tol(c)
     xs, ys = _as_tuple(lhs), _as_tuple(rhs)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
-            if (keep is None or keep(i, j)) and abs(x - y - shift) <= tol:
+            if abs(x - y - shift) <= tol:
                 return i, j
     return None

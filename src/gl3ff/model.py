@@ -10,6 +10,7 @@ chain realisation is provided by :func:`xxx_chain`.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -63,8 +64,8 @@ class Twist:
     k3: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if min(abs(self.k1), abs(self.k2), abs(self.k3)) == 0:
-            raise ValueError("twist components must be nonzero")
+        if not all(cmath.isfinite(k) and k != 0 for k in self.as_tuple()):
+            raise ValueError("twist components must be finite and nonzero")
 
     @classmethod
     def identity(cls) -> "Twist":
@@ -137,21 +138,6 @@ class BetheState:
         return self.roots.b
 
 
-def assert_regular(roots: RootConfig, c: complex) -> None:
-    """Check the intra/inter-set distinctness every formula relies on:
-    raise PoleError naming the first pair of roots (u then v) closer than
-    the collision tolerance."""
-    x, a = _rows(roots)
-    with np.errstate(over="ignore"):  # an overflowed difference is no pole
-        diff = x[:, :, None] - x[:, None, :]
-    # the first test of every guard: x_j ~ x_k at j < k
-    err, = _guard_errors((diff,), pole_tol(c),
-                         _pair_blocks(a, x.shape[1]).phi_guard[:1], {},
-                         lambda row, test, j, k: _collided(x, row, j, k))
-    if err is not None:
-        raise err
-
-
 def tau(w: complex, roots: RootConfig, model: ModelFunctions) -> complex:
     """Transfer-matrix eigenvalue at the identity twist (see ``tau_twisted``)."""
     return tau_twisted(w, roots, Twist.identity(), model)
@@ -167,8 +153,6 @@ def tau_twisted(w: complex, roots: RootConfig, twist: Twist,
     each term has a pole, which cancels in the sum only on shell; the
     direct evaluation raises ``PoleError`` there.
     """
-    if collision(w, roots.u + roots.v, model.c) is not None:
-        raise PoleError(f"tau probe point {w} collides with a root")
     u, v, c = roots.u, roots.v, model.c
     return (twist.k1 * model.r1(w) * f_prod(u, w, c)
             + twist.k2 * f_prod(w, u, c) * f_prod(v, w, c)
@@ -253,9 +237,9 @@ def bethe_defect(roots: RootConfig, twist: Twist,
 
     All entries vanish exactly on shell.  Two roots x, y of the pairs (u, u),
     (v, u) or (v, v) with x - y = -c put f(x, y) = 0 into a denominator;
-    they raise a ``PoleError`` that names the pair.
+    they raise a ``PoleError`` that names the pair, and two coinciding
+    roots the ``PoleError`` of the f-product that takes them.
     """
-    assert_regular(roots, model.c)
     u, v, c = roots.u, roots.v, model.c
     for x, y, (xn, yn) in ((u, u, "uu"), (v, u, "vu"), (v, v, "vv")):
         hit = collision(x, y, c, shift=-c)
@@ -433,8 +417,8 @@ def phi_log(roots, model: ModelFunctions):
     c = model.c
     tol = pole_tol(c)
     pairs = _pair_blocks(a, n)
-    d = x[:, :, None] - x[:, None, :]
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # an overflowed difference is no pole
+        d = x[:, :, None] - x[:, None, :]
         r, failed = _root_values(x, a, model.r1, model.r3, (None, None))
         fv = (d + c) / d
         lf = np.log(np.where(pairs.need, fv, 1.0))
@@ -486,9 +470,9 @@ def gaudin_matrix(roots, model: ModelFunctions):
     tol = pole_tol(c)
     c2 = c * c
     pairs = _pair_blocks(a, n)
-    d = x[:, :, None] - x[:, None, :]
-    dc = d + c
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # an overflowed difference is no pole
+        d = x[:, :, None] - x[:, None, :]
+        dc = d + c
         # the diagonal's own terms, -c (log r1)'(u_k) and c (log r3)'(v_k)
         own, failed = _root_values(x, a, model.dlog_r1, model.dlog_r3,
                                    (-c, c))

@@ -27,9 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (DegenerateEigenvalue, NoConvergence, PoleError,
-                     ZeroDenominator)
-from .kernel import collision, exclude, f_prod, g
+from .errors import DegenerateEigenvalue, NoConvergence, ZeroDenominator
+from .kernel import exclude, f_prod, g
 from .model import (BetheState, ModelFunctions, Twist, tau_twisted, xxx_chain)
 
 MAX_SITES = 6
@@ -103,9 +102,9 @@ def _sweep(w: complex, spec: SpinChainSpec, vecs: np.ndarray,
     """``apply_monodromy``, with the sites taken from L down to 1 when
     ``reverse``.  The R-matrix is symmetric, so entry (j, i) of the
     reversed sweep is ``T(i,j)(w).T @ vecs``: the dual Bethe vectors are
-    built from it."""
-    if collision(w, spec.xi, spec.c) is not None:
-        raise PoleError(f"probe point {w} collides with an inhomogeneity")
+    built from it.  The factors g(w, xi_k) come first, so a pole at a site
+    raises before the vectors are read."""
+    sites = [(k, g(w, xi_k, spec.c)) for k, xi_k in enumerate(spec.xi, 1)]
     vecs = np.asarray(vecs, dtype=complex)
     if vecs.ndim not in (1, 2) or vecs.shape[0] != spec.dim:
         raise ValueError(f"need vectors of length {spec.dim}, got shape {vecs.shape}")
@@ -113,9 +112,8 @@ def _sweep(w: complex, spec: SpinChainSpec, vecs: np.ndarray,
     x = np.zeros((3, 3) + cols.shape, dtype=complex)
     for i in range(3):
         x[i, i] = cols
-    sites = list(enumerate(spec.xi, start=1))
-    for site, xi_k in (sites[::-1] if reverse else sites):
-        x = x + g(w, xi_k, spec.c) * x.swapaxes(0, site + 1)
+    for site, g_k in (sites[::-1] if reverse else sites):
+        x = x + g_k * x.swapaxes(0, site + 1)
     return x.reshape((3, 3) + vecs.shape)
 
 

@@ -87,8 +87,8 @@ def _check_request(a: int, b: int, tol: float) -> None:
         raise ValueError(f"root counts must be non-negative, got ({a}, {b})")
     if a + b < 1:
         raise ValueError("need at least one root to solve for")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:  # a nan tolerance admits no residual
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
 def _sector_size(model: ModelFunctions, a: int, b: int,

@@ -332,7 +332,7 @@ def test_ff_lu_cond_of_determinant_matrix(tmp_path, state_lib):
     assert rows[(1, 1)]["lu_cond"] == ff.lu_condition(square)
     rows = table("m31", 1)
     assert rows[(1, 1)]["branch"] == "same"
-    asm = ff.assemble(right, right, z, True)
+    asm = ff.assemble(right, right, z)
     same = np.vstack([ff._same_state_rows(asm), ff.y_row_diag(asm, 1, True)])
     assert rows[(1, 1)]["lu_cond"] == ff.lu_condition(same)
     rows = table("m20", 0)

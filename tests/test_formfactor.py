@@ -412,7 +412,7 @@ def test_y_row_diag_values(monkeypatch, state_lib):
     rng = np.random.default_rng(5)
     _, big, big_z = _pair(rng, _polynomial_model(rng), (1, 1), 3, 3)
     for st, w in ((left, z), (big, big_z)):
-        asm_same = ff.assemble(st, st, w, same_state=True)
+        asm_same = ff.assemble(st, st, w)
         a, b = st.a, st.b
         same = {s: ff.y_row_diag(asm_same, s, same_state=True)
                 for s in (1, 2, 3)}
@@ -488,7 +488,7 @@ def test_pattern_rows_build_no_grid(monkeypatch):
     rng = np.random.default_rng(11)
     left, right, z = _pair(rng, _polynomial_model(rng), (1, 1), 4, 3)
     fresh = dataclasses.replace(ff.assemble(left, right, z))
-    same = dataclasses.replace(ff.assemble(right, right, z, same_state=True))
+    same = dataclasses.replace(ff.assemble(right, right, z))
     assert len(fresh.cols) >= ff.GRID_MIN_COLS
     assert len(same.cols) >= ff.GRID_MIN_COLS
     built.clear()
@@ -732,20 +732,29 @@ def test_permutation_invariance(state_lib):
 
 
 def test_assemble_validation(state_lib):
+    # assemble checks the coupling and tests no pole: the kernel term that
+    # meets the pole raises it when the element is built
     model = state_lib[3]["model"]
     a = make_state(model, (0.5,), ())
-    b = make_state(model, (0.5 + 1e-13,), ())
-    with pytest.raises(PoleError):
-        ff.assemble(a, b, 0.9)  # left u-root (a row) meets right u-root (a column)
+    b = make_state(model, (0.5 + 1e-13, -0.3), ())
+    other = make_state(xxx_chain(3, model.inhomogeneities, 0.5), (0.5,), ())
+    with pytest.raises(ValueError, match="different couplings"):
+        ff.assemble(a, other, 0.9)
     c_ = make_state(model, (0.4,), ())
-    with pytest.raises(PoleError):
-        ff.assemble(c_, a, 0.5)  # z collides with right root
-    # h(v_left, u_right) = 0 in the prefactor's denominator: v_left = u_right - c
     chain = xxx_chain(2, (0.05, -0.03), 0.6 + 0.5j)
     right = make_state(chain, (0.7 + 0.1j,), ())
     left = make_state(chain, (0.2 - 0.3j, -0.5j), (0.7 + 0.1j - chain.c,))
-    with pytest.raises(PoleError, match="prefactor denominator"):
-        ff.assemble(left, right, 0.9)
+    for kind, lhs, rhs, z, what in (
+            # a left u-root (a row) on the right u-root (a column)
+            ((1, 1), make_state(model, (0.5, 0.9), ()), b, 0.9j,
+             "t(x, y) pole"),
+            # z on the right u-root
+            ((1, 1), c_, a, 0.5, "f(x, y) pole"),
+            # h(v_left, u_right) = 0: v_left = u_right - c
+            ((1, 3), left, right, 0.9, "1/h pole")):
+        ff.assemble(lhs, rhs, z)
+        with pytest.raises(PoleError, match=re.escape(what)):
+            ff.form_factor(kind, lhs, rhs, z)
 
 
 def test_grid_guards_raise_the_per_column_error(monkeypatch):
@@ -1008,10 +1017,15 @@ def test_repeat_call_raises_what_a_cold_call_raises(state_lib):
     c = st.model.c
     xi = state_lib[5]["spec"].xi[0]
     cases = [
-        ((1, 2), left, right, right.u[1], "column labels 1 and 3 collide"),
-        ((1, 2), left, right, left.u[2], f"row label {left.u[2]} collides"),
+        # p(z) at a column, the t factor of a row at z, p(z) in the
+        # same-state branch
+        ((1, 2), left, right, right.u[1],
+         f"f(x, y) pole: x={right.u[1]} collides with y={right.u[1]}"),
+        ((1, 2), left, right, left.u[2],
+         f"t(x, y) pole: x={left.u[2]} collides with y={left.u[2]}"),
         ((1, 2), left, right, left.u[0] + c, "t(x, y) pole"),
-        ((2, 2), st, st, st.v[0], "column labels 2 and 3 collide"),
+        ((2, 2), st, st, st.v[0],
+         f"f(x, y) pole: x={st.v[0]} collides with y={st.v[0]}"),
         ((1, 1), st, st, xi, "f(x, y) pole"),
     ]
     for kind, left, right, z, what in cases:
@@ -1025,6 +1039,58 @@ def test_repeat_call_raises_what_a_cold_call_raises(state_lib):
                 ff.form_factor(kind, left, right, z)
             got.append(str(info.value))
         assert got[0] == got[1] and what in got[0], got
+
+
+@pytest.mark.parametrize("ncols", [5, ff.GRID_MIN_COLS + 2])
+def test_each_coincidence_raises_its_kernel_term(ncols):
+    # every coincidence of the generic-position formulas raises the
+    # PoleError of the kernel term that meets it: equal column labels in
+    # Delta(cols) of P0, a zero of h(v_left, u_right) in its 1/h factor, z
+    # on a column in p(z), a row on a column in the t factor of its N
+    # entry (in the same-state branch, z on a column in p(z)); cold, and
+    # warm after a clear probe point; assemble builds every pair
+    rng = np.random.default_rng(ncols)
+    model = _polynomial_model(rng)
+    c = model.c
+    cases = []
+    for kind in ((1, 2), (1, 1), (1, 3)):
+        a = ncols // 2
+        b = ncols - 1 - a - (kind == (1, 3))
+        left, right, z = _pair(rng, model, kind, a, b)
+        lu, lv, ur = list(left.u), list(left.v), right.u
+
+        def with_left(u=lu, v=lv):
+            return make_state(model, u, v)
+
+        cases += [
+            (kind, with_left(v=[ur[0]] + lv[1:]), right, z, "g(x, y) pole"),
+            (kind, with_left(v=lv[:-1] + [ur[1] - c]), right, z, "1/h pole"),
+            (kind, left, right, ur[-1], "f(x, y) pole"),
+            (kind, left, right, lv[0], "f(x, y) pole"),
+            (kind, with_left(u=lu[:-1] + [ur[0]]), right, z, "t(x, y) pole"),
+            (kind, left, make_state(model, ur, (lv[-1],) + right.v[1:]), z,
+             "t(x, y) pole"),
+            (kind, left, right, lu[1], "t(x, y) pole"),
+            (kind, left, right, right.v[0], "t(x, y) pole")]
+    st = make_state(model, *(_clear_points(rng, ncols - 1)[k::2]
+                             for k in (0, 1)))
+    cases += [((2, 2), st, st, st.u[0], "f(x, y) pole"),
+              ((2, 2), st, st, st.v[-1], "f(x, y) pole")]
+    for kind, left, right, z, what in cases:
+        asm = ff.assemble(left, right, z)
+        assert len(asm.cols) == ncols and asm._grid is None, (kind, what)
+        got = []
+        for warm in (False, True):
+            _forget()
+            if warm:
+                try:
+                    ff.form_factor(kind, left, right, Z_POINTS[0])
+                except PoleError as exc:  # a pole that does not involve z
+                    got.append(str(exc))
+            with pytest.raises(PoleError, match=re.escape(what)) as info:
+                ff.form_factor(kind, left, right, z)
+            got.append(str(info.value))
+        assert len(set(got)) == 1, (kind, what, got)
 
 
 def test_overflow_raises_at_every_probe_point():

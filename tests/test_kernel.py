@@ -1,11 +1,8 @@
-import operator
-
 import numpy as np
 import pytest
 
 from gl3ff.errors import PoleError
 from gl3ff import kernel as K
-from gl3ff.model import RootConfig, assert_regular
 
 
 def test_g_direct_values():
@@ -122,21 +119,16 @@ def test_delta_matches_scalar_double_loops():
 def test_collision_first_pair():
     c = 0.5 + 0.5j
     xs = (0.1, 0.2 + 1e-12, 0.3)
-    assert K.collision(xs, (0.3, 0.2), c) == (1, 1)
-    assert K.collision(xs, xs, c, keep=operator.lt) is None
+    assert K.collision(xs, (0.3, 0.2), c, 0.0) == (1, 1)
+    # pairs in the order of _prod: i outer, j inner
+    assert K.collision(xs, xs[::-1], c, 0.0) == (0, 2)
     assert K.collision(xs, (0.3 + c,), c, -c) == (2, 0)
-    assert K.collision(0.4, xs, c) is None
+    assert K.collision(0.4, xs, c, 0.0) is None
 
 
 def test_inv_f_prod_finite_at_coincidence():
     # the safe reciprocal is zero (not a pole) where f itself diverges
     assert K.inv_f_prod((0.5,), (0.5,), 1.0) == 0.0
-
-
-def test_check_distinct():
-    with pytest.raises(PoleError, match="entries 0 and 1 collide"):
-        assert_regular(RootConfig((0.1,), (0.1 + 1e-12,)), 1.0)
-    assert_regular(RootConfig((0.1,), (0.2,)), 1.0)
 
 
 def test_numpy_arrays_are_rapidity_sets():
@@ -151,7 +143,7 @@ def test_numpy_arrays_are_rapidity_sets():
                          for s in (lhs, rhs)), c)
             assert type(got) is complex and got == ref
     assert K.delta_prime(np.array(u), c) == K.delta_prime(u, c)
-    assert K.collision(np.array(u), np.array(u), c) == (0, 0)
+    assert K.collision(np.array(u), np.array(u), c, 0.0) == (0, 0)
     assert K.exclude(np.array(u), 0) == (u[1],)
     # a guarded product finds the pole of an array entry
     with pytest.raises(PoleError):
@@ -161,4 +153,4 @@ def test_numpy_arrays_are_rapidity_sets():
     with pytest.raises(TypeError, match="one-dimensional"):
         K.h_prod(np.array([u, u]), z, c)
     with pytest.raises(TypeError, match="one-dimensional"):
-        K.collision(u, np.array([u]), c)
+        K.collision(u, np.array([u]), c, 0.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -7,8 +8,7 @@ import pytest
 import gl3ff.oracle as orc
 from gl3ff.errors import PoleError, ZeroArgError
 from gl3ff.kernel import f_prod, pole_tol, t
-from gl3ff.model import (RootConfig, RootStack, Twist, assert_regular,
-                         bethe_defect,
+from gl3ff.model import (RootConfig, RootStack, Twist, bethe_defect,
                          dtau_dkappa, dtau_dkappa_onshell, dtau_droots,
                          gaudin_matrix, mirror_model, phi_log, tau,
                          tau_twisted, xxx_chain)
@@ -180,7 +180,7 @@ def test_tau_pole_and_limit(state_lib):
     st = state_lib[3]["m10"][0]
     model = state_lib[3]["model"]
     u = st.u[0]
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError, match=re.escape("f(x, y) pole")):
         tau(u, st.roots, model)
     # on shell the pole cancels: symmetric differences shrink linearly
     for direction in (1.0, 1.0j):
@@ -194,6 +194,15 @@ def test_tau_pole_and_limit(state_lib):
                    + tau(u - 1e-5, st.roots, model))
     nearby = tau(u + 1e-5, st.roots, model)
     assert abs(limit - nearby) < 1e-3 * max(1.0, abs(limit))
+
+
+def test_tau_twisted_raises_the_f_pole_at_every_root(state_lib):
+    # the f-product of the first term that takes the root raises
+    st = state_lib[3]["m21"][0]
+    tw = Twist(0.9 + 0.1j, 1.0, 1.2 - 0.2j)
+    for w in st.u + st.v:
+        with pytest.raises(PoleError, match=re.escape("f(x, y) pole")):
+            tau_twisted(w, st.roots, tw, state_lib[3]["model"])
 
 
 def test_tau_twisted_reductions(state_lib):
@@ -331,11 +340,15 @@ def test_bethe_defect_empty_and_offshell():
     ((0.0, 1.0), (), r"f\(u_0, u_1\)"),
     ((0.3 + 0.2j,), (-0.7 + 0.2j,), r"f\(v_0, u_0\)"),
     ((0.3, 0.9), (0.5j, 1.0 + 0.5j), r"f\(v_0, v_1\)"),
-], ids=["u_u", "v_u", "v_v"])
+    ((0.2 + 0.1j, 0.2 + 0.1j), (), r"f\(x, y\) pole"),
+    ((0.2 + 0.1j,), (0.2 + 0.1j,), r"f\(x, y\) pole"),
+    ((0.4,), (-0.3j, -0.3j + 1e-12), r"f\(x, y\) pole"),
+], ids=["u_u", "v_u", "v_v", "u_is_u", "v_is_u", "v_is_v"])
 def test_bethe_defect_zero_denominator_is_a_pole_error(u, v, pair):
     # two roots -c apart put f(x, y) = 0 into a denominator: a typed error
-    # that names the pair, not a ZeroDivisionError; just off that point the
-    # defect is finite
+    # that names the pair, not a ZeroDivisionError; two coinciding roots
+    # raise the pole of the f-product that takes them; just off that point
+    # the defect is finite
     model = xxx_chain(2, (0.05, -0.03), 1.0)
     with pytest.raises(PoleError, match=pair):
         bethe_defect(RootConfig(u, v), Twist.identity(), model)
@@ -344,16 +357,28 @@ def test_bethe_defect_zero_denominator_is_a_pole_error(u, v, pair):
     assert np.isfinite(bethe_defect(off, Twist.identity(), model)).all()
 
 
-def test_assert_regular_takes_overflowing_differences_silently():
+@pytest.mark.parametrize("fn", [phi_log, gaudin_matrix])
+def test_guards_take_overflowing_differences_silently(fn):
     # roots 2e308 apart overflow their difference to inf, which is no
     # collision: no PoleError and no numpy warning; a collision next to
     # such a pair is still found and named
+    model = xxx_chain(2, (0.0, 0.3), 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert_regular(RootConfig((1e308, -1e308), ()), 1.0)
-        assert_regular(RootConfig((1e308,), (-1e308 + 1e308j,)), 1.0)
+        fn(RootConfig((1e308, -1e308), ()), model)
+        fn(RootConfig((1e308,), (-1e308 + 1e308j,)), model)
         with pytest.raises(PoleError, match="entries 0 and 2 collide"):
-            assert_regular(RootConfig((1e308, -1e308, 1e308), ()), 1.0)
+            fn(RootConfig((1e308, -1e308, 1e308), ()), model)
+
+
+@pytest.mark.parametrize("k", [
+    (np.nan, 1, 1), (1, np.inf, 1), (1, 1, complex(0, -np.inf)),
+    (1, complex(np.nan, 0), 1), (0, 1, 1), (1, 1, 0j)])
+def test_twist_components_are_finite_and_nonzero(k):
+    # a nan or inf twist would make tau_twisted nan and leave every sector
+    # of distinct_states empty
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        Twist(*k)
 
 
 def test_phi_log_on_shell_and_exp_consistency(state_lib):

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import re
 import weakref
 
 import numpy as np
@@ -140,8 +141,11 @@ def test_transfer_family_commutes(chain2):
 
 def test_monodromy_pole_guard(chain2):
     spec, _ = chain2
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError, match=re.escape("g(x, y) pole")):
         orc.monodromy(spec.xi[0], spec)
+    # the site's factor raises before the vectors are read
+    with pytest.raises(PoleError):
+        orc.apply_monodromy(spec.xi[-1], spec, np.ones(2))
 
 
 def test_eigenvector_vacuum(chain2):

@@ -224,13 +224,17 @@ def test_solve_request_validation():
         SolveRequest(model=model, a=2, b=0, mode_numbers=(0,))
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0])
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
 def test_distinct_states_rejects_nonpositive_tol(tol):
-    # as SolveRequest does: no residual is ever <= a non-positive tolerance,
-    # so such a call would run every seed to find nothing
-    model = xxx_chain(2, (0.0, 0.0), 1.0)
+    # as SolveRequest does: no residual is ever <= a non-positive or nan
+    # tolerance, so such a call would run every seed to find nothing (a nan
+    # one reported an L=3 sector that holds 2 states as empty), and an
+    # infinite one accepts any residual
+    model = xxx_chain(3, (0.0, 0.0, 0.0), 1.0)
     with pytest.raises(ValueError, match="tolerance must be positive"):
         distinct_states(model, 1, 0, tol=tol)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        SolveRequest(model=model, a=1, b=0, tol=tol)
 
 
 @pytest.mark.parametrize("a, b, match", [
